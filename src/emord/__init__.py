@@ -42,14 +42,13 @@ from .data import (
     text_tokens,
 )
 from .gradcheck import GradCheckReport, check_gradients
-from .infer import Prediction, nearest_labeled_cell, predict_ids, predict_text
+from .infer import Prediction, predict_ids, predict_text
 from .losses import LossError, logit_gradient, loss_value
 from .metrics import (
     EvalResult,
     HoldoutReport,
     MetricsError,
     MetricsReport,
-    error_histogram,
     evaluate,
     holdout_proximity,
     macro_f1,
@@ -136,7 +135,6 @@ __all__ = [
     "encode_onehot",
     "encode_text",
     "encode_thermometer",
-    "error_histogram",
     "evaluate",
     "forward",
     "generate_synthetic",
@@ -153,7 +151,6 @@ __all__ = [
     "loss_value",
     "macro_f1",
     "max_distance",
-    "nearest_labeled_cell",
     "ordinal_distance",
     "parse_taxonomy",
     "predict_ids",

@@ -67,19 +67,6 @@ class Checkpoint:
     epochs_completed: int = 0
     optimizer: OptimizerSnapshot | None = None
 
-    def without_optimizer(self) -> "Checkpoint":
-        return Checkpoint(
-            config=self.config,
-            params=self.params,
-            taxonomy=self.taxonomy,
-            vocab=self.vocab,
-            max_seq_length=self.max_seq_length,
-            seed=self.seed,
-            loss_weights=self.loss_weights,
-            epochs_completed=self.epochs_completed,
-            optimizer=None,
-        )
-
 
 def vocab_fingerprint(vocab: Vocabulary) -> str:
     return sha256_text("\n".join(vocab.tokens) + f"\nmin_freq={vocab.min_freq}")

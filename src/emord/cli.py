@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -48,6 +49,7 @@ from .metrics import (
 )
 from .taxonomy import save_taxonomy
 from .trainer import (
+    TrainConfig,
     Trainer,
     TrainingDivergedError,
     load_train_config_file,
@@ -127,26 +129,10 @@ def cmd_synth(args) -> int:
 
 
 def _train_overrides(args) -> dict:
-    overrides = {
-        "preset": args.preset,
-        "mode": args.mode,
-        "taxonomy": args.taxonomy,
-        "corpus": args.corpus,
-        "corpus_format": args.corpus_format,
-        "synthetic": args.synthetic,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "max_seq_length": args.max_seq_length,
-        "seed": args.seed,
-        "min_freq": args.min_freq,
-        "weight_decay": args.weight_decay,
+    """The TrainConfig fields set by flags; a field with no flag reads as None."""
+    return {
+        field.name: getattr(args, field.name, None) for field in dataclasses.fields(TrainConfig)
     }
-    if args.split is not None:
-        overrides["split"] = tuple(args.split)
-    if args.loss_weights is not None:
-        overrides["loss_weights"] = tuple(args.loss_weights)
-    return overrides
 
 
 def cmd_train(args) -> int:

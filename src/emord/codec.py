@@ -85,13 +85,6 @@ class TargetVector:
     mode: str
     values: np.ndarray
 
-    def parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Valence and arousal codewords of an ordinal-2d target."""
-        if self.mode != MODE_ORDINAL_2D:
-            raise CodecError("parts() applies to ordinal-2d targets only")
-        half = self.values.shape[0] // 2
-        return self.values[:half], self.values[half:]
-
 
 def check_mode_compatible(mode: str, taxonomy: EmotionTaxonomy) -> None:
     """Reject head modes that cannot be trained against the taxonomy."""

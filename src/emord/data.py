@@ -61,12 +61,6 @@ class LabeledCorpus:
     def labels(self) -> list[str]:
         return [label for _, label in self.records]
 
-    def label_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for _, label in self.records:
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
 
 def filter_labels(corpus: LabeledCorpus, keep) -> LabeledCorpus:
     """Sub-corpus containing only records whose label is in `keep`."""

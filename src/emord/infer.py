@@ -6,6 +6,10 @@ cell that no label occupies is resolved to the nearest labeled cell (L1,
 ties toward lower valence then lower arousal) and flagged `off_grid`; the
 prediction keeps the raw decoded cell, since its distance to the gold cell
 is exactly what the proximity metrics measure.
+
+Labels, ranks, cells and the off-grid flag are lookups in the taxonomy's
+tables (`rank_labels`, `cell_labels`, `cell_occupied`), whose off-grid
+resolution is built in.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .codec import MODE_ORDINAL_1D, MODE_ORDINAL_2D, MODE_SOFTMAX, decode_thermometer_batch
+from .codec import MODE_ORDINAL_1D, MODE_ORDINAL_2D, decode_thermometer_batch
 from .data import DataError, encode_text
 from .net import forward
 from .taxonomy import EmotionTaxonomy
@@ -47,55 +51,37 @@ class Prediction:
         return out
 
 
-def nearest_labeled_cell(taxonomy: EmotionTaxonomy, cell: tuple[int, int]) -> str:
-    """Label whose cell is L1-closest to `cell`; ties break toward lower
-    valence, then lower arousal."""
-    v, a = cell
-    ranked = sorted(
-        taxonomy.cells.items(),
-        key=lambda item: (abs(item[1][0] - v) + abs(item[1][1] - a), item[1][0], item[1][1]),
-    )
-    return ranked[0][0]
-
-
 def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) -> list[Prediction]:
     """Decode a (N, width) block of head outputs into predictions."""
     outputs = np.asarray(outputs)
-    preds: list[Prediction] = []
-    if mode == MODE_SOFTMAX:
-        for row in outputs:
-            label = taxonomy.labels[int(np.argmax(row))]
-            rank = taxonomy.ranks.get(label) if taxonomy.mode == "1d" else None
-            cell = taxonomy.cells.get(label) if taxonomy.mode == "2d" else None
-            preds.append(Prediction(label=label, mode=mode, rank=rank, cell=cell, outputs=row))
-        return preds
-    if mode == MODE_ORDINAL_1D:
-        by_rank = {r: lab for lab, r in taxonomy.ranks.items()}
-        ranks = decode_thermometer_batch(outputs)
-        for row, rank in zip(outputs, ranks):
-            preds.append(
-                Prediction(label=by_rank[int(rank)], mode=mode, rank=int(rank), outputs=row)
-            )
-        return preds
-    half = outputs.shape[1] // 2
-    valences = decode_thermometer_batch(outputs[:, :half])
-    arousals = decode_thermometer_batch(outputs[:, half:])
-    for row, v, a in zip(outputs, valences, arousals):
-        cell = (int(v), int(a))
-        label = taxonomy.label_at_cell(cell)
-        if label is None:
-            preds.append(
-                Prediction(
-                    label=nearest_labeled_cell(taxonomy, cell),
-                    mode=mode,
-                    cell=cell,
-                    off_grid=True,
-                    outputs=row,
-                )
-            )
-        else:
-            preds.append(Prediction(label=label, mode=mode, cell=cell, outputs=row))
-    return preds
+    cells = None
+    if mode == MODE_ORDINAL_2D:
+        half = outputs.shape[1] // 2
+        valences = decode_thermometer_batch(outputs[:, :half])
+        arousals = decode_thermometer_batch(outputs[:, half:])
+        indices = taxonomy.cell_labels[valences, arousals]
+        cells = list(zip(valences.tolist(), arousals.tolist()))
+        off_grid = (~taxonomy.cell_occupied[valences, arousals]).tolist()
+    elif mode == MODE_ORDINAL_1D:
+        indices = taxonomy.rank_labels[decode_thermometer_batch(outputs)]
+    else:
+        indices = np.argmax(outputs, axis=1)
+    labels = [taxonomy.labels[i] for i in indices.tolist()]
+    if cells is None:
+        # a 1d taxonomy has no cells and a 2d one no ranks, so .get() yields None
+        cells = [taxonomy.cells.get(label) for label in labels]
+        off_grid = [False] * len(labels)
+    return [
+        Prediction(
+            label=label,
+            mode=mode,
+            rank=taxonomy.ranks.get(label),
+            cell=cell,
+            off_grid=off,
+            outputs=row,
+        )
+        for label, cell, off, row in zip(labels, cells, off_grid, outputs)
+    ]
 
 
 def predict_ids(ck: Checkpoint, token_ids: np.ndarray, batch_size: int = 256) -> list[Prediction]:

@@ -65,13 +65,11 @@ def logit_gradient(
     targets: np.ndarray,
     mode: str,
     loss_weights: tuple[float, float] = (1.0, 1.0),
-    loss_scale: float = 1.0,
 ) -> np.ndarray:
     """d(loss)/d(logits), fused through the head activation.
 
-    `loss_scale` multiplies the loss (and therefore the gradient) — handy for
-    verifying gradient linearity.  For the logistic heads the chain rule
-    contributes s*(1-s), computable from the cached outputs alone.
+    For the logistic heads the chain rule contributes s*(1-s), computable
+    from the cached outputs alone.
     """
     _check(outputs, targets, mode)
     batch, width = outputs.shape
@@ -84,6 +82,4 @@ def logit_gradient(
         grad = 2.0 * (outputs - targets) * outputs * (1.0 - outputs)
         grad[:, :half] *= loss_weights[0] / (batch * half)
         grad[:, half:] *= loss_weights[1] / (batch * half)
-    if loss_scale != 1.0:
-        grad = grad * loss_scale
     return grad.astype(outputs.dtype, copy=False)

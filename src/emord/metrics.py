@@ -8,6 +8,10 @@ for surprise, the other mistakes joy for sadness.
 All distances are computed between the gold label and the *resolved*
 predicted label.  Raw decoded grid cells (possibly unlabeled) matter only to
 `holdout_proximity`, which asks where the model places a class it never saw.
+
+Scoring works on label indices: the (gold, predicted) pairs become two index
+arrays once, and the confusion matrix, histograms and means are counts and
+gathers over the taxonomy's distance tables.
 """
 
 from __future__ import annotations
@@ -22,12 +26,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import DataError, LabeledCorpus, encode_corpus
 from .infer import Prediction, predict_ids
-from .taxonomy import (
-    EmotionTaxonomy,
-    grid_chebyshev_distance,
-    label_distance,
-    max_distance,
-)
+from .taxonomy import EmotionTaxonomy, max_distance
 
 REPORT_FORMAT = "emord.report/1"
 
@@ -106,15 +105,6 @@ class EvalResult:
     predictions: tuple[Prediction, ...]
 
 
-def confusion_matrix(pairs, labels: tuple[str, ...]) -> np.ndarray:
-    """Count matrix with rows indexed by gold label, columns by prediction."""
-    index = {label: i for i, label in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for gold, pred in pairs:
-        counts[index[gold], index[pred]] += 1
-    return counts
-
-
 def per_class_metrics(confusion: np.ndarray, labels: tuple[str, ...]) -> tuple[ClassMetrics, ...]:
     gold_counts = confusion.sum(axis=1)
     pred_counts = confusion.sum(axis=0)
@@ -157,15 +147,6 @@ def macro_f1(confusion: np.ndarray) -> float:
     return sum(included) / len(included)
 
 
-def error_histogram(pairs, taxonomy: EmotionTaxonomy) -> dict[int, int]:
-    """Misclassification counts bucketed by scale distance, keys 1..max."""
-    hist = {d: 0 for d in range(1, max_distance(taxonomy) + 1)}
-    for gold, pred in pairs:
-        if gold != pred:
-            hist[label_distance(taxonomy, gold, pred)] += 1
-    return hist
-
-
 def evaluate(ck: Checkpoint, corpus: LabeledCorpus, batch_size: int = 256) -> EvalResult:
     """Run the model over a corpus and measure everything in one pass."""
     if len(corpus) == 0:
@@ -187,31 +168,30 @@ def build_report(
     pairs = tuple(pairs)
     if not pairs:
         raise MetricsError("no (gold, predicted) pairs to score")
+    index = taxonomy.label_index
     for gold, pred in pairs:
-        if gold not in taxonomy.labels or pred not in taxonomy.labels:
+        if gold not in index or pred not in index:
             raise MetricsError(f"pair ({gold!r}, {pred!r}) not in the taxonomy")
+    gold = np.array([index[g] for g, _ in pairs])
+    pred = np.array([index[p] for _, p in pairs])
+    wrong = gold != pred
     labels = taxonomy.labels
-    confusion = confusion_matrix(pairs, labels)
-    per_class = per_class_metrics(confusion, labels)
+    k = len(labels)
     n = len(pairs)
+    confusion = np.bincount(gold * k + pred, minlength=k * k).reshape(k, k)
+    per_class = per_class_metrics(confusion, labels)
     accuracy = float(np.trace(confusion)) / n
 
-    distances = [label_distance(taxonomy, g, p) for g, p in pairs]
-    error_distances = [d for d in distances if d > 0]
-    hist = error_histogram(pairs, taxonomy)
+    distances = taxonomy.distance_table[gold, pred]
+    error_distances = distances[wrong]
 
     chebyshev_hist = None
     mean_cheb = None
     off_grid_rate = None
     if taxonomy.mode == "2d":
-        chebyshev_hist = {d: 0 for d in range(1, taxonomy.grid_size)}
-        cheb_errors = []
-        for gold, pred in pairs:
-            if gold != pred:
-                cd = grid_chebyshev_distance(taxonomy, gold, pred)
-                chebyshev_hist[cd] += 1
-                cheb_errors.append(cd)
-        mean_cheb = sum(cheb_errors) / len(cheb_errors) if cheb_errors else 0.0
+        cheb_errors = taxonomy.chebyshev_table[gold, pred][wrong]
+        chebyshev_hist = _histogram(cheb_errors, taxonomy.grid_size - 1)
+        mean_cheb = _mean(cheb_errors)
         if predictions is not None:
             off_grid_rate = sum(1 for p in predictions if p.off_grid) / n
 
@@ -223,16 +203,25 @@ def build_report(
         macro_f1=macro_f1(confusion),
         confusion=confusion,
         per_class=per_class,
-        error_histogram=hist,
-        mean_error_distance=(
-            sum(error_distances) / len(error_distances) if error_distances else 0.0
-        ),
-        max_error_distance=max(error_distances) if error_distances else 0,
-        mean_distance=sum(distances) / len(distances),
+        error_histogram=_histogram(error_distances, max_distance(taxonomy)),
+        mean_error_distance=_mean(error_distances),
+        max_error_distance=int(error_distances.max(initial=0)),
+        mean_distance=_mean(distances),
         chebyshev_histogram=chebyshev_hist,
         mean_error_chebyshev=mean_cheb,
         off_grid_rate=off_grid_rate,
     )
+
+
+def _histogram(distances: np.ndarray, top: int) -> dict[int, int]:
+    """Counts of each distance 1..top, zero buckets kept."""
+    counts = np.bincount(distances, minlength=top + 1).tolist()
+    return {d: counts[d] for d in range(1, top + 1)}
+
+
+def _mean(distances: np.ndarray) -> float:
+    # an exact integer sum over an integer count, as a plain loop computes it
+    return int(distances.sum()) / len(distances) if len(distances) else 0.0
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numpy.lib.stride_tricks import sliding_window_view
 
 import numpy as np
@@ -87,9 +87,6 @@ class ModelConfig:
         """Shortest time axis the two valid convolutions can consume."""
         return sum(self.kernel_sizes) - len(self.kernel_sizes) + 1
 
-    def with_dtype(self, dtype: str) -> "ModelConfig":
-        return replace(self, dtype=dtype)
-
     @classmethod
     def desk(cls, vocab_size: int, output_width: int, head_mode: str, **overrides):
         """Laptop-scale widths; trains in seconds on the synthetic corpora."""
@@ -140,9 +137,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(**{name: arr.copy() for name, arr in self.named()})
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(**{name: arr.astype(dtype) for name, arr in self.named()})
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:

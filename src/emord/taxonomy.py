@@ -1,15 +1,21 @@
 """Emotion label sets arranged on a valence scale or a valence-arousal grid.
 
 A taxonomy is loaded from a strict JSON document and is immutable afterwards,
-so instances can be shared freely between threads.
+so instances can be shared freely between threads.  Decoding and scoring read
+its geometry from tables indexed by label index (pairwise distances, the
+label at each rank or grid cell); each table is built on first use and
+cached on the instance.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 DOCUMENT_FORMAT = "emord.taxonomy/1"
 
@@ -35,9 +41,14 @@ class EmotionTaxonomy:
     def num_labels(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def label_index(self) -> dict[str, int]:
+        """Position of each label in `labels`."""
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         self._require_label(label)
-        return self.labels.index(label)
+        return self.label_index[label]
 
     def rank(self, label: str) -> int:
         if self.mode != "1d":
@@ -51,18 +62,59 @@ class EmotionTaxonomy:
         self._require_label(label)
         return self.cells[label]
 
-    def label_at_cell(self, cell: tuple[int, int]) -> str | None:
-        """Label occupying a grid cell, or None for an empty cell."""
-        if self.mode != "2d":
-            raise TaxonomyError("cells are only defined for 2d taxonomies")
-        for name, occupied in self.cells.items():
-            if occupied == tuple(cell):
-                return name
-        return None
+    @cached_property
+    def distance_table(self) -> np.ndarray:
+        """(K, K) `label_distance` between every two labels, by label index."""
+        return self._pair_table(label_distance)
+
+    @cached_property
+    def chebyshev_table(self) -> np.ndarray:
+        """(K, K) `grid_chebyshev_distance` between every two labels (2d only)."""
+        return self._pair_table(grid_chebyshev_distance)
+
+    def _pair_table(self, distance) -> np.ndarray:
+        labels = self.labels
+        return _read_only(np.array([[distance(self, a, b) for b in labels] for a in labels]))
+
+    @cached_property
+    def rank_labels(self) -> np.ndarray:
+        """(K,) label index at each rank (1d only)."""
+        return _read_only(np.argsort([self.rank(label) for label in self.labels]))
+
+    @cached_property
+    def cell_labels(self) -> np.ndarray:
+        """(G, G) label index at each (valence, arousal) cell (2d only).
+
+        A cell no label occupies holds the label of the L1-nearest labeled
+        cell, ties broken toward lower valence, then lower arousal.
+        """
+        cells = np.array([self.cell(label) for label in self.labels])
+        # labels in (valence, arousal) order, so argmin's first minimum breaks ties
+        order = np.lexsort((cells[:, 1], cells[:, 0]))
+        levels = np.arange(self.grid_size)
+        l1 = (
+            np.abs(levels[:, None, None] - cells[order, 0])
+            + np.abs(levels[None, :, None] - cells[order, 1])
+        )
+        return _read_only(order[np.argmin(l1, axis=2)])
+
+    @cached_property
+    def cell_occupied(self) -> np.ndarray:
+        """(G, G) mask of the cells some label occupies (2d only)."""
+        table = np.zeros((self.grid_size, self.grid_size), dtype=bool)
+        for label in self.labels:
+            table[self.cell(label)] = True
+        return _read_only(table)
 
     def _require_label(self, label: str) -> None:
         if label not in self.labels:
             raise TaxonomyError(f"unknown label: {label!r}")
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    # cached tables are shared by every user of the instance
+    table.setflags(write=False)
+    return table
 
 
 def parse_taxonomy(document: dict) -> EmotionTaxonomy:

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import logging
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,8 +84,10 @@ class TrainConfig:
     """Fully resolved training recipe.
 
     Width fields left as None take the preset's widths ("desk": laptop-scale,
-    "paper": full-scale).  Exactly one data source — `corpus` or `synthetic`
-    — should be set unless the corpus is handed to the trainer directly.
+    "paper": full-scale); `learning_rate` and `max_seq_length` left as None
+    take the preset's values.  Exactly one data source — `corpus` or
+    `synthetic` — should be set unless the corpus is handed to the trainer
+    directly.
     """
 
     mode: str = MODE_SOFTMAX
@@ -95,8 +98,8 @@ class TrainConfig:
     preset: str = "desk"
     epochs: int = 10
     batch_size: int = 16
-    learning_rate: float = 1e-3
-    max_seq_length: int = 32
+    learning_rate: float | None = None
+    max_seq_length: int | None = None
     seed: int = 0
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
     min_freq: int = 1
@@ -121,6 +124,9 @@ class TrainConfig:
             raise TrainerError(f"unknown head mode {self.mode!r}; choose from {HEAD_MODES}")
         if self.preset not in PRESETS:
             raise TrainerError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
+        for name, value in _PRESET_DEFAULTS[self.preset].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         if self.corpus_format not in CORPUS_FORMATS:
             raise TrainerError(f"unknown corpus format {self.corpus_format!r}")
         if self.corpus is not None and self.synthetic is not None:
@@ -150,47 +156,52 @@ class TrainConfig:
         return doc
 
 
-_INT_FIELDS = {"epochs", "batch_size", "max_seq_length", "seed", "min_freq", "embed_dim"}
-_FLOAT_FIELDS = {"learning_rate", "weight_decay", "beta1", "beta2", "eps"}
-_STR_FIELDS = {"mode", "taxonomy", "corpus", "corpus_format", "synthetic", "preset"}
-_TUPLE_FIELDS = {
-    "split": (3, float),
-    "loss_weights": (2, float),
-    "conv_channels": (2, int),
-    "kernel_sizes": (2, int),
-    "ffnn_hidden": (2, int),
-}
-_NULLABLE = {"corpus", "synthetic", "embed_dim", "conv_channels", "kernel_sizes", "ffnn_hidden"}
-_CONFIG_FIELDS = _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS | set(_TUPLE_FIELDS)
+def _config_schema() -> dict[str, tuple[type, bool]]:
+    """Per TrainConfig field: the type a value must have, and whether null is allowed."""
+    schema = {}
+    for name, hint in typing.get_type_hints(TrainConfig).items():
+        args = typing.get_args(hint)
+        nullable = type(None) in args
+        if nullable:
+            (hint,) = [arg for arg in args if arg is not type(None)]
+        # None in a preset field stands for "the preset's value"; a document
+        # asks for that by leaving the field out, never by writing null
+        schema[name] = (hint, nullable and name not in _PRESET_DEFAULTS["desk"])
+    return schema
+
+
+_CONFIG_FIELDS = _config_schema()
 
 
 def _coerce_field(name: str, value, where: str):
+    kind, nullable = _CONFIG_FIELDS[name]
     if value is None:
-        if name in _NULLABLE:
+        if nullable:
             return None
         raise TrainerError(f"{where}: {name} must not be null")
-    if name in _INT_FIELDS:
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TrainerError(f"{where}: {name} must be an integer")
         return value
-    if name in _FLOAT_FIELDS:
+    if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TrainerError(f"{where}: {name} must be a number")
         return float(value)
-    if name in _STR_FIELDS:
+    if kind is str:
         if not isinstance(value, str):
             raise TrainerError(f"{where}: {name} must be a string")
         return value
-    length, kind = _TUPLE_FIELDS[name]
+    items = typing.get_args(kind)  # tuple[int, int] -> (int, int)
+    length, item_kind = len(items), items[0]
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise TrainerError(f"{where}: {name} must be a list of {length} values")
     out = []
     for item in value:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise TrainerError(f"{where}: {name} entries must be numbers")
-        if kind is int and not isinstance(item, int):
+        if item_kind is int and not isinstance(item, int):
             raise TrainerError(f"{where}: {name} entries must be integers")
-        out.append(kind(item))
+        out.append(item_kind(item))
     return tuple(out)
 
 
@@ -206,7 +217,7 @@ def load_train_config_file(path: str | Path) -> dict:
     fmt = document.pop("format", CONFIG_FORMAT)
     if fmt != CONFIG_FORMAT:
         raise TrainerError(f"{path}: unsupported format tag {fmt!r}")
-    unknown = set(document) - _CONFIG_FIELDS
+    unknown = set(document) - _CONFIG_FIELDS.keys()
     if unknown:
         raise TrainerError(f"{path}: unknown config fields {sorted(unknown)}")
     return {
@@ -219,23 +230,16 @@ def resolve_train_config(
 ) -> TrainConfig:
     """Layer defaults, preset, config file, then explicit overrides.
 
-    Precedence (low to high): dataclass defaults, preset defaults, config
-    file values, overrides (CLI flags).  Overrides that are None are treated
-    as "not given".
+    Precedence (low to high): dataclass defaults, preset defaults (applied
+    by TrainConfig), config file values, overrides (CLI flags).  Overrides
+    that are None are treated as "not given".
     """
     file_values = dict(file_values or {})
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    unknown = (set(file_values) | set(overrides)) - _CONFIG_FIELDS
+    unknown = (set(file_values) | set(overrides)) - _CONFIG_FIELDS.keys()
     if unknown:
         raise TrainerError(f"unknown config fields {sorted(unknown)}")
-    preset = overrides.get("preset", file_values.get("preset", "desk"))
-    if preset not in PRESETS:
-        raise TrainerError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    merged: dict = {"preset": preset}
-    merged.update(_PRESET_DEFAULTS[preset])
-    merged.update(file_values)
-    merged.update(overrides)
-    return TrainConfig(**merged)
+    return TrainConfig(**{**file_values, **overrides})
 
 
 @dataclass(frozen=True)
@@ -424,7 +428,8 @@ class Trainer:
             total_loss += batch_loss * len(picked)
         self.epochs_done = epoch
 
-        val = evaluate(self.checkpoint(), self.val_split).report
+        snapshot = self.checkpoint()
+        val = evaluate(snapshot, self.val_split).report
         stats = EpochStats(
             epoch=epoch,
             train_loss=total_loss / n,
@@ -435,10 +440,10 @@ class Trainer:
             seconds=time.perf_counter() - started,
         )
         self.history.append(stats)
-        self._consider_best(val)
+        self._consider_best(val, snapshot)
         return stats
 
-    def _consider_best(self, val: MetricsReport) -> None:
+    def _consider_best(self, val: MetricsReport, snapshot: Checkpoint) -> None:
         # softmax selects on validation macro-F1 (higher wins); the ordinal
         # modes select on mean scale distance over all examples (lower wins).
         if self.config.mode == MODE_SOFTMAX:
@@ -448,7 +453,7 @@ class Trainer:
             score = val.mean_distance
             better = self._best is None or score < self._best[0]
         if better:
-            self._best = (score, self.epochs_done, self.checkpoint())
+            self._best = (score, self.epochs_done, snapshot)
 
     def run(self) -> TrainResult:
         if self.epochs_done >= self.config.epochs:

@@ -130,17 +130,6 @@ def test_magic_and_corruption_detection(tmp_path):
         load_checkpoint(not_a_file)
 
 
-def test_without_optimizer_strips_state(tmp_path):
-    ck = make_checkpoint(with_optimizer=True)
-    lean = ck.without_optimizer()
-    assert lean.optimizer is None
-    assert lean.params is ck.params
-    a, b = tmp_path / "full.ckpt", tmp_path / "lean.ckpt"
-    save_checkpoint(ck, a)
-    save_checkpoint(lean, b)
-    assert a.stat().st_size > b.stat().st_size
-
-
 def test_fingerprints_are_stable_and_discriminating():
     ck = make_checkpoint()
     v1 = vocab_fingerprint(ck.vocab)

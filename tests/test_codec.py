@@ -143,12 +143,6 @@ def test_target_vectors_2d_layout():
     assert grief.values.tolist() == [0, 0, 0, 0, 0, 0, 0, 0]
     pride = target_for(tax, "pride", MODE_ORDINAL_2D)
     assert pride.values.tolist() == [1, 1, 1, 0, 1, 1, 0, 0]
-    v_part, a_part = pride.parts()
-    assert v_part.tolist() == [1, 1, 1, 0]
-    assert a_part.tolist() == [1, 1, 0, 0]
-    # parts() is only meaningful for the two-head layout
-    with pytest.raises(CodecError):
-        target_for(tax, "pride", MODE_SOFTMAX).parts()
 
 
 def test_target_vectors_2d_every_label_distinct():

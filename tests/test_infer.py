@@ -6,9 +6,9 @@ import pytest
 from emord.checkpoint import Checkpoint
 from emord.codec import encode_thermometer
 from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
-from emord.infer import decode_outputs, nearest_labeled_cell, predict_ids, predict_text
+from emord.infer import decode_outputs, predict_ids, predict_text
 from emord.net import ModelConfig, forward, init_params
-from emord.taxonomy import builtin_taxonomy
+from emord.taxonomy import builtin_taxonomy, parse_taxonomy
 
 ISEAR = builtin_taxonomy("isear-valence")
 GRID = builtin_taxonomy("goemotions-grid-5x5")
@@ -63,13 +63,64 @@ def test_ordinal_2d_decode_off_grid_resolution():
     assert pred.label == "remorse"
 
 
+def decode_cells(taxonomy, cells):
+    """decode_outputs on the exact ordinal-2d codewords of `cells`."""
+    g = taxonomy.grid_size
+    rows = np.array(
+        [np.concatenate([encode_thermometer(v, g), encode_thermometer(a, g)]) for v, a in cells]
+    )
+    return decode_outputs(taxonomy, "ordinal-2d", rows)
+
+
 def test_nearest_labeled_cell_tie_breaks():
-    assert nearest_labeled_cell(GRID, (2, 0)) == "remorse"
+    remorse, disappointment, grief = decode_cells(GRID, [(2, 0), (2, 1), (0, 0)])
+    assert remorse.label == "remorse" and remorse.off_grid
     # (2,1) neighbors at d=1: disappointment (1,1), caring (3,1),
     # curiosity (2,2) -> lowest valence wins
-    assert nearest_labeled_cell(GRID, (2, 1)) == "disappointment"
+    assert disappointment.label == "disappointment"
     # exact hits resolve to themselves
-    assert nearest_labeled_cell(GRID, (0, 0)) == "grief"
+    assert grief.label == "grief" and not grief.off_grid
+
+
+def nearest_label_oracle(taxonomy, cell):
+    """Plain loop over labels: L1, then lower valence, then lower arousal."""
+    best = None
+    for label in taxonomy.labels:
+        v, a = taxonomy.cell(label)
+        key = (abs(v - cell[0]) + abs(a - cell[1]), v, a)
+        if best is None or key < best[0]:
+            best = (key, label)
+    return best[1], best[0][0] > 0
+
+
+# 4x4 grid with L1 ties: (0,0) is 1 from both (0,1) and (1,0), so valence
+# decides; (0,2) is 1 from both (0,1) and (0,3), so arousal decides
+TIE_GRID = parse_taxonomy(
+    {
+        "mode": "2d",
+        "grid_size": 4,
+        "labels": [
+            {"name": "d", "valence": 2, "arousal": 2},
+            {"name": "c", "valence": 0, "arousal": 3},
+            {"name": "b", "valence": 1, "arousal": 0},
+            {"name": "a", "valence": 0, "arousal": 1},
+            {"name": "e", "valence": 3, "arousal": 0},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize("taxonomy", [GRID, TIE_GRID], ids=["goemotions", "ties"])
+def test_every_cell_decodes_like_the_oracle(taxonomy):
+    g = taxonomy.grid_size
+    cells = [(v, a) for v in range(g) for a in range(g)]
+    preds = dict(zip(cells, decode_cells(taxonomy, cells)))
+    for cell, pred in preds.items():
+        label, off_grid = nearest_label_oracle(taxonomy, cell)
+        assert (pred.label, pred.off_grid, pred.cell) == (label, off_grid, cell), cell
+    if taxonomy is TIE_GRID:
+        assert preds[(0, 0)].label == "a"  # lower valence beats b (1,0)
+        assert preds[(0, 2)].label == "a"  # lower arousal beats c (0,3)
 
 
 def test_prediction_to_dict():

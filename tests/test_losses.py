@@ -116,16 +116,6 @@ def test_logit_gradient_matches_finite_differences(mode):
     assert np.allclose(analytic, numeric, atol=1e-8)
 
 
-def test_logit_gradient_loss_scale_is_linear():
-    rng = np.random.default_rng(2)
-    logits = rng.normal(size=(3, 4))
-    outputs = sigmoid(logits)
-    targets = np.stack([encode_thermometer(i, 5) for i in (0, 2, 4)])
-    g1 = logit_gradient(outputs, targets, "ordinal-1d")
-    g3 = logit_gradient(outputs, targets, "ordinal-1d", loss_scale=3.0)
-    assert np.allclose(g3, 3.0 * g1)
-
-
 def test_softmax_gradient_closed_form():
     p = np.array([[0.2, 0.5, 0.3]])
     y = np.array([[0.0, 1.0, 0.0]])

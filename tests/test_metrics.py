@@ -6,11 +6,7 @@ import pytest
 from emord.metrics import (
     MetricsError,
     build_report,
-    confusion_matrix,
-    error_histogram,
     holdout_proximity,
-    macro_f1,
-    per_class_metrics,
     write_confusion_csv,
     write_histogram_csv,
     write_pairs_csv,
@@ -24,7 +20,7 @@ GRID = builtin_taxonomy("goemotions-grid-5x5")
 
 def test_confusion_matrix_layout():
     pairs = [("joy", "joy"), ("joy", "fear"), ("fear", "joy"), ("sadness", "sadness")]
-    cm = confusion_matrix(pairs, ISEAR.labels)
+    cm = build_report(pairs, ISEAR, "softmax").confusion
     assert cm.shape == (7, 7)
     joy, fear, sadness = ISEAR.index("joy"), ISEAR.index("fear"), ISEAR.index("sadness")
     assert cm[joy, joy] == 1
@@ -36,8 +32,7 @@ def test_confusion_matrix_layout():
 
 def test_per_class_metrics_conventions():
     pairs = [("joy", "joy"), ("joy", "joy"), ("joy", "fear"), ("fear", "joy")]
-    cm = confusion_matrix(pairs, ISEAR.labels)
-    stats = {m.label: m for m in per_class_metrics(cm, ISEAR.labels)}
+    stats = {m.label: m for m in build_report(pairs, ISEAR, "softmax").per_class}
     joy = stats["joy"]
     assert joy.support == 3 and joy.predicted == 3
     assert joy.precision == pytest.approx(2 / 3)
@@ -53,17 +48,15 @@ def test_per_class_metrics_conventions():
 def test_macro_f1_excludes_absent_classes():
     # only classes with gold or predicted examples enter the average
     pairs = [("joy", "joy"), ("fear", "fear"), ("fear", "fear")]
-    cm = confusion_matrix(pairs, ISEAR.labels)
-    assert macro_f1(cm) == pytest.approx(1.0)
+    assert build_report(pairs, ISEAR, "softmax").macro_f1 == pytest.approx(1.0)
     pairs = [("joy", "joy"), ("fear", "joy")]
-    cm = confusion_matrix(pairs, ISEAR.labels)
     # joy: p=1/2, r=1, f1=2/3; fear: 0 -> macro over exactly these two
-    assert macro_f1(cm) == pytest.approx((2 / 3 + 0.0) / 2)
+    assert build_report(pairs, ISEAR, "softmax").macro_f1 == pytest.approx((2 / 3 + 0.0) / 2)
 
 
 def test_error_histogram_buckets():
     pairs = [("sadness", "sadness"), ("sadness", "anger"), ("sadness", "joy")]
-    hist = error_histogram(pairs, ISEAR)
+    hist = build_report(pairs, ISEAR, "ordinal-1d").error_histogram
     assert hist == {1: 0, 2: 1, 3: 0, 4: 0, 5: 0, 6: 1}
 
 

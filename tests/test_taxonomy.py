@@ -3,8 +3,11 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
+from emord.codec import encode_thermometer
+from emord.infer import decode_outputs
 from emord.taxonomy import (
     BUILTIN_TAXONOMIES,
     EmotionTaxonomy,
@@ -156,7 +159,13 @@ def test_grid_taxonomy_shape_and_distances():
 
 def test_label_at_cell():
     tax = builtin_taxonomy("goemotions-grid-5x5")
-    assert tax.label_at_cell(tax.cell("joy")) == "joy"
+
+    def decode(cell):
+        row = np.concatenate([encode_thermometer(cell[0], 5), encode_thermometer(cell[1], 5)])
+        return decode_outputs(tax, "ordinal-2d", row[None, :])[0]
+
+    joy = decode(tax.cell("joy"))
+    assert joy.label == "joy" and not joy.off_grid
     empty = [
         (v, a)
         for v in range(5)
@@ -165,7 +174,25 @@ def test_label_at_cell():
     ]
     assert len(empty) == 2
     for cell in empty:
-        assert tax.label_at_cell(cell) is None
+        assert decode(cell).off_grid
+
+
+def test_tables_match_the_pair_functions():
+    isear = builtin_taxonomy("isear-valence")
+    grid = builtin_taxonomy("goemotions-grid-5x5")
+    # built on first use, never by the parser
+    assert "distance_table" not in vars(grid) and "cell_labels" not in vars(grid)
+    for tax, table, distance in (
+        (isear, isear.distance_table, label_distance),
+        (grid, grid.distance_table, label_distance),
+        (grid, grid.chebyshev_table, grid_chebyshev_distance),
+    ):
+        assert not table.flags.writeable
+        for (i, a), (j, b) in itertools.product(enumerate(tax.labels), repeat=2):
+            assert table[i, j] == distance(tax, a, b)
+    assert [isear.ranks[isear.labels[i]] for i in isear.rank_labels] == list(range(7))
+    with pytest.raises(TaxonomyError):
+        isear.chebyshev_table
 
 
 def metric_axioms(tax, dist):

@@ -87,6 +87,21 @@ def test_resolve_paper_preset():
     assert set(PRESETS) == {"desk", "paper"}
 
 
+def test_train_config_applies_its_preset(tmp_path):
+    paper = TrainConfig(preset="paper")
+    assert paper.max_seq_length == 200
+    assert paper.learning_rate == pytest.approx(0.6e-5)
+    desk = TrainConfig()
+    assert (desk.max_seq_length, desk.learning_rate) == (32, 1e-3)
+    explicit = TrainConfig(preset="paper", max_seq_length=64, learning_rate=1e-4)
+    assert (explicit.max_seq_length, explicit.learning_rate) == (64, 1e-4)
+    # a config file leaves a preset value to the preset by omitting it, not by null
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps({"learning_rate": None}), encoding="utf-8")
+    with pytest.raises(TrainerError, match="must not be null"):
+        load_train_config_file(path)
+
+
 def test_resolve_rejects_unknown_fields():
     with pytest.raises(TrainerError, match="lern_rate"):
         resolve_train_config({"lern_rate": 1e-3}, {})
