@@ -9,6 +9,7 @@ All functions here are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,14 @@ def codewords(levels: int, dtype=np.float64) -> np.ndarray:
     return np.stack([encode_thermometer(k, levels, dtype) for k in range(levels)])
 
 
+@functools.lru_cache(maxsize=64)
+def _codeword_table(levels: int) -> np.ndarray:
+    """Read-only float64 codewords(levels), built once per level count."""
+    codes = codewords(levels)
+    codes.setflags(write=False)
+    return codes
+
+
 def decode_thermometer(values: np.ndarray) -> int:
     """Nearest-codeword decode of a single length-L vector to a level in [0, L].
 
@@ -67,7 +76,7 @@ def decode_thermometer_batch(values: np.ndarray) -> np.ndarray:
         raise CodecError(f"expected (N, L>=1) array, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise CodecError("non-finite entries in code vector")
-    codes = codewords(values.shape[1] + 1)
+    codes = _codeword_table(values.shape[1] + 1)
     dists = ((values[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(dists, axis=1)  # first minimum wins: low-level tie-break
 

@@ -5,7 +5,8 @@ mean-pool over time -> 3-layer FFNN -> head (softmax, or per-entry logistic
 for the ordinal heads).  Convolutions are valid (no padding), stride 1, so
 each conv shortens the time axis by kernel-1.
 
-Everything is plain numpy; backward() returns exact reverse-mode gradients
+Everything is plain numpy, and each convolution runs as one GEMM per kernel
+tap, forward and backward.  backward() returns exact reverse-mode gradients
 for every parameter and is verified against central finite differences in
 gradcheck.py.  float32 is the training dtype, float64 the gradient-checking
 dtype.
@@ -14,7 +15,6 @@ dtype.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numpy.lib.stride_tricks import sliding_window_view
 
 import numpy as np
 
@@ -174,7 +174,6 @@ class ForwardCache:
     """Activations retained by forward() for the matching backward() call."""
 
     token_ids: np.ndarray  # (B, T) int
-    real_mask: np.ndarray  # (B, T) dtype 0/1
     emb: np.ndarray  # (B, T, E)
     z1: np.ndarray  # (B, T1, C1) pre-ReLU
     a1: np.ndarray  # (B, T1, C1)
@@ -192,9 +191,16 @@ class ForwardCache:
 
 
 def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # x (B, T, Cin), w (Cout, Cin, k) -> (B, T-k+1, Cout)
-    windows = sliding_window_view(x, w.shape[2], axis=1)  # (B, T', Cin, k)
-    return np.einsum("btck,ock->bto", windows, w, optimize=True) + b
+    # x (B, T, Cin), w (Cout, Cin, k) -> (B, T-k+1, Cout), one GEMM per tap:
+    # tap j maps every input row, and output t takes input row t+j.
+    batch, t, c_in = x.shape
+    k = w.shape[2]
+    t_out = t - k + 1
+    flat = x.reshape(batch * t, c_in)
+    out = (flat @ w[:, :, 0].T).reshape(batch, t, -1)[:, :t_out] + b
+    for j in range(1, k):
+        out += (flat @ w[:, :, j].T).reshape(batch, t, -1)[:, j : j + t_out]
+    return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -271,7 +277,6 @@ def forward(
 
     cache = ForwardCache(
         token_ids=token_ids,
-        real_mask=real_mask,
         emb=emb,
         z1=z1,
         a1=a1,
@@ -291,16 +296,16 @@ def forward(
 
 
 def _conv1d_backward(x, w, d_out):
-    # returns (d_x, d_w, d_b) for z = conv1d(x, w, b)
-    k = w.shape[2]
-    t_out = d_out.shape[1]
-    windows = sliding_window_view(x, k, axis=1)
-    d_w = np.einsum("btck,bto->ock", windows, d_out, optimize=True)
-    d_b = d_out.sum(axis=(0, 1))
+    # returns (d_x, d_w, d_b) for z = conv1d(x, w, b), one pair of GEMMs per tap
+    batch, t_out, _ = d_out.shape
+    c_in = x.shape[2]
+    d_flat = d_out.reshape(batch * t_out, -1)
+    d_w = np.empty_like(w)
     d_x = np.zeros_like(x)
-    spread = np.einsum("bto,ock->btck", d_out, w, optimize=True)
-    for j in range(k):
-        d_x[:, j : j + t_out, :] += spread[:, :, :, j]
+    for j in range(w.shape[2]):
+        d_w[:, :, j] = d_flat.T @ x[:, j : j + t_out].reshape(-1, c_in)
+        d_x[:, j : j + t_out] += (d_flat @ w[:, :, j]).reshape(batch, t_out, c_in)
+    d_b = d_out.sum(axis=(0, 1))
     return d_x, d_w, d_b
 
 
@@ -345,9 +350,11 @@ def backward(
     d_z1 = d_a1 * (cache.z1 > 0)
     d_emb, d_conv1_w, d_conv1_b = _conv1d_backward(cache.emb, params.conv1_w, d_z1)
 
+    # padding is masked out of the forward pass, so only real positions
+    # scatter, and the padding row's gradient stays exactly zero
+    real = cache.token_ids != 0
     d_embedding = np.zeros_like(params.embedding)
-    np.add.at(d_embedding, cache.token_ids, d_emb * cache.real_mask[:, :, None])
-    d_embedding[0] = 0.0  # padding slot is masked out of the forward pass
+    np.add.at(d_embedding, cache.token_ids[real], d_emb[real])
 
     return ModelParams(
         embedding=d_embedding,

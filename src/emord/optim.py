@@ -76,12 +76,16 @@ def adamw_step(
         grad = getattr(grads, name)
         m = state.m[name]
         v = state.v[name]
+        # the rule above, one ufunc at a time into two scratch buffers; each
+        # step rounds exactly as the whole expression would
+        s1 = np.empty_like(param)
+        s2 = np.empty_like(param)
         m *= config.beta1
-        m += (1.0 - config.beta1) * grad
+        m += np.multiply(grad, 1.0 - config.beta1, out=s1)
         v *= config.beta2
-        v += (1.0 - config.beta2) * np.square(grad)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        param -= config.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * param
-        )
+        v += np.multiply(np.square(grad, out=s1), 1.0 - config.beta2, out=s1)
+        denom = np.sqrt(np.divide(v, bc2, out=s1), out=s1)  # sqrt(v_hat)
+        denom += config.eps
+        update = np.divide(np.divide(m, bc1, out=s2), denom, out=s2)  # m_hat / denom
+        update += np.multiply(param, config.weight_decay, out=s1)
+        param -= np.multiply(update, config.learning_rate, out=update)

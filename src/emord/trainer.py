@@ -392,6 +392,11 @@ class Trainer:
             optimizer=optimizer,
         )
 
+    # A diverging step overflows before the NetError, loss and OptimizerError
+    # checks below catch it; numpy's floating-point warnings would only reach
+    # stderr first, or escape in place of the divergence error when warnings
+    # are errors.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def run_epoch(self) -> EpochStats:
         """One pass over the train split followed by a validation pass."""
         config = self.config

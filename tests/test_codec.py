@@ -174,6 +174,10 @@ def test_codewords_matrix():
         [1, 1, 0],
         [1, 1, 1],
     ]
+    # each call hands out a fresh array; writing to it cannot reach decode
+    codes[:] = 0.0
+    assert codewords(4).tolist()[3] == [1, 1, 1]
+    assert decode_thermometer(np.array([1.0, 1.0, 1.0])) == 3
 
 
 def test_dtype_control():

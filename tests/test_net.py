@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import emord.net as net
 from emord.net import (
     PARAM_FIELDS,
     ModelConfig,
     NetError,
+    _conv1d,
+    _conv1d_backward,
     backward,
     forward,
     init_params,
@@ -201,3 +204,93 @@ def test_float32_pipeline_dtype():
     assert cache.pooled.dtype == np.float32
     grads = backward(params, cfg, cache, out.copy())
     assert grads.conv1_w.dtype == np.float32
+
+
+# ------------------------------------------------- conv kernels vs plain loops
+
+
+def loop_conv1d(x, w, b):
+    # z[i, s, o] = b[o] + sum over c, j of x[i, s + j, c] * w[o, c, j]
+    batch, t, _ = x.shape
+    c_out, _, k = w.shape
+    z = np.zeros((batch, t - k + 1, c_out))
+    for i in range(batch):
+        for s in range(t - k + 1):
+            for o in range(c_out):
+                z[i, s, o] = b[o] + np.sum(x[i, s : s + k, :].T * w[o])
+    return z
+
+
+def loop_conv1d_backward(x, w, d_out):
+    batch, t_out, c_out = d_out.shape
+    k = w.shape[2]
+    d_x = np.zeros_like(x)
+    d_w = np.zeros_like(w)
+    d_b = np.zeros(c_out)
+    for i in range(batch):
+        for s in range(t_out):
+            for o in range(c_out):
+                g = d_out[i, s, o]
+                d_x[i, s : s + k, :] += g * w[o].T
+                d_w[o] += g * x[i, s : s + k, :].T
+                d_b[o] += g
+    return d_x, d_w, d_b
+
+
+def assert_close_relative(got, ref, tol=1e-12):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "batch, t, c_in, c_out, k",
+    [
+        (1, 7, 3, 2, 3),  # a single example
+        (2, 4, 3, 5, 4),  # T = k: one output position
+        (3, 6, 2, 4, 1),  # k = 1: a per-position linear map
+        (2, 9, 5, 3, 4),  # Cin != Cout, several taps and positions
+    ],
+)
+def test_conv_kernels_match_loop_oracle(batch, t, c_in, c_out, k):
+    rng = np.random.default_rng([batch, t, c_in, c_out, k])
+    x = rng.standard_normal((batch, t, c_in))
+    w = rng.standard_normal((c_out, c_in, k))
+    b = rng.standard_normal(c_out)
+    d_out = rng.standard_normal((batch, t - k + 1, c_out))
+    assert_close_relative(_conv1d(x, w, b), loop_conv1d(x, w, b))
+    for got, ref in zip(_conv1d_backward(x, w, d_out), loop_conv1d_backward(x, w, d_out)):
+        assert_close_relative(got, ref)
+
+
+def test_embedding_gradient_matches_loop_scatter(monkeypatch):
+    # repeated ids, trailing padding and one padding gap inside a text: the
+    # embedding gradient is the per-position input gradient of conv1 summed
+    # into each real token's row, in row-major order, and nothing else
+    seen = []
+
+    def recording(x, w, d_out):
+        result = _conv1d_backward(x, w, d_out)
+        seen.append(result[0])
+        return result
+
+    monkeypatch.setattr(net, "_conv1d_backward", recording)
+    cfg = tiny_config()
+    params = init_params(cfg, 2)
+    ids = np.array(
+        [
+            [3, 3, 5, 3, 0, 7, 5, 5, 3, 2, 0, 0],
+            [7, 7, 7, 7, 7, 7, 7, 7, 7, 0, 0, 0],
+            [2, 3, 5, 7, 2, 3, 5, 7, 2, 3, 5, 7],
+        ]
+    )
+    out, cache = forward(params, cfg, ids)
+    grads = backward(params, cfg, cache, out - 0.25)
+    d_emb = seen[-1]  # conv1 runs last in the backward pass
+    assert np.any(d_emb[ids == 0] != 0)  # padding positions do get a gradient ...
+    expected = np.zeros_like(params.embedding)
+    for i in range(ids.shape[0]):
+        for s in range(ids.shape[1]):
+            if ids[i, s] != 0:
+                expected[ids[i, s]] += d_emb[i, s]
+    assert np.array_equal(grads.embedding, expected)
+    assert np.all(grads.embedding[0] == 0.0)  # ... that never reaches row 0

@@ -112,3 +112,41 @@ def test_state_shapes_follow_params():
         assert state.m[name].shape == arr.shape
         assert state.v[name].shape == arr.shape
         assert np.all(state.m[name] == 0.0)
+
+
+def reference_adamw(params, grads, m, v, t, opt):
+    # the update rule written as one expression per parameter
+    bc1 = 1.0 - opt.beta1**t
+    bc2 = 1.0 - opt.beta2**t
+    for name, param in params.items():
+        grad = grads[name]
+        m[name] *= opt.beta1
+        m[name] += (1.0 - opt.beta1) * grad
+        v[name] *= opt.beta2
+        v[name] += (1.0 - opt.beta2) * np.square(grad)
+        param -= opt.learning_rate * (
+            m[name] / bc1 / (np.sqrt(v[name] / bc2) + opt.eps)
+            + opt.weight_decay * param
+        )
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_steps_equal_the_rule_term_for_term(dtype):
+    _, params = small_setup(dtype)
+    opt = AdamWConfig(learning_rate=0.02, weight_decay=0.1)
+    state = AdamWState.initial(params)
+    ref = {name: arr.copy() for name, arr in params.named()}
+    ref_m = {name: np.zeros_like(arr) for name, arr in params.named()}
+    ref_v = {name: np.zeros_like(arr) for name, arr in params.named()}
+    rng = np.random.default_rng(11)
+    for t in range(1, 6):
+        grads = grads_like(params)
+        for _, arr in grads.named():
+            arr[...] = rng.standard_normal(arr.shape)
+        adamw_step(params, grads, state, opt)
+        reference_adamw(ref, dict(grads.named()), ref_m, ref_v, t, opt)
+    for name, arr in params.named():
+        assert arr.dtype == np.dtype(dtype)
+        assert np.array_equal(arr, ref[name]), name
+        assert np.array_equal(state.m[name], ref_m[name]), name
+        assert np.array_equal(state.v[name], ref_v[name]), name

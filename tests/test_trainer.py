@@ -1,6 +1,7 @@
 """Training loop: config layering, determinism, resume, and failure paths."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,15 @@ def test_divergence_reports_location():
         train(config, corpus)
     assert err.value.epoch == 1
     assert err.value.batch_index >= 0
+
+
+def test_divergence_raises_no_numpy_warnings():
+    # the overflow on the way to divergence must not surface as a warning,
+    # nor, when warnings are errors, replace the divergence error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingDivergedError):
+            train(tiny_config(learning_rate=1e30, epochs=1), tiny_corpus())
 
 
 def test_empty_validation_falls_back_to_train(caplog):
