@@ -16,11 +16,14 @@ reproducibility.  Layout:
 
 The header carries the array table (name, shape, dtype, offset) and the
 embedded documents, plus their hashes, which load_checkpoint re-verifies.
+It also checks every parameter and moment array's shape and dtype against
+the header's model_config, and unpacks them into fresh arenas.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +32,7 @@ import numpy as np
 
 from .data import Vocabulary
 from .hashing import canonical_json, sha256_json, sha256_text
-from .net import PARAM_FIELDS, ModelConfig, ModelParams
+from .net import PARAM_FIELDS, ModelConfig, ModelParams, NetError
 from .optim import AdamWConfig, AdamWState
 from .taxonomy import EmotionTaxonomy, parse_taxonomy, taxonomy_to_document
 
@@ -185,37 +188,80 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(f"{path}: unsupported header format {header.get('format')!r}")
         payload = fh.read()
 
-    entries = header["arrays"]
-    expected = sum(e["nbytes"] for e in entries)
+    try:
+        return _from_header(path, header, payload)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header is missing key {exc.args[0]!r}") from exc
+
+
+def _model_config(path: Path, mc: dict) -> ModelConfig:
+    try:
+        return ModelConfig(
+            vocab_size=mc["vocab_size"],
+            output_width=mc["output_width"],
+            head_mode=mc["head_mode"],
+            embed_dim=mc["embed_dim"],
+            conv_channels=tuple(mc["conv_channels"]),
+            kernel_sizes=tuple(mc["kernel_sizes"]),
+            ffnn_hidden=tuple(mc["ffnn_hidden"]),
+            dtype=mc["dtype"],
+        )
+    except NetError as exc:
+        raise CheckpointError(f"{path}: invalid model_config ({exc})") from exc
+
+
+def _read_arrays(path: Path, header: dict, payload: bytes, config: ModelConfig):
+    """Read-only views of the payload, each checked against `model_config`.
+
+    Returns the parameter arrays, plus the moment arrays under "m/<name>"
+    and "v/<name>" when the header carries optimizer state.
+    """
+    table = header["arrays"]
+    entries = {entry["name"]: entry for entry in table}
+    expected = sum(entry["nbytes"] for entry in table)
     if len(payload) != expected:
         raise CheckpointError(
             f"{path}: payload is {len(payload)} bytes, header expects {expected}"
         )
+    prefixes = ("", "m/", "v/") if header.get("optimizer") is not None else ("",)
+    tag = _DTYPE_TAGS[config.dtype]
+    dtype = _TAG_DTYPES[tag]
     arrays: dict[str, np.ndarray] = {}
-    for entry in entries:
-        tag = entry["dtype"]
-        if tag not in _TAG_DTYPES:
-            raise CheckpointError(f"{path}: unsupported array dtype {tag!r}")
-        raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=_TAG_DTYPES[tag]).reshape(entry["shape"])
-        arrays[entry["name"]] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-
-    missing = [name for name in PARAM_FIELDS if name not in arrays]
+    missing = []
+    for prefix in prefixes:
+        for name, shape in config.param_shapes().items():
+            key = prefix + name
+            entry = entries.get(key)
+            if entry is None:
+                missing.append(key)
+                continue
+            if tuple(entry["shape"]) != shape:
+                raise CheckpointError(
+                    f"{path}: array {key!r} has shape {entry['shape']}, "
+                    f"model_config needs {list(shape)}"
+                )
+            if entry["dtype"] != tag:
+                raise CheckpointError(
+                    f"{path}: array {key!r} has dtype {entry['dtype']!r}, "
+                    f"model_config needs {tag!r} ({config.dtype})"
+                )
+            start, nbytes, count = entry["offset"], entry["nbytes"], math.prod(shape)
+            if start < 0 or start + nbytes > len(payload) or nbytes != count * dtype.itemsize:
+                raise CheckpointError(f"{path}: array {key!r} byte range does not fit its shape")
+            # a view of the payload, not a bytes slice: no copy before packing
+            arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start).reshape(shape)
+            arrays[key] = arr.astype(arr.dtype.newbyteorder("="), copy=False)
     if missing:
-        raise CheckpointError(f"{path}: missing parameter arrays {missing}")
+        raise CheckpointError(f"{path}: missing arrays {missing}")
+    return arrays
+
+
+def _from_header(path: Path, header: dict, payload: bytes) -> Checkpoint:
+    config = _model_config(path, header["model_config"])
+    arrays = _read_arrays(path, header, payload, config)
+    # ModelParams and AdamWState pack these views into fresh arenas
     params = ModelParams(**{name: arrays[name] for name in PARAM_FIELDS})
 
-    mc = header["model_config"]
-    config = ModelConfig(
-        vocab_size=mc["vocab_size"],
-        output_width=mc["output_width"],
-        head_mode=mc["head_mode"],
-        embed_dim=mc["embed_dim"],
-        conv_channels=tuple(mc["conv_channels"]),
-        kernel_sizes=tuple(mc["kernel_sizes"]),
-        ffnn_hidden=tuple(mc["ffnn_hidden"]),
-        dtype=mc["dtype"],
-    )
     taxonomy = parse_taxonomy(header["taxonomy"])
     vocab = Vocabulary(
         tokens=tuple(header["vocab"]["tokens"]), min_freq=header["vocab"]["min_freq"]
@@ -229,14 +275,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     optimizer = None
     if header.get("optimizer") is not None:
         opt = header["optimizer"]
-        lost = [n for n in PARAM_FIELDS if f"m/{n}" not in arrays or f"v/{n}" not in arrays]
-        if lost:
-            raise CheckpointError(f"{path}: optimizer moments missing for {lost}")
-        moments_m = {name: arrays[f"m/{name}"] for name in PARAM_FIELDS}
-        moments_v = {name: arrays[f"v/{name}"] for name in PARAM_FIELDS}
         optimizer = OptimizerSnapshot(
             adamw=AdamWConfig(**opt["adamw"]),
-            state=AdamWState(step=opt["step"], m=moments_m, v=moments_v),
+            state=AdamWState(
+                step=opt["step"],
+                m={name: arrays[f"m/{name}"] for name in PARAM_FIELDS},
+                v={name: arrays[f"v/{name}"] for name in PARAM_FIELDS},
+            ),
         )
 
     return Checkpoint(

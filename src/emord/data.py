@@ -146,7 +146,9 @@ def text_tokens(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip punctuation off token edges."""
     out = []
     for raw in text.lower().split():
-        token = _clean_token(raw)
+        # an alphanumeric character is never punctuation (pinned by a test
+        # over every code point), so a token with alphanumeric edges is clean
+        token = raw if raw[0].isalnum() and raw[-1].isalnum() else _clean_token(raw)
         if token:
             out.append(token)
     return out

@@ -14,7 +14,8 @@ dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,6 +88,26 @@ class ModelConfig:
         """Shortest time axis the two valid convolutions can consume."""
         return sum(self.kernel_sizes) - len(self.kernel_sizes) + 1
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each parameter array, in PARAM_FIELDS order."""
+        e = self.embed_dim
+        c1, c2 = self.conv_channels
+        k1, k2 = self.kernel_sizes
+        h1, h2 = self.ffnn_hidden
+        return {
+            "embedding": (self.vocab_size, e),
+            "conv1_w": (c1, e, k1),
+            "conv1_b": (c1,),
+            "conv2_w": (c2, c1, k2),
+            "conv2_b": (c2,),
+            "fc1_w": (c2, h1),
+            "fc1_b": (h1,),
+            "fc2_w": (h1, h2),
+            "fc2_b": (h2,),
+            "fc3_w": (h2, self.output_width),
+            "fc3_b": (self.output_width,),
+        }
+
     @classmethod
     def desk(cls, vocab_size: int, output_width: int, head_mode: str, **overrides):
         """Laptop-scale widths; trains in seconds on the synthetic corpora."""
@@ -112,9 +133,15 @@ class ModelConfig:
         return cls(vocab_size, output_width, head_mode, **base)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """All trainable arrays; also used as the container for gradients.
+
+    The eleven arrays are views, in PARAM_FIELDS order, into one contiguous
+    1-D buffer, `arena`, so a whole-model operation (the AdamW update, the
+    finiteness check, a snapshot) runs once over it.  Arrays given to the
+    constructor are copied into a fresh arena; the fields are frozen, so no
+    array can be rebound away from it.
 
     embedding row 0 is the padding slot: initialized to zeros, masked out of
     the forward pass, and never receives gradient, so it stays zero.
@@ -131,42 +158,72 @@ class ModelParams:
     fc2_b: np.ndarray  # (H2,)
     fc3_w: np.ndarray  # (H2, out)
     fc3_b: np.ndarray  # (out,)
+    arena: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(getattr(self, name)) for name in PARAM_FIELDS]
+        dtypes = {arr.dtype for arr in arrays}
+        if len(dtypes) != 1:
+            raise NetError(
+                f"parameter arrays must share one dtype, got {sorted(map(str, dtypes))}"
+            )
+        arena = np.empty(sum(arr.size for arr in arrays), dtype=arrays[0].dtype)
+        self._bind(arena, [arr.shape for arr in arrays])
+        for (_, view), arr in zip(self.named(), arrays):
+            view[...] = arr
+
+    def _bind(self, arena: np.ndarray, shapes) -> None:
+        offset = 0
+        for name, shape in zip(PARAM_FIELDS, shapes):
+            size = math.prod(shape)
+            object.__setattr__(self, name, arena[offset : offset + size].reshape(shape))
+            offset += size
+        object.__setattr__(self, "arena", arena)
+
+    @classmethod
+    def zeros(cls, config: ModelConfig) -> "ModelParams":
+        """All-zero arrays of `config`'s shapes, in one fresh arena."""
+        shapes = config.param_shapes().values()
+        params = object.__new__(cls)
+        params._bind(np.zeros(sum(map(math.prod, shapes)), dtype=config.np_dtype), shapes)
+        return params
+
+    def like(self, arena: np.ndarray) -> "ModelParams":
+        """A ModelParams over `arena` (no copy), laid out as this one."""
+        if arena.shape != self.arena.shape:
+            raise NetError(f"arena of shape {arena.shape}, need {self.arena.shape}")
+        other = object.__new__(ModelParams)
+        other._bind(arena, [arr.shape for _, arr in self.named()])
+        return other
 
     def named(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in PARAM_FIELDS]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{name: arr.copy() for name, arr in self.named()})
+        return self.like(self.arena.copy())
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Seeded init: embedding U(-0.05, 0.05), weights U(+-sqrt(1/fan_in)), zero biases."""
     rng = np.random.default_rng([seed, _INIT_STREAM])
-    dt = config.np_dtype
     e = config.embed_dim
     c1, c2 = config.conv_channels
     k1, k2 = config.kernel_sizes
     h1, h2 = config.ffnn_hidden
-    out = config.output_width
-
-    def uniform(bound, shape):
-        return rng.uniform(-bound, bound, size=shape).astype(dt)
-
-    embedding = uniform(0.05, (config.vocab_size, e))
-    embedding[0] = 0.0
-    return ModelParams(
-        embedding=embedding,
-        conv1_w=uniform(np.sqrt(1.0 / (e * k1)), (c1, e, k1)),
-        conv1_b=np.zeros(c1, dtype=dt),
-        conv2_w=uniform(np.sqrt(1.0 / (c1 * k2)), (c2, c1, k2)),
-        conv2_b=np.zeros(c2, dtype=dt),
-        fc1_w=uniform(np.sqrt(1.0 / c2), (c2, h1)),
-        fc1_b=np.zeros(h1, dtype=dt),
-        fc2_w=uniform(np.sqrt(1.0 / h1), (h1, h2)),
-        fc2_b=np.zeros(h2, dtype=dt),
-        fc3_w=uniform(np.sqrt(1.0 / h2), (h2, out)),
-        fc3_b=np.zeros(out, dtype=dt),
-    )
+    bounds = {
+        "embedding": 0.05,
+        "conv1_w": np.sqrt(1.0 / (e * k1)),
+        "conv2_w": np.sqrt(1.0 / (c1 * k2)),
+        "fc1_w": np.sqrt(1.0 / c2),
+        "fc2_w": np.sqrt(1.0 / h1),
+        "fc3_w": np.sqrt(1.0 / h2),
+    }
+    params = ModelParams.zeros(config)  # biases stay zero
+    for name, bound in bounds.items():  # draws in PARAM_FIELDS order
+        view = getattr(params, name)
+        view[...] = rng.uniform(-bound, bound, size=view.shape)
+    params.embedding[0] = 0.0
+    return params
 
 
 @dataclass
@@ -295,18 +352,18 @@ def forward(
     return outputs, cache
 
 
-def _conv1d_backward(x, w, d_out):
-    # returns (d_x, d_w, d_b) for z = conv1d(x, w, b), one pair of GEMMs per tap
+def _conv1d_backward(x, w, d_out, d_w, d_b):
+    # returns d_x for z = conv1d(x, w, b), one pair of GEMMs per tap, and
+    # writes the weight and bias gradients into d_w and d_b
     batch, t_out, _ = d_out.shape
     c_in = x.shape[2]
     d_flat = d_out.reshape(batch * t_out, -1)
-    d_w = np.empty_like(w)
     d_x = np.zeros_like(x)
     for j in range(w.shape[2]):
         d_w[:, :, j] = d_flat.T @ x[:, j : j + t_out].reshape(-1, c_in)
         d_x[:, j : j + t_out] += (d_flat @ w[:, :, j]).reshape(batch, t_out, c_in)
-    d_b = d_out.sum(axis=(0, 1))
-    return d_x, d_w, d_b
+    d_out.sum(axis=(0, 1), out=d_b)
+    return d_x
 
 
 def backward(
@@ -319,24 +376,26 @@ def backward(
 
     The head-plus-loss derivative is computed by the loss module (fused with
     the softmax/logistic transform); everything from the logits down is
-    differentiated here.  Returns a ModelParams holding the gradients.
+    differentiated here.  Returns a ModelParams holding the gradients, each
+    written straight into its view of one fresh arena.
     """
     if d_logits.shape != cache.logits.shape:
         raise NetError(
             f"d_logits shape {d_logits.shape} does not match logits {cache.logits.shape}"
         )
-    d_fc3_w = cache.h2.T @ d_logits
-    d_fc3_b = d_logits.sum(axis=0)
+    grads = params.like(np.empty_like(params.arena))
+    np.matmul(cache.h2.T, d_logits, out=grads.fc3_w)
+    d_logits.sum(axis=0, out=grads.fc3_b)
     d_h2 = d_logits @ params.fc3_w.T
 
     d_h2_pre = d_h2 * (cache.h2_pre > 0)
-    d_fc2_w = cache.h1.T @ d_h2_pre
-    d_fc2_b = d_h2_pre.sum(axis=0)
+    np.matmul(cache.h1.T, d_h2_pre, out=grads.fc2_w)
+    d_h2_pre.sum(axis=0, out=grads.fc2_b)
     d_h1 = d_h2_pre @ params.fc2_w.T
 
     d_h1_pre = d_h1 * (cache.h1_pre > 0)
-    d_fc1_w = cache.pooled.T @ d_h1_pre
-    d_fc1_b = d_h1_pre.sum(axis=0)
+    np.matmul(cache.pooled.T, d_h1_pre, out=grads.fc1_w)
+    d_h1_pre.sum(axis=0, out=grads.fc1_b)
     d_pooled = d_h1_pre @ params.fc1_w.T
 
     d_a2 = (
@@ -345,27 +404,20 @@ def backward(
         / cache.pool_counts[:, None, None]
     )
     d_z2 = d_a2 * (cache.z2 > 0)
-    d_a1, d_conv2_w, d_conv2_b = _conv1d_backward(cache.a1, params.conv2_w, d_z2)
+    d_a1 = _conv1d_backward(cache.a1, params.conv2_w, d_z2, grads.conv2_w, grads.conv2_b)
 
     d_z1 = d_a1 * (cache.z1 > 0)
-    d_emb, d_conv1_w, d_conv1_b = _conv1d_backward(cache.emb, params.conv1_w, d_z1)
+    d_emb = _conv1d_backward(cache.emb, params.conv1_w, d_z1, grads.conv1_w, grads.conv1_b)
 
     # padding is masked out of the forward pass, so only real positions
-    # scatter, and the padding row's gradient stays exactly zero
+    # scatter, and the padding row's gradient stays exactly zero.  The
+    # scatter takes 1-D element indices into the flat embedding gradient,
+    # numpy's fast np.add.at path; each element still sums its positions in
+    # row-major order, as a row scatter would.
     real = cache.token_ids != 0
-    d_embedding = np.zeros_like(params.embedding)
-    np.add.at(d_embedding, cache.token_ids[real], d_emb[real])
-
-    return ModelParams(
-        embedding=d_embedding,
-        conv1_w=d_conv1_w,
-        conv1_b=d_conv1_b,
-        conv2_w=d_conv2_w,
-        conv2_b=d_conv2_b,
-        fc1_w=d_fc1_w,
-        fc1_b=d_fc1_b,
-        fc2_w=d_fc2_w,
-        fc2_b=d_fc2_b,
-        fc3_w=d_fc3_w,
-        fc3_b=d_fc3_b,
-    )
+    embed_dim = grads.embedding.shape[1]
+    rows = cache.token_ids[real].astype(np.intp)
+    flat_index = (rows[:, None] * embed_dim + np.arange(embed_dim)).reshape(-1)
+    grads.embedding.fill(0)
+    np.add.at(grads.embedding.reshape(-1), flat_index, d_emb[real].reshape(-1))
+    return grads

@@ -360,11 +360,7 @@ class Trainer:
         if trainer.model_config != ck.config:
             raise TrainerError("checkpoint model widths do not match the config")
         trainer.params = ck.params.copy()
-        trainer.opt_state = AdamWState(
-            step=ck.optimizer.state.step,
-            m={k: v.copy() for k, v in ck.optimizer.state.m.items()},
-            v={k: v.copy() for k, v in ck.optimizer.state.v.items()},
-        )
+        trainer.opt_state = ck.optimizer.state.copy()
         trainer.epochs_done = ck.epochs_completed
         return trainer
 
@@ -372,14 +368,7 @@ class Trainer:
         """Deep snapshot of the current model (and optionally optimizer) state."""
         optimizer = None
         if with_optimizer:
-            optimizer = OptimizerSnapshot(
-                adamw=self.adamw,
-                state=AdamWState(
-                    step=self.opt_state.step,
-                    m={k: v.copy() for k, v in self.opt_state.m.items()},
-                    v={k: v.copy() for k, v in self.opt_state.v.items()},
-                ),
-            )
+            optimizer = OptimizerSnapshot(adamw=self.adamw, state=self.opt_state.copy())
         return Checkpoint(
             config=self.model_config,
             params=self.params.copy(),

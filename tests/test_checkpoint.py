@@ -1,9 +1,13 @@
 """Checkpoint container: bit-exact round trips and tamper detection."""
 
+import json
+
 import numpy as np
 import pytest
 
 from emord.checkpoint import (
+    CONTAINER_VERSION,
+    MAGIC,
     Checkpoint,
     CheckpointError,
     OptimizerSnapshot,
@@ -13,7 +17,7 @@ from emord.checkpoint import (
     vocab_fingerprint,
 )
 from emord.data import LabeledCorpus, build_vocab
-from emord.hashing import sha256_file
+from emord.hashing import canonical_json, sha256_file
 from emord.net import ModelConfig, init_params
 from emord.optim import AdamWConfig, AdamWState, adamw_step
 from emord.taxonomy import builtin_taxonomy
@@ -146,3 +150,107 @@ def test_save_does_not_leave_temp_files(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(ck, path)
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def rewrite_checkpoint(src, dst, edit):
+    """Copy `src` to `dst` after edit(header, arrays) changed it in place."""
+    raw = src.read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    payload = raw[16 + header_len :]
+    arrays = {
+        e["name"]: np.frombuffer(
+            payload[e["offset"] : e["offset"] + e["nbytes"]], dtype=e["dtype"]
+        ).reshape(e["shape"])
+        for e in header["arrays"]
+    }
+    edit(header, arrays)
+    if "arrays" in header:
+        entries, offset = [], 0
+        for name, arr in arrays.items():
+            entries.append(
+                {
+                    "name": name,
+                    "shape": list(arr.shape),
+                    "dtype": arr.dtype.str,
+                    "offset": offset,
+                    "nbytes": arr.nbytes,
+                }
+            )
+            offset += arr.nbytes
+        header["arrays"] = entries
+    header_bytes = canonical_json(header).encode("utf-8")
+    dst.write_bytes(
+        MAGIC
+        + CONTAINER_VERSION.to_bytes(4, "little")
+        + len(header_bytes).to_bytes(8, "little")
+        + header_bytes
+        + b"".join(np.ascontiguousarray(arr).tobytes() for arr in arrays.values())
+    )
+
+
+def tampered(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(with_optimizer=True), path)
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint(path, bad, edit)
+    return bad
+
+
+@pytest.mark.parametrize("name", ["fc3_w", "m/fc3_w", "v/conv1_w"])
+def test_rejects_array_shape_not_in_model_config(tmp_path, name):
+    # a transposed array has the right byte count but the wrong shape
+    def transpose(header, arrays):
+        arrays[name] = arrays[name].T
+
+    with pytest.raises(CheckpointError, match=f"'{name}' has shape"):
+        load_checkpoint(tampered(tmp_path, transpose))
+
+
+@pytest.mark.parametrize("name", ["fc1_b", "v/fc1_b"])
+def test_rejects_array_dtype_not_in_model_config(tmp_path, name):
+    def widen(header, arrays):
+        arrays[name] = arrays[name].astype("<f8")
+
+    with pytest.raises(CheckpointError, match=f"'{name}' has dtype '<f8'"):
+        load_checkpoint(tampered(tmp_path, widen))
+
+
+@pytest.mark.parametrize("key", ["model_config", "arrays"])
+def test_missing_header_key_is_a_checkpoint_error(tmp_path, key):
+    def drop(header, arrays):
+        del header[key]
+
+    with pytest.raises(CheckpointError, match=f"missing key '{key}'"):
+        load_checkpoint(tampered(tmp_path, drop))
+
+
+@pytest.mark.parametrize("offset", [-4, "end"])
+def test_rejects_array_bytes_outside_the_payload(tmp_path, offset):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(), path)
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    payload = raw[16 + header_len :]
+    entry = header["arrays"][-1]
+    entry["offset"] = len(payload) - entry["nbytes"] // 2 if offset == "end" else offset
+    header_bytes = canonical_json(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:8] + len(header_bytes).to_bytes(8, "little") + header_bytes + payload)
+    with pytest.raises(CheckpointError, match="byte range"):
+        load_checkpoint(bad)
+
+
+def test_loaded_arrays_live_in_arenas(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(with_optimizer=True), path)
+    loaded = load_checkpoint(path)
+    state = loaded.optimizer.state
+    for arena, arrays in (
+        (loaded.params.arena, dict(loaded.params.named())),
+        (state.m_arena, state.m),
+        (state.v_arena, state.v),
+    ):
+        assert arena.flags.writeable and arena.flags.c_contiguous
+        assert all(arr.base is arena for arr in arrays.values())

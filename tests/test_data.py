@@ -1,6 +1,8 @@
 """Corpus I/O, tokenization, vocabulary, splitting, and synthetic generation."""
 
 import json
+import sys
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -108,6 +110,24 @@ def test_text_tokens_normalization():
     assert text_tokens("«quoted» — dash…") == ["quoted", "dash"]
     assert text_tokens("!!! ... ???") == []
     assert text_tokens("MiXeD CaSe") == ["mixed", "case"]
+    # punctuation on one edge only
+    assert text_tokens("wait, (what 5% 'tis") == ["wait", "what", "5", "tis"]
+    # non-ASCII letters and digits are token characters on either edge;
+    # symbols that are not punctuation stay
+    assert text_tokens("¡Olé! Naïve 日本語。 ٣٤ x² $5 Ünï…") == [
+        "olé", "naïve", "日本語", "٣٤", "x²", "$5", "ünï"
+    ]
+
+
+def test_no_alphanumeric_character_is_punctuation():
+    # text_tokens keeps a token with alphanumeric edges as it is, without
+    # the punctuation strip; that is exact only if this holds
+    clash = [
+        hex(cp)
+        for cp in range(sys.maxunicode + 1)
+        if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+    ]
+    assert clash == []
 
 
 def test_vocab_ordering_and_reserved_ids():

@@ -1,5 +1,7 @@
 """Forward-pass semantics: shapes, padding behavior, pooling, and guards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import emord.net as net
 from emord.net import (
     PARAM_FIELDS,
     ModelConfig,
+    ModelParams,
     NetError,
     _conv1d,
     _conv1d_backward,
@@ -71,6 +74,47 @@ def test_init_params_shapes_and_rules():
         assert np.all(getattr(params, name) == 0.0)
     assert np.abs(params.conv1_w).max() <= np.sqrt(1.0 / (4 * 6))
     assert [name for name, _ in params.named()] == list(PARAM_FIELDS)
+
+
+def test_params_are_views_into_one_arena():
+    params = init_params(tiny_config(), seed=0)
+    arena = params.arena
+    assert arena.ndim == 1 and arena.flags.c_contiguous
+    assert arena.size == sum(arr.size for _, arr in params.named())
+    offset = 0
+    for name, arr in params.named():
+        assert arr.base is arena, name
+        assert np.shares_memory(arr, arena[offset : offset + arr.size]), name
+        offset += arr.size
+    # a copy is one fresh arena that shares no memory with the original
+    twin = params.copy()
+    assert not np.shares_memory(twin.arena, arena)
+    assert np.array_equal(twin.arena, arena)
+    for (name, a), (_, b) in zip(params.named(), twin.named()):
+        assert b.base is twin.arena and np.array_equal(a, b), name
+    # loose arrays are packed into a fresh arena on construction
+    loose = {name: arr.copy() for name, arr in params.named()}
+    packed = ModelParams(**loose)
+    assert np.array_equal(packed.arena, arena)
+    assert not any(np.shares_memory(packed.arena, arr) for arr in loose.values())
+
+
+def test_params_fields_cannot_be_rebound():
+    params = init_params(tiny_config(), seed=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.fc1_w = np.zeros_like(params.fc1_w)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.arena = params.arena.copy()
+    # writes through a field still reach the arena
+    params.fc1_w[...] = 7.0
+    assert np.count_nonzero(params.arena == 7.0) == params.fc1_w.size
+
+
+def test_params_need_one_dtype():
+    arrays = dict(init_params(tiny_config(), seed=0).named())
+    arrays["fc1_b"] = arrays["fc1_b"].astype(np.float32)
+    with pytest.raises(NetError, match="one dtype"):
+        ModelParams(**arrays)
 
 
 def test_init_is_seed_deterministic():
@@ -189,6 +233,7 @@ def test_backward_returns_all_gradients():
     grads = backward(params, cfg, cache, np.ones_like(out))
     for name, arr in grads.named():
         assert arr.shape == getattr(params, name).shape
+        assert arr.base is grads.arena, name
         assert np.all(np.isfinite(arr))
     assert np.all(grads.embedding[0] == 0.0)  # padding row never trains
     # ids never used get no embedding gradient
@@ -258,20 +303,24 @@ def test_conv_kernels_match_loop_oracle(batch, t, c_in, c_out, k):
     b = rng.standard_normal(c_out)
     d_out = rng.standard_normal((batch, t - k + 1, c_out))
     assert_close_relative(_conv1d(x, w, b), loop_conv1d(x, w, b))
-    for got, ref in zip(_conv1d_backward(x, w, d_out), loop_conv1d_backward(x, w, d_out)):
+    d_w = np.empty_like(w)
+    d_b = np.empty_like(b)
+    d_x = _conv1d_backward(x, w, d_out, d_w, d_b)
+    for got, ref in zip((d_x, d_w, d_b), loop_conv1d_backward(x, w, d_out)):
         assert_close_relative(got, ref)
 
 
 def test_embedding_gradient_matches_loop_scatter(monkeypatch):
-    # repeated ids, trailing padding and one padding gap inside a text: the
-    # embedding gradient is the per-position input gradient of conv1 summed
-    # into each real token's row, in row-major order, and nothing else
+    # repeated ids (id 4 more than 16 times), trailing padding and one
+    # padding gap inside a text: the embedding gradient is the per-position
+    # input gradient of conv1 summed into each real token's row, in
+    # row-major order, and nothing else
     seen = []
 
-    def recording(x, w, d_out):
-        result = _conv1d_backward(x, w, d_out)
-        seen.append(result[0])
-        return result
+    def recording(x, w, d_out, d_w, d_b):
+        d_x = _conv1d_backward(x, w, d_out, d_w, d_b)
+        seen.append(d_x)
+        return d_x
 
     monkeypatch.setattr(net, "_conv1d_backward", recording)
     cfg = tiny_config()
@@ -281,6 +330,8 @@ def test_embedding_gradient_matches_loop_scatter(monkeypatch):
             [3, 3, 5, 3, 0, 7, 5, 5, 3, 2, 0, 0],
             [7, 7, 7, 7, 7, 7, 7, 7, 7, 0, 0, 0],
             [2, 3, 5, 7, 2, 3, 5, 7, 2, 3, 5, 7],
+            [4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4],
+            [4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 0],
         ]
     )
     out, cache = forward(params, cfg, ids)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emord import optim
 from emord.net import ModelConfig, init_params
 from emord.optim import AdamWConfig, AdamWState, OptimizerError, adamw_step
 
@@ -114,6 +115,22 @@ def test_state_shapes_follow_params():
         assert np.all(state.m[name] == 0.0)
 
 
+def test_moments_are_fixed_views_into_arenas():
+    _, params = small_setup()
+    state = AdamWState.initial(params)
+    assert not np.shares_memory(state.m_arena, state.v_arena)
+    for arena, moments in ((state.m_arena, state.m), (state.v_arena, state.v)):
+        assert list(moments) == [name for name, _ in params.named()]
+        assert all(arr.base is arena for arr in moments.values())
+        with pytest.raises(TypeError):
+            moments["fc1_w"] = np.zeros_like(params.fc1_w)
+    twin = state.copy()
+    twin.m["fc1_w"][...] = 1.0
+    assert twin.step == state.step
+    assert not np.shares_memory(twin.m_arena, state.m_arena)
+    assert np.all(state.m["fc1_w"] == 0.0)
+
+
 def reference_adamw(params, grads, m, v, t, opt):
     # the update rule written as one expression per parameter
     bc1 = 1.0 - opt.beta1**t
@@ -150,3 +167,33 @@ def test_steps_equal_the_rule_term_for_term(dtype):
         assert np.array_equal(arr, ref[name]), name
         assert np.array_equal(state.m[name], ref_m[name]), name
         assert np.array_equal(state.v[name], ref_v[name]), name
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_blocked_pass_equals_the_rule(monkeypatch, dtype):
+    # blocks of 7 elements split arrays mid-way and leave a short last block
+    monkeypatch.setattr(optim, "_BLOCK", 7)
+    _, params = small_setup(dtype)
+    opt = AdamWConfig(learning_rate=0.02, weight_decay=0.1)
+    state = AdamWState.initial(params)
+    ref = {name: arr.copy() for name, arr in params.named()}
+    ref_m = {name: np.zeros_like(arr) for name, arr in params.named()}
+    ref_v = {name: np.zeros_like(arr) for name, arr in params.named()}
+    rng = np.random.default_rng(12)
+    for t in range(1, 4):
+        grads = grads_like(params)
+        grads.arena[...] = rng.standard_normal(grads.arena.shape)
+        adamw_step(params, grads, state, opt)
+        reference_adamw(ref, dict(grads.named()), ref_m, ref_v, t, opt)
+    assert params.arena.size % 7 != 0
+    for name, arr in params.named():
+        assert np.array_equal(arr, ref[name]), name
+        assert np.array_equal(state.m[name], ref_m[name]), name
+        assert np.array_equal(state.v[name], ref_v[name]), name
+    # a non-finite entry in the last block still aborts before any block moves
+    grads.fc3_b[-1] = np.inf
+    before = params.arena.copy()
+    with pytest.raises(OptimizerError, match="fc3_b"):
+        adamw_step(params, grads, state, opt)
+    assert np.array_equal(params.arena, before)
+    assert state.step == 3

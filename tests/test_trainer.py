@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from emord.checkpoint import load_checkpoint, save_checkpoint
 from emord.data import LabeledCorpus, SyntheticSpec, generate_synthetic
 from emord.taxonomy import builtin_taxonomy
 from emord.trainer import (
@@ -178,6 +179,23 @@ def test_resume_matches_uninterrupted_run():
     ):
         assert np.array_equal(arr_a, arr_b), name
     assert resumed_result.final.optimizer.state.step == straight.final.optimizer.state.step
+
+
+def test_resume_from_disk_is_byte_identical(tmp_path):
+    # the saved checkpoint is unpacked into fresh parameter and moment
+    # arenas on load; training on from it must match the straight run bit
+    # for bit, down to the bytes of the final checkpoint
+    corpus = tiny_corpus()
+    straight = train(tiny_config(epochs=4), corpus)
+    save_checkpoint(train(tiny_config(epochs=2), corpus).final, tmp_path / "half.ckpt")
+    half = load_checkpoint(tmp_path / "half.ckpt")
+    resumed_result = Trainer.resume(tiny_config(epochs=4), half, corpus).run()
+    save_checkpoint(straight.final, tmp_path / "straight.ckpt")
+    save_checkpoint(resumed_result.final, tmp_path / "resumed.ckpt")
+    assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "straight.ckpt").read_bytes()
+    assert [s.train_loss for s in resumed_result.history] == [
+        s.train_loss for s in straight.history[2:]
+    ]
 
 
 def test_resume_requires_optimizer_state():
