@@ -70,12 +70,12 @@ for a, b in [("grief", "sadness"), ("grief", "excitement"), ("pride", "fear")]:
 print()
 target = target_for(grid, "pride", "ordinal-2d")
 print(f"ordinal-2d target for 'pride' (cell {grid.cell('pride')}):")
-print(f"  valence half {target.values[:4].tolist()}  arousal half {target.values[4:].tolist()}")
+print(f"  valence half {target[:4].tolist()}  arousal half {target[4:].tolist()}")
 
 # The same squared-distance law holds on the grid: MSE between two 2d targets
 # equals the L1 distance between their cells.
 for a, b in [("grief", "sadness"), ("grief", "excitement")]:
-    ta = target_for(grid, a, "ordinal-2d").values
-    tb = target_for(grid, b, "ordinal-2d").values
+    ta = target_for(grid, a, "ordinal-2d")
+    tb = target_for(grid, b, "ordinal-2d")
     squared = float(np.sum((ta - tb) ** 2))
     print(f"  ||target({a}) - target({b})||^2 = {squared:.0f} == grid distance {grid_distance(grid, a, b)}")

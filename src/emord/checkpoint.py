@@ -12,12 +12,16 @@ reproducibility.  Layout:
     bytes 4:8    container version, little-endian uint32
     bytes 8:16   header length in bytes, little-endian uint64
     header       canonical JSON (sorted keys, no whitespace)
-    buffers      raw little-endian C-order array bytes, back to back
+    payload      the parameter arena, then (resumable checkpoints only) the
+                 AdamW m and v arenas, raw little-endian, back to back
 
-The header carries the array table (name, shape, dtype, offset) and the
-embedded documents, plus their hashes, which load_checkpoint re-verifies.
-It also checks every parameter and moment array's shape and dtype against
-the header's model_config, and unpacks them into fresh arenas.
+The header carries the embedded documents, their hashes, and an array table
+(name, shape, dtype, offset, nbytes of every array in every arena, in
+PARAM_FIELDS order).  The table is fixed by the header's model_config and
+whether optimizer state is present, so load_checkpoint requires it to equal
+the one it derives, checks every header field's JSON type, re-verifies the
+hashes, and checks that the vocabulary, taxonomy, head mode and sequence
+length agree with model_config.
 """
 
 from __future__ import annotations
@@ -25,14 +29,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .codec import target_width
 from .data import Vocabulary
 from .hashing import canonical_json, sha256_json, sha256_text
-from .net import PARAM_FIELDS, ModelConfig, ModelParams, NetError
+from .net import ModelConfig, ModelParams
 from .optim import AdamWConfig, AdamWState
 from .taxonomy import EmotionTaxonomy, parse_taxonomy, taxonomy_to_document
 
@@ -41,7 +47,6 @@ CONTAINER_VERSION = 1
 HEADER_FORMAT = "emord.checkpoint/1"
 
 _DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
-_TAG_DTYPES = {tag: np.dtype(tag) for tag in _DTYPE_TAGS.values()}
 
 
 class CheckpointError(ValueError):
@@ -79,38 +84,144 @@ def taxonomy_fingerprint(taxonomy: EmotionTaxonomy) -> str:
     return sha256_json(taxonomy_to_document(taxonomy))
 
 
-def _array_entries(arrays: list[tuple[str, np.ndarray]], start: int):
-    entries = []
-    offset = start
-    for name, arr in arrays:
-        tag = _DTYPE_TAGS.get(str(arr.dtype))
-        if tag is None:
-            raise CheckpointError(f"array {name!r} has unsupported dtype {arr.dtype}")
-        nbytes = arr.size * arr.itemsize
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "dtype": tag,
-                "offset": offset,
-                "nbytes": nbytes,
-            }
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # a bool is not an int here
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+#: JSON kinds of header values: (description, test).
+_COUNT = ("a non-negative integer", _is_count)
+_NUMBER = ("a finite number", _is_number)
+_TEXT = ("a string", lambda value: type(value) is str)
+_OBJECT = ("an object", lambda value: type(value) is dict)
+_LIST = ("a list", lambda value: type(value) is list)
+_TEXTS = ("a list of strings", lambda value: _LIST[1](value) and all(map(_TEXT[1], value)))
+_COUNT_PAIR = (
+    "a list of two non-negative integers",
+    lambda value: _LIST[1](value) and len(value) == 2 and all(map(_is_count, value)),
+)
+_NUMBER_PAIR = (
+    "a list of two finite numbers",
+    lambda value: _LIST[1](value) and len(value) == 2 and all(map(_is_number, value)),
+)
+
+#: Every header field and its kind; nested dicts are objects with exactly
+#: these keys.  The taxonomy document is parse_taxonomy's to check, the
+#: array table is compared whole with _array_table's.
+_HEADER = {
+    "format": _TEXT,
+    "model_config": {
+        "vocab_size": _COUNT,
+        "output_width": _COUNT,
+        "head_mode": _TEXT,
+        "embed_dim": _COUNT,
+        "conv_channels": _COUNT_PAIR,
+        "kernel_sizes": _COUNT_PAIR,
+        "ffnn_hidden": _COUNT_PAIR,
+        "dtype": _TEXT,
+    },
+    "taxonomy": _OBJECT,
+    "vocab": {"tokens": _TEXTS, "min_freq": _COUNT},
+    "max_seq_length": _COUNT,
+    "seed": _COUNT,
+    "loss_weights": _NUMBER_PAIR,
+    "epochs_completed": _COUNT,
+    "hashes": {"taxonomy": _TEXT, "vocab": _TEXT},
+    "arrays": _LIST,
+    "optimizer": {
+        "step": _COUNT,
+        "adamw": dict.fromkeys(
+            ("learning_rate", "beta1", "beta2", "eps", "weight_decay"), _NUMBER
+        ),
+    },
+}
+_NULLABLE = {"optimizer"}
+
+
+def _check_fields(path: Path, document: dict, schema: dict, where: str = "") -> None:
+    unknown = sorted(set(document) - set(schema))
+    if unknown:
+        raise CheckpointError(f"{path}: header has unknown key {where + unknown[0]!r}")
+    for key, kind in schema.items():
+        name = where + key
+        if key not in document:
+            raise CheckpointError(f"{path}: header is missing key {name!r}")
+        value = document[key]
+        if isinstance(kind, dict):
+            if type(value) is dict:
+                _check_fields(path, value, kind, name + ".")
+            elif not (value is None and name in _NULLABLE):
+                nullable = " or null" if name in _NULLABLE else ""
+                raise CheckpointError(
+                    f"{path}: header key {name!r} must be an object{nullable}, "
+                    f"got {reprlib.repr(value)}"
+                )
+        elif not kind[1](value):
+            raise CheckpointError(
+                f"{path}: header key {name!r} must be {kind[0]}, got {reprlib.repr(value)}"
+            )
+
+
+def _array_table(config: ModelConfig, with_optimizer: bool) -> list[dict]:
+    """The header's array table: the parameter arena, then the m and v arenas."""
+    tag = _DTYPE_TAGS[config.dtype]
+    itemsize = np.dtype(tag).itemsize
+    table, offset = [], 0
+    for prefix in ("", "m/", "v/") if with_optimizer else ("",):
+        for name, shape in config.param_shapes().items():
+            nbytes = math.prod(shape) * itemsize
+            table.append(
+                {
+                    "name": prefix + name,
+                    "shape": list(shape),
+                    "dtype": tag,
+                    "offset": offset,
+                    "nbytes": nbytes,
+                }
+            )
+            offset += nbytes
+    return table
+
+
+def _check_table(path: Path, table: list, expected: list[dict]) -> None:
+    # canonical JSON compares types too: 0 and false, 4 and 4.0 differ
+    if canonical_json(table) == canonical_json(expected):
+        return
+    for got, want in zip(table, expected):
+        if canonical_json(got) == canonical_json(want):
+            continue
+        name, got = want["name"], got if type(got) is dict else {}
+        for key in ("name", "shape", "dtype"):
+            if canonical_json(got.get(key)) != canonical_json(want[key]):
+                raise CheckpointError(
+                    f"{path}: array {name!r} has {key} {got.get(key)!r}, "
+                    f"model_config needs {want[key]!r}"
+                )
+        raise CheckpointError(
+            f"{path}: array {name!r} byte range (offset {got.get('offset')!r}, "
+            f"nbytes {got.get('nbytes')!r}) is not model_config's "
+            f"(offset {want['offset']}, nbytes {want['nbytes']})"
         )
-        offset += nbytes
-    return entries, offset
+    raise CheckpointError(
+        f"{path}: header lists {len(table)} arrays, "
+        f"model_config and the optimizer field need {len(expected)}"
+    )
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
     """Write atomically; identical Checkpoint contents give identical bytes."""
     path = Path(path)
     cfg = ck.config
-    arrays = list(ck.params.named())
+    arenas = [ck.params]
     if ck.optimizer is not None:
-        for name, arr in ck.optimizer.state.m.items():
-            arrays.append((f"m/{name}", arr))
-        for name, arr in ck.optimizer.state.v.items():
-            arrays.append((f"v/{name}", arr))
-    entries, total = _array_entries(arrays, 0)
+        arenas += [ck.optimizer.state.m, ck.optimizer.state.v]
+    shapes = list(cfg.param_shapes().values())
+    for params in arenas:
+        if params.arena.dtype != cfg.np_dtype or [a.shape for _, a in params.named()] != shapes:
+            raise CheckpointError(f"{path}: arrays do not match the checkpoint's model_config")
 
     header: dict = {
         "format": HEADER_FORMAT,
@@ -134,7 +245,7 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
             "taxonomy": taxonomy_fingerprint(ck.taxonomy),
             "vocab": vocab_fingerprint(ck.vocab),
         },
-        "arrays": entries,
+        "arrays": _array_table(cfg, ck.optimizer is not None),
         "optimizer": None,
     }
     if ck.optimizer is not None:
@@ -151,137 +262,105 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
         }
 
     header_bytes = canonical_json(header).encode("utf-8")
+    tag = _DTYPE_TAGS[cfg.dtype]
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(int(CONTAINER_VERSION).to_bytes(4, "little"))
         fh.write(len(header_bytes).to_bytes(8, "little"))
         fh.write(header_bytes)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+        for params in arenas:
+            # no copy for a contiguous little-endian arena
+            fh.write(np.ascontiguousarray(params.arena, dtype=tag))
     os.replace(tmp, path)
-    assert total == sum(e["nbytes"] for e in entries)
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and verify a checkpoint; arrays come back bit-identical."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        version = int.from_bytes(_read_exact(fh, 4, "version"), "little")
-        if version != CONTAINER_VERSION:
-            raise CheckpointError(f"{path}: unsupported container version {version}")
-        header_len = int.from_bytes(_read_exact(fh, 8, "header length"), "little")
-        try:
-            header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-        if header.get("format") != HEADER_FORMAT:
-            raise CheckpointError(f"{path}: unsupported header format {header.get('format')!r}")
-        payload = fh.read()
-
+    raw = path.read_bytes()
+    if raw[:4] != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    if len(raw) < 16:
+        raise CheckpointError(f"{path}: truncated checkpoint while reading the preamble")
+    version = int.from_bytes(raw[4:8], "little")
+    if version != CONTAINER_VERSION:
+        raise CheckpointError(f"{path}: unsupported container version {version}")
+    header_end = 16 + int.from_bytes(raw[8:16], "little")
+    if header_end > len(raw):
+        raise CheckpointError(f"{path}: truncated checkpoint while reading header")
     try:
-        return _from_header(path, header, payload)
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: header is missing key {exc.args[0]!r}") from exc
+        header = json.loads(raw[16:header_end].decode("utf-8"))
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
+    if type(header) is not dict or header.get("format") != HEADER_FORMAT:
+        fmt = header.get("format") if type(header) is dict else None
+        raise CheckpointError(f"{path}: unsupported header format {fmt!r}")
+    # a view of the payload, not a bytes slice: no copy before the arenas
+    return _from_header(path, header, memoryview(raw)[header_end:])
 
 
-def _model_config(path: Path, mc: dict) -> ModelConfig:
+def _parse(path: Path, what: str, build, *args, **kwargs):
     try:
-        return ModelConfig(
-            vocab_size=mc["vocab_size"],
-            output_width=mc["output_width"],
-            head_mode=mc["head_mode"],
-            embed_dim=mc["embed_dim"],
-            conv_channels=tuple(mc["conv_channels"]),
-            kernel_sizes=tuple(mc["kernel_sizes"]),
-            ffnn_hidden=tuple(mc["ffnn_hidden"]),
-            dtype=mc["dtype"],
-        )
-    except NetError as exc:
-        raise CheckpointError(f"{path}: invalid model_config ({exc})") from exc
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: invalid {what} ({exc})") from exc
 
 
-def _read_arrays(path: Path, header: dict, payload: bytes, config: ModelConfig):
-    """Read-only views of the payload, each checked against `model_config`.
-
-    Returns the parameter arrays, plus the moment arrays under "m/<name>"
-    and "v/<name>" when the header carries optimizer state.
-    """
-    table = header["arrays"]
-    entries = {entry["name"]: entry for entry in table}
-    expected = sum(entry["nbytes"] for entry in table)
+def _from_header(path: Path, header: dict, payload: memoryview) -> Checkpoint:
+    _check_fields(path, header, _HEADER)
+    mc = header["model_config"]
+    config = _parse(
+        path,
+        "model_config",
+        ModelConfig,
+        **{key: tuple(value) if type(value) is list else value for key, value in mc.items()},
+    )
+    opt = header["optimizer"]
+    table = _array_table(config, opt is not None)
+    _check_table(path, header["arrays"], table)
+    expected = table[-1]["offset"] + table[-1]["nbytes"]
     if len(payload) != expected:
-        raise CheckpointError(
-            f"{path}: payload is {len(payload)} bytes, header expects {expected}"
-        )
-    prefixes = ("", "m/", "v/") if header.get("optimizer") is not None else ("",)
-    tag = _DTYPE_TAGS[config.dtype]
-    dtype = _TAG_DTYPES[tag]
-    arrays: dict[str, np.ndarray] = {}
-    missing = []
-    for prefix in prefixes:
-        for name, shape in config.param_shapes().items():
-            key = prefix + name
-            entry = entries.get(key)
-            if entry is None:
-                missing.append(key)
-                continue
-            if tuple(entry["shape"]) != shape:
-                raise CheckpointError(
-                    f"{path}: array {key!r} has shape {entry['shape']}, "
-                    f"model_config needs {list(shape)}"
-                )
-            if entry["dtype"] != tag:
-                raise CheckpointError(
-                    f"{path}: array {key!r} has dtype {entry['dtype']!r}, "
-                    f"model_config needs {tag!r} ({config.dtype})"
-                )
-            start, nbytes, count = entry["offset"], entry["nbytes"], math.prod(shape)
-            if start < 0 or start + nbytes > len(payload) or nbytes != count * dtype.itemsize:
-                raise CheckpointError(f"{path}: array {key!r} byte range does not fit its shape")
-            # a view of the payload, not a bytes slice: no copy before packing
-            arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start).reshape(shape)
-            arrays[key] = arr.astype(arr.dtype.newbyteorder("="), copy=False)
-    if missing:
-        raise CheckpointError(f"{path}: missing arrays {missing}")
-    return arrays
+        raise CheckpointError(f"{path}: payload is {len(payload)} bytes, header expects {expected}")
 
-
-def _from_header(path: Path, header: dict, payload: bytes) -> Checkpoint:
-    config = _model_config(path, header["model_config"])
-    arrays = _read_arrays(path, header, payload, config)
-    # ModelParams and AdamWState pack these views into fresh arenas
-    params = ModelParams(**{name: arrays[name] for name in PARAM_FIELDS})
-
-    taxonomy = parse_taxonomy(header["taxonomy"])
+    taxonomy = _parse(path, "taxonomy", parse_taxonomy, header["taxonomy"])
     vocab = Vocabulary(
         tokens=tuple(header["vocab"]["tokens"]), min_freq=header["vocab"]["min_freq"]
     )
-    hashes = header.get("hashes", {})
-    if hashes.get("taxonomy") != taxonomy_fingerprint(taxonomy):
+    hashes = header["hashes"]
+    if hashes["taxonomy"] != taxonomy_fingerprint(taxonomy):
         raise CheckpointError(f"{path}: taxonomy hash mismatch")
-    if hashes.get("vocab") != vocab_fingerprint(vocab):
+    if hashes["vocab"] != vocab_fingerprint(vocab):
         raise CheckpointError(f"{path}: vocabulary hash mismatch")
+    if config.vocab_size != vocab.size:
+        raise CheckpointError(
+            f"{path}: model_config.vocab_size is {config.vocab_size}, "
+            f"the vocabulary needs {vocab.size}"
+        )
+    width = _parse(path, "head mode for the taxonomy", target_width, config.head_mode, taxonomy)
+    if config.output_width != width:
+        raise CheckpointError(
+            f"{path}: model_config.output_width is {config.output_width}, "
+            f"a {config.head_mode} head over the taxonomy needs {width}"
+        )
+    if header["max_seq_length"] < config.min_seq_length:
+        raise CheckpointError(
+            f"{path}: max_seq_length {header['max_seq_length']} is shorter than the "
+            f"{config.min_seq_length} tokens the convolutions need"
+        )
+
+    # one row per arena; astype gives each row its own writable native arena
+    layout = ModelParams.zeros(config)  # only its layout is read
+    rows = np.frombuffer(payload, dtype=_DTYPE_TAGS[config.dtype])
+    rows = rows.reshape(-1, layout.arena.size)
+    params, *moments = (layout.like(row.astype(config.np_dtype)) for row in rows)
 
     optimizer = None
-    if header.get("optimizer") is not None:
-        opt = header["optimizer"]
+    if opt is not None:
+        m, v = moments
         optimizer = OptimizerSnapshot(
-            adamw=AdamWConfig(**opt["adamw"]),
-            state=AdamWState(
-                step=opt["step"],
-                m={name: arrays[f"m/{name}"] for name in PARAM_FIELDS},
-                v={name: arrays[f"v/{name}"] for name in PARAM_FIELDS},
-            ),
+            adamw=_parse(path, "optimizer.adamw", AdamWConfig, **opt["adamw"]),
+            state=AdamWState(step=opt["step"], m=m, v=v),
         )
 
     return Checkpoint(

@@ -10,7 +10,6 @@ All functions here are pure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,20 +80,6 @@ def decode_thermometer_batch(values: np.ndarray) -> np.ndarray:
     return np.argmin(dists, axis=1)  # first minimum wins: low-level tie-break
 
 
-@dataclass(frozen=True)
-class TargetVector:
-    """Training target for one example.
-
-    `values` is the vector the matching head is trained against: a length-K
-    one-hot (softmax), a length K-1 codeword (ordinal-1d), or the two length
-    G-1 codewords for the valence and arousal cells concatenated (ordinal-2d),
-    matching the model's head output layout.
-    """
-
-    mode: str
-    values: np.ndarray
-
-
 def check_mode_compatible(mode: str, taxonomy: EmotionTaxonomy) -> None:
     """Reject head modes that cannot be trained against the taxonomy."""
     if mode not in HEAD_MODES:
@@ -107,20 +92,23 @@ def check_mode_compatible(mode: str, taxonomy: EmotionTaxonomy) -> None:
 
 def target_for(
     taxonomy: EmotionTaxonomy, label: str, mode: str, dtype=np.float64
-) -> TargetVector:
-    """Training target for `label` under the given head mode."""
+) -> np.ndarray:
+    """Training target for `label`: the vector the matching head is trained against.
+
+    A length-K one-hot (softmax), a length K-1 codeword (ordinal-1d), or the
+    two length G-1 codewords for the valence and arousal cells concatenated
+    (ordinal-2d), matching the model's head output layout.
+    """
     check_mode_compatible(mode, taxonomy)
     if mode == MODE_SOFTMAX:
-        values = encode_onehot(taxonomy.index(label), taxonomy.num_labels, dtype)
-    elif mode == MODE_ORDINAL_1D:
-        values = encode_thermometer(taxonomy.rank(label), taxonomy.num_labels, dtype)
-    else:
-        valence, arousal = taxonomy.cell(label)
-        g = taxonomy.grid_size
-        values = np.concatenate(
-            [encode_thermometer(valence, g, dtype), encode_thermometer(arousal, g, dtype)]
-        )
-    return TargetVector(mode=mode, values=values)
+        return encode_onehot(taxonomy.index(label), taxonomy.num_labels, dtype)
+    if mode == MODE_ORDINAL_1D:
+        return encode_thermometer(taxonomy.rank(label), taxonomy.num_labels, dtype)
+    valence, arousal = taxonomy.cell(label)
+    g = taxonomy.grid_size
+    return np.concatenate(
+        [encode_thermometer(valence, g, dtype), encode_thermometer(arousal, g, dtype)]
+    )
 
 
 def target_width(mode: str, taxonomy: EmotionTaxonomy) -> int:

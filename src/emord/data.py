@@ -179,14 +179,6 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         return self._index.get(token, UNK_ID)
 
-    def token(self, token_id: int) -> str:
-        if not _RESERVED <= token_id < self.size:
-            raise DataError(f"id {token_id} is reserved or out of range")
-        return self.tokens[token_id - _RESERVED]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
 
 def build_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
     """Frequency-ordered vocabulary over the corpus (normally the train split)."""
@@ -413,20 +405,6 @@ def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
                 raise DataError(f"{path}: {key} must be a number")
             kwargs[key] = float(value)
     return SyntheticSpec(taxonomy=taxonomy, **kwargs)
-
-
-def synthetic_spec_to_document(spec: SyntheticSpec, taxonomy_ref: str) -> dict:
-    """Document form of a spec; `taxonomy_ref` is the name/path to record."""
-    return {
-        "format": SYNTH_FORMAT,
-        "taxonomy": taxonomy_ref,
-        "examples_per_class": spec.examples_per_class,
-        "p_signal": spec.p_signal,
-        "p_confuse": spec.p_confuse,
-        "sequence_length": spec.sequence_length,
-        "seed": spec.seed,
-        "filler_tokens": spec.filler_tokens,
-    }
 
 
 def resolve_taxonomy(ref: str, relative_to: Path | None = None) -> EmotionTaxonomy:

@@ -136,7 +136,7 @@ def check_gradients(
     config = tiny_config(mode, taxonomy)
     rng = np.random.default_rng([seed, _DATA_STREAM])
     token_ids, labels = _probe_batch(rng, taxonomy, config.vocab_size)
-    targets = np.stack([target_for(taxonomy, lab, mode).values for lab in labels])
+    targets = np.stack([target_for(taxonomy, lab, mode) for lab in labels])
 
     params = init_params(config, seed)
     # Freshly initialized biases are zero, which parks the conv windows that

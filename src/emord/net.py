@@ -133,15 +133,16 @@ class ModelConfig:
         return cls(vocab_size, output_width, head_mode, **base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelParams:
-    """All trainable arrays; also used as the container for gradients.
+    """All trainable arrays; also used as the container for gradients and
+    for each AdamW moment.
 
     The eleven arrays are views, in PARAM_FIELDS order, into one contiguous
     1-D buffer, `arena`, so a whole-model operation (the AdamW update, the
-    finiteness check, a snapshot) runs once over it.  Arrays given to the
-    constructor are copied into a fresh arena; the fields are frozen, so no
-    array can be rebound away from it.
+    finiteness check, a snapshot, a checkpoint write) runs once over it.
+    `zeros(config)` and `like(arena)` are the only constructors; the fields
+    are frozen, so no array can be rebound away from its arena.
 
     embedding row 0 is the padding slot: initialized to zeros, masked out of
     the forward pass, and never receives gradient, so it stays zero.
@@ -158,19 +159,7 @@ class ModelParams:
     fc2_b: np.ndarray  # (H2,)
     fc3_w: np.ndarray  # (H2, out)
     fc3_b: np.ndarray  # (out,)
-    arena: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        arrays = [np.asarray(getattr(self, name)) for name in PARAM_FIELDS]
-        dtypes = {arr.dtype for arr in arrays}
-        if len(dtypes) != 1:
-            raise NetError(
-                f"parameter arrays must share one dtype, got {sorted(map(str, dtypes))}"
-            )
-        arena = np.empty(sum(arr.size for arr in arrays), dtype=arrays[0].dtype)
-        self._bind(arena, [arr.shape for arr in arrays])
-        for (_, view), arr in zip(self.named(), arrays):
-            view[...] = arr
+    arena: np.ndarray = field(repr=False, compare=False)
 
     def _bind(self, arena: np.ndarray, shapes) -> None:
         offset = 0

@@ -8,9 +8,7 @@ divergence surfaces as a hard error instead of silent NaN spread.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,26 +40,14 @@ class AdamWConfig:
 
 @dataclass
 class AdamWState:
-    """First/second moment estimates per parameter plus the step counter.
+    """First/second moment estimates plus the step counter.
 
-    `m` and `v` map each parameter name to a view into one arena per moment,
-    laid out as ModelParams lays out the parameters.  The constructor takes
-    a ModelParams's arena as it is, and copies loose arrays into a fresh
-    one.  The mappings are read-only, so no entry can be rebound away from
-    its arena.
+    `m` and `v` are laid out as the parameters, each in its own arena.
     """
 
     step: int
-    m: Mapping[str, np.ndarray] | ModelParams
-    v: Mapping[str, np.ndarray] | ModelParams
-    m_arena: np.ndarray = field(init=False, repr=False, compare=False)
-    v_arena: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = self.m if isinstance(self.m, ModelParams) else ModelParams(**self.m)
-        v = self.v if isinstance(self.v, ModelParams) else ModelParams(**self.v)
-        self.m, self.m_arena = MappingProxyType(dict(m.named())), m.arena
-        self.v, self.v_arena = MappingProxyType(dict(v.named())), v.arena
+    m: ModelParams
+    v: ModelParams
 
     @classmethod
     def initial(cls, params: ModelParams) -> "AdamWState":
@@ -72,7 +58,7 @@ class AdamWState:
         return cls(step=0, m=zeros(), v=zeros())
 
     def copy(self) -> "AdamWState":
-        return AdamWState(step=self.step, m=self.m, v=self.v)
+        return AdamWState(step=self.step, m=self.m.copy(), v=self.v.copy())
 
 
 #: Elements per block of the AdamW pass.  The six block-sized streams
@@ -106,8 +92,8 @@ def adamw_step(
     for block in blocks:
         param = params.arena[block]
         grad = grads.arena[block]
-        m = state.m_arena[block]
-        v = state.v_arena[block]
+        m = state.m.arena[block]
+        v = state.v.arena[block]
         s1 = scratch1[: param.size]
         s2 = scratch2[: param.size]
         # the rule above, one ufunc at a time over the block into the two

@@ -328,7 +328,7 @@ class Trainer:
         dt = self.model_config.np_dtype
         self.train_targets = np.stack(
             [
-                target_for(self.taxonomy, label, config.mode, dtype=dt).values
+                target_for(self.taxonomy, label, config.mode, dtype=dt)
                 for label in train_labels
             ]
         )

@@ -1,9 +1,12 @@
 """Checkpoint container: bit-exact round trips and tamper detection."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from emord.checkpoint import (
     CONTAINER_VERSION,
@@ -16,11 +19,16 @@ from emord.checkpoint import (
     taxonomy_fingerprint,
     vocab_fingerprint,
 )
-from emord.data import LabeledCorpus, build_vocab
+from emord.data import LabeledCorpus, Vocabulary, build_vocab
 from emord.hashing import canonical_json, sha256_file
 from emord.net import ModelConfig, init_params
 from emord.optim import AdamWConfig, AdamWState, adamw_step
-from emord.taxonomy import builtin_taxonomy
+from emord.taxonomy import builtin_taxonomy, taxonomy_to_document
+
+#: make_checkpoint(with_optimizer=True) as written by the earlier writer,
+#: which copied each array out on its own; reader and writer now change
+#: together, so this file pins the bytes on disk.
+PINNED = Path(__file__).parent / "data" / "checkpoint_v1_fixture.ckpt"
 
 
 def make_checkpoint(with_optimizer=False, dtype="float32") -> Checkpoint:
@@ -88,9 +96,9 @@ def test_roundtrip_optimizer_state(tmp_path):
     assert loaded.optimizer is not None
     assert loaded.optimizer.adamw == ck.optimizer.adamw
     assert loaded.optimizer.state.step == 1
-    for name, arr in ck.optimizer.state.m.items():
-        assert np.array_equal(loaded.optimizer.state.m[name], arr)
-        assert np.array_equal(loaded.optimizer.state.v[name], ck.optimizer.state.v[name])
+    for name, arr in ck.optimizer.state.m.named():
+        assert np.array_equal(getattr(loaded.optimizer.state.m, name), arr)
+        assert np.array_equal(getattr(loaded.optimizer.state.v, name), getattr(ck.optimizer.state.v, name))
 
 
 def test_resave_is_byte_identical(tmp_path):
@@ -249,8 +257,215 @@ def test_loaded_arrays_live_in_arenas(tmp_path):
     state = loaded.optimizer.state
     for arena, arrays in (
         (loaded.params.arena, dict(loaded.params.named())),
-        (state.m_arena, state.m),
-        (state.v_arena, state.v),
+        (state.m.arena, dict(state.m.named())),
+        (state.v.arena, dict(state.v.named())),
     ):
         assert arena.flags.writeable and arena.flags.c_contiguous
         assert all(arr.base is arena for arr in arrays.values())
+
+
+def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
+    loaded = load_checkpoint(PINNED)
+    fresh = make_checkpoint(with_optimizer=True)
+    assert loaded.config == fresh.config
+    assert loaded.taxonomy == fresh.taxonomy
+    assert loaded.vocab.tokens == fresh.vocab.tokens
+    assert (loaded.max_seq_length, loaded.seed, loaded.loss_weights, loaded.epochs_completed) == (
+        24, 5, (1.0, 0.5), 3
+    )
+    assert loaded.optimizer.adamw == fresh.optimizer.adamw
+    assert loaded.optimizer.state.step == fresh.optimizer.state.step == 1
+    assert_params_equal(loaded.params, fresh.params)
+    assert_params_equal(loaded.optimizer.state.m, fresh.optimizer.state.m)
+    assert_params_equal(loaded.optimizer.state.v, fresh.optimizer.state.v)
+    for ck in (loaded, fresh):
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(ck, resaved)
+        assert resaved.read_bytes() == PINNED.read_bytes()
+
+
+def rewrite_header(tmp_path, edit):
+    """A saved resumable checkpoint after edit(header) changed only its header."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(with_optimizer=True), path)
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    edit(header)
+    header_bytes = canonical_json(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(
+        raw[:8] + len(header_bytes).to_bytes(8, "little") + header_bytes + raw[16 + header_len :]
+    )
+    return bad
+
+
+def set_key(header, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        header = header[key]
+    header[last] = value
+
+
+def alias_moment_to_weight(header):
+    # m/fc3_b read from fc3_b's bytes: same byte count, so the sizes add up
+    entries = {entry["name"]: entry for entry in header["arrays"]}
+    entries["m/fc3_b"]["offset"] = entries["fc3_b"]["offset"]
+
+
+def add_junk_array(header, arrays):
+    arrays["junk"] = np.zeros(3, dtype="<f4")
+
+
+def drop_optimizer_keep_moments(header, arrays):
+    header["optimizer"] = None
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (alias_moment_to_weight, "'m/fc3_b' byte range"),
+        (add_junk_array, "lists 34 arrays"),
+        (drop_optimizer_keep_moments, "lists 33 arrays, model_config and the optimizer field need 11"),
+    ],
+    ids=["aliased-offset", "extra-entry", "moments-without-optimizer"],
+)
+def test_rejects_array_table_not_derived_from_model_config(tmp_path, edit, match):
+    if edit is alias_moment_to_weight:
+        bad = rewrite_header(tmp_path, edit)
+    else:
+        bad = tampered(tmp_path, edit)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("loss_weights", 5, "'loss_weights' must be a list of two finite numbers"),
+        ("max_seq_length", "24", "'max_seq_length' must be a non-negative integer"),
+        ("model_config.vocab_size", "9", "'model_config.vocab_size' must be"),
+        ("optimizer.adamw.momentum", 0.9, "unknown key 'optimizer.adamw.momentum'"),
+        ("optimizer.step", "1", "'optimizer.step' must be"),
+        ("epochs_completed", "3", "'epochs_completed' must be"),
+        ("seed", True, "'seed' must be a non-negative integer, got True"),
+        ("vocab.min_freq", "1", "'vocab.min_freq' must be"),
+        ("taxonomy", ["1d"], "'taxonomy' must be an object"),
+        ("taxonomy.mode", "3d", "invalid taxonomy"),
+        ("optimizer.adamw.learning_rate", 0.0, "invalid optimizer.adamw"),
+    ],
+)
+def test_rejects_header_value_of_wrong_type(tmp_path, key, value, match):
+    bad = rewrite_header(tmp_path, lambda header: set_key(header, key, value))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(bad)
+
+
+def test_rejects_vocab_size_not_matching_the_tokens(tmp_path):
+    def drop_last_token(header):
+        vocab = header["vocab"]
+        vocab["tokens"] = vocab["tokens"][:-1]
+        short = Vocabulary(tokens=tuple(vocab["tokens"]), min_freq=vocab["min_freq"])
+        header["hashes"]["vocab"] = vocab_fingerprint(short)
+
+    with pytest.raises(CheckpointError, match="vocab_size is 7, the vocabulary needs 6"):
+        load_checkpoint(rewrite_header(tmp_path, drop_last_token))
+
+
+@pytest.mark.parametrize(
+    "head_mode, match",
+    [("softmax", "output_width is 7, a softmax head over the taxonomy needs 23"),
+     ("ordinal-1d", "ordinal-1d head requires a 1d taxonomy")],
+)
+def test_rejects_output_width_not_matching_the_taxonomy(tmp_path, head_mode, match):
+    grid = builtin_taxonomy("goemotions-grid-5x5")
+
+    def use_grid(header):
+        header["model_config"]["head_mode"] = head_mode
+        header["taxonomy"] = taxonomy_to_document(grid)
+        header["hashes"]["taxonomy"] = taxonomy_fingerprint(grid)
+
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(rewrite_header(tmp_path, use_grid))
+
+
+def test_rejects_max_seq_length_below_the_conv_minimum(tmp_path):
+    bad = rewrite_header(tmp_path, lambda header: set_key(header, "max_seq_length", 3))
+    with pytest.raises(CheckpointError, match="max_seq_length 3 is shorter than the 9 tokens"):
+        load_checkpoint(bad)
+
+
+# ------------------------------------------------------------------ fuzzing
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(make_checkpoint(with_optimizer=True), path)
+    return path.parent
+
+
+def loads_or_rejects(path, raw):
+    # the one acceptable failure is CheckpointError; anything else propagates
+    path.write_bytes(raw)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+def header_paths(node, prefix=()):
+    """Every key path into the header: object members and list items."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from header_paths(value, prefix + (key,))
+
+
+def json_type(value):
+    return type(value).__name__ if value is not None else "null"
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=1 << 40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(min_value=0, max_value=9), max_size=2),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(choice=st.integers(min_value=0), value=JSON_VALUES)
+def test_fuzz_header_values_of_another_type(fuzz_dir, choice, value):
+    raw = (fuzz_dir / "model.ckpt").read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    paths = list(header_paths(header))
+    *parents, last = paths[choice % len(paths)]
+    node = header
+    for key in parents:
+        node = node[key]
+    assume(json_type(value) != json_type(node[last]))
+    node[last] = value
+    header_bytes = canonical_json(header).encode("utf-8")
+    loads_or_rejects(
+        fuzz_dir / "case.ckpt",
+        raw[:8] + len(header_bytes).to_bytes(8, "little") + header_bytes + raw[16 + header_len :],
+    )
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzz_truncated_and_flipped_bytes(fuzz_dir, data):
+    raw = (fuzz_dir / "model.ckpt").read_bytes()
+    at = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+    if data.draw(st.booleans()):
+        case = raw[:at]
+    else:
+        case = bytearray(raw)
+        case[at] ^= data.draw(st.integers(min_value=1, max_value=255))
+    loads_or_rejects(fuzz_dir / "case.ckpt", bytes(case))

@@ -129,27 +129,27 @@ def test_target_widths():
 
 def test_target_vectors_1d():
     tax = builtin_taxonomy("isear-valence")
-    assert target_for(tax, "sadness", MODE_ORDINAL_1D).values.tolist() == [0] * 6
-    assert target_for(tax, "joy", MODE_ORDINAL_1D).values.tolist() == [1] * 6
-    anger = target_for(tax, "anger", MODE_ORDINAL_1D).values
+    assert target_for(tax, "sadness", MODE_ORDINAL_1D).tolist() == [0] * 6
+    assert target_for(tax, "joy", MODE_ORDINAL_1D).tolist() == [1] * 6
+    anger = target_for(tax, "anger", MODE_ORDINAL_1D)
     assert anger.tolist() == [1, 1, 0, 0, 0, 0]
-    one_hot = target_for(tax, "anger", MODE_SOFTMAX).values
+    one_hot = target_for(tax, "anger", MODE_SOFTMAX)
     assert one_hot.sum() == 1.0 and one_hot[tax.index("anger")] == 1.0
 
 
 def test_target_vectors_2d_layout():
     tax = builtin_taxonomy("goemotions-grid-5x5")
     grief = target_for(tax, "grief", MODE_ORDINAL_2D)
-    assert grief.values.tolist() == [0, 0, 0, 0, 0, 0, 0, 0]
+    assert grief.tolist() == [0, 0, 0, 0, 0, 0, 0, 0]
     pride = target_for(tax, "pride", MODE_ORDINAL_2D)
-    assert pride.values.tolist() == [1, 1, 1, 0, 1, 1, 0, 0]
+    assert pride.tolist() == [1, 1, 1, 0, 1, 1, 0, 0]
 
 
 def test_target_vectors_2d_every_label_distinct():
     tax = builtin_taxonomy("goemotions-grid-5x5")
     seen = set()
     for label in tax.labels:
-        vec = tuple(target_for(tax, label, MODE_ORDINAL_2D).values.tolist())
+        vec = tuple(target_for(tax, label, MODE_ORDINAL_2D).tolist())
         assert vec not in seen
         seen.add(vec)
 
@@ -160,8 +160,8 @@ def test_target_2d_squared_distance_equals_l1():
     from emord.taxonomy import grid_distance
 
     for a, b in itertools.combinations(tax.labels, 2):
-        va = target_for(tax, a, MODE_ORDINAL_2D).values
-        vb = target_for(tax, b, MODE_ORDINAL_2D).values
+        va = target_for(tax, a, MODE_ORDINAL_2D)
+        vb = target_for(tax, b, MODE_ORDINAL_2D)
         assert float(((va - vb) ** 2).sum()) == grid_distance(tax, a, b)
 
 
@@ -184,4 +184,4 @@ def test_dtype_control():
     assert encode_thermometer(1, 3, dtype=np.float32).dtype == np.float32
     assert target_for(
         builtin_taxonomy("isear-valence"), "joy", MODE_ORDINAL_1D, dtype=np.float32
-    ).values.dtype == np.float32
+    ).dtype == np.float32

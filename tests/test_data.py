@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from emord.data import (
-    PAD_ID,
     UNK_ID,
     DataError,
     LabeledCorpus,
@@ -26,7 +25,6 @@ from emord.data import (
     resolve_taxonomy,
     save_corpus_tsv,
     split_corpus,
-    synthetic_spec_to_document,
     text_tokens,
 )
 from emord.taxonomy import builtin_taxonomy
@@ -144,12 +142,8 @@ def test_vocab_ordering_and_reserved_ids():
     assert vocab.lookup("b") == 3
     assert vocab.lookup("zzz") == UNK_ID
     assert vocab.size == 6
-    assert "c" in vocab and "zzz" not in vocab
-    assert vocab.token(2) == "a"
-    with pytest.raises(DataError):
-        vocab.token(PAD_ID)
-    with pytest.raises(DataError):
-        vocab.token(99)
+    # real tokens take ids 2.., so the padding and unknown ids stay reserved
+    assert [vocab.lookup(token) for token in vocab.tokens] == list(range(2, vocab.size))
 
 
 def test_vocab_min_freq():
@@ -338,7 +332,16 @@ def test_spec_document_roundtrip(tmp_path):
         taxonomy=ISEAR, examples_per_class=7, p_signal=0.5, p_confuse=0.1,
         sequence_length=12, seed=9, filler_tokens=4,
     )
-    doc = synthetic_spec_to_document(spec, "isear-valence")
+    doc = {
+        "format": "emord.synth/1",
+        "taxonomy": "isear-valence",
+        "examples_per_class": 7,
+        "p_signal": 0.5,
+        "p_confuse": 0.1,
+        "sequence_length": 12,
+        "seed": 9,
+        "filler_tokens": 4,
+    }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     loaded = load_synthetic_spec(path)

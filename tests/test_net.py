@@ -92,11 +92,6 @@ def test_params_are_views_into_one_arena():
     assert np.array_equal(twin.arena, arena)
     for (name, a), (_, b) in zip(params.named(), twin.named()):
         assert b.base is twin.arena and np.array_equal(a, b), name
-    # loose arrays are packed into a fresh arena on construction
-    loose = {name: arr.copy() for name, arr in params.named()}
-    packed = ModelParams(**loose)
-    assert np.array_equal(packed.arena, arena)
-    assert not any(np.shares_memory(packed.arena, arr) for arr in loose.values())
 
 
 def test_params_fields_cannot_be_rebound():
@@ -108,13 +103,9 @@ def test_params_fields_cannot_be_rebound():
     # writes through a field still reach the arena
     params.fc1_w[...] = 7.0
     assert np.count_nonzero(params.arena == 7.0) == params.fc1_w.size
-
-
-def test_params_need_one_dtype():
-    arrays = dict(init_params(tiny_config(), seed=0).named())
-    arrays["fc1_b"] = arrays["fc1_b"].astype(np.float32)
-    with pytest.raises(NetError, match="one dtype"):
-        ModelParams(**arrays)
+    # zeros(config) and like(arena) are the only constructors
+    with pytest.raises(TypeError):
+        ModelParams(**dict(params.named()))
 
 
 def test_init_is_seed_deterministic():

@@ -1,5 +1,7 @@
 """AdamW update rule: hand-checked first step, decay behavior, and failure guards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,12 +75,12 @@ def test_nonfinite_gradient_aborts_without_mutation():
     grads = grads_like(params, fill=0.1)
     grads.fc2_w[0, 0] = np.nan
     before = {name: arr.copy() for name, arr in params.named()}
-    m_before = {name: arr.copy() for name, arr in state.m.items()}
+    m_before = {name: arr.copy() for name, arr in state.m.named()}
     with pytest.raises(OptimizerError, match="fc2_w"):
         adamw_step(params, grads, state, opt)
     for name, arr in params.named():
         assert np.array_equal(arr, before[name])
-    for name, arr in state.m.items():
+    for name, arr in state.m.named():
         assert np.array_equal(arr, m_before[name])
     assert state.step == 0
 
@@ -110,25 +112,25 @@ def test_state_shapes_follow_params():
     _, params = small_setup()
     state = AdamWState.initial(params)
     for name, arr in params.named():
-        assert state.m[name].shape == arr.shape
-        assert state.v[name].shape == arr.shape
-        assert np.all(state.m[name] == 0.0)
+        assert getattr(state.m, name).shape == arr.shape
+        assert getattr(state.v, name).shape == arr.shape
+        assert np.all(getattr(state.m, name) == 0.0)
 
 
 def test_moments_are_fixed_views_into_arenas():
     _, params = small_setup()
     state = AdamWState.initial(params)
-    assert not np.shares_memory(state.m_arena, state.v_arena)
-    for arena, moments in ((state.m_arena, state.m), (state.v_arena, state.v)):
-        assert list(moments) == [name for name, _ in params.named()]
-        assert all(arr.base is arena for arr in moments.values())
-        with pytest.raises(TypeError):
-            moments["fc1_w"] = np.zeros_like(params.fc1_w)
+    assert not np.shares_memory(state.m.arena, state.v.arena)
+    for moments in (state.m, state.v):
+        assert [name for name, _ in moments.named()] == [name for name, _ in params.named()]
+        assert all(arr.base is moments.arena for _, arr in moments.named())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            moments.fc1_w = np.zeros_like(params.fc1_w)
     twin = state.copy()
-    twin.m["fc1_w"][...] = 1.0
+    twin.m.fc1_w[...] = 1.0
     assert twin.step == state.step
-    assert not np.shares_memory(twin.m_arena, state.m_arena)
-    assert np.all(state.m["fc1_w"] == 0.0)
+    assert not np.shares_memory(twin.m.arena, state.m.arena)
+    assert np.all(state.m.fc1_w == 0.0)
 
 
 def reference_adamw(params, grads, m, v, t, opt):
@@ -165,8 +167,8 @@ def test_steps_equal_the_rule_term_for_term(dtype):
     for name, arr in params.named():
         assert arr.dtype == np.dtype(dtype)
         assert np.array_equal(arr, ref[name]), name
-        assert np.array_equal(state.m[name], ref_m[name]), name
-        assert np.array_equal(state.v[name], ref_v[name]), name
+        assert np.array_equal(getattr(state.m, name), ref_m[name]), name
+        assert np.array_equal(getattr(state.v, name), ref_v[name]), name
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -188,8 +190,8 @@ def test_blocked_pass_equals_the_rule(monkeypatch, dtype):
     assert params.arena.size % 7 != 0
     for name, arr in params.named():
         assert np.array_equal(arr, ref[name]), name
-        assert np.array_equal(state.m[name], ref_m[name]), name
-        assert np.array_equal(state.v[name], ref_v[name]), name
+        assert np.array_equal(getattr(state.m, name), ref_m[name]), name
+        assert np.array_equal(getattr(state.v, name), ref_v[name]), name
     # a non-finite entry in the last block still aborts before any block moves
     grads.fc3_b[-1] = np.inf
     before = params.arena.copy()
