@@ -42,7 +42,7 @@ from .data import (
     text_tokens,
 )
 from .gradcheck import GradCheckReport, check_gradients
-from .infer import Prediction, predict_ids, predict_text
+from .infer import Decoded, Prediction, predict_ids, predict_text
 from .losses import LossError, logit_gradient, loss_value
 from .metrics import (
     EvalResult,
@@ -51,7 +51,6 @@ from .metrics import (
     MetricsReport,
     evaluate,
     holdout_proximity,
-    macro_f1,
 )
 from .net import (
     ModelConfig,
@@ -97,6 +96,7 @@ __all__ = [
     "CheckpointError",
     "CodecError",
     "DataError",
+    "Decoded",
     "EmotionTaxonomy",
     "EpochStats",
     "EvalResult",
@@ -149,7 +149,6 @@ __all__ = [
     "load_taxonomy",
     "logit_gradient",
     "loss_value",
-    "macro_f1",
     "max_distance",
     "ordinal_distance",
     "parse_taxonomy",

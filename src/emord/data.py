@@ -201,7 +201,8 @@ def build_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
 
 def encode_text(text: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
     """Token ids for one text: truncated to max_len, right-padded with 0."""
-    ids = [vocab.lookup(tok) for tok in text_tokens(text)[:max_len]]
+    lookup = vocab._index.get  # bound once, instead of a method call per token
+    ids = [lookup(tok, UNK_ID) for tok in text_tokens(text)[:max_len]]
     out = np.zeros(max_len, dtype=np.int64)
     out[: len(ids)] = ids
     return out

@@ -4,17 +4,16 @@ Softmax decodes by argmax.  The ordinal heads decode by nearest codeword,
 which yields a rank (1d) or a (valence, arousal) cell (2d).  A decoded 2d
 cell that no label occupies is resolved to the nearest labeled cell (L1,
 ties toward lower valence then lower arousal) and flagged `off_grid`; the
-prediction keeps the raw decoded cell, since its distance to the gold cell
-is exactly what the proximity metrics measure.
-
-Labels, ranks, cells and the off-grid flag are lookups in the taxonomy's
-tables (`rank_labels`, `cell_labels`, `cell_occupied`), whose off-grid
-resolution is built in.
+raw decoded cell is kept, since its distance to the gold cell is exactly
+what the proximity metrics measure.  A block of outputs decodes into one
+`Decoded` record of arrays by lookups in the taxonomy's tables, and
+`decoded[i]` is row i as a `Prediction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,46 +50,65 @@ class Prediction:
         return out
 
 
-def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) -> list[Prediction]:
-    """Decode a (N, width) block of head outputs into predictions."""
+@dataclass(frozen=True)
+class Decoded(Sequence):
+    """Decoded rows as arrays; the raw cells (`valences`, `arousals`) are ordinal-2d only."""
+
+    taxonomy: EmotionTaxonomy
+    mode: str
+    indices: np.ndarray  # (N,) into taxonomy.labels
+    off_grid: np.ndarray  # (N,) bool
+    outputs: np.ndarray  # (N, width)
+    valences: np.ndarray | None = None
+    arousals: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i: int) -> Prediction:
+        label = self.taxonomy.labels[self.indices[i]]
+        if self.valences is None:
+            # a 1d taxonomy has no cells and a 2d one no ranks, so .get() yields None
+            cell = self.taxonomy.cells.get(label)
+        else:
+            cell = (int(self.valences[i]), int(self.arousals[i]))
+        rank = self.taxonomy.ranks.get(label)
+        return Prediction(label, self.mode, rank, cell, bool(self.off_grid[i]), self.outputs[i])
+
+
+def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) -> Decoded:
+    """Decode a (N, width) block of head outputs."""
     outputs = np.asarray(outputs)
-    cells = None
     if mode == MODE_ORDINAL_2D:
         half = outputs.shape[1] // 2
-        valences = decode_thermometer_batch(outputs[:, :half])
-        arousals = decode_thermometer_batch(outputs[:, half:])
-        indices = taxonomy.cell_labels[valences, arousals]
-        cells = list(zip(valences.tolist(), arousals.tolist()))
-        off_grid = (~taxonomy.cell_occupied[valences, arousals]).tolist()
-    elif mode == MODE_ORDINAL_1D:
+        v = decode_thermometer_batch(outputs[:, :half])
+        a = decode_thermometer_batch(outputs[:, half:])
+        off_grid = ~taxonomy.cell_occupied[v, a]
+        return Decoded(taxonomy, mode, taxonomy.cell_labels[v, a], off_grid, outputs, v, a)
+    if mode == MODE_ORDINAL_1D:
         indices = taxonomy.rank_labels[decode_thermometer_batch(outputs)]
     else:
         indices = np.argmax(outputs, axis=1)
-    labels = [taxonomy.labels[i] for i in indices.tolist()]
-    if cells is None:
-        # a 1d taxonomy has no cells and a 2d one no ranks, so .get() yields None
-        cells = [taxonomy.cells.get(label) for label in labels]
-        off_grid = [False] * len(labels)
-    return [
-        Prediction(
-            label=label,
-            mode=mode,
-            rank=taxonomy.ranks.get(label),
-            cell=cell,
-            off_grid=off,
-            outputs=row,
-        )
-        for label, cell, off, row in zip(labels, cells, off_grid, outputs)
-    ]
+    return Decoded(taxonomy, mode, indices, np.zeros(len(indices), dtype=bool), outputs)
 
 
-def predict_ids(ck: Checkpoint, token_ids: np.ndarray, batch_size: int = 256) -> list[Prediction]:
+def predict_ids(ck: Checkpoint, token_ids: np.ndarray, batch_size: int = 256) -> Decoded:
     """Predictions for a (N, T) id matrix, running the model in chunks."""
-    preds: list[Prediction] = []
-    for start in range(0, token_ids.shape[0], batch_size):
+    mode = ck.config.head_mode
+    parts = []
+    for start in range(0, len(token_ids), batch_size):
         outputs, _ = forward(ck.params, ck.config, token_ids[start : start + batch_size])
-        preds.extend(decode_outputs(ck.taxonomy, ck.config.head_mode, outputs))
-    return preds
+        parts.append(decode_outputs(ck.taxonomy, mode, outputs))
+    if not parts:
+        return decode_outputs(ck.taxonomy, mode, np.zeros((0, ck.config.output_width)))
+    if len(parts) == 1:
+        return parts[0]
+    columns = {
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in fields(Decoded)
+        if isinstance(getattr(parts[0], f.name), np.ndarray)
+    }
+    return replace(parts[0], **columns)
 
 
 def predict_text(ck: Checkpoint, text: str) -> Prediction:

@@ -9,9 +9,10 @@ All distances are computed between the gold label and the *resolved*
 predicted label.  Raw decoded grid cells (possibly unlabeled) matter only to
 `holdout_proximity`, which asks where the model places a class it never saw.
 
-Scoring works on label indices: the (gold, predicted) pairs become two index
-arrays once, and the confusion matrix, histograms and means are counts and
-gathers over the taxonomy's distance tables.
+Scoring works on label indices and decoded arrays: the (gold, predicted)
+pairs become two index arrays once, the confusion matrix, histograms and
+means are counts and gathers over the taxonomy's distance tables, and the
+off-grid rate and holdout distances come from the decoded record's arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import DataError, LabeledCorpus, encode_corpus
-from .infer import Prediction, predict_ids
+from .infer import predict_ids
 from .taxonomy import EmotionTaxonomy, max_distance
 
 REPORT_FORMAT = "emord.report/1"
@@ -102,7 +103,6 @@ class MetricsReport:
 class EvalResult:
     report: MetricsReport
     pairs: tuple[tuple[str, str], ...]  # (gold, predicted) per example
-    predictions: tuple[Prediction, ...]
 
 
 def per_class_metrics(confusion: np.ndarray, labels: tuple[str, ...]) -> tuple[ClassMetrics, ...]:
@@ -129,42 +129,26 @@ def per_class_metrics(confusion: np.ndarray, labels: tuple[str, ...]) -> tuple[C
     return tuple(out)
 
 
-def macro_f1(confusion: np.ndarray) -> float:
-    """Mean per-class F1, excluding classes absent from both gold and predictions.
-
-    A class with zero gold examples that the model also never predicts says
-    nothing about the model, so it is left out of the mean rather than
-    dragging it down with a spurious zero.
-    """
-    confusion = np.asarray(confusion)
-    if confusion.ndim != 2 or confusion.shape[0] != confusion.shape[1]:
-        raise MetricsError(f"confusion matrix must be square, got {confusion.shape}")
-    labels = tuple(str(i) for i in range(confusion.shape[0]))
-    per_class = per_class_metrics(confusion, labels)
-    included = [cm.f1 for cm in per_class if cm.support > 0 or cm.predicted > 0]
-    if not included:
-        raise MetricsError("no class has any gold or predicted example")
-    return sum(included) / len(included)
-
-
 def evaluate(ck: Checkpoint, corpus: LabeledCorpus, batch_size: int = 256) -> EvalResult:
     """Run the model over a corpus and measure everything in one pass."""
     if len(corpus) == 0:
         raise MetricsError("cannot evaluate on an empty corpus")
     token_ids, gold_labels = encode_corpus(corpus, ck.vocab, ck.max_seq_length)
-    predictions = tuple(predict_ids(ck, token_ids, batch_size=batch_size))
-    pairs = tuple(zip(gold_labels, (p.label for p in predictions)))
-    report = build_report(pairs, ck.taxonomy, ck.config.head_mode, predictions)
-    return EvalResult(report=report, pairs=pairs, predictions=predictions)
+    decoded = predict_ids(ck, token_ids, batch_size=batch_size)
+    labels = ck.taxonomy.labels
+    pairs = tuple(zip(gold_labels, [labels[i] for i in decoded.indices.tolist()]))
+    report = build_report(pairs, ck.taxonomy, ck.config.head_mode, off_grid=decoded.off_grid)
+    return EvalResult(report=report, pairs=pairs)
 
 
 def build_report(
     pairs,
     taxonomy: EmotionTaxonomy,
     mode: str,
-    predictions: tuple[Prediction, ...] | None = None,
+    off_grid: np.ndarray | None = None,
 ) -> MetricsReport:
-    """Assemble a MetricsReport from (gold, predicted) label pairs."""
+    """Assemble a MetricsReport from (gold, predicted) label pairs and, for the
+    off-grid rate on a grid, each example's decoded off-grid flag."""
     pairs = tuple(pairs)
     if not pairs:
         raise MetricsError("no (gold, predicted) pairs to score")
@@ -180,6 +164,9 @@ def build_report(
     n = len(pairs)
     confusion = np.bincount(gold * k + pred, minlength=k * k).reshape(k, k)
     per_class = per_class_metrics(confusion, labels)
+    # a class with no gold example that the model never predicts says nothing
+    # about the model, so it stays out of the mean rather than adding a zero
+    included = [cm.f1 for cm in per_class if cm.support > 0 or cm.predicted > 0]
     accuracy = float(np.trace(confusion)) / n
 
     distances = taxonomy.distance_table[gold, pred]
@@ -192,15 +179,15 @@ def build_report(
         cheb_errors = taxonomy.chebyshev_table[gold, pred][wrong]
         chebyshev_hist = _histogram(cheb_errors, taxonomy.grid_size - 1)
         mean_cheb = _mean(cheb_errors)
-        if predictions is not None:
-            off_grid_rate = sum(1 for p in predictions if p.off_grid) / n
+        if off_grid is not None:
+            off_grid_rate = int(np.count_nonzero(off_grid)) / n
 
     return MetricsReport(
         mode=mode,
         labels=labels,
         n_examples=n,
         accuracy=accuracy,
-        macro_f1=macro_f1(confusion),
+        macro_f1=sum(included) / len(included),
         confusion=confusion,
         per_class=per_class,
         error_histogram=_histogram(error_distances, max_distance(taxonomy)),
@@ -263,19 +250,14 @@ def holdout_proximity(ck: Checkpoint, corpus: LabeledCorpus, held_out_label: str
     if len(corpus) == 0:
         raise MetricsError("cannot evaluate on an empty corpus")
     token_ids, _ = encode_corpus(corpus, ck.vocab, ck.max_seq_length)
-    predictions = predict_ids(ck, token_ids)
-    distribution = {d: 0 for d in range(0, 2 * (taxonomy.grid_size - 1) + 1)}
-    distances = []
-    for pred in predictions:
-        v, a = pred.cell
-        d = abs(v - target[0]) + abs(a - target[1])
-        distribution[d] += 1
-        distances.append(d)
+    decoded = predict_ids(ck, token_ids)
+    distances = np.abs(decoded.valences - target[0]) + np.abs(decoded.arousals - target[1])
+    counts = np.bincount(distances, minlength=2 * (taxonomy.grid_size - 1) + 1).tolist()
     return HoldoutReport(
         label=held_out_label,
         n_examples=len(corpus),
-        mean_distance=sum(distances) / len(distances),
-        distribution=distribution,
+        mean_distance=_mean(distances),
+        distribution=dict(enumerate(counts)),
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import time
 import typing
 from dataclasses import dataclass
@@ -120,6 +121,11 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, list):
                 object.__setattr__(self, name, tuple(value))
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
+                raise TrainerError(f"{field.name} must be finite, got {value!r}")
         if self.mode not in HEAD_MODES:
             raise TrainerError(f"unknown head mode {self.mode!r}; choose from {HEAD_MODES}")
         if self.preset not in PRESETS:

@@ -178,6 +178,18 @@ def test_invalid_inputs_exit_1(tmp_path, spec_file):
     assert main([]) == EXIT_INVALID
 
 
+def test_non_finite_config_exits_1_without_checkpoints(tmp_path, train_config):
+    document = json.loads(train_config.read_text(encoding="utf-8"))
+    document["loss_weights"] = [float("nan"), 1.0]
+    train_config.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(train_config), "--out", str(out)]) == EXIT_INVALID
+    assert not (out / "best.ckpt").exists() and not (out / "final.ckpt").exists()
+    flag = ["--learning-rate", "nan", "--loss-weights", "1", "1"]
+    assert main(["train", "--config", str(train_config), *flag, "--out", str(out)]) == EXIT_INVALID
+    assert not (out / "best.ckpt").exists()
+
+
 def test_predict_rejects_empty_text(tmp_path, train_config):
     train_dir = tmp_path / "run"
     assert main(["train", "--config", str(train_config), "--out", str(train_dir)]) == EXIT_OK

@@ -135,10 +135,10 @@ def test_prediction_to_dict():
 
 
 def make_checkpoint(mode="softmax"):
-    taxonomy = ISEAR
+    taxonomy = GRID if mode == "ordinal-2d" else ISEAR
     corpus = LabeledCorpus((("alpha beta gamma delta", "joy"),))
     vocab = build_vocab(corpus)
-    width = {"softmax": 7, "ordinal-1d": 6}[mode]
+    width = {"softmax": 7, "ordinal-1d": 6, "ordinal-2d": 8}[mode]
     config = ModelConfig(
         vocab_size=vocab.size,
         output_width=width,
@@ -167,6 +167,33 @@ def test_predict_ids_matches_forward(mode="ordinal-1d"):
     outputs, _ = forward(ck.params, ck.config, ids)
     direct = decode_outputs(ck.taxonomy, mode, outputs)
     assert [p.label for p in preds] == [p.label for p in direct]
+
+
+@pytest.mark.parametrize("mode", ["softmax", "ordinal-1d", "ordinal-2d"])
+def test_predict_ids_chunks_match_row_by_row_decode(mode):
+    ck = make_checkpoint(mode)
+    ids = np.random.default_rng(2).integers(1, ck.vocab.size, size=(7, 12))
+    decoded = predict_ids(ck, ids, batch_size=3)
+    outputs = np.concatenate([forward(ck.params, ck.config, ids[i : i + 3])[0] for i in (0, 3, 6)])
+    assert len(decoded) == 7
+    for i, pred in enumerate(decoded):
+        (row,) = decode_outputs(ck.taxonomy, mode, outputs[i : i + 1])
+        assert pred.to_dict() == row.to_dict() == decoded[i].to_dict()
+        assert pred.cell == row.cell
+    if mode == "ordinal-2d":
+        assert [p.cell for p in decoded] == list(zip(decoded.valences, decoded.arousals))
+    else:
+        assert decoded.valences is None and decoded.arousals is None
+
+
+@pytest.mark.parametrize("mode", ["softmax", "ordinal-1d", "ordinal-2d"])
+def test_predict_ids_on_no_rows_is_empty(mode):
+    ck = make_checkpoint(mode)
+    decoded = predict_ids(ck, np.zeros((0, 12), dtype=np.int64))
+    assert len(decoded) == 0 and list(decoded) == []
+    assert decoded.indices.shape == decoded.off_grid.shape == (0,)
+    assert decoded.outputs.shape == (0, ck.config.output_width)
+    assert (decoded.valences is None) == (mode != "ordinal-2d")
 
 
 def test_predict_text_roundtrip():

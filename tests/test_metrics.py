@@ -54,6 +54,12 @@ def test_macro_f1_excludes_absent_classes():
     assert build_report(pairs, ISEAR, "softmax").macro_f1 == pytest.approx((2 / 3 + 0.0) / 2)
 
 
+def test_macro_f1_counts_a_class_that_is_only_predicted():
+    # fear has no gold example but is predicted once, so it enters the mean at 0
+    pairs = [("joy", "joy"), ("joy", "fear")]
+    assert build_report(pairs, ISEAR, "softmax").macro_f1 == pytest.approx((2 / 3 + 0.0) / 2)
+
+
 def test_error_histogram_buckets():
     pairs = [("sadness", "sadness"), ("sadness", "anger"), ("sadness", "joy")]
     hist = build_report(pairs, ISEAR, "ordinal-1d").error_histogram
@@ -89,7 +95,7 @@ def test_build_report_grid_fields():
     assert report.mean_distance == pytest.approx(9 / 3)
     assert report.chebyshev_histogram == {1: 1, 2: 0, 3: 0, 4: 1}
     assert report.mean_error_chebyshev == pytest.approx(2.5)
-    assert report.off_grid_rate is None  # no Prediction objects supplied
+    assert report.off_grid_rate is None  # no off-grid flags supplied
 
 
 def test_build_report_perfect_predictions():
@@ -227,3 +233,67 @@ def test_holdout_distances_use_raw_cells():
     assert report.n_examples == 4
     assert sum(report.distribution.values()) == 4
     assert set(report.distribution) == set(range(0, 9))
+
+
+def spread_grid_model():
+    """An untrained ordinal-2d model whose 300 texts decode to 8 cells, one unlabeled."""
+    from emord.checkpoint import Checkpoint
+    from emord.data import LabeledCorpus, build_vocab
+    from emord.net import ModelConfig, init_params
+
+    rng = np.random.default_rng(0)
+    corpus = LabeledCorpus(
+        tuple((" ".join(f"w{j}" for j in rng.integers(0, 30, size=6)), "joy") for _ in range(300))
+    )
+    vocab = build_vocab(corpus)
+    config = ModelConfig(
+        vocab_size=vocab.size,
+        output_width=8,
+        head_mode="ordinal-2d",
+        embed_dim=8,
+        conv_channels=(8, 8),
+        kernel_sizes=(6, 4),
+        ffnn_hidden=(16, 16),
+        dtype="float32",
+    )
+    ck = Checkpoint(
+        config=config,
+        params=init_params(config, 0),
+        taxonomy=GRID,
+        vocab=vocab,
+        max_seq_length=12,
+    )
+    return ck, corpus
+
+
+def decode_rows(ck, corpus):
+    from emord.data import encode_corpus
+    from emord.infer import predict_ids
+
+    decoded = predict_ids(ck, encode_corpus(corpus, ck.vocab, ck.max_seq_length)[0])
+    return [decoded[i] for i in range(len(decoded))]
+
+
+def test_evaluate_off_grid_rate_counts_decoded_rows():
+    from emord.metrics import evaluate
+
+    ck, corpus = spread_grid_model()
+    result = evaluate(ck, corpus)
+    rows = decode_rows(ck, corpus)
+    flags = [pred.off_grid for pred in rows]
+    assert 0 < sum(flags) < len(flags)
+    assert result.report.off_grid_rate == sum(flags) / len(flags)
+    assert result.pairs == tuple((gold, pred.label) for gold, pred in zip(corpus.labels(), rows))
+
+
+def test_holdout_distribution_equals_a_loop_over_cells():
+    ck, corpus = spread_grid_model()
+    report = holdout_proximity(ck, corpus, "joy")
+    target = GRID.cell("joy")
+    distribution = {d: 0 for d in range(9)}
+    for pred in decode_rows(ck, corpus):
+        v, a = pred.cell
+        distribution[abs(v - target[0]) + abs(a - target[1])] += 1
+    assert sum(n > 0 for n in distribution.values()) > 1
+    assert report.distribution == distribution
+    assert report.mean_distance == sum(d * n for d, n in distribution.items()) / len(corpus)

@@ -1,6 +1,8 @@
 """Training loop: config layering, determinism, resume, and failure paths."""
 
 import json
+import math
+import typing
 import warnings
 
 import numpy as np
@@ -67,6 +69,23 @@ def test_config_validation():
         tiny_config(split=(0.5, 0.4, 0.2))
     with pytest.raises(TrainerError, match="learning_rate"):
         tiny_config(learning_rate=0.0)
+
+
+# float, float | None and tuple[float, ...] fields alike
+FLOAT_FIELDS = [
+    name
+    for name, hint in typing.get_type_hints(TrainConfig).items()
+    if float in (hint, *typing.get_args(hint))
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats(name, value):
+    default = getattr(tiny_config(), name)
+    bad = (value, *default[1:]) if isinstance(default, tuple) else value
+    with pytest.raises(TrainerError, match=f"{name} must be finite"):
+        tiny_config(**{name: bad})
 
 
 def test_resolve_precedence_flags_beat_file_beat_preset():
