@@ -324,8 +324,12 @@ def _from_header(path: Path, header: dict, payload: memoryview) -> Checkpoint:
         raise CheckpointError(f"{path}: payload is {len(payload)} bytes, header expects {expected}")
 
     taxonomy = _parse(path, "taxonomy", parse_taxonomy, header["taxonomy"])
-    vocab = Vocabulary(
-        tokens=tuple(header["vocab"]["tokens"]), min_freq=header["vocab"]["min_freq"]
+    vocab = _parse(
+        path,
+        "vocabulary",
+        Vocabulary,
+        tokens=tuple(header["vocab"]["tokens"]),
+        min_freq=header["vocab"]["min_freq"],
     )
     hashes = header["hashes"]
     if hashes["taxonomy"] != taxonomy_fingerprint(taxonomy):

@@ -1,6 +1,11 @@
 """Corpus loading, tokenization, vocabulary building, deterministic splits,
 and a synthetic marker-token corpus generator.
 
+Tokenization lowercases, splits on whitespace and strips punctuation off
+each token's edges.  Every vocabulary token is its own tokenization (the
+`Vocabulary` rejects any other), so encoding looks each raw token up as it
+stands and cleans only the ones it misses.
+
 The synthetic generator plants class-marker tokens among filler tokens.  With
 `p_confuse > 0` a planted marker is sometimes swapped for the marker of a
 nearest neighbor on the emotion scale, which creates exactly the kind of
@@ -14,6 +19,7 @@ import csv
 import json
 import logging
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,25 +139,23 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def _clean_token(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and _is_punct(token[start]):
+def _clean(raw: str) -> str:
+    """One token of `text.lower().split()` with punctuation stripped off its edges."""
+    # an alphanumeric character is never punctuation (pinned by a test over
+    # every code point), so a token with alphanumeric edges is clean
+    if raw[0].isalnum() and raw[-1].isalnum():
+        return raw
+    start, end = 0, len(raw)
+    while start < end and _is_punct(raw[start]):
         start += 1
-    while end > start and _is_punct(token[end - 1]):
+    while end > start and _is_punct(raw[end - 1]):
         end -= 1
-    return token[start:end]
+    return raw[start:end]
 
 
 def text_tokens(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip punctuation off token edges."""
-    out = []
-    for raw in text.lower().split():
-        # an alphanumeric character is never punctuation (pinned by a test
-        # over every code point), so a token with alphanumeric edges is clean
-        token = raw if raw[0].isalnum() and raw[-1].isalnum() else _clean_token(raw)
-        if token:
-            out.append(token)
-    return out
+    return [token for raw in text.lower().split() if (token := _clean(raw))]
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,9 @@ class Vocabulary:
 
     Real tokens are ordered by descending corpus frequency, ties broken
     lexicographically, so the table never depends on hash or file order.
+    Tokens are distinct, and each is its own tokenization (lowercase, no
+    whitespace, no punctuation on its edges), as every token `text_tokens`
+    yields is; `encode_text` relies on it.
     """
 
     tokens: tuple[str, ...]
@@ -167,9 +174,16 @@ class Vocabulary:
     _index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {tok: i + _RESERVED for i, tok in enumerate(self.tokens)}
-        )
+        index = {tok: i + _RESERVED for i, tok in enumerate(self.tokens)}
+        if len(index) != len(self.tokens):
+            twice = [tok for tok, n in Counter(self.tokens).items() if n > 1]
+            raise DataError(f"vocabulary tokens must be distinct; repeated: {twice[:3]}")
+        # one pass is exact: a token with whitespace, upper case or edge
+        # punctuation, or an empty one, changes the joined text's tokens
+        if text_tokens(" ".join(self.tokens)) != list(self.tokens):
+            bad = [tok for tok in self.tokens if text_tokens(tok) != [tok]]
+            raise DataError(f"vocabulary tokens must be their own tokenization; not: {bad[:3]}")
+        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -186,10 +200,15 @@ def build_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
         raise DataError("min_freq must be at least 1")
     if len(corpus) == 0:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    counts: dict[str, int] = {}
+    raw_counts: Counter[str] = Counter()
     for text in corpus.texts():
-        for token in text_tokens(text):
-            counts[token] = counts.get(token, 0) + 1
+        raw_counts.update(text.lower().split())
+    # each distinct raw token is cleaned once; the ones that clean alike pool
+    counts: Counter[str] = Counter()
+    for raw, n in raw_counts.items():
+        token = _clean(raw)
+        if token:
+            counts[token] += n
     kept = sorted(
         (tok for tok, n in counts.items() if n >= min_freq),
         key=lambda tok: (-counts[tok], tok),
@@ -200,9 +219,24 @@ def build_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
 
 
 def encode_text(text: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
-    """Token ids for one text: truncated to max_len, right-padded with 0."""
+    """Token ids for one text: truncated to max_len, right-padded with 0.
+
+    The ids of `text_tokens(text)`, found faster: every vocabulary token is
+    its own tokenization, so a raw token found in the table cleans to itself,
+    and only a miss is cleaned (and dropped if nothing is left) and looked up
+    again.
+    """
     lookup = vocab._index.get  # bound once, instead of a method call per token
-    ids = [lookup(tok, UNK_ID) for tok in text_tokens(text)[:max_len]]
+    ids = []
+    for raw in text.lower().split():
+        token_id = lookup(raw)
+        if token_id is None:
+            token = _clean(raw)
+            if not token:
+                continue
+            token_id = lookup(token, UNK_ID)
+        ids.append(token_id)
+    ids = ids[:max_len]
     out = np.zeros(max_len, dtype=np.int64)
     out[: len(ids)] = ids
     return out

@@ -283,6 +283,8 @@ def forward(
         raise NetError(f"token id outside [0, {config.vocab_size - 1}]")
     b, t = token_ids.shape
     k1, k2 = config.kernel_sizes
+    if b == 0:
+        raise NetError(f"empty batch: token_ids of shape {token_ids.shape} has no rows")
     if t < config.min_seq_length:
         raise NetError(
             f"sequence length {t} shorter than the convolutions need ({config.min_seq_length})"

@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -370,6 +371,23 @@ def test_rejects_vocab_size_not_matching_the_tokens(tmp_path):
 
     with pytest.raises(CheckpointError, match="vocab_size is 7, the vocabulary needs 6"):
         load_checkpoint(rewrite_header(tmp_path, drop_last_token))
+
+
+@pytest.mark.parametrize(
+    "token, match",
+    [("blue", r"invalid vocabulary \(vocabulary tokens must be distinct; repeated: \['blue'\]\)"),
+     ("Hello!", r"invalid vocabulary \(vocabulary tokens must be their own tokenization; not: \['Hello!'\]\)")],
+)
+def test_rejects_vocab_tokens_that_tokenization_cannot_yield(tmp_path, token, match):
+    # the hash is recomputed, so only the vocabulary rule can catch it
+    def replace_last_token(header):
+        vocab = header["vocab"]
+        assert vocab["tokens"][0] == "blue"
+        vocab["tokens"][-1] = token
+        header["hashes"]["vocab"] = vocab_fingerprint(SimpleNamespace(**vocab))
+
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(rewrite_header(tmp_path, replace_last_token))
 
 
 @pytest.mark.parametrize(

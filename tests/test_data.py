@@ -7,12 +7,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emord.data import (
     UNK_ID,
     DataError,
     LabeledCorpus,
     SyntheticSpec,
+    Vocabulary,
     build_vocab,
     encode_corpus,
     encode_text,
@@ -164,6 +167,54 @@ def test_encode_text_truncation_and_padding():
     assert row.tolist() == [vocab.lookup("c"), vocab.lookup("a"), UNK_ID, 0, 0, 0]
     long = encode_text("a b c d e", vocab, max_len=3)
     assert long.tolist() == [vocab.lookup("a"), vocab.lookup("b"), vocab.lookup("c")]
+
+
+def test_vocabulary_rejects_repeated_tokens():
+    with pytest.raises(DataError, match=r"distinct; repeated: \['x'\]"):
+        Vocabulary(tokens=("x", "y", "x"))
+
+
+@pytest.mark.parametrize("token", ["Hello", "!!", "x.", "(x", "a b", " x", "x\t", "", "\x1c"])
+def test_vocabulary_rejects_tokens_tokenization_changes(token):
+    with pytest.raises(DataError, match="own tokenization; not: "):
+        Vocabulary(tokens=("ok", token))
+
+
+def test_vocabulary_keeps_tokens_that_are_their_own_tokenization():
+    tokens = ("don't", "stop-me", "x²", "$5", "日本語", "٣٤", "naïve")
+    assert Vocabulary(tokens=tokens).tokens == tokens
+
+
+# letters, digits, Unicode (İ and Σ lowercase in context), edge punctuation,
+# symbols and whitespace, including characters str.split treats as spaces
+TEXT_ALPHABET = "abcABC019éÜİΣßς日٣x²$5+'-.,!?…«»¡() \t\n\x1c\u3000"
+texts = st.text(alphabet=TEXT_ALPHABET, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_texts=st.lists(texts, min_size=1, max_size=6), text=texts,
+       max_len=st.integers(1, 12))
+def test_encode_text_equals_looking_up_text_tokens(corpus_texts, text, max_len):
+    vocab = build_vocab(LabeledCorpus(tuple((t + " x", "joy") for t in corpus_texts)))
+    for probe in corpus_texts + [text]:
+        ids = [vocab.lookup(token) for token in text_tokens(probe)][:max_len]
+        expected = ids + [0] * (max_len - len(ids))
+        assert encode_text(probe, vocab, max_len).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_texts=st.lists(texts, min_size=1, max_size=8), min_freq=st.integers(1, 3))
+def test_build_vocab_equals_counting_text_tokens(corpus_texts, min_freq):
+    counts = Counter(token for text in corpus_texts for token in text_tokens(text))
+    expected = sorted((tok for tok, n in counts.items() if n >= min_freq),
+                      key=lambda tok: (-counts[tok], tok))
+    corpus = LabeledCorpus(tuple((text, "joy") for text in corpus_texts))
+    if not expected:
+        with pytest.raises(DataError, match="min_freq"):
+            build_vocab(corpus, min_freq)
+        return
+    vocab = build_vocab(corpus, min_freq)
+    assert vocab.tokens == tuple(expected)
 
 
 def test_encode_corpus_rejects_vanishing_text():

@@ -6,8 +6,8 @@ import pytest
 from emord.checkpoint import Checkpoint
 from emord.codec import encode_thermometer
 from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
-from emord.infer import decode_outputs, predict_ids, predict_text
-from emord.net import ModelConfig, forward, init_params
+from emord.infer import _trim_padding, decode_outputs, predict_ids, predict_text
+from emord.net import ModelConfig, NetError, forward, init_params
 from emord.taxonomy import builtin_taxonomy, parse_taxonomy
 
 ISEAR = builtin_taxonomy("isear-valence")
@@ -209,3 +209,113 @@ def test_predict_text_rejects_vanishing_input():
     ck = make_checkpoint()
     with pytest.raises(DataError, match="no tokens"):
         predict_text(ck, "... !!! ...")
+
+
+def test_predictions_compare_and_hash_without_their_outputs():
+    # two rows with one label and different outputs, from one decode call
+    decoded = decode_outputs(ISEAR, "softmax", np.stack([np.eye(7)[0], 2 * np.eye(7)[0]]))
+    a, b = decoded
+    assert a == b
+    assert hash(a) == hash(b)
+    assert b in decoded
+    assert decoded.index(b) == 0
+    assert a.outputs[0] != b.outputs[0]
+
+
+def desk_checkpoint(mode, t=32, **widths):
+    """A desk-width checkpoint over 40 tokens, at sequence length `t`.
+
+    Its weights are the initial ones times 4, so that the outputs spread
+    over (0, 1) and a last-bit change in a convolution's sums reaches them.
+    """
+    taxonomy = GRID if mode == "ordinal-2d" else ISEAR
+    vocab = build_vocab(LabeledCorpus(((" ".join(f"w{i}" for i in range(40)), "joy"),)))
+    width = {"softmax": 7, "ordinal-1d": 6, "ordinal-2d": 8}[mode]
+    config = ModelConfig.desk(vocab.size, width, mode, **widths)
+    params = init_params(config, seed=3)
+    params.arena[...] *= 4
+    return Checkpoint(
+        config=config, params=params, taxonomy=taxonomy, vocab=vocab, max_seq_length=t, seed=3
+    )
+
+
+def padded_rows(rng, n, t, vocab_size, lengths):
+    """n id rows of lengths drawn from `lengths`, every other row with inner padding."""
+    ids = np.zeros((n, t), dtype=np.int64)
+    for i, length in enumerate(rng.choice(lengths, size=n)):
+        ids[i, :length] = rng.integers(1, vocab_size, size=length)
+        if i % 2 == 0 and length > 2:
+            # zeros inside the text; its last column stays a real token
+            ids[i, rng.integers(0, length - 1, size=length // 3)] = 0
+    return ids
+
+
+@pytest.mark.parametrize("mode", ["softmax", "ordinal-1d", "ordinal-2d"])
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_trimmed_predict_ids_outputs_equal_untrimmed_forward(mode, batch):
+    # k1 + k2 - 2 = 8 columns of receptive field past the last real token:
+    # rows under T - 8 get trimmed, rows at and over it keep all T columns
+    ck = desk_checkpoint(mode)
+    t = ck.max_seq_length
+    rng = np.random.default_rng(batch)
+    short = [1, 2, 5, t - 12, t - 9]
+    for lengths in ([1, 2, 5], short, short + [t - 8], short + [t - 7, t]):
+        ids = padded_rows(rng, batch, t, ck.vocab.size, lengths)
+        expected, _ = forward(ck.params, ck.config, ids)
+        assert np.array_equal(predict_ids(ck, ids).outputs, expected)
+
+
+def test_trim_cuts_only_chunks_of_at_least_1024_ids():
+    ck = desk_checkpoint("softmax")
+    ids = np.zeros((256, 32), dtype=np.int64)
+    ids[:, :3] = 5
+    ids[7, 11] = 9  # the last real column decides, not the token count
+    assert _trim_padding(ck.config, ids).shape == (256, 20)
+    assert _trim_padding(ck.config, ids[:51]).shape == (51, 32)  # would keep 1020
+    assert _trim_padding(ck.config, ids[:52]).shape == (52, 20)
+    assert _trim_padding(ck.config, ids[:8]).shape == (8, 32)
+    assert _trim_padding(ck.config, ids[:1]).shape == (1, 32)
+
+
+@pytest.mark.parametrize("mode", ["softmax", "ordinal-1d", "ordinal-2d"])
+def test_trimmed_predict_ids_outputs_equal_untrimmed_forward_at_length_200(mode):
+    # wider layers and T=200, so that each conv GEMM runs over many rows
+    ck = desk_checkpoint(mode, t=200, embed_dim=256, conv_channels=(256, 512))
+    ids = padded_rows(np.random.default_rng(4), 40, 200, ck.vocab.size, [3, 17, 29])
+    assert _trim_padding(ck.config, ids[:32]).shape[1] < 40
+    # a trimmed chunk, then one too small to trim; the FFNN products differ in
+    # the last bit between batch sizes, so the reference runs the same chunks
+    expected = np.concatenate([forward(ck.params, ck.config, ids[i : i + 32])[0] for i in (0, 32)])
+    assert np.array_equal(predict_ids(ck, ids, batch_size=32).outputs, expected)
+
+
+def bad_inputs(vocab_size):
+    # 128 rows: enough ids for _trim_padding to cut the chunk if it could
+    short = np.zeros((128, 12), dtype=np.int64)
+    short[:, :2] = 3
+    negative, too_large, one_empty = short.copy(), short.copy(), short.copy()
+    # past the count of real tokens plus the receptive field, so a trim
+    # by count instead of by position would cut them off unchecked
+    negative[1, 11] = -1
+    too_large[0, 11] = vocab_size
+    one_empty[1] = 0
+    return {
+        "1-d": np.full(12, 3, dtype=np.int64),
+        "float": short.astype(np.float64),
+        "negative": negative,
+        "out of range": too_large,
+        "all padding": np.zeros((128, 12), dtype=np.int64),
+        "one padding row": one_empty,
+        "too short": short[:, :8],
+    }
+
+
+@pytest.mark.parametrize("name", list(bad_inputs(3)))
+def test_predict_ids_rejects_what_forward_rejects_with_its_error(name):
+    ck = make_checkpoint("ordinal-2d")
+    ids = bad_inputs(ck.vocab.size)[name]
+    with pytest.raises(NetError) as untrimmed:
+        forward(ck.params, ck.config, ids)
+    with pytest.raises(NetError) as trimmed:
+        predict_ids(ck, ids)
+    assert str(trimmed.value) == str(untrimmed.value)

@@ -153,6 +153,8 @@ def test_forward_input_guards():
         forward(params, cfg, np.ones((1, 8), dtype=np.int64))
     with pytest.raises(NetError, match="all-padding"):
         forward(params, cfg, np.zeros((1, 12), dtype=np.int64))
+    with pytest.raises(NetError, match=r"empty batch: token_ids of shape \(0, 12\) has no rows"):
+        forward(params, cfg, np.zeros((0, 12), dtype=np.int64))
 
 
 def test_padding_embedding_is_inert():
