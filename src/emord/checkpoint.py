@@ -30,6 +30,7 @@ import json
 import math
 import os
 import reprlib
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -276,28 +277,34 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read and verify a checkpoint; arrays come back bit-identical."""
+    """Read and verify a checkpoint; arrays come back bit-identical.
+
+    The preamble and header are read and checked first, and the file's size
+    against the header's array table; then each arena is read straight into
+    the array it is returned in, so loading holds little beyond the arenas.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    if len(raw) < 16:
-        raise CheckpointError(f"{path}: truncated checkpoint while reading the preamble")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != CONTAINER_VERSION:
-        raise CheckpointError(f"{path}: unsupported container version {version}")
-    header_end = 16 + int.from_bytes(raw[8:16], "little")
-    if header_end > len(raw):
-        raise CheckpointError(f"{path}: truncated checkpoint while reading header")
-    try:
-        header = json.loads(raw[16:header_end].decode("utf-8"))
-    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
-        raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-    if type(header) is not dict or header.get("format") != HEADER_FORMAT:
-        fmt = header.get("format") if type(header) is dict else None
-        raise CheckpointError(f"{path}: unsupported header format {fmt!r}")
-    # a view of the payload, not a bytes slice: no copy before the arenas
-    return _from_header(path, header, memoryview(raw)[header_end:])
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(16)
+        if preamble[:4] != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        if len(preamble) < 16:
+            raise CheckpointError(f"{path}: truncated checkpoint while reading the preamble")
+        version = int.from_bytes(preamble[4:8], "little")
+        if version != CONTAINER_VERSION:
+            raise CheckpointError(f"{path}: unsupported container version {version}")
+        header_end = 16 + int.from_bytes(preamble[8:16], "little")
+        if header_end > size:
+            raise CheckpointError(f"{path}: truncated checkpoint while reading header")
+        try:
+            header = json.loads(fh.read(header_end - 16).decode("utf-8"))
+        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+            raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
+        if type(header) is not dict or header.get("format") != HEADER_FORMAT:
+            fmt = header.get("format") if type(header) is dict else None
+            raise CheckpointError(f"{path}: unsupported header format {fmt!r}")
+        return _from_header(path, header, fh, size - header_end)
 
 
 def _parse(path: Path, what: str, build, *args, **kwargs):
@@ -307,7 +314,7 @@ def _parse(path: Path, what: str, build, *args, **kwargs):
         raise CheckpointError(f"{path}: invalid {what} ({exc})") from exc
 
 
-def _from_header(path: Path, header: dict, payload: memoryview) -> Checkpoint:
+def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
     _check_fields(path, header, _HEADER)
     mc = header["model_config"]
     config = _parse(
@@ -320,8 +327,8 @@ def _from_header(path: Path, header: dict, payload: memoryview) -> Checkpoint:
     table = _array_table(config, opt is not None)
     _check_table(path, header["arrays"], table)
     expected = table[-1]["offset"] + table[-1]["nbytes"]
-    if len(payload) != expected:
-        raise CheckpointError(f"{path}: payload is {len(payload)} bytes, header expects {expected}")
+    if payload_size != expected:
+        raise CheckpointError(f"{path}: payload is {payload_size} bytes, header expects {expected}")
 
     taxonomy = _parse(path, "taxonomy", parse_taxonomy, header["taxonomy"])
     vocab = _parse(
@@ -353,11 +360,16 @@ def _from_header(path: Path, header: dict, payload: memoryview) -> Checkpoint:
             f"{config.min_seq_length} tokens the convolutions need"
         )
 
-    # one row per arena; astype gives each row its own writable native arena
-    layout = ModelParams.zeros(config)  # only its layout is read
-    rows = np.frombuffer(payload, dtype=_DTYPE_TAGS[config.dtype])
-    rows = rows.reshape(-1, layout.arena.size)
-    params, *moments = (layout.like(row.astype(config.np_dtype)) for row in rows)
+    # each arena is read into its own writable native array, back to back
+    arenas = []
+    for _ in range(1 if opt is None else 3):
+        arena = np.empty(config.param_count, dtype=config.np_dtype)
+        if fh.readinto(arena) != arena.nbytes:  # the file shrank since fstat
+            raise CheckpointError(f"{path}: truncated checkpoint while reading the arrays")
+        if sys.byteorder == "big":
+            arena.byteswap(inplace=True)  # stored little-endian
+        arenas.append(ModelParams.over(config, arena))
+    params, *moments = arenas
 
     optimizer = None
     if opt is not None:

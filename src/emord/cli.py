@@ -8,9 +8,10 @@ gradcheck.  Conventions, kept strictly:
 - Human-readable output goes to stderr; only `predict` writes data (JSON
   lines) to stdout, so pipelines stay clean.
 - Commands that produce artifacts take --out DIR, hold a .lock file there
-  for the duration of the run, and first write manifest.json — a
-  timestamp-free snapshot of the resolved configuration and input hashes,
-  so reruns can be compared file-by-file.
+  for the duration of the run, and write manifest.json before any artifact
+  — a timestamp-free snapshot of the resolved configuration and input
+  hashes, so reruns can be compared file-by-file.  eval computes its report
+  first, so a failed eval writes no manifest.
 - For train, values resolve as: command-line flags over config-file values
   over preset defaults.
 """
@@ -64,6 +65,9 @@ EXIT_RUNTIME = 2
 MANIFEST_FORMAT = "emord.manifest/1"
 
 logger = logging.getLogger("emord")
+
+#: What json.dumps(obj, sort_keys=True) builds on every call, built once.
+_PREDICTION_JSON = json.JSONEncoder(sort_keys=True)
 
 
 class LockError(RuntimeError):
@@ -178,10 +182,12 @@ def cmd_eval(args) -> int:
         "corpus_format": args.corpus_format,
         "holdout_label": args.holdout_label,
     }
+    # the report is computed before the manifest is written, so an eval that
+    # fails leaves no manifest naming artifacts that were never written
     with locked_output_dir(args.out) as out_dir:
         if args.holdout_label is not None:
-            write_manifest(out_dir, "eval", config, inputs, ["holdout.json"])
             report = holdout_proximity(ck, corpus, args.holdout_label)
+            write_manifest(out_dir, "eval", config, inputs, ["holdout.json"])
             write_report_json(report, out_dir / "holdout.json")
             logger.info(
                 "holdout %r: mean grid distance %.3f over %d examples",
@@ -190,9 +196,9 @@ def cmd_eval(args) -> int:
                 report.n_examples,
             )
             return EXIT_OK
+        result = evaluate(ck, corpus)
         artifacts = ["report.json", "confusion.csv", "histogram.csv", "pairs.csv"]
         write_manifest(out_dir, "eval", config, inputs, artifacts)
-        result = evaluate(ck, corpus)
         write_report_json(result.report, out_dir / "report.json")
         write_confusion_csv(result.report, out_dir / "confusion.csv")
         write_histogram_csv(result.report, out_dir / "histogram.csv")
@@ -216,7 +222,7 @@ def cmd_predict(args) -> int:
             logger.error("empty input text")
             return EXIT_INVALID
         outcome = predict_text(ck, text)
-        print(json.dumps(outcome.to_dict(), sort_keys=True))
+        print(_PREDICTION_JSON.encode(outcome.to_dict()))
     return EXIT_OK
 
 

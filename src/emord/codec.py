@@ -73,11 +73,11 @@ def decode_thermometer_batch(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] < 1:
         raise CodecError(f"expected (N, L>=1) array, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise CodecError("non-finite entries in code vector")
     codes = _codeword_table(values.shape[1] + 1)
-    dists = ((values[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(dists, axis=1)  # first minimum wins: low-level tie-break
+    dists = np.square(values[:, None, :] - codes).sum(axis=2)
+    return dists.argmin(axis=1)  # first minimum wins: low-level tie-break
 
 
 def check_mode_compatible(mode: str, taxonomy: EmotionTaxonomy) -> None:

@@ -7,13 +7,16 @@ ties toward lower valence then lower arousal) and flagged `off_grid`; the
 raw decoded cell is kept, since its distance to the gold cell is exactly
 what the proximity metrics measure.  A block of outputs decodes into one
 `Decoded` record of arrays by lookups in the taxonomy's tables, and
-`decoded[i]` is row i as a `Prediction`.
+`decoded[i]` is row i as a `Prediction`.  Both ordinal-2d heads decode in
+one nearest-codeword call.
 
 `predict_ids` runs the model on each chunk of rows cut after the last
 column any pooled output reads, which leaves the outputs bit-identical;
 validation and `evaluate` run through it.  A chunk too small to gain from
 the cut, such as the single row of `predict_text`, runs whole, and so does
-every training batch.
+every training batch.  That one-text path (`predict_text` -> `predict_ids`
+-> `forward` -> `decode_outputs`, once per text) is dominated by per-call
+overhead, so each step does one call where it can.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .codec import MODE_ORDINAL_1D, MODE_ORDINAL_2D, decode_thermometer_batch
+from .codec import MODE_ORDINAL_1D, MODE_ORDINAL_2D, CodecError, decode_thermometer_batch
 from .data import DataError, encode_text
 from .net import ModelConfig, forward
 from .taxonomy import EmotionTaxonomy
@@ -53,7 +56,7 @@ class Prediction:
         if self.cell is not None:
             out["cell"] = list(self.cell)
         if self.outputs is not None:
-            out["outputs"] = [float(x) for x in self.outputs]
+            out["outputs"] = self.outputs.tolist()  # Python floats, as float(x) gives
         return out
 
 
@@ -84,12 +87,20 @@ class Decoded(Sequence):
 
 
 def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) -> Decoded:
-    """Decode a (N, width) block of head outputs."""
+    """Decode a (N, width) block of head outputs.
+
+    The two ordinal-2d heads decode in one call, as the rows of the
+    (2N, width/2) view: decoding works row by row, so each half gets the
+    level it would get on its own.
+    """
     outputs = np.asarray(outputs)
     if mode == MODE_ORDINAL_2D:
-        half = outputs.shape[1] // 2
-        v = decode_thermometer_batch(outputs[:, :half])
-        a = decode_thermometer_batch(outputs[:, half:])
+        if outputs.ndim != 2 or outputs.shape[1] < 2 or outputs.shape[1] % 2:
+            raise CodecError(
+                f"ordinal-2d outputs must be (N, 2L) with L >= 1, got shape {outputs.shape}"
+            )
+        levels = decode_thermometer_batch(outputs.reshape(-1, outputs.shape[1] // 2))
+        v, a = levels[0::2], levels[1::2]
         off_grid = ~taxonomy.cell_occupied[v, a]
         return Decoded(taxonomy, mode, taxonomy.cell_labels[v, a], off_grid, outputs, v, a)
     if mode == MODE_ORDINAL_1D:

@@ -10,6 +10,13 @@ tap, forward and backward.  backward() returns exact reverse-mode gradients
 for every parameter and is verified against central finite differences in
 gradcheck.py.  float32 is the training dtype, float64 the gradient-checking
 dtype.
+
+At desk widths a batched forward is bound by those GEMMs, but a one-row
+forward (one text served by predict_text) is bound by numpy's per-call
+overhead.  So forward() derives the padding mask once, for the all-padding
+check, the embedding and the pool, masks the gathered embedding in place,
+and applies the logistic head without gathering its two halves; each step
+keeps the arithmetic it had, so the outputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -88,6 +95,11 @@ class ModelConfig:
         """Shortest time axis the two valid convolutions can consume."""
         return sum(self.kernel_sizes) - len(self.kernel_sizes) + 1
 
+    @property
+    def param_count(self) -> int:
+        """Entries in one parameter arena."""
+        return sum(map(math.prod, self.param_shapes().values()))
+
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shape of each parameter array, in PARAM_FIELDS order."""
         e = self.embed_dim
@@ -141,8 +153,9 @@ class ModelParams:
     The eleven arrays are views, in PARAM_FIELDS order, into one contiguous
     1-D buffer, `arena`, so a whole-model operation (the AdamW update, the
     finiteness check, a snapshot, a checkpoint write) runs once over it.
-    `zeros(config)` and `like(arena)` are the only constructors; the fields
-    are frozen, so no array can be rebound away from its arena.
+    `over(config, arena)`, `zeros(config)` and `like(arena)` are the only
+    constructors; the fields are frozen, so no array can be rebound away
+    from its arena.
 
     embedding row 0 is the padding slot: initialized to zeros, masked out of
     the forward pass, and never receives gradient, so it stays zero.
@@ -170,12 +183,21 @@ class ModelParams:
         object.__setattr__(self, "arena", arena)
 
     @classmethod
+    def over(cls, config: ModelConfig, arena: np.ndarray) -> "ModelParams":
+        """`config`'s arrays as views of `arena` (no copy), 1-D in its dtype."""
+        if arena.shape != (config.param_count,) or arena.dtype != config.np_dtype:
+            raise NetError(
+                f"arena of shape {arena.shape} and dtype {arena.dtype}, "
+                f"need ({config.param_count},) and {config.dtype}"
+            )
+        params = object.__new__(cls)
+        params._bind(arena, config.param_shapes().values())
+        return params
+
+    @classmethod
     def zeros(cls, config: ModelConfig) -> "ModelParams":
         """All-zero arrays of `config`'s shapes, in one fresh arena."""
-        shapes = config.param_shapes().values()
-        params = object.__new__(cls)
-        params._bind(np.zeros(sum(map(math.prod, shapes)), dtype=config.np_dtype), shapes)
-        return params
+        return cls.over(config, np.zeros(config.param_count, dtype=config.np_dtype))
 
     def like(self, arena: np.ndarray) -> "ModelParams":
         """A ModelParams over `arena` (no copy), laid out as this one."""
@@ -256,12 +278,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows.  It equals exp(-x) where x >= 0 and exp(x)
+    # where x < 0, so each entry takes the same operations as in the split
+    # form 1/(1+exp(-x)) | exp(x)/(1+exp(x)), without gathering the halves.
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def forward(
@@ -289,14 +310,15 @@ def forward(
         raise NetError(
             f"sequence length {t} shorter than the convolutions need ({config.min_seq_length})"
         )
-    n_real = (token_ids != 0).sum(axis=1)
-    if (n_real == 0).any():
+    real = token_ids != 0
+    n_real = real.sum(axis=1)
+    if not n_real.all():
         rows = np.flatnonzero(n_real == 0).tolist()
         raise NetError(f"all-padding rows not allowed (rows {rows})")
 
     dt = config.np_dtype
-    real_mask = (token_ids != 0).astype(dt)
-    emb = params.embedding[token_ids] * real_mask[:, :, None]
+    emb = params.embedding[token_ids]
+    emb *= real[:, :, None]
 
     z1 = _conv1d(emb, params.conv1_w, params.conv1_b)
     assert z1.shape[1] == t - k1 + 1
@@ -320,7 +342,7 @@ def forward(
         outputs = _softmax(logits)
     else:
         outputs = _sigmoid(logits)
-    if not np.all(np.isfinite(outputs)):
+    if not np.isfinite(outputs).all():
         raise NetError("non-finite head outputs")
 
     cache = ForwardCache(

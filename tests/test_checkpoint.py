@@ -1,6 +1,7 @@
 """Checkpoint container: bit-exact round trips and tamper detection."""
 
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -263,6 +264,48 @@ def test_loaded_arrays_live_in_arenas(tmp_path):
     ):
         assert arena.flags.writeable and arena.flags.c_contiguous
         assert all(arr.base is arena for arr in arrays.values())
+
+
+def test_load_holds_little_beyond_the_arenas(tmp_path):
+    # a desk-width resumable checkpoint: three arenas of about 110 kB each
+    vocab = build_vocab(LabeledCorpus(((" ".join(f"w{i}" for i in range(200)), "joy"),)))
+    config = ModelConfig.desk(vocab.size, 7, "softmax")
+    params = init_params(config, seed=0)
+    state = AdamWState.initial(params)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(
+        Checkpoint(
+            config=config,
+            params=params,
+            taxonomy=builtin_taxonomy("isear-valence"),
+            vocab=vocab,
+            max_seq_length=32,
+            optimizer=OptimizerSnapshot(adamw=AdamWConfig(learning_rate=0.01), state=state),
+        ),
+        path,
+    )
+    arena_bytes = 3 * params.arena.nbytes
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_params_equal(loaded.params, params)
+    # a copy of the file, or of any arena, would take the peak past 1.5x
+    assert peak < 1.5 * arena_bytes, (peak, arena_bytes)
+
+
+def test_file_that_shrinks_while_loading_is_a_checkpoint_error(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(with_optimizer=True), path)
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-16])
+    # fstat still reports the size the header expects, as if the file
+    # shrank after it was taken
+    monkeypatch.setattr("emord.checkpoint.os.fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(CheckpointError, match="truncated checkpoint while reading the arrays"):
+        load_checkpoint(path)
 
 
 def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):

@@ -5,7 +5,11 @@ import json
 
 import pytest
 
+from emord.checkpoint import Checkpoint, save_checkpoint
 from emord.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
+from emord.data import LabeledCorpus, build_vocab, save_corpus_tsv
+from emord.net import ModelConfig, init_params
+from emord.taxonomy import builtin_taxonomy
 
 
 @pytest.fixture()
@@ -210,3 +214,38 @@ def test_help_and_version_exit_0(capsys):
     assert "synth" in capsys.readouterr().out
     assert main(["--version"]) == EXIT_OK
     assert main(["train", "--help"]) == EXIT_OK
+
+
+def grid_checkpoint(path):
+    """An untrained ordinal-2d checkpoint over the grid taxonomy, saved to `path`."""
+    taxonomy = builtin_taxonomy("goemotions-grid-5x5")
+    vocab = build_vocab(LabeledCorpus((("alpha beta gamma delta", "joy"),)))
+    config = ModelConfig.desk(vocab.size, 8, "ordinal-2d")
+    save_checkpoint(
+        Checkpoint(config, init_params(config, seed=0), taxonomy, vocab, max_seq_length=12), path
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "records, holdout",
+    [
+        # a holdout eval of a corpus holding another label besides the held-out one
+        ([("alpha beta", "joy"), ("gamma delta", "anger")], ["--holdout-label", "joy"]),
+        # a plain eval of a corpus with a record that has no tokens
+        ([("alpha beta", "joy"), ("!!!", "anger")], []),
+    ],
+)
+def test_failed_eval_exits_1_and_writes_no_manifest(tmp_path, records, holdout):
+    checkpoint = grid_checkpoint(tmp_path / "model.ckpt")
+    corpus = tmp_path / "corpus.tsv"
+    save_corpus_tsv(LabeledCorpus(tuple(records)), corpus)
+    out = tmp_path / "scores"
+    argv = ["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus), *holdout]
+    assert main([*argv, "--out", str(out)]) == EXIT_INVALID
+    assert sorted(p.name for p in out.iterdir()) == []
+    # the same eval of a corpus without the fault writes its manifest and artifacts
+    save_corpus_tsv(LabeledCorpus(tuple(r for r in records if r[1] == "joy")), corpus)
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["artifacts"]])

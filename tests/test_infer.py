@@ -1,10 +1,12 @@
 """Output decoding rules for every head mode, plus text-level prediction."""
 
+import re
+
 import numpy as np
 import pytest
 
 from emord.checkpoint import Checkpoint
-from emord.codec import encode_thermometer
+from emord.codec import CodecError, decode_thermometer_batch, encode_thermometer
 from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
 from emord.infer import _trim_padding, decode_outputs, predict_ids, predict_text
 from emord.net import ModelConfig, NetError, forward, init_params
@@ -132,6 +134,51 @@ def test_prediction_to_dict():
     assert d["mode"] == "softmax"
     assert d["rank"] == 2
     assert d["off_grid"] is False
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_prediction_to_dict_outputs_are_python_floats(dtype):
+    outputs = np.random.default_rng(0).random((3, 8)).astype(dtype)
+    for pred, row in zip(decode_outputs(GRID, "ordinal-2d", outputs), outputs):
+        listed = pred.to_dict()["outputs"]
+        assert listed == [float(x) for x in row]
+        assert all(type(x) is float for x in listed)
+
+
+def decode_2d_halves(outputs):
+    """Valence and arousal levels from decoding each head's half on its own."""
+    half = outputs.shape[1] // 2
+    return decode_thermometer_batch(outputs[:, :half]), decode_thermometer_batch(outputs[:, half:])
+
+
+def test_ordinal_2d_decode_equals_decoding_each_half_alone():
+    rng = np.random.default_rng(5)
+    g = GRID.grid_size
+    rows = [
+        np.full(2 * (g - 1), 0.5),  # exact ties in both heads
+        np.r_[np.full(g - 1, 0.5), encode_thermometer(3, g)],  # a tie in one head only
+        np.r_[encode_thermometer(2, g), encode_thermometer(0, g)],  # (2, 0): off grid
+        np.r_[encode_thermometer(4, g), encode_thermometer(4, g)],
+    ]
+    outputs = np.concatenate([np.array(rows), rng.random((300, 2 * (g - 1)))])
+    outputs[-100:] = np.round(outputs[-100:] * 2) / 2  # many more exact ties
+    decoded = decode_outputs(GRID, "ordinal-2d", outputs)
+    v, a = decode_2d_halves(outputs)
+    assert np.array_equal(decoded.valences, v) and np.array_equal(decoded.arousals, a)
+    assert np.array_equal(decoded.indices, GRID.cell_labels[v, a])
+    assert np.array_equal(decoded.off_grid, ~GRID.cell_occupied[v, a])
+    assert decoded[0].cell == (0, 0)  # ties go to the lower level
+    assert decoded[2].off_grid and decoded[2].cell == (2, 0)
+    assert 0 < decoded.off_grid.sum() < len(decoded)
+    # the same levels for a block that is not contiguous in memory
+    strided = decode_outputs(GRID, "ordinal-2d", np.asfortranarray(outputs))
+    assert np.array_equal(strided.valences, v) and np.array_equal(strided.arousals, a)
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (3, 1), (3, 0), (8,)])
+def test_ordinal_2d_decode_rejects_a_block_without_two_equal_halves(shape):
+    with pytest.raises(CodecError, match=rf"ordinal-2d outputs .*{re.escape(str(shape))}"):
+        decode_outputs(GRID, "ordinal-2d", np.full(shape, 0.5))
 
 
 def make_checkpoint(mode="softmax"):

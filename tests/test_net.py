@@ -13,6 +13,8 @@ from emord.net import (
     NetError,
     _conv1d,
     _conv1d_backward,
+    _softmax,
+    _sigmoid,
     backward,
     forward,
     init_params,
@@ -103,9 +105,21 @@ def test_params_fields_cannot_be_rebound():
     # writes through a field still reach the arena
     params.fc1_w[...] = 7.0
     assert np.count_nonzero(params.arena == 7.0) == params.fc1_w.size
-    # zeros(config) and like(arena) are the only constructors
+    # over(config, arena), zeros(config) and like(arena) are the only constructors
     with pytest.raises(TypeError):
         ModelParams(**dict(params.named()))
+
+
+def test_params_over_an_arena_take_no_copy_and_check_it():
+    cfg = tiny_config()
+    arena = np.arange(cfg.param_count, dtype=np.float64)
+    params = ModelParams.over(cfg, arena)
+    assert params.arena is arena
+    assert all(arr.base is arena for _, arr in params.named())
+    assert [arr.shape for _, arr in params.named()] == list(cfg.param_shapes().values())
+    for bad in (arena[:-1], arena.astype(np.float32), arena.reshape(1, -1)):
+        with pytest.raises(NetError, match="arena of shape"):
+            ModelParams.over(cfg, bad)
 
 
 def test_init_is_seed_deterministic():
@@ -338,3 +352,67 @@ def test_embedding_gradient_matches_loop_scatter(monkeypatch):
                 expected[ids[i, s]] += d_emb[i, s]
     assert np.array_equal(grads.embedding, expected)
     assert np.all(grads.embedding[0] == 0.0)  # ... that never reaches row 0
+
+
+# --------------------------------------- forward against the two-branch form
+
+
+def two_branch_sigmoid(x):
+    # the head transform before it was made branch-free: each half gathered
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bitwise_the_two_branch_form(dtype):
+    edges = [0.0, 1e-45, 88.7, 745.0, 1e4, 0.5, 1.0, 36.0, 100.0]
+    values = np.array(edges + [-v for v in edges], dtype=dtype)
+    values = np.concatenate([values, np.random.default_rng(0).normal(0, 20, 4000).astype(dtype)])
+    for x in (values, values.reshape(-1, 2)):
+        got = _sigmoid(x)
+        assert got.dtype == dtype and got.shape == x.shape
+        # compare bit patterns: equal values with unequal signs or payloads fail
+        assert np.array_equal(got.view(np.uint8), two_branch_sigmoid(x).view(np.uint8))
+
+
+def reference_forward(params, config, token_ids):
+    # forward's arithmetic as first written: a float mask multiplied in,
+    # the pool masked by a float mask, and the two-branch sigmoid
+    dt = config.np_dtype
+    n_real = (token_ids != 0).sum(axis=1)
+    emb = params.embedding[token_ids] * (token_ids != 0).astype(dt)[:, :, None]
+    a1 = np.maximum(_conv1d(emb, params.conv1_w, params.conv1_b), 0)
+    a2 = np.maximum(_conv1d(a1, params.conv2_w, params.conv2_b), 0)
+    t2 = a2.shape[1]
+    pool_counts = np.minimum(n_real, t2).astype(dt)
+    pool_mask = (np.arange(t2)[None, :] < pool_counts[:, None]).astype(dt)
+    pooled = (a2 * pool_mask[:, :, None]).sum(axis=1) / pool_counts[:, None]
+    h1 = np.maximum(pooled @ params.fc1_w + params.fc1_b, 0)
+    h2 = np.maximum(h1 @ params.fc2_w + params.fc2_b, 0)
+    logits = h2 @ params.fc3_w + params.fc3_b
+    head = _softmax if config.head_mode == "softmax" else two_branch_sigmoid
+    return head(logits)
+
+
+@pytest.mark.parametrize("mode, width", [("softmax", 7), ("ordinal-1d", 6), ("ordinal-2d", 8)])
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_forward_outputs_equal_the_reference_forward(mode, width, batch):
+    config = ModelConfig.desk(40, width, mode)
+    params = init_params(config, seed=3)
+    params.arena[...] *= 4  # outputs spread over (0, 1), so a last-bit change shows
+    params.embedding[0] = 0.5  # so that only the mask zeros the padding
+    rng = np.random.default_rng(batch)
+    ids = np.zeros((batch, 32), dtype=np.int64)
+    for i, length in enumerate(rng.integers(1, 33, size=batch)):
+        ids[i, :length] = rng.integers(1, 40, size=length)
+        ids[i, rng.integers(0, length, size=length // 4)] = 0  # inner padding
+        ids[i, 0] = max(ids[i, 0], 1)  # no all-padding row
+    outputs, cache = forward(params, config, ids)
+    expected = reference_forward(params, config, ids)
+    assert outputs.dtype == expected.dtype == np.float32
+    assert np.array_equal(outputs, expected)
+    assert not cache.emb[ids == 0].any()  # backward reads the masked embedding
