@@ -150,9 +150,11 @@ def cmd_train(args) -> int:
     trainer = Trainer(config)
     inputs["taxonomy"] = taxonomy_fingerprint(trainer.taxonomy)
     artifacts = ["best.ckpt", "final.ckpt", "history.jsonl"]
+    # the manifest is written after the run, so a run that diverges leaves
+    # no manifest naming artifacts that were never written
     with locked_output_dir(args.out) as out_dir:
-        write_manifest(out_dir, "train", config.to_document(), inputs, artifacts)
         result = trainer.run()
+        write_manifest(out_dir, "train", config.to_document(), inputs, artifacts)
         save_checkpoint(result.best, out_dir / "best.ckpt")
         save_checkpoint(result.final, out_dir / "final.ckpt")
         write_history(result.history, out_dir / "history.jsonl")

@@ -10,13 +10,11 @@ what the proximity metrics measure.  A block of outputs decodes into one
 `decoded[i]` is row i as a `Prediction`.  Both ordinal-2d heads decode in
 one nearest-codeword call.
 
-`predict_ids` runs the model on each chunk of rows cut after the last
-column any pooled output reads, which leaves the outputs bit-identical;
-validation and `evaluate` run through it.  A chunk too small to gain from
-the cut, such as the single row of `predict_text`, runs whole, and so does
-every training batch.  That one-text path (`predict_text` -> `predict_ids`
--> `forward` -> `decode_outputs`, once per text) is dominated by per-call
-overhead, so each step does one call where it can.
+`predict_ids` runs the model on chunks of rows; validation and `evaluate`
+run through it, and `forward` cuts each chunk's trailing padding.  The
+one-text path (`predict_text` -> `predict_ids` -> `forward` ->
+`decode_outputs`, once per text) is dominated by per-call overhead, so
+each step does one call where it can.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .codec import MODE_ORDINAL_1D, MODE_ORDINAL_2D, CodecError, decode_thermometer_batch
 from .data import DataError, encode_text
-from .net import ModelConfig, forward
+from .net import forward
 from .taxonomy import EmotionTaxonomy
 
 
@@ -110,49 +108,12 @@ def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) ->
     return Decoded(taxonomy, mode, indices, np.zeros(len(indices), dtype=bool), outputs)
 
 
-#: Fewest ids a chunk must keep for `_trim_padding` to cut it.  The first
-#: convolution's product has that many rows, and for small products the BLAS
-#: picks size-dependent kernels whose sums for one row can differ in the last
-#: bit (OpenBLAS 0.3.31 with AVX-512, desk widths: up to about 40 rows).  A
-#: chunk that small costs little in full anyway.
-_TRIM_MIN_IDS = 1024
-
-
-def _trim_padding(config: ModelConfig, ids: np.ndarray) -> np.ndarray:
-    """`ids` without the trailing columns no pooled output reads.
-
-    `forward` pools the first n_real positions of the second convolution,
-    and position p reads columns p .. p + k1 + k2 - 2.  With `last` one past
-    the last column holding a non-zero id, n_real <= last, so columns from
-    last + k1 + k2 - 2 on only feed positions the pool drops.  `last` is a
-    position, not a count, so no id `forward` checks is cut off; an input it
-    rejects for its shape or dtype, or for holding only padding, is left as
-    it is, and so is a chunk that would keep fewer than `_TRIM_MIN_IDS` ids.
-    """
-    ids = np.asarray(ids)
-    if ids.ndim != 2 or ids.size < _TRIM_MIN_IDS or not np.issubdtype(ids.dtype, np.integer):
-        return ids
-    used = np.flatnonzero(ids.any(axis=0))
-    if len(used) == 0:
-        return ids
-    k1, k2 = config.kernel_sizes
-    end = min(ids.shape[1], used[-1] + k1 + k2 - 1)
-    if ids.shape[0] * end < _TRIM_MIN_IDS:
-        return ids
-    return ids[:, :end]
-
-
 def predict_ids(ck: Checkpoint, token_ids: np.ndarray, batch_size: int = 256) -> Decoded:
-    """Predictions for a (N, T) id matrix, running the model in chunks.
-
-    A large enough chunk loses its trailing padding columns first
-    (`_trim_padding`); the outputs are bit-identical to the whole chunk's.
-    """
+    """Predictions for a (N, T) id matrix, running the model in chunks."""
     mode = ck.config.head_mode
     parts = []
     for start in range(0, len(token_ids), batch_size):
-        chunk = _trim_padding(ck.config, token_ids[start : start + batch_size])
-        outputs, _ = forward(ck.params, ck.config, chunk)
+        outputs, _ = forward(ck.params, ck.config, token_ids[start : start + batch_size])
         parts.append(decode_outputs(ck.taxonomy, mode, outputs))
     if not parts:
         return decode_outputs(ck.taxonomy, mode, np.zeros((0, ck.config.output_width)))

@@ -11,12 +11,21 @@ for every parameter and is verified against central finite differences in
 gradcheck.py.  float32 is the training dtype, float64 the gradient-checking
 dtype.
 
-At desk widths a batched forward is bound by those GEMMs, but a one-row
+Each call copies a conv weight into one contiguous matrix per tap.  A
+strided tap view is not a BLAS operand, so numpy multiplies it by its own
+loop below some product size, and that loop sums a row differently from
+the BLAS kernel; with contiguous taps every row of a tap product is
+bit-identical whatever the number of rows.  That lets forward() cut every
+batch (training, validation, evaluation and one-text prediction alike)
+after the last column a pooled output reads.  The one batch-size
+dependence left is the FFNN of a single row, which numpy sends to a
+matrix-vector kernel.
+
+At desk widths a batched forward is bound by the conv GEMMs, but a one-row
 forward (one text served by predict_text) is bound by numpy's per-call
 overhead.  So forward() derives the padding mask once, for the all-padding
-check, the embedding and the pool, masks the gathered embedding in place,
-and applies the logistic head without gathering its two halves; each step
-keeps the arithmetic it had, so the outputs are bit-identical.
+check, the trim, the embedding and the pool, masks the gathered embedding
+in place, and applies the logistic head without gathering its two halves.
 """
 
 from __future__ import annotations
@@ -265,9 +274,10 @@ def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = w.shape[2]
     t_out = t - k + 1
     flat = x.reshape(batch * t, c_in)
-    out = (flat @ w[:, :, 0].T).reshape(batch, t, -1)[:, :t_out] + b
+    taps = w.transpose(2, 1, 0).copy()  # (k, Cin, Cout): each tap a contiguous matrix
+    out = (flat @ taps[0]).reshape(batch, t, -1)[:, :t_out] + b
     for j in range(1, k):
-        out += (flat @ w[:, :, j].T).reshape(batch, t, -1)[:, j : j + t_out]
+        out += (flat @ taps[j]).reshape(batch, t, -1)[:, j : j + t_out]
     return out
 
 
@@ -293,7 +303,8 @@ def forward(
     Padding (id 0) embeds to an exact zero vector.  The mean-pool averages
     only conv-output positions whose window starts on a real token, dividing
     by that count rather than by the full time axis, so trailing padding
-    never dilutes short texts.
+    never dilutes short texts.  Columns past the last real token's receptive
+    field are cut before the embedding; the cache holds the cut ids.
     """
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
@@ -315,6 +326,17 @@ def forward(
     if not n_real.all():
         rows = np.flatnonzero(n_real == 0).tolist()
         raise NetError(f"all-padding rows not allowed (rows {rows})")
+
+    # The pool reads the first n_real positions of the second convolution,
+    # and position p reads columns p .. p + k1 + k2 - 2.  n_real is at most
+    # one past `last`, the last column holding a non-zero id (a position,
+    # not a count, so inner padding stays), so later columns reach no
+    # output.  Cutting them leaves every output bit-identical, because each
+    # row of a tap product sums alike whatever the number of rows.
+    last = t - 1 - int(real.any(axis=0)[::-1].argmax())
+    end = min(t, last + k1 + k2 - 1)
+    if end < t:
+        token_ids, real, t = token_ids[:, :end], real[:, :end], end
 
     dt = config.np_dtype
     emb = params.embedding[token_ids]
@@ -371,10 +393,11 @@ def _conv1d_backward(x, w, d_out, d_w, d_b):
     batch, t_out, _ = d_out.shape
     c_in = x.shape[2]
     d_flat = d_out.reshape(batch * t_out, -1)
+    taps = w.transpose(2, 0, 1).copy()  # (k, Cout, Cin)
     d_x = np.zeros_like(x)
     for j in range(w.shape[2]):
         d_w[:, :, j] = d_flat.T @ x[:, j : j + t_out].reshape(-1, c_in)
-        d_x[:, j : j + t_out] += (d_flat @ w[:, :, j]).reshape(batch, t_out, c_in)
+        d_x[:, j : j + t_out] += (d_flat @ taps[j]).reshape(batch, t_out, c_in)
     d_out.sum(axis=(0, 1), out=d_b)
     return d_x
 

@@ -166,6 +166,8 @@ def test_divergence_exits_2(tmp_path, train_config):
         ]
     )
     assert code == EXIT_RUNTIME
+    # no manifest names the checkpoints and history a diverged run never wrote
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
 
 def test_invalid_inputs_exit_1(tmp_path, spec_file):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import emord.gradcheck as gradcheck
 from emord.gradcheck import check_gradients
 from emord.net import PARAM_FIELDS
 
@@ -12,6 +13,26 @@ def test_analytic_gradients_pass(mode):
     assert report.passed, report.format_text()
     assert report.worst < 1e-4
     assert {layer.name for layer in report.layers} == set(PARAM_FIELDS)
+
+
+@pytest.mark.parametrize("mode", ["softmax", "ordinal-1d", "ordinal-2d"])
+def test_analytic_gradients_pass_on_a_cut_batch(mode, monkeypatch):
+    # every probe row ends early, so forward cuts the batch from 20 columns
+    # to 4 + k1 + k2 - 1 = 13 and backward runs on the cut cache
+    monkeypatch.setattr(gradcheck, "_ROW_LENGTHS", (5, 3, 1))
+    monkeypatch.setattr(gradcheck, "_SEQ_LEN", 20)
+    widths = []
+    backward = gradcheck.backward
+
+    def recording(params, config, cache, d_logits):
+        widths.append(cache.token_ids.shape[1])
+        return backward(params, config, cache, d_logits)
+
+    monkeypatch.setattr(gradcheck, "backward", recording)
+    report = check_gradients(mode, seed=0)
+    assert widths == [13]
+    assert report.passed, report.format_text()
+    assert report.worst < 1e-4
 
 
 def test_corrupted_gradient_is_caught():

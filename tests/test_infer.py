@@ -8,9 +8,10 @@ import pytest
 from emord.checkpoint import Checkpoint
 from emord.codec import CodecError, decode_thermometer_batch, encode_thermometer
 from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
-from emord.infer import _trim_padding, decode_outputs, predict_ids, predict_text
+from emord.infer import decode_outputs, predict_ids, predict_text
 from emord.net import ModelConfig, NetError, forward, init_params
 from emord.taxonomy import builtin_taxonomy, parse_taxonomy
+from test_net import reference_forward
 
 ISEAR = builtin_taxonomy("isear-valence")
 GRID = builtin_taxonomy("goemotions-grid-5x5")
@@ -301,27 +302,16 @@ def padded_rows(rng, n, t, vocab_size, lengths):
 @pytest.mark.parametrize("batch", [1, 7, 256])
 def test_trimmed_predict_ids_outputs_equal_untrimmed_forward(mode, batch):
     # k1 + k2 - 2 = 8 columns of receptive field past the last real token:
-    # rows under T - 8 get trimmed, rows at and over it keep all T columns
+    # rows under T - 8 get trimmed, rows at and over it keep all T columns;
+    # the reference runs every column
     ck = desk_checkpoint(mode)
     t = ck.max_seq_length
     rng = np.random.default_rng(batch)
     short = [1, 2, 5, t - 12, t - 9]
     for lengths in ([1, 2, 5], short, short + [t - 8], short + [t - 7, t]):
         ids = padded_rows(rng, batch, t, ck.vocab.size, lengths)
-        expected, _ = forward(ck.params, ck.config, ids)
+        expected = reference_forward(ck.params, ck.config, ids)
         assert np.array_equal(predict_ids(ck, ids).outputs, expected)
-
-
-def test_trim_cuts_only_chunks_of_at_least_1024_ids():
-    ck = desk_checkpoint("softmax")
-    ids = np.zeros((256, 32), dtype=np.int64)
-    ids[:, :3] = 5
-    ids[7, 11] = 9  # the last real column decides, not the token count
-    assert _trim_padding(ck.config, ids).shape == (256, 20)
-    assert _trim_padding(ck.config, ids[:51]).shape == (51, 32)  # would keep 1020
-    assert _trim_padding(ck.config, ids[:52]).shape == (52, 20)
-    assert _trim_padding(ck.config, ids[:8]).shape == (8, 32)
-    assert _trim_padding(ck.config, ids[:1]).shape == (1, 32)
 
 
 @pytest.mark.parametrize("mode", ["softmax", "ordinal-1d", "ordinal-2d"])
@@ -329,15 +319,16 @@ def test_trimmed_predict_ids_outputs_equal_untrimmed_forward_at_length_200(mode)
     # wider layers and T=200, so that each conv GEMM runs over many rows
     ck = desk_checkpoint(mode, t=200, embed_dim=256, conv_channels=(256, 512))
     ids = padded_rows(np.random.default_rng(4), 40, 200, ck.vocab.size, [3, 17, 29])
-    assert _trim_padding(ck.config, ids[:32]).shape[1] < 40
-    # a trimmed chunk, then one too small to trim; the FFNN products differ in
-    # the last bit between batch sizes, so the reference runs the same chunks
-    expected = np.concatenate([forward(ck.params, ck.config, ids[i : i + 32])[0] for i in (0, 32)])
+    assert forward(ck.params, ck.config, ids[:32])[1].token_ids.shape[1] < 40
+    # two trimmed chunks, of 32 and 8 rows; the reference runs the same
+    # chunks with every column
+    expected = np.concatenate([reference_forward(ck.params, ck.config, ids[i : i + 32]) for i in (0, 32)])
     assert np.array_equal(predict_ids(ck, ids, batch_size=32).outputs, expected)
 
 
 def bad_inputs(vocab_size):
-    # 128 rows: enough ids for _trim_padding to cut the chunk if it could
+    # 128 rows of 2 tokens, which forward cuts to 10 columns once it has
+    # checked them all
     short = np.zeros((128, 12), dtype=np.int64)
     short[:, :2] = 3
     negative, too_large, one_empty = short.copy(), short.copy(), short.copy()

@@ -317,6 +317,23 @@ def test_conv_kernels_match_loop_oracle(batch, t, c_in, c_out, k):
         assert_close_relative(got, ref)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_rows_are_exact_at_every_batch_size(dtype):
+    # desk widths: a row's outputs and input gradient are bit-identical
+    # whether its tap products hold 9 rows or 2304
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((256, 12, 32)).astype(dtype)
+    w = rng.standard_normal((64, 32, 4)).astype(dtype)
+    b = rng.standard_normal(64).astype(dtype)
+    d_out = rng.standard_normal((256, 9, 64)).astype(dtype)
+    z = _conv1d(x, w, b)
+    d_x = _conv1d_backward(x, w, d_out, np.empty_like(w), np.empty_like(b))
+    for n in (1, 2, 3, 7, 64):
+        assert np.array_equal(_conv1d(x[:n], w, b), z[:n])
+        d_x_n = _conv1d_backward(x[:n], w, d_out[:n], np.empty_like(w), np.empty_like(b))
+        assert np.array_equal(d_x_n, d_x[:n])
+
+
 def test_embedding_gradient_matches_loop_scatter(monkeypatch):
     # repeated ids (id 4 more than 16 times), trailing padding and one
     # padding gap inside a text: the embedding gradient is the per-position
@@ -398,12 +415,33 @@ def reference_forward(params, config, token_ids):
     return head(logits)
 
 
-@pytest.mark.parametrize("mode, width", [("softmax", 7), ("ordinal-1d", 6), ("ordinal-2d", 8)])
-@pytest.mark.parametrize("batch", [1, 7, 256])
-def test_forward_outputs_equal_the_reference_forward(mode, width, batch):
+HEADS = [("softmax", 7), ("ordinal-1d", 6), ("ordinal-2d", 8)]
+
+
+def scaled_desk_model(mode, width):
+    """Desk widths over 40 ids, initial weights times 4 so that the outputs
+    spread over (0, 1) and a last-bit change in a sum reaches them."""
     config = ModelConfig.desk(40, width, mode)
     params = init_params(config, seed=3)
-    params.arena[...] *= 4  # outputs spread over (0, 1), so a last-bit change shows
+    params.arena[...] *= 4
+    return config, params
+
+
+def padded_rows(rng, n, t, lengths):
+    """n id rows of lengths drawn from `lengths`, every other row with inner padding."""
+    ids = np.zeros((n, t), dtype=np.int64)
+    for i, length in enumerate(rng.choice(lengths, size=n)):
+        ids[i, :length] = rng.integers(1, 40, size=length)
+        if i % 2 == 0 and length > 2:
+            # zeros inside the text; its last column stays a real token
+            ids[i, rng.integers(0, length - 1, size=length // 3)] = 0
+    return ids
+
+
+@pytest.mark.parametrize("mode, width", HEADS)
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_forward_outputs_equal_the_reference_forward(mode, width, batch):
+    config, params = scaled_desk_model(mode, width)
     params.embedding[0] = 0.5  # so that only the mask zeros the padding
     rng = np.random.default_rng(batch)
     ids = np.zeros((batch, 32), dtype=np.int64)
@@ -415,4 +453,58 @@ def test_forward_outputs_equal_the_reference_forward(mode, width, batch):
     expected = reference_forward(params, config, ids)
     assert outputs.dtype == expected.dtype == np.float32
     assert np.array_equal(outputs, expected)
-    assert not cache.emb[ids == 0].any()  # backward reads the masked embedding
+    assert not cache.emb[cache.token_ids == 0].any()  # backward reads the masked embedding
+
+
+# ------------------------------------------------- trailing padding cut away
+
+
+def test_forward_cuts_every_batch_at_the_last_real_column():
+    # k1 + k2 - 1 = 9 columns from the last real one on: the last column
+    # the pool reads is last + 8, whatever the batch size
+    config, params = scaled_desk_model("softmax", 7)
+    ids = np.zeros((256, 32), dtype=np.int64)
+    ids[:, :3] = 5
+    ids[7, 11] = 9  # the last real column decides, not the token count
+    for rows, width in ((256, 20), (52, 20), (51, 20), (8, 20), (7, 11), (1, 11)):
+        _, cache = forward(params, config, ids[:rows])
+        assert cache.token_ids.shape == (rows, width)
+        assert cache.emb.shape[1] == width and cache.z2.shape[1] == width - 8
+    ids[3, 24] = 9  # past T - 8: nothing is cut
+    assert forward(params, config, ids)[1].token_ids.shape == (256, 32)
+    one = np.zeros((1, 9), dtype=np.int64)
+    one[0, 0] = 2  # the shortest axis the convolutions take is never cut
+    assert forward(params, config, one)[1].token_ids.shape == (1, 9)
+
+
+@pytest.mark.parametrize("mode, width", HEADS)
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_cut_forward_equals_the_uncut_reference(mode, width, batch):
+    # rows under T - 8 let forward cut the batch, rows at and over it keep
+    # all T columns; the reference runs every column
+    config, params = scaled_desk_model(mode, width)
+    t = 32
+    rng = np.random.default_rng(batch)
+    short = [1, 2, 5, t - 12, t - 9]
+    for lengths in ([1, 2, 5], short, short + [t - 8], short + [t - 7, t]):
+        ids = padded_rows(rng, batch, t, lengths)
+        outputs, cache = forward(params, config, ids)
+        last = np.flatnonzero(ids.any(axis=0))[-1]
+        assert cache.token_ids.shape == (batch, min(t, last + 9))
+        assert np.array_equal(outputs, reference_forward(params, config, ids))
+
+
+@pytest.mark.parametrize("batch", [2, 7, 256])
+def test_each_row_alone_equals_it_inside_a_batch(batch):
+    # each row of a conv product sums alike whatever the number of rows, so
+    # a text forwarded alone (cut to its own length) gets the activations it
+    # gets inside any batch, one-text prediction included
+    config, params = scaled_desk_model("ordinal-2d", 8)
+    ids = padded_rows(np.random.default_rng(batch), batch, 32, [1, 3, 9, 17, 23, 32])
+    _, cache = forward(params, config, ids)
+    for i in range(batch):
+        _, alone = forward(params, config, ids[i : i + 1])
+        t1, t2 = alone.z1.shape[1], alone.z2.shape[1]
+        assert np.array_equal(alone.z1[0], cache.z1[i, :t1])
+        assert np.array_equal(alone.z2[0], cache.z2[i, :t2])
+        assert np.array_equal(alone.pooled[0], cache.pooled[i])
