@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .codec import target_width
 from .data import Vocabulary
 from .hashing import canonical_json, sha256_json, sha256_text
@@ -264,8 +265,7 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
 
     header_bytes = canonical_json(header).encode("utf-8")
     tag = _DTYPE_TAGS[cfg.dtype]
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(int(CONTAINER_VERSION).to_bytes(4, "little"))
         fh.write(len(header_bytes).to_bytes(8, "little"))
@@ -273,7 +273,6 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
         for params in arenas:
             # no copy for a contiguous little-endian arena
             fh.write(np.ascontiguousarray(params.arena, dtype=tag))
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

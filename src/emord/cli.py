@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .atomic import atomic_write
 from .checkpoint import load_checkpoint, save_checkpoint, taxonomy_fingerprint
 from .codec import HEAD_MODES
 from .data import (
@@ -103,12 +104,9 @@ def write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, arti
         "inputs": inputs,
         "artifacts": artifacts,
     }
-    target = out_dir / "manifest.json"
-    tmp = out_dir / "manifest.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, target)
 
 
 def cmd_synth(args) -> int:

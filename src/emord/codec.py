@@ -90,6 +90,23 @@ def check_mode_compatible(mode: str, taxonomy: EmotionTaxonomy) -> None:
         raise CodecError("ordinal-2d head requires a 2d taxonomy")
 
 
+@functools.lru_cache(maxsize=64)
+def _onehot_table(num_classes: int) -> np.ndarray:
+    """Read-only float64 one-hot rows, row k = class k, built once per class count."""
+    table = np.eye(num_classes)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_code_table(grid_size: int) -> np.ndarray:
+    """Read-only float64 (G, G, 2(G-1)) table: the valence and arousal codewords of each cell."""
+    codes = _codeword_table(grid_size)
+    table = np.concatenate(np.broadcast_arrays(codes[:, None, :], codes[None, :, :]), axis=2)
+    table.setflags(write=False)
+    return table
+
+
 def target_for(
     taxonomy: EmotionTaxonomy, label: str, mode: str, dtype=np.float64
 ) -> np.ndarray:
@@ -97,18 +114,17 @@ def target_for(
 
     A length-K one-hot (softmax), a length K-1 codeword (ordinal-1d), or the
     two length G-1 codewords for the valence and arousal cells concatenated
-    (ordinal-2d), matching the model's head output layout.
+    (ordinal-2d), matching the model's head output layout.  It is a fresh
+    copy, in `dtype`, of one row of a read-only table cached per level count.
     """
     check_mode_compatible(mode, taxonomy)
     if mode == MODE_SOFTMAX:
-        return encode_onehot(taxonomy.index(label), taxonomy.num_labels, dtype)
-    if mode == MODE_ORDINAL_1D:
-        return encode_thermometer(taxonomy.rank(label), taxonomy.num_labels, dtype)
-    valence, arousal = taxonomy.cell(label)
-    g = taxonomy.grid_size
-    return np.concatenate(
-        [encode_thermometer(valence, g, dtype), encode_thermometer(arousal, g, dtype)]
-    )
+        row = _onehot_table(taxonomy.num_labels)[taxonomy.index(label)]
+    elif mode == MODE_ORDINAL_1D:
+        row = _codeword_table(taxonomy.num_labels)[taxonomy.rank(label)]
+    else:
+        row = _grid_code_table(taxonomy.grid_size)[taxonomy.cell(label)]
+    return row.astype(dtype)
 
 
 def target_width(mode: str, taxonomy: EmotionTaxonomy) -> int:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .checkpoint import Checkpoint
 from .data import DataError, LabeledCorpus, encode_corpus
 from .infer import predict_ids
@@ -263,14 +264,14 @@ def holdout_proximity(ck: Checkpoint, corpus: LabeledCorpus, held_out_label: str
 
 def write_report_json(report, path: str | Path) -> None:
     """Serialize a MetricsReport or HoldoutReport deterministically."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_confusion_csv(report: MetricsReport, path: str | Path) -> None:
     """Confusion counts with label names on both the header row and column."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label", *report.labels])
         for label, row in zip(report.labels, report.confusion):
@@ -279,7 +280,7 @@ def write_confusion_csv(report: MetricsReport, path: str | Path) -> None:
 
 def write_histogram_csv(report: MetricsReport, path: str | Path) -> None:
     """Error-distance histogram as distance,count rows (zero buckets kept)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["distance", "count"])
         for d in sorted(report.error_histogram):
@@ -288,7 +289,7 @@ def write_histogram_csv(report: MetricsReport, path: str | Path) -> None:
 
 def write_pairs_csv(pairs, path: str | Path) -> None:
     """Per-example gold,predicted rows; everything else re-derives from these."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gold", "predicted"])
         for gold, pred in pairs:

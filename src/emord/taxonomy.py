@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
+
 DOCUMENT_FORMAT = "emord.taxonomy/1"
 
 #: Names accepted by :func:`builtin_taxonomy`.
@@ -107,7 +109,8 @@ class EmotionTaxonomy:
         return _read_only(table)
 
     def _require_label(self, label: str) -> None:
-        if label not in self.labels:
+        # an unhashable label is unknown too, not a TypeError
+        if not isinstance(label, str) or label not in self.label_index:
             raise TaxonomyError(f"unknown label: {label!r}")
 
 
@@ -239,7 +242,7 @@ def load_taxonomy(path: str | Path) -> EmotionTaxonomy:
 
 
 def save_taxonomy(taxonomy: EmotionTaxonomy, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(taxonomy_to_document(taxonomy), fh, indent=2)
         fh.write("\n")
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .checkpoint import (
     Checkpoint,
     OptimizerSnapshot,
@@ -486,7 +487,7 @@ def train(config: TrainConfig, corpus: LabeledCorpus | None = None) -> TrainResu
 
 
 def write_history(history: list[EpochStats], path: str | Path) -> None:
-    """Append-style JSONL: one object per epoch."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write JSONL, one object per epoch, replacing any earlier file."""
+    with atomic_write(path, encoding="utf-8") as fh:
         for stats in history:
             fh.write(json.dumps(stats.to_dict(), sort_keys=True) + "\n")

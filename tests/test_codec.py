@@ -10,6 +10,9 @@ from emord.codec import (
     MODE_ORDINAL_2D,
     MODE_SOFTMAX,
     CodecError,
+    _codeword_table,
+    _grid_code_table,
+    _onehot_table,
     check_mode_compatible,
     codewords,
     decode_thermometer,
@@ -19,7 +22,7 @@ from emord.codec import (
     target_for,
     target_width,
 )
-from emord.taxonomy import builtin_taxonomy
+from emord.taxonomy import TaxonomyError, builtin_taxonomy
 
 
 def brute_force_decode(values):
@@ -185,3 +188,70 @@ def test_dtype_control():
     assert target_for(
         builtin_taxonomy("isear-valence"), "joy", MODE_ORDINAL_1D, dtype=np.float32
     ).dtype == np.float32
+
+
+def reference_target(tax, label, mode, dtype):
+    """The target built from the per-label encoders, as target_for once built it."""
+    if mode == MODE_SOFTMAX:
+        return encode_onehot(tax.labels.index(label), tax.num_labels, dtype)
+    if mode == MODE_ORDINAL_1D:
+        return encode_thermometer(tax.ranks[label], tax.num_labels, dtype)
+    valence, arousal = tax.cells[label]
+    g = tax.grid_size
+    return np.concatenate(
+        [encode_thermometer(valence, g, dtype), encode_thermometer(arousal, g, dtype)]
+    )
+
+
+def cached_table(tax, mode):
+    if mode == MODE_SOFTMAX:
+        return _onehot_table(tax.num_labels)
+    if mode == MODE_ORDINAL_1D:
+        return _codeword_table(tax.num_labels)
+    return _grid_code_table(tax.grid_size)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "name, mode",
+    [
+        ("isear-valence", MODE_SOFTMAX),
+        ("isear-valence", MODE_ORDINAL_1D),
+        ("goemotions-grid-5x5", MODE_SOFTMAX),
+        ("goemotions-grid-5x5", MODE_ORDINAL_2D),
+    ],
+)
+def test_target_for_is_a_fresh_copy_of_the_encoded_target(name, mode, dtype):
+    tax = builtin_taxonomy(name)
+    table = cached_table(tax, mode)
+    assert not table.flags.writeable
+    before = table.copy()
+    for label in tax.labels:
+        expected = reference_target(tax, label, mode, dtype)
+        got = target_for(tax, label, mode, dtype=dtype)
+        assert got.dtype == dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert not np.shares_memory(got, table)
+        got[...] = 7.0
+        assert target_for(tax, label, mode, dtype=dtype).tobytes() == expected.tobytes()
+    assert table.tobytes() == before.tobytes()
+    assert cached_table(tax, mode) is table
+
+
+def test_target_for_errors():
+    isear = builtin_taxonomy("isear-valence")
+    grid = builtin_taxonomy("goemotions-grid-5x5")
+    for tax, modes in ((isear, (MODE_SOFTMAX, MODE_ORDINAL_1D)), (grid, (MODE_SOFTMAX, MODE_ORDINAL_2D))):
+        for mode in modes:
+            with pytest.raises(TaxonomyError, match=r"^unknown label: 'nope'$"):
+                target_for(tax, "nope", mode)
+    with pytest.raises(CodecError, match="^ordinal-2d head requires a 2d taxonomy$"):
+        target_for(isear, "joy", MODE_ORDINAL_2D)
+    with pytest.raises(CodecError, match="^ordinal-1d head requires a 1d taxonomy$"):
+        target_for(grid, "grief", MODE_ORDINAL_1D)
+    # the mode is checked before the label
+    with pytest.raises(CodecError, match="^ordinal-1d head requires a 1d taxonomy$"):
+        target_for(grid, "nope", MODE_ORDINAL_1D)
+    with pytest.raises(CodecError, match="^unknown head mode 'argmax'"):
+        target_for(isear, "joy", "argmax")

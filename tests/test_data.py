@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emord.data import (
@@ -222,6 +222,44 @@ def test_encode_corpus_rejects_vanishing_text():
     vocab = build_vocab(LabeledCorpus((("a b", "joy"),)))
     with pytest.raises(DataError, match="record 2"):
         encode_corpus(corpus, vocab, max_len=4)
+
+
+def test_encode_corpus_names_the_first_of_several_vanishing_records():
+    corpus = LabeledCorpus(
+        (("a b", "joy"), ("b", "joy"), ("...", "fear"), ("!! ?", "joy"), ("«»", "joy"))
+    )
+    vocab = build_vocab(LabeledCorpus((("a b", "joy"),)))
+    with pytest.raises(DataError, match=r"^record 3: no tokens survive normalization: '\.\.\.'$"):
+        encode_corpus(corpus, vocab, max_len=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocab_texts=st.lists(texts, min_size=1, max_size=6),
+       corpus_texts=st.lists(texts, min_size=1, max_size=8), max_len=st.integers(1, 12))
+# İ lowercases to two characters, Σ to σ or ς by context, \x1c and \u3000
+# split like spaces, and "unseen" and "οδοσ" are unknown; tokens that clean
+# to nothing sit inside the max_len window (records 3 and 4) and beyond it
+# (record 4)
+@example(vocab_texts=["İstanbul ΟΔΟΣ σας x"],
+         corpus_texts=["İSTANBUL οδοσ ΟΔΟΣ! ΣΑΣ", "x\x1cunseen\u3000x", "... x", "x !! x ... x"],
+         max_len=2)
+def test_encode_corpus_equals_stacked_encode_text(vocab_texts, corpus_texts, max_len):
+    vocab = build_vocab(LabeledCorpus(tuple((t + " x", "joy") for t in vocab_texts)))
+    corpus = LabeledCorpus(tuple((t, "joy") for t in corpus_texts))
+    expected = []
+    for text in corpus_texts:
+        ids = [vocab.lookup(token) for token in text_tokens(text)][:max_len]
+        expected.append(ids + [0] * (max_len - len(ids)))
+    vanishing = [i for i, text in enumerate(corpus_texts) if not text_tokens(text)]
+    if vanishing:
+        with pytest.raises(DataError, match=rf"^record {vanishing[0] + 1}: "):
+            encode_corpus(corpus, vocab, max_len)
+        return
+    matrix, labels = encode_corpus(corpus, vocab, max_len)
+    assert matrix.dtype == np.int64
+    assert matrix.tolist() == expected
+    assert np.array_equal(matrix, np.stack([encode_text(t, vocab, max_len) for t in corpus_texts]))
+    assert labels == ["joy"] * len(corpus_texts)
 
 
 # ------------------------------------------------------------------- splits

@@ -221,6 +221,15 @@ def test_label_distance_dispatch():
         label_distance(t1, "sadness", "zeal")
 
 
+@pytest.mark.parametrize("label", ["zeal", "", 3, None, ["joy"], {"joy": 1}])
+def test_unknown_labels_of_any_type_are_taxonomy_errors(label):
+    t1 = builtin_taxonomy("isear-valence")
+    t2 = builtin_taxonomy("goemotions-grid-5x5")
+    for lookup in (t1.index, t1.rank, t2.index, t2.cell):
+        with pytest.raises(TaxonomyError, match="^unknown label: "):
+            lookup(label)
+
+
 def test_mode_mismatch_accessors():
     t1 = builtin_taxonomy("isear-valence")
     t2 = builtin_taxonomy("goemotions-grid-5x5")
