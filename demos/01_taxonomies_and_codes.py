@@ -7,7 +7,7 @@ import numpy as np
 
 from emord import builtin_taxonomy
 from emord.codec import codewords, decode_thermometer, encode_thermometer, target_for
-from emord.taxonomy import grid_distance, label_distance
+from emord.taxonomy import label_distance
 
 # ---------------------------------------------------------------------------
 # 1. A valence scale: seven emotions ordered from most negative to most
@@ -50,7 +50,8 @@ print(f"noisy output {noisy.tolist()} decodes to level {decode_thermometer(noisy
 
 # ---------------------------------------------------------------------------
 # 3. A 5x5 valence/arousal grid with 23 emotion labels.  Distance between
-#    labels = L1 distance between their cells, and a 2d target is just two
+#    labels = L1 distance between their cells (label_distance is the same L1
+#    gap between coordinates on either taxonomy), and a 2d target is just two
 #    thermometer codes side by side (valence half, then arousal half).
 # ---------------------------------------------------------------------------
 grid = builtin_taxonomy("goemotions-grid-5x5")
@@ -65,7 +66,7 @@ for v in range(4, -1, -1):
 
 print()
 for a, b in [("grief", "sadness"), ("grief", "excitement"), ("pride", "fear")]:
-    print(f"  grid d({a}, {b}) = {grid_distance(grid, a, b)}")
+    print(f"  grid d({a}, {b}) = {label_distance(grid, a, b)}")
 
 print()
 target = target_for(grid, "pride", "ordinal-2d")
@@ -78,4 +79,4 @@ for a, b in [("grief", "sadness"), ("grief", "excitement")]:
     ta = target_for(grid, a, "ordinal-2d")
     tb = target_for(grid, b, "ordinal-2d")
     squared = float(np.sum((ta - tb) ** 2))
-    print(f"  ||target({a}) - target({b})||^2 = {squared:.0f} == grid distance {grid_distance(grid, a, b)}")
+    print(f"  ||target({a}) - target({b})||^2 = {squared:.0f} == grid distance {label_distance(grid, a, b)}")

@@ -66,12 +66,9 @@ from .taxonomy import (
     EmotionTaxonomy,
     TaxonomyError,
     builtin_taxonomy,
-    grid_chebyshev_distance,
-    grid_distance,
     label_distance,
     load_taxonomy,
     max_distance,
-    ordinal_distance,
     parse_taxonomy,
     save_taxonomy,
     taxonomy_to_document,
@@ -138,8 +135,6 @@ __all__ = [
     "evaluate",
     "forward",
     "generate_synthetic",
-    "grid_chebyshev_distance",
-    "grid_distance",
     "holdout_proximity",
     "init_params",
     "label_distance",
@@ -150,7 +145,6 @@ __all__ = [
     "logit_gradient",
     "loss_value",
     "max_distance",
-    "ordinal_distance",
     "parse_taxonomy",
     "predict_ids",
     "predict_text",

@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .taxonomy import EmotionTaxonomy
+from .taxonomy import EmotionTaxonomy, max_distance
 
 MODE_SOFTMAX = "softmax"
 MODE_ORDINAL_1D = "ordinal-1d"
@@ -98,13 +98,12 @@ def _onehot_table(num_classes: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=64)
-def _grid_code_table(grid_size: int) -> np.ndarray:
-    """Read-only float64 (G, G, 2(G-1)) table: the valence and arousal codewords of each cell."""
-    codes = _codeword_table(grid_size)
-    table = np.concatenate(np.broadcast_arrays(codes[:, None, :], codes[None, :, :]), axis=2)
-    table.setflags(write=False)
-    return table
+@functools.lru_cache(maxsize=1024)
+def _ordinal_code(levels: int, point: tuple[int, ...]) -> np.ndarray:
+    """Read-only float64 codewords of each coordinate of `point`, concatenated."""
+    code = _codeword_table(levels)[list(point)].reshape(-1)
+    code.setflags(write=False)
+    return code
 
 
 def target_for(
@@ -112,18 +111,17 @@ def target_for(
 ) -> np.ndarray:
     """Training target for `label`: the vector the matching head is trained against.
 
-    A length-K one-hot (softmax), a length K-1 codeword (ordinal-1d), or the
-    two length G-1 codewords for the valence and arousal cells concatenated
+    A length-K one-hot (softmax), or the codewords of the label's coordinates
+    concatenated: its rank's (ordinal-1d), its valence's then its arousal's
     (ordinal-2d), matching the model's head output layout.  It is a fresh
-    copy, in `dtype`, of one row of a read-only table cached per level count.
+    copy, in `dtype`, of a cached read-only row.
     """
     check_mode_compatible(mode, taxonomy)
+    i = taxonomy.index(label)
     if mode == MODE_SOFTMAX:
-        row = _onehot_table(taxonomy.num_labels)[taxonomy.index(label)]
-    elif mode == MODE_ORDINAL_1D:
-        row = _codeword_table(taxonomy.num_labels)[taxonomy.rank(label)]
+        row = _onehot_table(taxonomy.num_labels)[i]
     else:
-        row = _grid_code_table(taxonomy.grid_size)[taxonomy.cell(label)]
+        row = _ordinal_code(taxonomy.levels, tuple(taxonomy.coords[i].tolist()))
     return row.astype(dtype)
 
 
@@ -132,6 +130,5 @@ def target_width(mode: str, taxonomy: EmotionTaxonomy) -> int:
     check_mode_compatible(mode, taxonomy)
     if mode == MODE_SOFTMAX:
         return taxonomy.num_labels
-    if mode == MODE_ORDINAL_1D:
-        return taxonomy.num_labels - 1
-    return 2 * (taxonomy.grid_size - 1)
+    # a codeword entry per unit of distance: squared gaps are level gaps
+    return max_distance(taxonomy)

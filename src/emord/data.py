@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,6 +47,9 @@ _SYNTH_STREAM = 11
 SYNTH_FORMAT = "emord.synth/1"
 
 CORPUS_FORMATS = ("tsv", "csv")
+
+# what the surrogateescape error handler makes of a byte that is not UTF-8
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class DataError(ValueError):
@@ -77,6 +81,8 @@ def filter_labels(corpus: LabeledCorpus, keep) -> LabeledCorpus:
 
 
 def _check_record(text: str, label: str, taxonomy: EmotionTaxonomy, where: str) -> None:
+    if not (text.isascii() and label.isascii()) and _UNDECODABLE.search(text + label):
+        raise DataError(f"{where}: not valid UTF-8")
     if not text.strip():
         raise DataError(f"{where}: empty text")
     if label not in taxonomy.label_index:
@@ -94,7 +100,8 @@ def load_corpus(path: str | Path, fmt: str, taxonomy: EmotionTaxonomy) -> Labele
     if fmt not in CORPUS_FORMATS:
         raise DataError(f"unknown corpus format {fmt!r}; choose from {CORPUS_FORMATS}")
     records: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    # undecodable bytes are let through and rejected with their row
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         if fmt == "tsv":
             for row_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
@@ -420,7 +427,7 @@ def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
     path = Path(path)
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also UnicodeDecodeError
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(document, dict):
         raise DataError(f"{path}: spec must be a JSON object")

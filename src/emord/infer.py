@@ -1,14 +1,13 @@
 """Turning trained-model outputs into label predictions.
 
-Softmax decodes by argmax.  The ordinal heads decode by nearest codeword,
-which yields a rank (1d) or a (valence, arousal) cell (2d).  A decoded 2d
-cell that no label occupies is resolved to the nearest labeled cell (L1,
-ties toward lower valence then lower arousal) and flagged `off_grid`; the
-raw decoded cell is kept, since its distance to the gold cell is exactly
-what the proximity metrics measure.  A block of outputs decodes into one
-`Decoded` record of arrays by lookups in the taxonomy's tables, and
-`decoded[i]` is row i as a `Prediction`.  Both ordinal-2d heads decode in
-one nearest-codeword call.
+Softmax decodes by argmax.  An ordinal head decodes by nearest codeword,
+one per axis, to a coordinate: a rank (1d) or a (valence, arousal) cell
+(2d).  A decoded cell that no label occupies is resolved to the nearest
+labeled cell (L1, ties toward lower valence then lower arousal) and
+flagged `off_grid`; the raw decoded cell is kept, since its distance to
+the gold cell is exactly what the proximity metrics measure.  A block of
+outputs decodes into one `Decoded` record of arrays by lookups in the
+taxonomy's tables, and `decoded[i]` is row i as a `Prediction`.
 
 `predict_ids` runs the model on chunks of rows; validation and `evaluate`
 run through it, and `forward` cuts each chunk's trailing padding.  The
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .codec import MODE_ORDINAL_1D, MODE_ORDINAL_2D, CodecError, decode_thermometer_batch
+from .codec import MODE_SOFTMAX, CodecError, decode_thermometer_batch
 from .data import DataError, encode_text
 from .net import forward
 from .taxonomy import EmotionTaxonomy
@@ -60,52 +59,50 @@ class Prediction:
 
 @dataclass(frozen=True)
 class Decoded(Sequence):
-    """Decoded rows as arrays; the raw cells (`valences`, `arousals`) are ordinal-2d only."""
+    """Decoded rows as arrays; `coords`, the raw decoded coordinates, is None for softmax."""
 
     taxonomy: EmotionTaxonomy
     mode: str
     indices: np.ndarray  # (N,) into taxonomy.labels
     off_grid: np.ndarray  # (N,) bool
     outputs: np.ndarray  # (N, width)
-    valences: np.ndarray | None = None
-    arousals: np.ndarray | None = None
+    coords: np.ndarray | None = None  # (N, D)
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __getitem__(self, i: int) -> Prediction:
         label = self.taxonomy.labels[self.indices[i]]
-        if self.valences is None:
-            # a 1d taxonomy has no cells and a 2d one no ranks, so .get() yields None
-            cell = self.taxonomy.cells.get(label)
-        else:
-            cell = (int(self.valences[i]), int(self.arousals[i]))
+        # a 1d taxonomy has no cells and a 2d one no ranks, so .get() yields None
         rank = self.taxonomy.ranks.get(label)
+        cell = self.taxonomy.cells.get(label)
+        if cell is not None and self.coords is not None:
+            cell = tuple(self.coords[i].tolist())  # the raw decoded cell
         return Prediction(label, self.mode, rank, cell, bool(self.off_grid[i]), self.outputs[i])
 
 
 def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) -> Decoded:
     """Decode a (N, width) block of head outputs.
 
-    The two ordinal-2d heads decode in one call, as the rows of the
-    (2N, width/2) view: decoding works row by row, so each half gets the
+    An ordinal head's D codewords decode in one call, as the rows of the
+    (N*D, width/D) view: decoding works row by row, so each axis gets the
     level it would get on its own.
     """
     outputs = np.asarray(outputs)
-    if mode == MODE_ORDINAL_2D:
-        if outputs.ndim != 2 or outputs.shape[1] < 2 or outputs.shape[1] % 2:
-            raise CodecError(
-                f"ordinal-2d outputs must be (N, 2L) with L >= 1, got shape {outputs.shape}"
-            )
-        levels = decode_thermometer_batch(outputs.reshape(-1, outputs.shape[1] // 2))
-        v, a = levels[0::2], levels[1::2]
-        off_grid = ~taxonomy.cell_occupied[v, a]
-        return Decoded(taxonomy, mode, taxonomy.cell_labels[v, a], off_grid, outputs, v, a)
-    if mode == MODE_ORDINAL_1D:
-        indices = taxonomy.rank_labels[decode_thermometer_batch(outputs)]
-    else:
+    if mode == MODE_SOFTMAX:
         indices = np.argmax(outputs, axis=1)
-    return Decoded(taxonomy, mode, indices, np.zeros(len(indices), dtype=bool), outputs)
+        return Decoded(taxonomy, mode, indices, np.zeros(len(indices), dtype=bool), outputs)
+    d, levels = taxonomy.coords.shape[1], taxonomy.levels
+    width = d * (levels - 1)
+    if outputs.ndim != 2 or outputs.shape[1] != width:
+        raise CodecError(f"{mode} outputs must be (N, {width}), got shape {outputs.shape}")
+    coords = decode_thermometer_batch(outputs.reshape(-1, levels - 1)).reshape(-1, d)
+    # each row's row-major position in the flat tables (Horner's rule), which
+    # is cheaper than indexing them with a tuple of D arrays
+    flat = coords[:, 0]
+    for axis in range(1, d):
+        flat = flat * levels + coords[:, axis]
+    return Decoded(taxonomy, mode, taxonomy.label_at[flat], ~taxonomy.occupied[flat], outputs, coords)
 
 
 def predict_ids(ck: Checkpoint, token_ids: np.ndarray, batch_size: int = 256) -> Decoded:

@@ -242,7 +242,7 @@ def holdout_proximity(ck: Checkpoint, corpus: LabeledCorpus, held_out_label: str
         raise MetricsError("holdout proximity is defined on grid taxonomies only")
     if ck.config.head_mode != "ordinal-2d":
         raise MetricsError("holdout proximity needs an ordinal-2d head (decoded cells)")
-    target = taxonomy.cell(held_out_label)
+    target = taxonomy.coords[taxonomy.index(held_out_label)]
     wrong = [lab for lab in corpus.labels() if lab != held_out_label]
     if wrong:
         raise MetricsError(
@@ -252,8 +252,8 @@ def holdout_proximity(ck: Checkpoint, corpus: LabeledCorpus, held_out_label: str
         raise MetricsError("cannot evaluate on an empty corpus")
     token_ids, _ = encode_corpus(corpus, ck.vocab, ck.max_seq_length)
     decoded = predict_ids(ck, token_ids)
-    distances = np.abs(decoded.valences - target[0]) + np.abs(decoded.arousals - target[1])
-    counts = np.bincount(distances, minlength=2 * (taxonomy.grid_size - 1) + 1).tolist()
+    distances = np.abs(decoded.coords - target).sum(axis=1)
+    counts = np.bincount(distances, minlength=max_distance(taxonomy) + 1).tolist()
     return HoldoutReport(
         label=held_out_label,
         n_examples=len(corpus),

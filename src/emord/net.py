@@ -17,9 +17,12 @@ loop below some product size, and that loop sums a row differently from
 the BLAS kernel; with contiguous taps every row of a tap product is
 bit-identical whatever the number of rows.  That lets forward() cut every
 batch (training, validation, evaluation and one-text prediction alike)
-after the last column a pooled output reads.  The one batch-size
-dependence left is the FFNN of a single row, which numpy sends to a
-matrix-vector kernel.
+after the last column a pooled output reads.  The FFNN products still
+depend on the batch size, and not only for one row: at desk widths, with
+initial weights x4 and T=32, softmax and ordinal-1d outputs differ in the
+last bits from the same rows in a 256-row batch at about 25-32 of the batch
+sizes 1-39, 100, 129 and 255 (never at a multiple of 4), ordinal-2d outputs
+at batch size 1 only.  ROADMAP item 2 is to make them batch-invariant.
 
 At desk widths a batched forward is bound by the conv GEMMs, but a one-row
 forward (one text served by predict_text) is bound by numpy's per-call

@@ -2,8 +2,10 @@
 
 A taxonomy is loaded from a strict JSON document and is immutable afterwards,
 so instances can be shared freely between threads.  Decoding and scoring read
-its geometry from tables indexed by label index (pairwise distances, the
-label at each rank or grid cell); each table is built on first use and
+its geometry from one table: each label's integer coordinates on one axis
+(its valence rank, "1d") or two (its valence-arousal grid cell, "2d").
+Distances, the label at each coordinate and the level count are derived
+from it the same way in both modes; each table is built on first use and
 cached on the instance.
 """
 
@@ -49,69 +51,79 @@ class EmotionTaxonomy:
         return {label: i for i, label in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
-        self._require_label(label)
-        return self.label_index[label]
+        try:
+            return self.label_index[label]
+        except (KeyError, TypeError):  # an unhashable label is unknown too
+            raise TaxonomyError(f"unknown label: {label!r}") from None
 
     def rank(self, label: str) -> int:
         if self.mode != "1d":
             raise TaxonomyError("ranks are only defined for 1d taxonomies")
-        self._require_label(label)
+        self.index(label)  # an unknown label raises
         return self.ranks[label]
 
     def cell(self, label: str) -> tuple[int, int]:
         if self.mode != "2d":
             raise TaxonomyError("cells are only defined for 2d taxonomies")
-        self._require_label(label)
+        self.index(label)  # an unknown label raises
         return self.cells[label]
+
+    @cached_property
+    def levels(self) -> int:
+        """Levels on each axis: K ranks in 1d, G grid levels in 2d."""
+        return self.num_labels if self.mode == "1d" else self.grid_size
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """(K, D) coordinates by label index: (rank,) in 1d, (valence, arousal) in 2d."""
+        if self.mode == "1d":
+            points = [(self.ranks[label],) for label in self.labels]
+        else:
+            points = [self.cells[label] for label in self.labels]
+        return _read_only(np.array(points))
+
+    @cached_property
+    def _points(self) -> list[list[int]]:
+        # `coords` as Python ints: per-pair arithmetic on numpy scalars is slower
+        return self.coords.tolist()
 
     @cached_property
     def distance_table(self) -> np.ndarray:
         """(K, K) `label_distance` between every two labels, by label index."""
-        return self._pair_table(label_distance)
+        labels = self.labels
+        return _read_only(np.array([[label_distance(self, a, b) for b in labels] for a in labels]))
 
     @cached_property
     def chebyshev_table(self) -> np.ndarray:
-        """(K, K) `grid_chebyshev_distance` between every two labels (2d only)."""
-        return self._pair_table(grid_chebyshev_distance)
-
-    def _pair_table(self, distance) -> np.ndarray:
-        labels = self.labels
-        return _read_only(np.array([[distance(self, a, b) for b in labels] for a in labels]))
-
-    @cached_property
-    def rank_labels(self) -> np.ndarray:
-        """(K,) label index at each rank (1d only)."""
-        return _read_only(np.argsort([self.rank(label) for label in self.labels]))
+        """(K, K) Chebyshev (largest per-axis) gap between every two labels (2d only)."""
+        if self.mode != "2d":
+            raise TaxonomyError("Chebyshev distances are only defined for 2d taxonomies")
+        gaps = np.abs(self.coords[:, None, :] - self.coords[None, :, :])
+        return _read_only(gaps.max(axis=2))
 
     @cached_property
-    def cell_labels(self) -> np.ndarray:
-        """(G, G) label index at each (valence, arousal) cell (2d only).
+    def label_at(self) -> np.ndarray:
+        """Label index at each coordinate, flattened row-major.
 
-        A cell no label occupies holds the label of the L1-nearest labeled
-        cell, ties broken toward lower valence, then lower arousal.
+        Entry r is rank r in 1d and entry v*G + a is cell (v, a) in 2d.  A
+        coordinate no label occupies holds the label at the L1-nearest
+        occupied one, ties broken toward lower levels, axis by axis (lower
+        valence, then lower arousal).  In 1d every rank is occupied.
         """
-        cells = np.array([self.cell(label) for label in self.labels])
-        # labels in (valence, arousal) order, so argmin's first minimum breaks ties
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        levels = np.arange(self.grid_size)
-        l1 = (
-            np.abs(levels[:, None, None] - cells[order, 0])
-            + np.abs(levels[None, :, None] - cells[order, 1])
-        )
-        return _read_only(order[np.argmin(l1, axis=2)])
+        coords = self.coords
+        d = coords.shape[1]
+        # labels in coordinate order, so argmin's first minimum breaks ties
+        order = np.lexsort(coords.T[::-1])
+        grid = np.indices((self.levels,) * d).reshape(d, -1, 1)
+        l1 = np.abs(grid - coords[order].T[:, None, :]).sum(axis=0)
+        return _read_only(order[l1.argmin(axis=1)])
 
     @cached_property
-    def cell_occupied(self) -> np.ndarray:
-        """(G, G) mask of the cells some label occupies (2d only)."""
-        table = np.zeros((self.grid_size, self.grid_size), dtype=bool)
-        for label in self.labels:
-            table[self.cell(label)] = True
-        return _read_only(table)
-
-    def _require_label(self, label: str) -> None:
-        # an unhashable label is unknown too, not a TypeError
-        if not isinstance(label, str) or label not in self.label_index:
-            raise TaxonomyError(f"unknown label: {label!r}")
+    def occupied(self) -> np.ndarray:
+        """Mask of the coordinates some label occupies, indexed like `label_at`."""
+        table = np.zeros((self.levels,) * self.coords.shape[1], dtype=bool)
+        table[tuple(self.coords.T)] = True
+        return _read_only(table.reshape(-1))
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -236,7 +248,7 @@ def load_taxonomy(path: str | Path) -> EmotionTaxonomy:
     with open(path, encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also UnicodeDecodeError
             raise TaxonomyError(f"{path}: not valid JSON ({exc})") from exc
     return parse_taxonomy(document)
 
@@ -260,38 +272,17 @@ def builtin_taxonomy(name: str) -> EmotionTaxonomy:
     return parse_taxonomy(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def ordinal_distance(taxonomy: EmotionTaxonomy, a: str, b: str) -> int:
-    """Rank gap |rank(a) - rank(b)| on a 1d taxonomy."""
-    return abs(taxonomy.rank(a) - taxonomy.rank(b))
-
-
-def grid_distance(taxonomy: EmotionTaxonomy, a: str, b: str) -> int:
-    """L1 (Manhattan) gap between the two labels' grid cells on a 2d taxonomy.
-
-    L1 is the sum of the valence and arousal level gaps, mirroring how the
-    two-head training objective adds the per-axis errors.
-    """
-    va, aa = taxonomy.cell(a)
-    vb, ab = taxonomy.cell(b)
-    return abs(va - vb) + abs(aa - ab)
-
-
-def grid_chebyshev_distance(taxonomy: EmotionTaxonomy, a: str, b: str) -> int:
-    """Chebyshev (max per-axis) gap between grid cells; secondary report column."""
-    va, aa = taxonomy.cell(a)
-    vb, ab = taxonomy.cell(b)
-    return max(abs(va - vb), abs(aa - ab))
-
-
 def label_distance(taxonomy: EmotionTaxonomy, a: str, b: str) -> int:
-    """Mode-appropriate error distance: rank gap in 1d, L1 cell gap in 2d."""
-    if taxonomy.mode == "1d":
-        return ordinal_distance(taxonomy, a, b)
-    return grid_distance(taxonomy, a, b)
+    """L1 gap between two labels' coordinates: the rank gap in 1d, the sum of
+    the valence and arousal gaps in 2d, as the two-head objective adds the
+    per-axis errors."""
+    points = taxonomy._points
+    gap = 0
+    for x, y in zip(points[taxonomy.index(a)], points[taxonomy.index(b)]):
+        gap += abs(x - y)
+    return gap
 
 
 def max_distance(taxonomy: EmotionTaxonomy) -> int:
-    """Largest possible error distance: K-1 in 1d, 2*(G-1) in 2d."""
-    if taxonomy.mode == "1d":
-        return taxonomy.num_labels - 1
-    return 2 * (taxonomy.grid_size - 1)
+    """Largest possible error distance, D*(levels-1): K-1 in 1d, 2*(G-1) in 2d."""
+    return taxonomy.coords.shape[1] * (taxonomy.levels - 1)

@@ -217,7 +217,7 @@ def load_train_config_file(path: str | Path) -> dict:
     path = Path(path)
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also UnicodeDecodeError
         raise TrainerError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(document, dict):
         raise TrainerError(f"{path}: config must be a JSON object")

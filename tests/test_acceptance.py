@@ -24,8 +24,6 @@ from emord.hashing import sha256_file
 from emord.metrics import build_report, evaluate, holdout_proximity
 from emord.taxonomy import (
     builtin_taxonomy,
-    grid_chebyshev_distance,
-    grid_distance,
     label_distance,
     parse_taxonomy,
     save_taxonomy,
@@ -111,8 +109,9 @@ def test_criterion_2_codec_laws_and_metric_axioms():
                         assert dist(a, c) <= dist(a, b) + dist(b, c), (a, b, c)
 
         assert_metric(ISEAR.labels, lambda a, b: label_distance(ISEAR, a, b))
-        assert_metric(GRID.labels, lambda a, b: grid_distance(GRID, a, b))
-        assert_metric(GRID.labels, lambda a, b: grid_chebyshev_distance(GRID, a, b))
+        assert_metric(GRID.labels, lambda a, b: label_distance(GRID, a, b))
+        cheb = GRID.chebyshev_table
+        assert_metric(GRID.labels, lambda a, b: cheb[GRID.index(a), GRID.index(b)])
 
 
 # --------------------------------------------------------------- criterion 3

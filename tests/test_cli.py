@@ -184,6 +184,19 @@ def test_invalid_inputs_exit_1(tmp_path, spec_file):
     assert main([]) == EXIT_INVALID
 
 
+def test_files_that_are_not_utf8_exit_1_naming_the_file(tmp_path, train_config, caplog):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    out = tmp_path / "run"
+    for flags in (["--taxonomy", str(bad)], ["--config", str(bad)]):
+        caplog.clear()
+        assert main(["train", "--config", str(train_config), *flags, "--out", str(out)]) == EXIT_INVALID
+        assert str(bad) in caplog.text and "utf-8" in caplog.text
+    caplog.clear()
+    assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert str(bad) in caplog.text
+
+
 def test_non_finite_config_exits_1_without_checkpoints(tmp_path, train_config):
     document = json.loads(train_config.read_text(encoding="utf-8"))
     document["loss_weights"] = [float("nan"), 1.0]

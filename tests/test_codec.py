@@ -11,8 +11,8 @@ from emord.codec import (
     MODE_SOFTMAX,
     CodecError,
     _codeword_table,
-    _grid_code_table,
     _onehot_table,
+    _ordinal_code,
     check_mode_compatible,
     codewords,
     decode_thermometer,
@@ -22,7 +22,7 @@ from emord.codec import (
     target_for,
     target_width,
 )
-from emord.taxonomy import TaxonomyError, builtin_taxonomy
+from emord.taxonomy import TaxonomyError, builtin_taxonomy, label_distance
 
 
 def brute_force_decode(values):
@@ -160,12 +160,10 @@ def test_target_vectors_2d_every_label_distinct():
 def test_target_2d_squared_distance_equals_l1():
     # the concatenated codeword geometry carries the L1 grid distance exactly
     tax = builtin_taxonomy("goemotions-grid-5x5")
-    from emord.taxonomy import grid_distance
-
     for a, b in itertools.combinations(tax.labels, 2):
         va = target_for(tax, a, MODE_ORDINAL_2D)
         vb = target_for(tax, b, MODE_ORDINAL_2D)
-        assert float(((va - vb) ** 2).sum()) == grid_distance(tax, a, b)
+        assert float(((va - vb) ** 2).sum()) == label_distance(tax, a, b)
 
 
 def test_codewords_matrix():
@@ -203,12 +201,12 @@ def reference_target(tax, label, mode, dtype):
     )
 
 
-def cached_table(tax, mode):
+def cached_tables(tax, mode):
+    """The read-only tables target_for copies its rows from."""
     if mode == MODE_SOFTMAX:
-        return _onehot_table(tax.num_labels)
-    if mode == MODE_ORDINAL_1D:
-        return _codeword_table(tax.num_labels)
-    return _grid_code_table(tax.grid_size)
+        return [_onehot_table(tax.num_labels)]
+    points = [tuple(c) for c in tax.coords.tolist()]
+    return [_codeword_table(tax.levels)] + [_ordinal_code(tax.levels, p) for p in points]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -223,20 +221,20 @@ def cached_table(tax, mode):
 )
 def test_target_for_is_a_fresh_copy_of_the_encoded_target(name, mode, dtype):
     tax = builtin_taxonomy(name)
-    table = cached_table(tax, mode)
-    assert not table.flags.writeable
-    before = table.copy()
+    tables = cached_tables(tax, mode)
+    assert not any(table.flags.writeable for table in tables)
+    before = [table.copy() for table in tables]
     for label in tax.labels:
         expected = reference_target(tax, label, mode, dtype)
         got = target_for(tax, label, mode, dtype=dtype)
         assert got.dtype == dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
         assert got.flags.writeable and got.flags.c_contiguous
-        assert not np.shares_memory(got, table)
+        assert not any(np.shares_memory(got, table) for table in tables)
         got[...] = 7.0
         assert target_for(tax, label, mode, dtype=dtype).tobytes() == expected.tobytes()
-    assert table.tobytes() == before.tobytes()
-    assert cached_table(tax, mode) is table
+    assert [table.tobytes() for table in tables] == [table.tobytes() for table in before]
+    assert all(a is b for a, b in zip(cached_tables(tax, mode), tables))
 
 
 def test_target_for_errors():

@@ -1,6 +1,7 @@
 """Corpus I/O, tokenization, vocabulary, splitting, and synthetic generation."""
 
 import json
+import re
 import sys
 import unicodedata
 from collections import Counter
@@ -64,6 +65,23 @@ def test_load_tsv_errors_name_the_row(tmp_path):
     path.write_text("\tjoy\n", encoding="utf-8")
     with pytest.raises(DataError, match="row 1"):
         load_corpus(path, "tsv", ISEAR)
+
+
+@pytest.mark.parametrize("fmt, head", [("tsv", b""), ("csv", b"text,label\n")], ids=["tsv", "csv"])
+@pytest.mark.parametrize(
+    "bad",
+    [b"caf\xe9\tjoy\n", b"fine\tj\xffoy\n", b"\x80\tjoy\n"],
+    ids=["latin-1 text", "in the label", "first byte"],
+)
+def test_load_rejects_bytes_that_are_not_utf8_by_row(tmp_path, fmt, head, bad):
+    # a byte that is not UTF-8 in row 3, after two good rows of either format
+    rows = [b"so happy\tjoy\n", b"so scared\tfear\n", bad]
+    if fmt == "csv":
+        rows = [row.replace(b"\t", b",") for row in rows]
+    path = tmp_path / f"corpus.{fmt}"
+    path.write_bytes(head + b"".join(rows))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))} row 3: not valid UTF-8$"):
+        load_corpus(path, fmt, ISEAR)
 
 
 def test_load_csv_strict_header(tmp_path):
@@ -448,6 +466,9 @@ def test_spec_loading_is_strict(tmp_path):
         load_synthetic_spec(path)
     path.write_text("not json", encoding="utf-8")
     with pytest.raises(DataError, match="JSON"):
+        load_synthetic_spec(path)
+    path.write_bytes(b'{"taxonomy": "isear-valence\xff"}')
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*utf-8"):
         load_synthetic_spec(path)
     path.write_text('{"taxonomy": "isear-valence", "seed": 1.5}', encoding="utf-8")
     with pytest.raises(DataError, match="integer"):

@@ -1,17 +1,22 @@
 """Output decoding rules for every head mode, plus text-level prediction."""
 
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emord.checkpoint import Checkpoint
-from emord.codec import CodecError, decode_thermometer_batch, encode_thermometer
+from emord.codec import CodecError, decode_thermometer_batch, encode_thermometer, target_for
 from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
 from emord.infer import decode_outputs, predict_ids, predict_text
 from emord.net import ModelConfig, NetError, forward, init_params
-from emord.taxonomy import builtin_taxonomy, parse_taxonomy
+from emord.taxonomy import TaxonomyError, builtin_taxonomy, parse_taxonomy
 from test_net import reference_forward
+from test_taxonomy import plain_chebyshev, plain_l1
 
 ISEAR = builtin_taxonomy("isear-valence")
 GRID = builtin_taxonomy("goemotions-grid-5x5")
@@ -66,17 +71,20 @@ def test_ordinal_2d_decode_off_grid_resolution():
     assert pred.label == "remorse"
 
 
-def decode_cells(taxonomy, cells):
-    """decode_outputs on the exact ordinal-2d codewords of `cells`."""
-    g = taxonomy.grid_size
-    rows = np.array(
-        [np.concatenate([encode_thermometer(v, g), encode_thermometer(a, g)]) for v, a in cells]
-    )
-    return decode_outputs(taxonomy, "ordinal-2d", rows)
+def axis_levels(taxonomy):
+    return taxonomy.num_labels if taxonomy.mode == "1d" else taxonomy.grid_size
+
+
+def decode_points(taxonomy, points):
+    """decode_outputs on the exact ordinal codewords of `points`: ranks
+    (1-tuples) on a 1d taxonomy, (valence, arousal) cells on a 2d one."""
+    levels = axis_levels(taxonomy)
+    rows = np.array([np.concatenate([encode_thermometer(x, levels) for x in p]) for p in points])
+    return decode_outputs(taxonomy, f"ordinal-{taxonomy.mode}", rows)
 
 
 def test_nearest_labeled_cell_tie_breaks():
-    remorse, disappointment, grief = decode_cells(GRID, [(2, 0), (2, 1), (0, 0)])
+    remorse, disappointment, grief = decode_points(GRID, [(2, 0), (2, 1), (0, 0)])
     assert remorse.label == "remorse" and remorse.off_grid
     # (2,1) neighbors at d=1: disappointment (1,1), caring (3,1),
     # curiosity (2,2) -> lowest valence wins
@@ -85,12 +93,12 @@ def test_nearest_labeled_cell_tie_breaks():
     assert grief.label == "grief" and not grief.off_grid
 
 
-def nearest_label_oracle(taxonomy, cell):
-    """Plain loop over labels: L1, then lower valence, then lower arousal."""
+def nearest_label_oracle(taxonomy, point):
+    """Plain loop over labels: L1, then lower valence (or rank), then lower arousal."""
     best = None
     for label in taxonomy.labels:
-        v, a = taxonomy.cell(label)
-        key = (abs(v - cell[0]) + abs(a - cell[1]), v, a)
+        at = (taxonomy.ranks[label],) if taxonomy.mode == "1d" else taxonomy.cells[label]
+        key = (sum(abs(x - y) for x, y in zip(at, point)), *at)
         if best is None or key < best[0]:
             best = (key, label)
     return best[1], best[0][0] > 0
@@ -113,17 +121,83 @@ TIE_GRID = parse_taxonomy(
 )
 
 
+def assert_every_point_decodes_like_the_oracle(taxonomy):
+    """Decode each coordinate's exact codeword; return the predictions by point."""
+    points = list(itertools.product(range(axis_levels(taxonomy)), repeat=taxonomy.coords.shape[1]))
+    preds = dict(zip(points, decode_points(taxonomy, points)))
+    for point, pred in preds.items():
+        label, off_grid = nearest_label_oracle(taxonomy, point)
+        raw = pred.cell if taxonomy.mode == "2d" else (pred.rank,)
+        assert (pred.label, pred.off_grid, raw) == (label, off_grid, point), point
+    return preds
+
+
 @pytest.mark.parametrize("taxonomy", [GRID, TIE_GRID], ids=["goemotions", "ties"])
 def test_every_cell_decodes_like_the_oracle(taxonomy):
-    g = taxonomy.grid_size
-    cells = [(v, a) for v in range(g) for a in range(g)]
-    preds = dict(zip(cells, decode_cells(taxonomy, cells)))
-    for cell, pred in preds.items():
-        label, off_grid = nearest_label_oracle(taxonomy, cell)
-        assert (pred.label, pred.off_grid, pred.cell) == (label, off_grid, cell), cell
+    preds = assert_every_point_decodes_like_the_oracle(taxonomy)
     if taxonomy is TIE_GRID:
         assert preds[(0, 0)].label == "a"  # lower valence beats b (1,0)
         assert preds[(0, 2)].label == "a"  # lower arousal beats c (0,3)
+
+
+@st.composite
+def taxonomies(draw):
+    """1d: 2-9 labels with shuffled ranks.  2d: a 2x2 to 7x7 grid with two
+    or more labels at distinct random cells, in random label order."""
+    if draw(st.booleans()):
+        ranks = draw(st.permutations(range(draw(st.integers(2, 9)))))
+        records = [{"name": f"l{i}", "rank": r} for i, r in enumerate(ranks)]
+        return parse_taxonomy({"mode": "1d", "labels": records})
+    g = draw(st.integers(2, 7))
+    level = st.integers(0, g - 1)
+    cells = draw(st.lists(st.tuples(level, level), min_size=2, max_size=g * g, unique=True))
+    records = [{"name": f"l{i}", "valence": v, "arousal": a} for i, (v, a) in enumerate(cells)]
+    return parse_taxonomy({"mode": "2d", "grid_size": g, "labels": records})
+
+
+@settings(max_examples=60, deadline=None)
+@given(taxonomies())
+def test_every_coordinate_of_a_drawn_taxonomy_decodes_like_the_oracle(taxonomy):
+    assert_every_point_decodes_like_the_oracle(taxonomy)
+    mode = f"ordinal-{taxonomy.mode}"
+    targets = np.stack([target_for(taxonomy, label, mode) for label in taxonomy.labels])
+    decoded = decode_outputs(taxonomy, mode, targets)
+    assert [p.label for p in decoded] == list(taxonomy.labels)
+    assert not decoded.off_grid.any()
+    # the tables against plain loops over ranks or cells
+    for (i, a), (j, b) in itertools.product(enumerate(taxonomy.labels), repeat=2):
+        assert taxonomy.distance_table[i, j] == plain_l1(taxonomy, a, b)
+        if taxonomy.mode == "2d":
+            assert taxonomy.chebyshev_table[i, j] == plain_chebyshev(taxonomy, a, b)
+    if taxonomy.mode == "1d":
+        with pytest.raises(TaxonomyError):
+            taxonomy.chebyshev_table
+
+
+def test_a_wide_grid_builds_no_per_cell_target_table():
+    # one float64 table of every cell's target would hold G * G * 2(G-1)
+    # entries, 127 MB at G = 200
+    g = 200
+    taxonomy = parse_taxonomy(
+        {
+            "mode": "2d",
+            "grid_size": g,
+            "labels": [
+                {"name": "low", "valence": 0, "arousal": 0},
+                {"name": "high", "valence": g - 1, "arousal": g - 1},
+            ],
+        }
+    )
+    tracemalloc.start()
+    try:
+        target = target_for(taxonomy, "high", "ordinal-2d")
+        (pred,) = decode_outputs(taxonomy, "ordinal-2d", np.full((1, 2 * (g - 1)), 0.75))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert target.tolist() == [1.0] * (2 * (g - 1))
+    assert pred.label == "high" and pred.cell == (g - 1, g - 1) and not pred.off_grid
 
 
 def test_prediction_to_dict():
@@ -165,21 +239,28 @@ def test_ordinal_2d_decode_equals_decoding_each_half_alone():
     outputs[-100:] = np.round(outputs[-100:] * 2) / 2  # many more exact ties
     decoded = decode_outputs(GRID, "ordinal-2d", outputs)
     v, a = decode_2d_halves(outputs)
-    assert np.array_equal(decoded.valences, v) and np.array_equal(decoded.arousals, a)
-    assert np.array_equal(decoded.indices, GRID.cell_labels[v, a])
-    assert np.array_equal(decoded.off_grid, ~GRID.cell_occupied[v, a])
+    assert np.array_equal(decoded.coords, np.stack([v, a], axis=1))
+    assert np.array_equal(decoded.indices, GRID.label_at[v * g + a])
+    assert np.array_equal(decoded.off_grid, ~GRID.occupied[v * g + a])
     assert decoded[0].cell == (0, 0)  # ties go to the lower level
     assert decoded[2].off_grid and decoded[2].cell == (2, 0)
     assert 0 < decoded.off_grid.sum() < len(decoded)
     # the same levels for a block that is not contiguous in memory
     strided = decode_outputs(GRID, "ordinal-2d", np.asfortranarray(outputs))
-    assert np.array_equal(strided.valences, v) and np.array_equal(strided.arousals, a)
+    assert np.array_equal(strided.coords, decoded.coords)
 
 
 @pytest.mark.parametrize("shape", [(3, 7), (3, 1), (3, 0), (8,)])
 def test_ordinal_2d_decode_rejects_a_block_without_two_equal_halves(shape):
     with pytest.raises(CodecError, match=rf"ordinal-2d outputs .*{re.escape(str(shape))}"):
         decode_outputs(GRID, "ordinal-2d", np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 7), (3, 0), (6,)])
+def test_ordinal_1d_decode_rejects_a_block_of_another_width(shape):
+    # a level past the last rank once raised numpy's IndexError
+    with pytest.raises(CodecError, match=rf"ordinal-1d outputs .*{re.escape(str(shape))}"):
+        decode_outputs(ISEAR, "ordinal-1d", np.full(shape, 0.9))
 
 
 def make_checkpoint(mode="softmax"):
@@ -229,9 +310,11 @@ def test_predict_ids_chunks_match_row_by_row_decode(mode):
         assert pred.to_dict() == row.to_dict() == decoded[i].to_dict()
         assert pred.cell == row.cell
     if mode == "ordinal-2d":
-        assert [p.cell for p in decoded] == list(zip(decoded.valences, decoded.arousals))
+        assert [p.cell for p in decoded] == [tuple(c) for c in decoded.coords.tolist()]
+    elif mode == "ordinal-1d":
+        assert [p.rank for p in decoded] == decoded.coords[:, 0].tolist()
     else:
-        assert decoded.valences is None and decoded.arousals is None
+        assert decoded.coords is None
 
 
 @pytest.mark.parametrize("mode", ["softmax", "ordinal-1d", "ordinal-2d"])
@@ -241,7 +324,10 @@ def test_predict_ids_on_no_rows_is_empty(mode):
     assert len(decoded) == 0 and list(decoded) == []
     assert decoded.indices.shape == decoded.off_grid.shape == (0,)
     assert decoded.outputs.shape == (0, ck.config.output_width)
-    assert (decoded.valences is None) == (mode != "ordinal-2d")
+    if mode == "softmax":
+        assert decoded.coords is None
+    else:
+        assert decoded.coords.shape == (0, ck.taxonomy.coords.shape[1])
 
 
 def test_predict_text_roundtrip():

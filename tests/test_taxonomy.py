@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,9 @@ from emord.taxonomy import (
     EmotionTaxonomy,
     TaxonomyError,
     builtin_taxonomy,
-    grid_chebyshev_distance,
-    grid_distance,
     label_distance,
     load_taxonomy,
     max_distance,
-    ordinal_distance,
     parse_taxonomy,
     save_taxonomy,
     taxonomy_to_document,
@@ -118,6 +116,13 @@ def test_load_rejects_bad_json(tmp_path):
         load_taxonomy(path)
 
 
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff{"mode": "1d"}')
+    with pytest.raises(TaxonomyError, match=f"^{re.escape(str(path))}: .*utf-8"):
+        load_taxonomy(path)
+
+
 def test_builtin_names():
     assert set(BUILTIN_TAXONOMIES) == {"isear-valence", "goemotions-grid-5x5"}
     with pytest.raises(TaxonomyError, match="no builtin"):
@@ -130,11 +135,12 @@ def test_isear_taxonomy_shape_and_distances():
     assert tax.num_labels == 7
     assert sorted(tax.ranks.values()) == list(range(7))
     # pinned ordering facts for the shipped valence scale
-    assert ordinal_distance(tax, "sadness", "anger") == 2
-    assert ordinal_distance(tax, "sadness", "fear") == 5
+    assert label_distance(tax, "sadness", "anger") == 2
+    assert label_distance(tax, "sadness", "fear") == 5
     assert tax.rank("sadness") == 0
     assert tax.rank("joy") == 6
     assert max_distance(tax) == 6
+    assert tax.levels == 7 and tax.coords.shape == (7, 1)
 
 
 def test_grid_taxonomy_shape_and_distances():
@@ -147,12 +153,13 @@ def test_grid_taxonomy_shape_and_distances():
     assert all(0 <= v < 5 and 0 <= a < 5 for v, a in cells)
     assert tax.cell("grief") == (0, 0)
     assert tax.cell("pride") == (3, 2)
-    assert grid_distance(tax, "grief", "pride") == 5
-    assert grid_chebyshev_distance(tax, "grief", "pride") == 3
+    assert label_distance(tax, "grief", "pride") == 5
+    assert tax.chebyshev_table[tax.index("grief"), tax.index("pride")] == 3
     assert max_distance(tax) == 8
+    assert tax.levels == 5 and tax.coords.shape == (23, 2)
     # joy must sit among close neighbors for the holdout experiments
     near_joy = [
-        lab for lab in tax.labels if lab != "joy" and grid_distance(tax, "joy", lab) == 1
+        lab for lab in tax.labels if lab != "joy" and label_distance(tax, "joy", lab) == 1
     ]
     assert len(near_joy) >= 2
 
@@ -177,20 +184,44 @@ def test_label_at_cell():
         assert decode(cell).off_grid
 
 
-def test_tables_match_the_pair_functions():
+def plain_l1(tax, a, b):
+    """Rank gap in 1d, L1 cell gap in 2d, by a plain loop over `ranks`/`cells`."""
+    if tax.mode == "1d":
+        return abs(tax.ranks[a] - tax.ranks[b])
+    (va, aa), (vb, ab) = tax.cells[a], tax.cells[b]
+    return abs(va - vb) + abs(aa - ab)
+
+
+def plain_chebyshev(tax, a, b):
+    (va, aa), (vb, ab) = tax.cells[a], tax.cells[b]
+    return max(abs(va - vb), abs(aa - ab))
+
+
+def test_tables_match_plain_loops():
     isear = builtin_taxonomy("isear-valence")
     grid = builtin_taxonomy("goemotions-grid-5x5")
     # built on first use, never by the parser
-    assert "distance_table" not in vars(grid) and "cell_labels" not in vars(grid)
+    assert not {"coords", "distance_table", "label_at", "occupied"} & set(vars(grid))
     for tax, table, distance in (
-        (isear, isear.distance_table, label_distance),
-        (grid, grid.distance_table, label_distance),
-        (grid, grid.chebyshev_table, grid_chebyshev_distance),
+        (isear, isear.distance_table, plain_l1),
+        (grid, grid.distance_table, plain_l1),
+        (grid, grid.chebyshev_table, plain_chebyshev),
     ):
         assert not table.flags.writeable
         for (i, a), (j, b) in itertools.product(enumerate(tax.labels), repeat=2):
             assert table[i, j] == distance(tax, a, b)
-    assert [isear.ranks[isear.labels[i]] for i in isear.rank_labels] == list(range(7))
+    assert [isear.ranks[isear.labels[i]] for i in isear.label_at] == list(range(7))
+    assert isear.occupied.all()
+    assert [tuple(c) for c in grid.coords.tolist()] == [grid.cells[lab] for lab in grid.labels]
+    # flat row-major tables: cell (v, a) is entry v * G + a
+    for i, label in enumerate(grid.labels):
+        v, a = grid.cells[label]
+        assert grid.label_at[v * 5 + a] == i and grid.occupied[v * 5 + a]
+    assert grid.label_at.shape == grid.occupied.shape == (25,)
+    assert grid.occupied.sum() == 23
+    for tax in (isear, grid):
+        for table in (tax.coords, tax.label_at, tax.occupied):
+            assert not table.flags.writeable
     with pytest.raises(TaxonomyError):
         isear.chebyshev_table
 
@@ -205,18 +236,24 @@ def metric_axioms(tax, dist):
         assert dist(tax, a, c) <= dist(tax, a, b) + dist(tax, b, c)
 
 
+def chebyshev(tax, a, b):
+    return tax.chebyshev_table[tax.index(a), tax.index(b)]
+
+
 def test_metric_axioms_by_enumeration():
-    metric_axioms(builtin_taxonomy("isear-valence"), ordinal_distance)
+    metric_axioms(builtin_taxonomy("isear-valence"), label_distance)
     grid = builtin_taxonomy("goemotions-grid-5x5")
-    metric_axioms(grid, grid_distance)
-    metric_axioms(grid, grid_chebyshev_distance)
+    metric_axioms(grid, label_distance)
+    metric_axioms(grid, chebyshev)
 
 
-def test_label_distance_dispatch():
+def test_label_distance_is_the_l1_gap_in_plain_ints():
     t1 = builtin_taxonomy("isear-valence")
     t2 = builtin_taxonomy("goemotions-grid-5x5")
-    assert label_distance(t1, "sadness", "fear") == ordinal_distance(t1, "sadness", "fear")
-    assert label_distance(t2, "grief", "pride") == grid_distance(t2, "grief", "pride")
+    for tax in (t1, t2):
+        for a, b in itertools.product(tax.labels, repeat=2):
+            d = label_distance(tax, a, b)
+            assert type(d) is int and d == plain_l1(tax, a, b)
     with pytest.raises(TaxonomyError, match="unknown label"):
         label_distance(t1, "sadness", "zeal")
 

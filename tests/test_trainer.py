@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import typing
 import warnings
 
@@ -143,6 +144,9 @@ def test_config_file_loading(tmp_path):
 
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(TrainerError):
+        load_train_config_file(path)
+    path.write_bytes(b'{"epochs": 3}\xff')
+    with pytest.raises(TrainerError, match=f"^{re.escape(str(path))}: .*utf-8"):
         load_train_config_file(path)
     path.write_text(json.dumps({"epochs": "three"}), encoding="utf-8")
     with pytest.raises(TrainerError, match="epochs"):
