@@ -33,6 +33,7 @@ from .checkpoint import load_checkpoint, save_checkpoint, taxonomy_fingerprint
 from .codec import HEAD_MODES
 from .data import (
     CORPUS_FORMATS,
+    check_utf8,
     generate_synthetic,
     load_corpus,
     load_synthetic_spec,
@@ -214,9 +215,29 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _stdin_texts():
+    """stdin's lines as UTF-8, without their newlines.
+
+    A strict error handler decodes a whole buffered chunk at once, so it
+    would fail on a bad byte before the lines ahead of it are read.  Under
+    surrogateescape each bad byte becomes a lone surrogate in its own line,
+    which check_utf8 finds when that line's turn comes.  A stream without
+    `reconfigure` (an io.StringIO) holds text already and is read as it is.
+    """
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    for number, line in enumerate(sys.stdin, 1):
+        check_utf8(line, f"stdin line {number}")
+        yield line.rstrip("\n")
+
+
 def cmd_predict(args) -> int:
     ck = load_checkpoint(args.checkpoint)
-    texts = [args.text] if args.text is not None else (line.rstrip("\n") for line in sys.stdin)
+    if args.text is None:
+        texts = _stdin_texts()
+    else:
+        check_utf8(args.text, "--text")  # argv holds a bad byte as surrogateescape does
+        texts = [args.text]
     for text in texts:
         if not text.strip():
             logger.error("empty input text")

@@ -80,9 +80,15 @@ def filter_labels(corpus: LabeledCorpus, keep) -> LabeledCorpus:
     return LabeledCorpus(records, provenance=f"{corpus.provenance}[filtered]")
 
 
-def _check_record(text: str, label: str, taxonomy: EmotionTaxonomy, where: str) -> None:
-    if not (text.isascii() and label.isascii()) and _UNDECODABLE.search(text + label):
+def check_utf8(text: str, where: str) -> None:
+    """Reject text decoded with the surrogateescape handler from bytes that are not UTF-8."""
+    if not text.isascii() and _UNDECODABLE.search(text):
         raise DataError(f"{where}: not valid UTF-8")
+
+
+def _check_record(text: str, label: str, taxonomy: EmotionTaxonomy, where: str) -> None:
+    if not (text.isascii() and label.isascii()):
+        check_utf8(text + label, where)
     if not text.strip():
         raise DataError(f"{where}: empty text")
     if label not in taxonomy.label_index:

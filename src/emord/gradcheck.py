@@ -157,7 +157,7 @@ def check_gradients(
         analytic.conv2_w.flat[0] += 1e-2
 
     def loss_at() -> float:
-        out, _ = forward(params, config, token_ids)
+        out, _ = forward(params, config, token_ids, cache=False)
         return loss_value(out, targets, mode, loss_weights)
 
     layers = []

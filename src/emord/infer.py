@@ -10,7 +10,8 @@ outputs decodes into one `Decoded` record of arrays by lookups in the
 taxonomy's tables, and `decoded[i]` is row i as a `Prediction`.
 
 `predict_ids` runs the model on chunks of rows; validation and `evaluate`
-run through it, and `forward` cuts each chunk's trailing padding.  The
+run through it, and `forward` cuts each chunk's trailing padding and, with
+`cache=False`, keeps no activations for a backward pass.  The
 one-text path (`predict_text` -> `predict_ids` -> `forward` ->
 `decode_outputs`, once per text) is dominated by per-call overhead, so
 each step does one call where it can.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .codec import MODE_SOFTMAX, CodecError, decode_thermometer_batch
+from .codec import MODE_SOFTMAX, CodecError, check_mode_compatible, decode_thermometer_batch
 from .data import DataError, encode_text
 from .net import forward
 from .taxonomy import EmotionTaxonomy
@@ -92,6 +93,7 @@ def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) ->
     if mode == MODE_SOFTMAX:
         indices = np.argmax(outputs, axis=1)
         return Decoded(taxonomy, mode, indices, np.zeros(len(indices), dtype=bool), outputs)
+    check_mode_compatible(mode, taxonomy)
     d, levels = taxonomy.coords.shape[1], taxonomy.levels
     width = d * (levels - 1)
     if outputs.ndim != 2 or outputs.shape[1] != width:
@@ -110,7 +112,8 @@ def predict_ids(ck: Checkpoint, token_ids: np.ndarray, batch_size: int = 256) ->
     mode = ck.config.head_mode
     parts = []
     for start in range(0, len(token_ids), batch_size):
-        outputs, _ = forward(ck.params, ck.config, token_ids[start : start + batch_size])
+        chunk = token_ids[start : start + batch_size]
+        outputs, _ = forward(ck.params, ck.config, chunk, cache=False)
         parts.append(decode_outputs(ck.taxonomy, mode, outputs))
     if not parts:
         return decode_outputs(ck.taxonomy, mode, np.zeros((0, ck.config.output_width)))

@@ -24,6 +24,22 @@ last bits from the same rows in a 256-row batch at about 25-32 of the batch
 sizes 1-39, 100, 129 and 255 (never at a multiple of 4), ordinal-2d outputs
 at batch size 1 only.  ROADMAP item 2 is to make them batch-invariant.
 
+A forward that keeps no cache (forward(..., cache=False): every caller
+but the training step) runs embedding -> conv1 -> ReLU -> conv2 -> ReLU ->
+masked pool over blocks of rows, each ReLU in place, then the FFNN and head
+once over the whole pooled matrix.  A block holds
+max(128 KiB // row, ceil(conv weight bytes / row), 1) rows, where row is
+T * max(E, C1, C2) * itemsize at the cut width T, so a block's widest
+activation stays in a core's L2 cache unless that would make the block
+smaller than the conv weights it reads: 16-18 rows at desk widths, a whole
+16-row batch at paper widths and T=200.  The outputs are bit-identical to
+the cached forward's, which runs the same code as one block of all B rows:
+each step up to the pool works row by row, each conv row is the same at
+any row count, and the FFNN sees the same pooled matrix.  At desk widths
+(T=32, one BLAS thread) a 256-row forward fell from 6.5 to 3.9 ms (min of
+200 interleaved calls) and no longer overflows L2 with a 5 MB set of
+activations; a one-row forward stays at about 80 us.
+
 At desk widths a batched forward is bound by the conv GEMMs, but a one-row
 forward (one text served by predict_text) is bound by numpy's per-call
 overhead.  So forward() derives the padding mask once, for the all-padding
@@ -41,6 +57,7 @@ import numpy as np
 from .codec import MODE_SOFTMAX, MODE_ORDINAL_2D, HEAD_MODES
 
 _INIT_STREAM = 101  # seed-stream tag separating init draws from other consumers
+_BLOCK_BYTES = 128 * 1024  # widest activation of one cache-free forward block
 
 #: Parameter arrays in canonical order (checkpoints, optimizer slots, reports).
 PARAM_FIELDS = (
@@ -270,18 +287,37 @@ class ForwardCache:
     outputs: np.ndarray  # (B, out) post softmax/logistic
 
 
-def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # x (B, T, Cin), w (Cout, Cin, k) -> (B, T-k+1, Cout), one GEMM per tap:
-    # tap j maps every input row, and output t takes input row t+j.
+def _conv_taps(w: np.ndarray) -> np.ndarray:
+    # (Cout, Cin, k) -> (k, Cin, Cout): each tap a contiguous matrix
+    return w.transpose(2, 1, 0).copy()
+
+
+def _conv1d(x: np.ndarray, taps: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # x (B, T, Cin), taps (k, Cin, Cout) -> (B, T-k+1, Cout), one GEMM per
+    # tap: tap j maps every input row, and output t takes input row t+j.
     batch, t, c_in = x.shape
-    k = w.shape[2]
+    k = taps.shape[0]
     t_out = t - k + 1
     flat = x.reshape(batch * t, c_in)
-    taps = w.transpose(2, 1, 0).copy()  # (k, Cin, Cout): each tap a contiguous matrix
     out = (flat @ taps[0]).reshape(batch, t, -1)[:, :t_out] + b
     for j in range(1, k):
         out += (flat @ taps[j]).reshape(batch, t, -1)[:, j : j + t_out]
     return out
+
+
+def _block_rows(config: ModelConfig, length: int) -> int:
+    """Rows per block of a cache-free forward over ids cut to `length` columns.
+
+    A block's widest activation fills at most _BLOCK_BYTES, so its tap
+    products stay in a core's L2 cache, unless that is fewer rows than the
+    conv weights fill: each block reads every conv weight once, and a block
+    smaller than the weights would read more weight than activation.
+    """
+    e, (c1, c2), (k1, k2) = config.embed_dim, config.conv_channels, config.kernel_sizes
+    itemsize = 4 if config.dtype == "float32" else 8
+    row_bytes = length * max(e, c1, c2) * itemsize
+    weight_bytes = (c1 * e * k1 + c2 * c1 * k2) * itemsize
+    return max(_BLOCK_BYTES // row_bytes, -(-weight_bytes // row_bytes), 1)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -299,8 +335,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    params: ModelParams, config: ModelConfig, token_ids: np.ndarray
-) -> tuple[np.ndarray, ForwardCache]:
+    params: ModelParams, config: ModelConfig, token_ids: np.ndarray, *, cache: bool = True
+) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the full pipeline on a (B, T) batch of token ids.
 
     Padding (id 0) embeds to an exact zero vector.  The mean-pool averages
@@ -308,6 +344,10 @@ def forward(
     by that count rather than by the full time axis, so trailing padding
     never dilutes short texts.  Columns past the last real token's receptive
     field are cut before the embedding; the cache holds the cut ids.
+
+    With `cache=False` the conv stack runs in blocks of rows and no
+    activation is kept: the second return value is None.  The outputs are
+    bit-identical either way.
     """
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
@@ -342,20 +382,31 @@ def forward(
         token_ids, real, t = token_ids[:, :end], real[:, :end], end
 
     dt = config.np_dtype
-    emb = params.embedding[token_ids]
-    emb *= real[:, :, None]
-
-    z1 = _conv1d(emb, params.conv1_w, params.conv1_b)
-    assert z1.shape[1] == t - k1 + 1
-    a1 = np.maximum(z1, 0)
-    z2 = _conv1d(a1, params.conv2_w, params.conv2_b)
     t2 = t - k1 - k2 + 2
-    assert z2.shape[1] == t2
-    a2 = np.maximum(z2, 0)
-
     pool_counts = np.minimum(n_real, t2).astype(dt)
     pool_mask = (np.arange(t2)[None, :] < pool_counts[:, None]).astype(dt)
-    pooled = (a2 * pool_mask[:, :, None]).sum(axis=1) / pool_counts[:, None]
+    taps1, taps2 = _conv_taps(params.conv1_w), _conv_taps(params.conv2_w)
+
+    # The same arithmetic for one block of all B rows (the cached forward)
+    # or for blocks of _block_rows rows: every step from the embedding to
+    # the pool works row by row, and each row of a tap product is the same
+    # at any row count, so each pooled row is bit-identical either way.
+    rows = b if cache else _block_rows(config, t)
+    blocks = []
+    for start in range(0, b, rows):
+        stop = start + rows
+        emb = params.embedding[token_ids[start:stop]]
+        emb *= real[start:stop, :, None]
+        z1 = _conv1d(emb, taps1, params.conv1_b)
+        # without a cache, each ReLU overwrites its input
+        a1 = np.maximum(z1, 0, out=None if cache else z1)
+        z2 = _conv1d(a1, taps2, params.conv2_b)
+        a2 = np.maximum(z2, 0, out=None if cache else z2)
+        # a fresh product: numpy runs an in-place product with a broadcast
+        # operand about 4x slower
+        masked = a2 * pool_mask[start:stop, :, None]
+        blocks.append(masked.sum(axis=1) / pool_counts[start:stop, None])
+    pooled = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     h1_pre = pooled @ params.fc1_w + params.fc1_b
     h1 = np.maximum(h1_pre, 0)
@@ -369,8 +420,9 @@ def forward(
         outputs = _sigmoid(logits)
     if not np.isfinite(outputs).all():
         raise NetError("non-finite head outputs")
-
-    cache = ForwardCache(
+    if not cache:
+        return outputs, None
+    return outputs, ForwardCache(
         token_ids=token_ids,
         emb=emb,
         z1=z1,
@@ -387,7 +439,6 @@ def forward(
         logits=logits,
         outputs=outputs,
     )
-    return outputs, cache
 
 
 def _conv1d_backward(x, w, d_out, d_w, d_b):

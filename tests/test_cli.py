@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from emord.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from emord.data import LabeledCorpus, build_vocab, save_corpus_tsv
 from emord.net import ModelConfig, init_params
 from emord.taxonomy import builtin_taxonomy
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -264,3 +270,36 @@ def test_failed_eval_exits_1_and_writes_no_manifest(tmp_path, records, holdout):
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["artifacts"]])
+
+
+@pytest.mark.parametrize("handler", ["strict", "surrogateescape"])
+def test_predict_names_the_stdin_line_that_is_not_utf8(tmp_path, handler):
+    # whatever error handler the locale gives stdin, the lines before the
+    # bad one are printed and the run ends in emord's own error, exit 1
+    checkpoint = grid_checkpoint(tmp_path / "model.ckpt")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "emord.cli", "predict", "--checkpoint", str(checkpoint)],
+        input=b"alpha beta\ngamma\nbeta \xff delta\nalpha\n",
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": f"utf-8:{handler}"},
+        capture_output=True,
+        timeout=60,
+    )
+    assert run.returncode == EXIT_INVALID
+    assert [json.loads(line)["mode"] for line in run.stdout.splitlines()] == ["ordinal-2d"] * 2
+    assert run.stderr.decode().strip() == "stdin line 3: not valid UTF-8"
+
+
+def test_predict_checks_a_plain_text_stdin(tmp_path, capsys, caplog, monkeypatch):
+    # a text stream with no byte buffer holds what surrogateescape made of a bad byte
+    checkpoint = grid_checkpoint(tmp_path / "model.ckpt")
+    monkeypatch.setattr("sys.stdin", io.StringIO("alpha beta\ngamma \udcff\n"))
+    assert main(["predict", "--checkpoint", str(checkpoint)]) == EXIT_INVALID
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert "stdin line 2: not valid UTF-8" in caplog.text
+
+
+def test_predict_rejects_a_text_argument_that_is_not_utf8(tmp_path, caplog):
+    checkpoint = grid_checkpoint(tmp_path / "model.ckpt")
+    assert main(["predict", "--checkpoint", str(checkpoint), "--text", "alpha \udcff"]) == EXIT_INVALID
+    assert "--text: not valid UTF-8" in caplog.text

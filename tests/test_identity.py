@@ -1,0 +1,42 @@
+"""tools/identity.py: two runs of the artifact digest harness agree."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
+
+
+def digest_lines(out: Path) -> list[str]:
+    command = [sys.executable, str(TOOL), "--out", str(out), "--per-label", "4"]
+    run = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+def test_two_runs_in_other_directories_print_the_same_digests(tmp_path):
+    first = digest_lines(tmp_path / "a")
+    assert digest_lines(tmp_path / "b" / "nested") == first  # the directory is masked
+    paths = [line.split("  ")[1] for line in first]
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in first)
+    for case in ("softmax", "ordinal-2d"):
+        for artifact in (
+            "train/best.ckpt",
+            "train/final.ckpt",
+            "train/history.jsonl",
+            "train/manifest.json",
+            "eval/report.json",
+            "eval/confusion.csv",
+            "eval/histogram.csv",
+            "eval/pairs.csv",
+            "eval/manifest.json",
+            "predict.jsonl",
+        ):
+            assert f"{case}/{artifact}" in paths
+    # one prediction per test text, and the manifests did name the directory
+    predicted = (tmp_path / "a" / "softmax" / "predict.jsonl").read_text(encoding="utf-8")
+    texts = (tmp_path / "a" / "softmax" / "predict.txt").read_text(encoding="utf-8")
+    assert len(predicted.splitlines()) == len(texts.splitlines()) == 2 * 7
+    manifest = (tmp_path / "a" / "softmax" / "eval" / "manifest.json").read_text(encoding="utf-8")
+    assert str(tmp_path / "a") in manifest

@@ -71,6 +71,13 @@ def test_ordinal_2d_decode_off_grid_resolution():
     assert pred.label == "remorse"
 
 
+@pytest.mark.parametrize("mode", ["bogus", "ordinal-2d"])
+def test_decode_rejects_a_mode_the_taxonomy_cannot_take(mode):
+    # a 1d taxonomy's codeword width would otherwise decode either as ranks
+    with pytest.raises(CodecError):
+        decode_outputs(ISEAR, mode, np.zeros((1, 6)))
+
+
 def axis_levels(taxonomy):
     return taxonomy.num_labels if taxonomy.mode == "1d" else taxonomy.grid_size
 

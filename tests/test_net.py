@@ -1,6 +1,7 @@
 """Forward-pass semantics: shapes, padding behavior, pooling, and guards."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from emord.net import (
     ModelConfig,
     ModelParams,
     NetError,
+    _block_rows,
     _conv1d,
+    _conv_taps,
     _conv1d_backward,
     _softmax,
     _sigmoid,
@@ -309,7 +312,7 @@ def test_conv_kernels_match_loop_oracle(batch, t, c_in, c_out, k):
     w = rng.standard_normal((c_out, c_in, k))
     b = rng.standard_normal(c_out)
     d_out = rng.standard_normal((batch, t - k + 1, c_out))
-    assert_close_relative(_conv1d(x, w, b), loop_conv1d(x, w, b))
+    assert_close_relative(_conv1d(x, _conv_taps(w), b), loop_conv1d(x, w, b))
     d_w = np.empty_like(w)
     d_b = np.empty_like(b)
     d_x = _conv1d_backward(x, w, d_out, d_w, d_b)
@@ -326,10 +329,10 @@ def test_conv_rows_are_exact_at_every_batch_size(dtype):
     w = rng.standard_normal((64, 32, 4)).astype(dtype)
     b = rng.standard_normal(64).astype(dtype)
     d_out = rng.standard_normal((256, 9, 64)).astype(dtype)
-    z = _conv1d(x, w, b)
+    z = _conv1d(x, _conv_taps(w), b)
     d_x = _conv1d_backward(x, w, d_out, np.empty_like(w), np.empty_like(b))
     for n in (1, 2, 3, 7, 64):
-        assert np.array_equal(_conv1d(x[:n], w, b), z[:n])
+        assert np.array_equal(_conv1d(x[:n], _conv_taps(w), b), z[:n])
         d_x_n = _conv1d_backward(x[:n], w, d_out[:n], np.empty_like(w), np.empty_like(b))
         assert np.array_equal(d_x_n, d_x[:n])
 
@@ -402,8 +405,8 @@ def reference_forward(params, config, token_ids):
     dt = config.np_dtype
     n_real = (token_ids != 0).sum(axis=1)
     emb = params.embedding[token_ids] * (token_ids != 0).astype(dt)[:, :, None]
-    a1 = np.maximum(_conv1d(emb, params.conv1_w, params.conv1_b), 0)
-    a2 = np.maximum(_conv1d(a1, params.conv2_w, params.conv2_b), 0)
+    a1 = np.maximum(_conv1d(emb, _conv_taps(params.conv1_w), params.conv1_b), 0)
+    a2 = np.maximum(_conv1d(a1, _conv_taps(params.conv2_w), params.conv2_b), 0)
     t2 = a2.shape[1]
     pool_counts = np.minimum(n_real, t2).astype(dt)
     pool_mask = (np.arange(t2)[None, :] < pool_counts[:, None]).astype(dt)
@@ -508,3 +511,81 @@ def test_each_row_alone_equals_it_inside_a_batch(batch):
         assert np.array_equal(alone.z1[0], cache.z1[i, :t1])
         assert np.array_equal(alone.z2[0], cache.z2[i, :t2])
         assert np.array_equal(alone.pooled[0], cache.pooled[i])
+
+
+# ------------------------------------------- cache-free forward in row blocks
+
+
+def conv1_row_counts(monkeypatch):
+    """Rows of every conv1 call forward makes from now on (conv1 has 6 taps, conv2 4)."""
+    counts = []
+
+    def recording(x, taps, b):
+        if len(taps) == 6:
+            counts.append(x.shape[0])
+        return _conv1d(x, taps, b)
+
+    monkeypatch.setattr(net, "_conv1d", recording)
+    return counts
+
+
+@pytest.mark.parametrize("mode, width", HEADS)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cache_free_forward_equals_the_cached_and_the_reference(mode, width, dtype, monkeypatch):
+    config = ModelConfig.desk(40, width, mode, dtype=dtype)
+    params = init_params(config, seed=3)
+    params.arena[...] *= 4
+    params.embedding[0] = 0.5  # so that only the mask zeros the padding
+    rng = np.random.default_rng([width, len(dtype)])
+    ids = padded_rows(rng, 257, 32, range(1, 33))
+    ids[0, 31] = 5  # no cut: every batch below keeps all 32 columns
+    r = _block_rows(config, 32)
+    assert 1 < r < 64
+    counts = conv1_row_counts(monkeypatch)
+    for batch in (1, r - 1, r, r + 1, 2 * r + 1, 255, 256, 257):
+        cached, _ = forward(params, config, ids[:batch])
+        del counts[:]
+        outputs, none = forward(params, config, ids[:batch], cache=False)
+        assert none is None
+        blocks = [r] * (batch // r) + ([batch % r] if batch % r else [])
+        assert counts == blocks
+        assert outputs.dtype == config.np_dtype
+        assert np.array_equal(outputs, cached)
+        assert np.array_equal(outputs, reference_forward(params, config, ids[:batch]))
+
+
+def test_conv_weights_over_the_budget_make_one_block(monkeypatch):
+    # conv weights of 608 KiB against 16 KiB rows: a block under 38 rows
+    # would read more weight than activation, so 38 rows at most make one
+    config = ModelConfig.desk(40, 7, "softmax", conv_channels=(128, 256))
+    assert _block_rows(config, 16) == 38
+    params = init_params(config, seed=3)
+    params.arena[...] *= 4
+    ids = padded_rows(np.random.default_rng(5), 38, 16, range(1, 17))
+    ids[0, 15] = 5
+    counts = conv1_row_counts(monkeypatch)
+    for batch in (1, 37, 38):
+        del counts[:]
+        outputs, _ = forward(params, config, ids[:batch], cache=False)
+        assert counts == [batch]
+        assert np.array_equal(outputs, forward(params, config, ids[:batch])[0])
+        assert np.array_equal(outputs, reference_forward(params, config, ids[:batch]))
+    # at paper widths the conv weights alone are 52 MB, so a 16-row batch
+    # of 200 ids is one block
+    assert _block_rows(ModelConfig.paper(40, 7, "softmax"), 200) >= 16
+
+
+def test_cache_free_forward_holds_under_half_the_memory():
+    config, params = scaled_desk_model("softmax", 7)
+    ids = padded_rows(np.random.default_rng(2), 256, 32, range(1, 33))
+    ids[0, 31] = 5
+    peaks = {}
+    for cache in (True, False):
+        tracemalloc.start()
+        try:
+            kept = forward(params, config, ids, cache=cache)
+            peaks[cache] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del kept
+    assert peaks[False] < peaks[True] / 2

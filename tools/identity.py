@@ -1,0 +1,131 @@
+"""Print one sha256 per train, eval and predict artifact of a fixed run matrix.
+
+Two checkouts that should produce byte-identical artifacts are compared with
+one diff of this script's output:
+
+    python3 tools/identity.py --out /tmp/id-old > old.txt   # in one checkout
+    python3 tools/identity.py --out /tmp/id-new > new.txt   # in the other
+    diff old.txt new.txt
+
+The matrix: a softmax head on isear-valence and an ordinal-2d head on the
+5x5 grid, each trained on generated texts of 1-40 tokens with upper case and
+punctuation, then evaluated and fed to `emord predict` on stdin with texts
+that also hold tokens the training corpus never saw.  The commands run as
+`python3 -m emord.cli` on this checkout's src/, with absolute paths, so the
+output directory appears in each manifest.json; it is masked there before
+hashing.  A checkout without this file can run a copy of it.
+
+Digests depend on the BLAS kernel numpy uses, so compare two checkouts on
+one machine and pin no digest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from emord.taxonomy import builtin_taxonomy  # noqa: E402
+
+#: (head mode, taxonomy) pairs, each trained, evaluated and served once.
+MATRIX = (("softmax", "isear-valence"), ("ordinal-2d", "goemotions-grid-5x5"))
+FILLERS = tuple(f"word{j}" for j in range(24))
+PUNCTUATION = ",.!?;:"
+MAX_TOKENS = 40
+EPOCHS = 2
+
+
+def text_for(rng: random.Random, label_index: int, unseen: bool) -> str:
+    """1-40 tokens: the label's cue, fillers, and (if `unseen`) tokens no training text holds."""
+    tokens = []
+    for _ in range(rng.randint(1, MAX_TOKENS)):
+        draw = rng.random()
+        if draw < 0.3:
+            token = f"cue{label_index}"
+        elif unseen and draw < 0.45:
+            token = f"unseen{rng.randrange(50)}"
+        else:
+            token = rng.choice(FILLERS)
+        style = rng.random()
+        if style < 0.15:
+            token = token.upper()
+        elif style < 0.3:
+            token = token.capitalize()
+        elif style < 0.35:
+            token = f"({token})"
+        if rng.random() < 0.2:
+            token += rng.choice(PUNCTUATION)
+        tokens.append(token)
+    return " ".join(tokens)
+
+
+def write_corpus(path: Path, labels, per_label: int, rng: random.Random, unseen: bool) -> list[str]:
+    """A tsv corpus of `per_label` texts per label, labels interleaved; returns the texts."""
+    records = [
+        (text_for(rng, i, unseen), label) for _ in range(per_label) for i, label in enumerate(labels)
+    ]
+    path.write_text("".join(f"{text}\t{label}\n" for text, label in records), encoding="utf-8")
+    return [text for text, _ in records]
+
+
+def emord(*argv: str, stdin=None, stdout=None) -> None:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "emord.cli", "-q", *argv]
+    run = subprocess.run(command, env={**os.environ, "PYTHONPATH": path}, stdin=stdin, stdout=stdout)
+    if run.returncode != 0:
+        raise SystemExit(f"failed: emord {' '.join(argv)}")
+
+
+def run_case(case: Path, mode: str, taxonomy: str, per_label: int) -> None:
+    case.mkdir()
+    labels = builtin_taxonomy(taxonomy).labels
+    rng = random.Random(f"{mode} {taxonomy}")
+    write_corpus(case / "train.tsv", labels, per_label, rng, unseen=False)
+    texts = write_corpus(case / "test.tsv", labels, max(1, per_label // 2), rng, unseen=True)
+    (case / "predict.txt").write_text("".join(f"{text}\n" for text in texts), encoding="utf-8")
+    emord(
+        "train", "--mode", mode, "--taxonomy", taxonomy, "--corpus", str(case / "train.tsv"),
+        "--epochs", str(EPOCHS), "--max-seq-length", str(MAX_TOKENS), "--seed", "0",
+        "--out", str(case / "train"),
+    )
+    checkpoint = str(case / "train" / "best.ckpt")
+    emord("eval", "--checkpoint", checkpoint, "--corpus", str(case / "test.tsv"), "--out", str(case / "eval"))
+    with open(case / "predict.txt", "rb") as stdin, open(case / "predict.jsonl", "wb") as stdout:
+        emord("predict", "--checkpoint", checkpoint, stdin=stdin, stdout=stdout)
+
+
+def digests(out: Path) -> list[str]:
+    """`sha256  path` for every file under `out`, with `out` masked in each manifest."""
+    masked = json.dumps(str(out))[1:-1].encode("utf-8")  # as json.dump writes it
+    lines = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = data.replace(masked, b"$OUT")
+        lines.append(f"{hashlib.sha256(data).hexdigest()}  {path.relative_to(out).as_posix()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, type=Path, help="new directory for inputs and artifacts")
+    parser.add_argument("--per-label", type=int, default=24, help="training texts per label (default 24)")
+    args = parser.parse_args(argv)
+    out = args.out.resolve()
+    out.mkdir(parents=True)  # an existing directory could hold stale artifacts
+    for mode, taxonomy in MATRIX:
+        run_case(out / mode, mode, taxonomy, args.per_label)
+    print("\n".join(digests(out)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
