@@ -281,6 +281,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     The preamble and header are read and checked first, and the file's size
     against the header's array table; then each arena is read straight into
     the array it is returned in, so loading holds little beyond the arenas.
+    The parameters come back frozen (see ModelParams.frozen).
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -359,7 +360,7 @@ def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
             f"{config.min_seq_length} tokens the convolutions need"
         )
 
-    # each arena is read into its own writable native array, back to back
+    # each arena is read into its own native array, back to back
     arenas = []
     for _ in range(1 if opt is None else 3):
         arena = np.empty(config.param_count, dtype=config.np_dtype)
@@ -367,6 +368,8 @@ def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
             raise CheckpointError(f"{path}: truncated checkpoint while reading the arrays")
         if sys.byteorder == "big":
             arena.byteswap(inplace=True)  # stored little-endian
+        if not arenas:  # the parameters' arena is frozen, the moments' stay writable
+            arena.setflags(write=False)
         arenas.append(ModelParams.over(config, arena))
     params, *moments = arenas
 

@@ -24,6 +24,7 @@ import dataclasses
 import json
 import logging
 import os
+import socket
 import sys
 from pathlib import Path
 
@@ -76,9 +77,26 @@ class LockError(RuntimeError):
     """The output directory is already claimed by another run."""
 
 
+def _lock_holder(lock: Path) -> str:
+    """What `lock` says of the run holding it, for the contention error."""
+    try:
+        text = lock.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        return f"could not be read ({exc})"
+    pid, _, host = text.strip().partition(" ")
+    if not pid.isdigit() or not host:
+        return f"names no holder (it holds {text!r})"
+    return f"names pid {pid} on host {host}"
+
+
 @contextlib.contextmanager
 def locked_output_dir(path: str | Path):
-    """Create DIR if needed and hold DIR/.lock exclusively for the run."""
+    """Create DIR if needed and hold DIR/.lock exclusively for the run.
+
+    The lock holds "pid host" of the run.  A lock that is already there is
+    never broken: the error names its holder, and only a person who knows
+    that run is gone should remove the file.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     lock = path / ".lock"
@@ -86,10 +104,14 @@ def locked_output_dir(path: str | Path):
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise LockError(
-            f"{path} is locked ({lock} exists); another run may be writing there"
+            f"{path} is locked: {lock} {_lock_holder(lock)}; another run may be writing "
+            f"there (remove the file only if that run is gone)"
         ) from None
-    os.close(fd)
     try:
+        try:
+            os.write(fd, f"{os.getpid()} {socket.gethostname()}\n".encode("utf-8"))
+        finally:
+            os.close(fd)
         yield path
     finally:
         lock.unlink(missing_ok=True)

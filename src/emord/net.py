@@ -11,10 +11,10 @@ for every parameter and is verified against central finite differences in
 gradcheck.py.  float32 is the training dtype, float64 the gradient-checking
 dtype.
 
-Each call copies a conv weight into one contiguous matrix per tap.  A
-strided tap view is not a BLAS operand, so numpy multiplies it by its own
-loop below some product size, and that loop sums a row differently from
-the BLAS kernel; with contiguous taps every row of a tap product is
+Each conv multiplies by its weight copied into one contiguous matrix per
+tap.  A strided tap view is not a BLAS operand, so numpy multiplies it by
+its own loop below some product size, and that loop sums a row differently
+from the BLAS kernel; with contiguous taps every row of a tap product is
 bit-identical whatever the number of rows.  That lets forward() cut every
 batch (training, validation, evaluation and one-text prediction alike)
 after the last column a pooled output reads.  The FFNN products still
@@ -23,6 +23,13 @@ initial weights x4 and T=32, softmax and ordinal-1d outputs differ in the
 last bits from the same rows in a 256-row batch at about 25-32 of the batch
 sizes 1-39, 100, 129 and 255 (never at a multiple of 4), ordinal-2d outputs
 at batch size 1 only.  ROADMAP item 2 is to make them batch-invariant.
+
+Frozen params (a loaded checkpoint's, a Trainer snapshot's) make the
+tap-major copies on their first forward and keep them; writable params
+make them on every call, so that an in-place update is never read stale.
+At paper widths (vocab 4102, one BLAS thread) the copies took about 71 of
+the 88 ms of a one-row forward of a 20-token text, which takes 15 ms on
+frozen params; at desk widths about 7 us of a ~100 us predict_text.
 
 A forward that keeps no cache (forward(..., cache=False): every caller
 but the training step) runs embedding -> conv1 -> ReLU -> conv2 -> ReLU ->
@@ -44,7 +51,8 @@ At desk widths a batched forward is bound by the conv GEMMs, but a one-row
 forward (one text served by predict_text) is bound by numpy's per-call
 overhead.  So forward() derives the padding mask once, for the all-padding
 check, the trim, the embedding and the pool, masks the gathered embedding
-in place, and applies the logistic head without gathering its two halves.
+in place, multiplies small products with ndarray.dot (see _DOT_MACS), and
+applies the logistic head without gathering its two halves.
 """
 
 from __future__ import annotations
@@ -58,6 +66,13 @@ from .codec import MODE_SOFTMAX, MODE_ORDINAL_2D, HEAD_MODES
 
 _INIT_STREAM = 101  # seed-stream tag separating init draws from other consumers
 _BLOCK_BYTES = 128 * 1024  # widest activation of one cache-free forward block
+#: A product of at most this many multiply-adds runs as ndarray.dot, a
+#: larger one as @.  The two give the same bits (tests/test_net.py pins it);
+#: dot costs about 0.6 us less per call, but ran about 10 % slower from
+#: about 0.5M multiply-adds, as (512, 32) x (32, 64) (OpenBLAS 0.3.31, one
+#: thread).  One text's products at desk widths are small, a batch's conv
+#: products are not.
+_DOT_MACS = 1 << 17
 
 #: Parameter arrays in canonical order (checkpoints, optimizer slots, reports).
 PARAM_FIELDS = (
@@ -184,7 +199,9 @@ class ModelParams:
     finiteness check, a snapshot, a checkpoint write) runs once over it.
     `over(config, arena)`, `zeros(config)` and `like(arena)` are the only
     constructors; the fields are frozen, so no array can be rebound away
-    from its arena.
+    from its arena.  Params over a read-only arena that owns its memory
+    (`frozen`: a loaded checkpoint's, a Trainer snapshot's) keep the
+    tap-major conv weights forward() multiplies by.
 
     embedding row 0 is the padding slot: initialized to zeros, masked out of
     the forward pass, and never receives gradient, so it stays zero.
@@ -240,7 +257,37 @@ class ModelParams:
         return [(name, getattr(self, name)) for name in PARAM_FIELDS]
 
     def copy(self) -> "ModelParams":
+        """A writable copy."""
         return self.like(self.arena.copy())
+
+    def frozen_copy(self) -> "ModelParams":
+        """A read-only copy: its arena and every view refuse writes."""
+        arena = self.arena.copy()
+        arena.setflags(write=False)
+        return self.like(arena)
+
+    @property
+    def frozen(self) -> bool:
+        """Whether no view can write the arena: it is read-only and owns its memory."""
+        flags = self.arena.flags
+        return not flags.writeable and flags.owndata
+
+    def conv_taps(self) -> tuple[np.ndarray, np.ndarray]:
+        """conv1_w and conv2_w in tap-major layout, one contiguous matrix per tap.
+
+        Frozen params make them once and keep them, read-only.  Others make
+        them afresh on every call, so that a weight updated in place is
+        never read stale.
+        """
+        if not self.frozen:
+            return _conv_taps(self.conv1_w), _conv_taps(self.conv2_w)
+        taps = self.__dict__.get("_taps")
+        if taps is None:
+            taps = _conv_taps(self.conv1_w), _conv_taps(self.conv2_w)
+            for tap in taps:
+                tap.setflags(write=False)
+            object.__setattr__(self, "_taps", taps)
+        return taps
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -292,6 +339,11 @@ def _conv_taps(w: np.ndarray) -> np.ndarray:
     return w.transpose(2, 1, 0).copy()
 
 
+def _product(rows: int, right: np.ndarray):
+    """The function that multiplies `rows` rows by `right`: dot or matmul."""
+    return np.ndarray.dot if rows * right.size <= _DOT_MACS else np.matmul
+
+
 def _conv1d(x: np.ndarray, taps: np.ndarray, b: np.ndarray) -> np.ndarray:
     # x (B, T, Cin), taps (k, Cin, Cout) -> (B, T-k+1, Cout), one GEMM per
     # tap: tap j maps every input row, and output t takes input row t+j.
@@ -299,9 +351,10 @@ def _conv1d(x: np.ndarray, taps: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = taps.shape[0]
     t_out = t - k + 1
     flat = x.reshape(batch * t, c_in)
-    out = (flat @ taps[0]).reshape(batch, t, -1)[:, :t_out] + b
+    mul = _product(batch * t, taps[0])
+    out = mul(flat, taps[0]).reshape(batch, t, -1)[:, :t_out] + b
     for j in range(1, k):
-        out += (flat @ taps[j]).reshape(batch, t, -1)[:, j : j + t_out]
+        out += mul(flat, taps[j]).reshape(batch, t, -1)[:, j : j + t_out]
     return out
 
 
@@ -330,8 +383,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows.  It equals exp(-x) where x >= 0 and exp(x)
     # where x < 0, so each entry takes the same operations as in the split
     # form 1/(1+exp(-x)) | exp(x)/(1+exp(x)), without gathering the halves.
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    ex = np.abs(x)
+    np.exp(np.negative(ex, out=ex), out=ex)
+    return np.where(x >= 0, 1.0, ex) / (ex + 1.0)
 
 
 def forward(
@@ -352,7 +406,7 @@ def forward(
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
         raise NetError(f"token_ids must be (B, T), got shape {token_ids.shape}")
-    if not np.issubdtype(token_ids.dtype, np.integer):
+    if token_ids.dtype.kind not in "iu":
         raise NetError("token_ids must be integers")
     if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= config.vocab_size:
         raise NetError(f"token id outside [0, {config.vocab_size - 1}]")
@@ -385,7 +439,7 @@ def forward(
     t2 = t - k1 - k2 + 2
     pool_counts = np.minimum(n_real, t2).astype(dt)
     pool_mask = (np.arange(t2)[None, :] < pool_counts[:, None]).astype(dt)
-    taps1, taps2 = _conv_taps(params.conv1_w), _conv_taps(params.conv2_w)
+    taps1, taps2 = params.conv_taps()
 
     # The same arithmetic for one block of all B rows (the cached forward)
     # or for blocks of _block_rows rows: every step from the embedding to
@@ -408,11 +462,11 @@ def forward(
         blocks.append(masked.sum(axis=1) / pool_counts[start:stop, None])
     pooled = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    h1_pre = pooled @ params.fc1_w + params.fc1_b
+    h1_pre = _product(b, params.fc1_w)(pooled, params.fc1_w) + params.fc1_b
     h1 = np.maximum(h1_pre, 0)
-    h2_pre = h1 @ params.fc2_w + params.fc2_b
+    h2_pre = _product(b, params.fc2_w)(h1, params.fc2_w) + params.fc2_b
     h2 = np.maximum(h2_pre, 0)
-    logits = h2 @ params.fc3_w + params.fc3_b
+    logits = _product(b, params.fc3_w)(h2, params.fc3_w) + params.fc3_b
 
     if config.head_mode == MODE_SOFTMAX:
         outputs = _softmax(logits)

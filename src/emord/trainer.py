@@ -372,13 +372,16 @@ class Trainer:
         return trainer
 
     def checkpoint(self, with_optimizer: bool = False) -> Checkpoint:
-        """Deep snapshot of the current model (and optionally optimizer) state."""
+        """Deep snapshot of the current model (and optionally optimizer) state.
+
+        Its params are frozen (see ModelParams.frozen); its moments are not.
+        """
         optimizer = None
         if with_optimizer:
             optimizer = OptimizerSnapshot(adamw=self.adamw, state=self.opt_state.copy())
         return Checkpoint(
             config=self.model_config,
-            params=self.params.copy(),
+            params=self.params.frozen_copy(),
             taxonomy=self.taxonomy,
             vocab=self.vocab,
             max_seq_length=self.config.max_seq_length,

@@ -257,13 +257,27 @@ def test_loaded_arrays_live_in_arenas(tmp_path):
     save_checkpoint(make_checkpoint(with_optimizer=True), path)
     loaded = load_checkpoint(path)
     state = loaded.optimizer.state
-    for arena, arrays in (
-        (loaded.params.arena, dict(loaded.params.named())),
-        (state.m.arena, dict(state.m.named())),
-        (state.v.arena, dict(state.v.named())),
+    # the parameters are frozen, the moments writable
+    for arena, arrays, writeable in (
+        (loaded.params.arena, dict(loaded.params.named()), False),
+        (state.m.arena, dict(state.m.named()), True),
+        (state.v.arena, dict(state.v.named()), True),
     ):
-        assert arena.flags.writeable and arena.flags.c_contiguous
+        assert arena.flags.writeable == writeable and arena.flags.c_contiguous
         assert all(arr.base is arena for arr in arrays.values())
+        assert all(arr.flags.writeable == writeable for arr in arrays.values())
+
+
+def test_loaded_params_are_frozen(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(), path)
+    params = load_checkpoint(path).params
+    assert params.frozen
+    with pytest.raises(ValueError, match="read-only"):
+        params.fc3_b[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.arena[0] = 1.0
+    assert not params.copy().frozen
 
 
 def test_load_holds_little_beyond_the_arenas(tmp_path):

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from emord.checkpoint import Checkpoint, save_checkpoint
-from emord.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
+from emord.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, LockError, locked_output_dir, main
 from emord.data import LabeledCorpus, build_vocab, save_corpus_tsv
 from emord.net import ModelConfig, init_params
 from emord.taxonomy import builtin_taxonomy
@@ -160,6 +162,31 @@ def test_lock_contention_exits_2(tmp_path, spec_file):
     assert code == EXIT_RUNTIME
     # the pre-existing lock is left alone
     assert (out / ".lock").exists()
+
+
+def test_lock_names_its_holder_and_is_never_broken(tmp_path, spec_file, caplog):
+    out = tmp_path / "busy"
+    pid, host = os.getpid(), socket.gethostname()
+    with locked_output_dir(out):
+        assert (out / ".lock").read_text(encoding="utf-8") == f"{pid} {host}\n"
+        with pytest.raises(LockError, match=re.escape(f"names pid {pid} on host {host};")):
+            with locked_output_dir(out):
+                pass
+        assert main(["synth", "--spec", str(spec_file), "--out", str(out)]) == EXIT_RUNTIME
+        assert f"names pid {pid} on host {host};" in caplog.text
+        assert (out / ".lock").exists()
+    assert not (out / ".lock").exists()
+    # a lock that names no holder, or cannot be read, is left alone too
+    (out / ".lock").write_text("", encoding="utf-8")
+    with pytest.raises(LockError, match="names no holder"):
+        with locked_output_dir(out):
+            pass
+    (out / ".lock").unlink()
+    (out / ".lock").mkdir()
+    with pytest.raises(LockError, match="could not be read"):
+        with locked_output_dir(out):
+            pass
+    assert (out / ".lock").is_dir()
 
 
 def test_divergence_exits_2(tmp_path, train_config):

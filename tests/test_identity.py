@@ -1,5 +1,6 @@
 """tools/identity.py: two runs of the artifact digest harness agree."""
 
+import json
 import re
 import subprocess
 import sys
@@ -20,20 +21,24 @@ def test_two_runs_in_other_directories_print_the_same_digests(tmp_path):
     assert digest_lines(tmp_path / "b" / "nested") == first  # the directory is masked
     paths = [line.split("  ")[1] for line in first]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in first)
-    for case in ("softmax", "ordinal-2d"):
-        for artifact in (
-            "train/best.ckpt",
-            "train/final.ckpt",
-            "train/history.jsonl",
-            "train/manifest.json",
-            "eval/report.json",
-            "eval/confusion.csv",
-            "eval/histogram.csv",
-            "eval/pairs.csv",
-            "eval/manifest.json",
-            "predict.jsonl",
-        ):
+    served = (
+        "eval/report.json",
+        "eval/confusion.csv",
+        "eval/histogram.csv",
+        "eval/pairs.csv",
+        "eval/manifest.json",
+        "predict.jsonl",
+    )
+    trained = ("train/best.ckpt", "train/final.ckpt", "train/history.jsonl", "train/manifest.json")
+    for case in ("softmax", "ordinal-1d", "ordinal-2d"):
+        for artifact in trained + served:
             assert f"{case}/{artifact}" in paths
+    for artifact in ("biased.ckpt",) + served:
+        assert f"ordinal-2d-biased/{artifact}" in paths
+    # the biased head sends some rows off-grid, and not all
+    biased = tmp_path / "a" / "ordinal-2d-biased" / "predict.jsonl"
+    lines = biased.read_text(encoding="utf-8").splitlines()
+    assert 0 < sum(json.loads(line)["off_grid"] for line in lines) < len(lines)
     # one prediction per test text, and the manifests did name the directory
     predicted = (tmp_path / "a" / "softmax" / "predict.jsonl").read_text(encoding="utf-8")
     texts = (tmp_path / "a" / "softmax" / "predict.txt").read_text(encoding="utf-8")

@@ -589,3 +589,86 @@ def test_cache_free_forward_holds_under_half_the_memory():
             tracemalloc.stop()
         del kept
     assert peaks[False] < peaks[True] / 2
+
+
+# ------------------------------------------------------ frozen parameters
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dot_multiplies_bit_for_bit_as_matmul(dtype):
+    # forward multiplies a product of up to _DOT_MACS multiply-adds with
+    # ndarray.dot, which costs less per call than @, and a larger one with
+    # @; a numpy or BLAS build that routes the two differently fails here
+    # instead of moving forward's bits.  The right operands are desk-width
+    # conv taps (E -> C1, C1 -> C2) and FFNN and head weights, also as views
+    # at an odd offset into a flat buffer, as in an arena; the row counts
+    # run past the last one that takes dot.
+    rng = np.random.default_rng(11)
+    shapes = [(32, 32), (32, 64), (64, 64), (64, 32), (32, 7), (32, 6), (32, 8), (32, 23)]
+    for k, n in shapes:
+        flat = rng.uniform(-1, 1, size=k * n + 1).astype(dtype)
+        last = net._DOT_MACS // (k * n)
+        assert net._product(last, flat[: k * n]) is np.ndarray.dot
+        assert net._product(last + 1, flat[: k * n]) is np.matmul
+        for right in (flat[:-1].reshape(k, n), flat[1:].reshape(k, n)):
+            for m in [*range(1, last + 2), 1024]:
+                left = rng.uniform(-1, 1, size=(m, k)).astype(dtype)
+                assert np.array_equal(left.dot(right), left @ right), (m, k, n)
+
+
+def recorded_taps(monkeypatch):
+    """The taps of every conv call forward makes from now on, in call order."""
+    seen = []
+
+    def recording(x, taps, b):
+        seen.append(taps)
+        return _conv1d(x, taps, b)
+
+    monkeypatch.setattr(net, "_conv1d", recording)
+    return seen
+
+
+def test_frozen_params_refuse_writes_and_keep_their_taps(monkeypatch):
+    config, params = scaled_desk_model("softmax", 7)
+    frozen = params.frozen_copy()
+    assert frozen.frozen and not params.frozen
+    assert not frozen.arena.flags.writeable
+    for name, arr in frozen.named():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    assert np.array_equal(frozen.arena, params.arena)
+    assert not frozen.copy().frozen  # a copy is writable again
+    ids = padded_rows(np.random.default_rng(4), 3, 32, range(1, 33))
+    seen = recorded_taps(monkeypatch)
+    forward(frozen, config, ids, cache=False)
+    forward(frozen, config, ids)
+    assert len(seen) == 4
+    assert seen[2] is seen[0] and seen[3] is seen[1]
+    assert not any(taps.flags.writeable for taps in seen)
+    # writable params copy their weights on every call
+    del seen[:]
+    forward(params, config, ids, cache=False)
+    forward(params, config, ids, cache=False)
+    assert seen[2] is not seen[0] and np.array_equal(seen[2], seen[0])
+
+
+@pytest.mark.parametrize("mode, width", HEADS)
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_frozen_params_give_the_writable_params_outputs(mode, width, batch):
+    config, params = scaled_desk_model(mode, width)  # scaled x4 before freezing
+    frozen = params.frozen_copy()
+    ids = padded_rows(np.random.default_rng(batch), batch, 32, range(1, 33))
+    for cache in (False, True, False):  # the later calls read the kept taps
+        got = forward(frozen, config, ids, cache=cache)[0]
+        assert np.array_equal(got, forward(params, config, ids, cache=cache)[0])
+
+
+@pytest.mark.parametrize("name", ["conv1_w", "conv2_w"])
+def test_writable_params_changed_in_place_give_new_outputs(name):
+    config, params = scaled_desk_model("ordinal-2d", 8)
+    ids = padded_rows(np.random.default_rng(9), 7, 32, range(1, 33))
+    before = forward(params, config, ids, cache=False)[0]
+    getattr(params, name)[...] *= -1
+    after = forward(params, config, ids, cache=False)[0]
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, forward(params.frozen_copy(), config, ids, cache=False)[0])

@@ -212,13 +212,29 @@ def test_resume_from_disk_is_byte_identical(tmp_path):
     straight = train(tiny_config(epochs=4), corpus)
     save_checkpoint(train(tiny_config(epochs=2), corpus).final, tmp_path / "half.ckpt")
     half = load_checkpoint(tmp_path / "half.ckpt")
-    resumed_result = Trainer.resume(tiny_config(epochs=4), half, corpus).run()
+    assert half.params.frozen
+    resumed = Trainer.resume(tiny_config(epochs=4), half, corpus)
+    assert not resumed.params.frozen  # trains on a writable copy
+    resumed_result = resumed.run()
     save_checkpoint(straight.final, tmp_path / "straight.ckpt")
     save_checkpoint(resumed_result.final, tmp_path / "resumed.ckpt")
     assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "straight.ckpt").read_bytes()
     assert [s.train_loss for s in resumed_result.history] == [
         s.train_loss for s in straight.history[2:]
     ]
+
+
+def test_snapshots_have_frozen_params_and_writable_moments():
+    trainer = Trainer(tiny_config(), tiny_corpus())
+    snapshot = trainer.checkpoint(with_optimizer=True)
+    assert snapshot.params.frozen and not trainer.params.frozen
+    with pytest.raises(ValueError, match="read-only"):
+        snapshot.params.fc1_w[0, 0] = 1.0
+    state = snapshot.optimizer.state
+    assert not state.m.frozen and not state.v.frozen
+    kept = snapshot.params.arena.copy()
+    trainer.run_epoch()
+    assert np.array_equal(snapshot.params.arena, kept)
 
 
 def test_resume_requires_optimizer_state():

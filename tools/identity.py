@@ -7,10 +7,15 @@ one diff of this script's output:
     python3 tools/identity.py --out /tmp/id-new > new.txt   # in the other
     diff old.txt new.txt
 
-The matrix: a softmax head on isear-valence and an ordinal-2d head on the
-5x5 grid, each trained on generated texts of 1-40 tokens with upper case and
-punctuation, then evaluated and fed to `emord predict` on stdin with texts
-that also hold tokens the training corpus never saw.  The commands run as
+The matrix: softmax and ordinal-1d heads on isear-valence and an
+ordinal-2d head on the 5x5 grid, each trained on generated texts of 1-40
+tokens with upper case and punctuation, then evaluated and fed to `emord
+predict` on stdin with texts that also hold tokens the training corpus never
+saw.  One more case serves the ordinal-2d model with a biased head, written
+here with save_checkpoint: its valence outputs are pushed to level 2 and its
+arousal outputs to level 1 or 2, split at the median test text, so that
+about half the eval and predict rows decode to the unlabeled cell (2, 1)
+and go off-grid.  The commands run as
 `python3 -m emord.cli` on this checkout's src/, with absolute paths, so the
 output directory appears in each manifest.json; it is masked there before
 hashing.  A checkout without this file can run a copy of it.
@@ -33,10 +38,24 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
+import numpy as np  # noqa: E402
+
+from emord.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
+from emord.infer import predict_text  # noqa: E402
 from emord.taxonomy import builtin_taxonomy  # noqa: E402
 
 #: (head mode, taxonomy) pairs, each trained, evaluated and served once.
-MATRIX = (("softmax", "isear-valence"), ("ordinal-2d", "goemotions-grid-5x5"))
+MATRIX = (
+    ("softmax", "isear-valence"),
+    ("ordinal-1d", "isear-valence"),
+    ("ordinal-2d", "goemotions-grid-5x5"),
+)
+#: Added to the ordinal-2d head's biases: four valence entries, then four
+#: arousal entries (thermometer codes: + pushes an entry toward 1, - toward
+#: 0).  The arousal entry SPLIT gets the bias that puts the median test
+#: text's output at 0.5 instead.
+HEAD_BIAS = (4.0, 4.0, -4.0, -4.0, 4.0, 0.0, -4.0, -4.0)
+SPLIT = 5
 FILLERS = tuple(f"word{j}" for j in range(24))
 PUNCTUATION = ",.!?;:"
 MAX_TOKENS = 40
@@ -96,10 +115,29 @@ def run_case(case: Path, mode: str, taxonomy: str, per_label: int) -> None:
         "--epochs", str(EPOCHS), "--max-seq-length", str(MAX_TOKENS), "--seed", "0",
         "--out", str(case / "train"),
     )
-    checkpoint = str(case / "train" / "best.ckpt")
-    emord("eval", "--checkpoint", checkpoint, "--corpus", str(case / "test.tsv"), "--out", str(case / "eval"))
-    with open(case / "predict.txt", "rb") as stdin, open(case / "predict.jsonl", "wb") as stdout:
-        emord("predict", "--checkpoint", checkpoint, stdin=stdin, stdout=stdout)
+    serve(case, case / "train" / "best.ckpt", case)
+
+
+def serve(case: Path, checkpoint: Path, inputs: Path) -> None:
+    """`emord eval` on inputs/test.tsv and `emord predict` on inputs/predict.txt, into `case`."""
+    emord("eval", "--checkpoint", str(checkpoint), "--corpus", str(inputs / "test.tsv"), "--out", str(case / "eval"))
+    with open(inputs / "predict.txt", "rb") as stdin, open(case / "predict.jsonl", "wb") as stdout:
+        emord("predict", "--checkpoint", str(checkpoint), stdin=stdin, stdout=stdout)
+
+
+def run_biased_case(case: Path, source: Path) -> None:
+    """Serve `source`'s ordinal-2d model with HEAD_BIAS added to its head's biases."""
+    case.mkdir()
+    ck = load_checkpoint(source / "train" / "best.ckpt")
+    texts = (source / "predict.txt").read_text(encoding="utf-8").splitlines()
+    median = float(np.median([predict_text(ck, text).outputs[SPLIT] for text in texts]))
+    bias = np.array(HEAD_BIAS)
+    bias[SPLIT] = -np.log(median / (1.0 - median))  # the logit of the median, negated
+    params = ck.params.copy()
+    params.fc3_b[...] += bias.astype(params.fc3_b.dtype)
+    ck.params = params
+    save_checkpoint(ck, case / "biased.ckpt")
+    serve(case, case / "biased.ckpt", source)
 
 
 def digests(out: Path) -> list[str]:
@@ -123,6 +161,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True)  # an existing directory could hold stale artifacts
     for mode, taxonomy in MATRIX:
         run_case(out / mode, mode, taxonomy, args.per_label)
+    run_biased_case(out / "ordinal-2d-biased", out / "ordinal-2d")
     print("\n".join(digests(out)))
     return 0
 
