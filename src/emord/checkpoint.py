@@ -26,11 +26,13 @@ length agree with model_config.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import reprlib
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,21 +112,20 @@ _NUMBER_PAIR = (
     lambda value: _LIST[1](value) and len(value) == 2 and all(map(_is_number, value)),
 )
 
+_HINT_KINDS = {int: _COUNT, float: _NUMBER, str: _TEXT, tuple[int, int]: _COUNT_PAIR}
+
+
+def _fields_of(cls) -> dict:
+    """Header kinds of a dataclass written as the object of its fields."""
+    return {name: _HINT_KINDS[hint] for name, hint in typing.get_type_hints(cls).items()}
+
+
 #: Every header field and its kind; nested dicts are objects with exactly
 #: these keys.  The taxonomy document is parse_taxonomy's to check, the
 #: array table is compared whole with _array_table's.
 _HEADER = {
     "format": _TEXT,
-    "model_config": {
-        "vocab_size": _COUNT,
-        "output_width": _COUNT,
-        "head_mode": _TEXT,
-        "embed_dim": _COUNT,
-        "conv_channels": _COUNT_PAIR,
-        "kernel_sizes": _COUNT_PAIR,
-        "ffnn_hidden": _COUNT_PAIR,
-        "dtype": _TEXT,
-    },
+    "model_config": _fields_of(ModelConfig),
     "taxonomy": _OBJECT,
     "vocab": {"tokens": _TEXTS, "min_freq": _COUNT},
     "max_seq_length": _COUNT,
@@ -135,9 +136,7 @@ _HEADER = {
     "arrays": _LIST,
     "optimizer": {
         "step": _COUNT,
-        "adamw": dict.fromkeys(
-            ("learning_rate", "beta1", "beta2", "eps", "weight_decay"), _NUMBER
-        ),
+        "adamw": _fields_of(AdamWConfig),
     },
 }
 _NULLABLE = {"optimizer"}
@@ -227,16 +226,7 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
 
     header: dict = {
         "format": HEADER_FORMAT,
-        "model_config": {
-            "vocab_size": cfg.vocab_size,
-            "output_width": cfg.output_width,
-            "head_mode": cfg.head_mode,
-            "embed_dim": cfg.embed_dim,
-            "conv_channels": list(cfg.conv_channels),
-            "kernel_sizes": list(cfg.kernel_sizes),
-            "ffnn_hidden": list(cfg.ffnn_hidden),
-            "dtype": cfg.dtype,
-        },
+        "model_config": dataclasses.asdict(cfg),  # tuples are written as lists
         "taxonomy": taxonomy_to_document(ck.taxonomy),
         "vocab": {"tokens": list(ck.vocab.tokens), "min_freq": ck.vocab.min_freq},
         "max_seq_length": ck.max_seq_length,
@@ -251,16 +241,9 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
         "optimizer": None,
     }
     if ck.optimizer is not None:
-        adamw = ck.optimizer.adamw
         header["optimizer"] = {
             "step": ck.optimizer.state.step,
-            "adamw": {
-                "learning_rate": adamw.learning_rate,
-                "beta1": adamw.beta1,
-                "beta2": adamw.beta2,
-                "eps": adamw.eps,
-                "weight_decay": adamw.weight_decay,
-            },
+            "adamw": dataclasses.asdict(ck.optimizer.adamw),
         }
 
     header_bytes = canonical_json(header).encode("utf-8")

@@ -53,6 +53,7 @@ from .metrics import (
 )
 from .taxonomy import save_taxonomy
 from .trainer import (
+    PRESETS,
     TrainConfig,
     Trainer,
     TrainingDivergedError,
@@ -270,6 +271,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # a check of no seed, or one whose tolerance the relative error (at most
+    # 1) cannot exceed, would pass having checked nothing
+    if args.num_seeds < 1:
+        logger.error("--num-seeds must be at least 1, got %d", args.num_seeds)
+        return EXIT_INVALID
+    if not 0 < args.tolerance < 1:
+        logger.error("--tolerance must be in (0, 1), got %r", args.tolerance)
+        return EXIT_INVALID
+    if args.seed < 0:
+        logger.error("--seed must be non-negative, got %d", args.seed)
+        return EXIT_INVALID
     modes = list(HEAD_MODES) if args.mode == "all" else [args.mode]
     all_passed = True
     for mode in modes:
@@ -319,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "history.jsonl, and manifest.json.",
     )
     p_train.add_argument("--config", help="training config JSON file")
-    p_train.add_argument("--preset", choices=["desk", "paper"], help="width/lr preset (default desk)")
+    p_train.add_argument("--preset", choices=list(PRESETS), help="width/lr preset (default desk)")
     p_train.add_argument("--mode", choices=list(HEAD_MODES), help="head mode")
     p_train.add_argument("--taxonomy", help="builtin taxonomy name or JSON path")
     p_train.add_argument("--corpus", help="labeled corpus file")

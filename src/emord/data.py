@@ -16,9 +16,9 @@ the *adjacent* ones.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import re
+import typing
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
+from .documents import read_document
 from .taxonomy import (
     BUILTIN_TAXONOMIES,
     EmotionTaxonomy,
@@ -375,6 +376,8 @@ class SyntheticSpec:
             raise DataError("sequence_length must be positive")
         if self.filler_tokens < 1:
             raise DataError("filler_tokens must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
 
     def describe(self) -> str:
         return (
@@ -382,6 +385,10 @@ class SyntheticSpec:
             f"p_signal={self.p_signal},p_confuse={self.p_confuse},"
             f"len={self.sequence_length},seed={self.seed})"
         )
+
+
+#: A spec document names its taxonomy; every other member is the field's own kind.
+_SPEC_KINDS = {**typing.get_type_hints(SyntheticSpec), "taxonomy": str}
 
 
 def marker_token(taxonomy: EmotionTaxonomy, label: str) -> str:
@@ -425,51 +432,16 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledCorpus:
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
     """Read a synthetic-corpus spec from its JSON document form.
 
-    Fields: "taxonomy" (builtin name, or path resolved relative to the spec
-    file), "examples_per_class", "p_signal", "p_confuse", "sequence_length",
-    "seed", optional "filler_tokens", optional "format" tag.  Unknown fields
-    are rejected.
+    Members are SyntheticSpec's fields and an optional "format" tag;
+    "taxonomy" (a builtin name, or a path resolved relative to the spec
+    file) is required.
     """
     path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also UnicodeDecodeError
-        raise DataError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(document, dict):
-        raise DataError(f"{path}: spec must be a JSON object")
-    allowed = {
-        "format",
-        "taxonomy",
-        "examples_per_class",
-        "p_signal",
-        "p_confuse",
-        "sequence_length",
-        "seed",
-        "filler_tokens",
-    }
-    unknown = set(document) - allowed
-    if unknown:
-        raise DataError(f"{path}: unknown spec fields {sorted(unknown)}")
-    fmt = document.get("format", SYNTH_FORMAT)
-    if fmt != SYNTH_FORMAT:
-        raise DataError(f"{path}: unsupported format tag {fmt!r}")
-    if "taxonomy" not in document:
+    values = read_document(path, SYNTH_FORMAT, _SPEC_KINDS, DataError)
+    if "taxonomy" not in values:
         raise DataError(f"{path}: spec needs a taxonomy")
-    taxonomy = resolve_taxonomy(document["taxonomy"], relative_to=path.parent)
-    kwargs = {}
-    for key in ("examples_per_class", "sequence_length", "seed", "filler_tokens"):
-        if key in document:
-            value = document[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DataError(f"{path}: {key} must be an integer")
-            kwargs[key] = value
-    for key in ("p_signal", "p_confuse"):
-        if key in document:
-            value = document[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DataError(f"{path}: {key} must be a number")
-            kwargs[key] = float(value)
-    return SyntheticSpec(taxonomy=taxonomy, **kwargs)
+    taxonomy = resolve_taxonomy(values.pop("taxonomy"), relative_to=path.parent)
+    return SyntheticSpec(taxonomy=taxonomy, **values)
 
 
 def resolve_taxonomy(ref: str, relative_to: Path | None = None) -> EmotionTaxonomy:
@@ -483,6 +455,6 @@ def resolve_taxonomy(ref: str, relative_to: Path | None = None) -> EmotionTaxono
         local = relative_to / candidate
         if local.exists():
             candidate = local
-    if not candidate.exists():
+    if not candidate.is_file():
         raise DataError(f"taxonomy {ref!r} is neither a builtin name nor an existing file")
     return load_taxonomy(candidate)

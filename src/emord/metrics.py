@@ -47,14 +47,7 @@ class ClassMetrics:
     predicted: int
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-            "predicted": self.predicted,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ from .atomic import atomic_write
 
 DOCUMENT_FORMAT = "emord.taxonomy/1"
 
+#: Largest 2d grid_size; the decode table holds one entry per grid cell.
+MAX_GRID_SIZE = 256
+
 #: Names accepted by :func:`builtin_taxonomy`.
 BUILTIN_TAXONOMIES = ("isear-valence", "goemotions-grid-5x5")
 
@@ -185,8 +188,8 @@ def _parse_1d(records: list) -> EmotionTaxonomy:
 
 
 def _parse_2d(records: list, grid_size) -> EmotionTaxonomy:
-    if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 2:
-        raise TaxonomyError("2d mode requires an integer grid_size >= 2")
+    if type(grid_size) is not int or not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise TaxonomyError(f"2d mode requires an integer grid_size in [2, {MAX_GRID_SIZE}]")
     labels: list[str] = []
     cells: dict[str, tuple[int, int]] = {}
     for rec in records:

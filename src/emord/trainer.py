@@ -46,6 +46,7 @@ from .data import (
     resolve_taxonomy,
     split_corpus,
 )
+from .documents import read_document
 from .losses import logit_gradient, loss_value
 from .metrics import MetricsReport, evaluate
 from .net import ModelConfig, NetError, backward, forward, init_params
@@ -116,14 +117,13 @@ class TrainConfig:
     ffnn_hidden: tuple[int, int] | None = None
 
     def __post_init__(self):
-        # JSON documents carry tuples as lists; normalize so equality and
-        # downstream unpacking never depend on which door a config came in
-        for name in ("split", "loss_weights", "conv_channels", "kernel_sizes", "ffnn_hidden"):
-            value = getattr(self, name)
-            if isinstance(value, list):
-                object.__setattr__(self, name, tuple(value))
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
+            # a list (as JSON carries a tuple) becomes a tuple, so equality
+            # and unpacking never depend on which door a config came in
+            if isinstance(value, list):
+                value = tuple(value)
+                object.__setattr__(self, field.name, value)
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
                 raise TrainerError(f"{field.name} must be finite, got {value!r}")
@@ -141,6 +141,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "max_seq_length", "min_freq"):
             if getattr(self, name) < 1:
                 raise TrainerError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise TrainerError(f"seed must be non-negative, got {self.seed}")
         if self.learning_rate <= 0:
             raise TrainerError("learning_rate must be positive")
         if self.weight_decay < 0:
@@ -163,73 +165,18 @@ class TrainConfig:
         return doc
 
 
-def _config_schema() -> dict[str, tuple[type, bool]]:
-    """Per TrainConfig field: the type a value must have, and whether null is allowed."""
-    schema = {}
-    for name, hint in typing.get_type_hints(TrainConfig).items():
-        args = typing.get_args(hint)
-        nullable = type(None) in args
-        if nullable:
-            (hint,) = [arg for arg in args if arg is not type(None)]
-        # None in a preset field stands for "the preset's value"; a document
-        # asks for that by leaving the field out, never by writing null
-        schema[name] = (hint, nullable and name not in _PRESET_DEFAULTS["desk"])
-    return schema
-
-
-_CONFIG_FIELDS = _config_schema()
-
-
-def _coerce_field(name: str, value, where: str):
-    kind, nullable = _CONFIG_FIELDS[name]
-    if value is None:
-        if nullable:
-            return None
-        raise TrainerError(f"{where}: {name} must not be null")
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TrainerError(f"{where}: {name} must be an integer")
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TrainerError(f"{where}: {name} must be a number")
-        return float(value)
-    if kind is str:
-        if not isinstance(value, str):
-            raise TrainerError(f"{where}: {name} must be a string")
-        return value
-    items = typing.get_args(kind)  # tuple[int, int] -> (int, int)
-    length, item_kind = len(items), items[0]
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise TrainerError(f"{where}: {name} must be a list of {length} values")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise TrainerError(f"{where}: {name} entries must be numbers")
-        if item_kind is int and not isinstance(item, int):
-            raise TrainerError(f"{where}: {name} entries must be integers")
-        out.append(item_kind(item))
-    return tuple(out)
+#: The kind of each TrainConfig field in a config file.  None in a preset
+#: field stands for "the preset's value"; a document asks for that by leaving
+#: the field out, never by writing null, so `float | None` reads as float.
+_CONFIG_KINDS = {
+    name: typing.get_args(hint)[0] if name in _PRESET_DEFAULTS["desk"] else hint
+    for name, hint in typing.get_type_hints(TrainConfig).items()
+}
 
 
 def load_train_config_file(path: str | Path) -> dict:
     """Strictly parse a training-config JSON file into a field dict."""
-    path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also UnicodeDecodeError
-        raise TrainerError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(document, dict):
-        raise TrainerError(f"{path}: config must be a JSON object")
-    fmt = document.pop("format", CONFIG_FORMAT)
-    if fmt != CONFIG_FORMAT:
-        raise TrainerError(f"{path}: unsupported format tag {fmt!r}")
-    unknown = set(document) - _CONFIG_FIELDS.keys()
-    if unknown:
-        raise TrainerError(f"{path}: unknown config fields {sorted(unknown)}")
-    return {
-        name: _coerce_field(name, value, str(path)) for name, value in document.items()
-    }
+    return read_document(path, CONFIG_FORMAT, _CONFIG_KINDS, TrainerError)
 
 
 def resolve_train_config(
@@ -243,7 +190,7 @@ def resolve_train_config(
     """
     file_values = dict(file_values or {})
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    unknown = (set(file_values) | set(overrides)) - _CONFIG_FIELDS.keys()
+    unknown = (set(file_values) | set(overrides)) - _CONFIG_KINDS.keys()
     if unknown:
         raise TrainerError(f"unknown config fields {sorted(unknown)}")
     return TrainConfig(**{**file_values, **overrides})
@@ -264,14 +211,7 @@ class EpochStats:
     def to_dict(self) -> dict:
         # `seconds` stays out on purpose: written artifacts must hash
         # identically across reruns of the same configuration
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_accuracy": self.val_accuracy,
-            "val_macro_f1": self.val_macro_f1,
-            "val_mean_distance": self.val_mean_distance,
-            "val_mean_error_distance": self.val_mean_error_distance,
-        }
+        return {name: value for name, value in vars(self).items() if name != "seconds"}
 
 
 @dataclass

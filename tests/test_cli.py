@@ -242,6 +242,54 @@ def test_non_finite_config_exits_1_without_checkpoints(tmp_path, train_config):
     assert not (out / "best.ckpt").exists()
 
 
+def test_numbers_too_large_for_a_float_exit_1_naming_file_and_field(
+    tmp_path, spec_file, train_config, caplog
+):
+    huge = 10**400
+    for path, field, value in (
+        (train_config, "learning_rate", huge),
+        (train_config, "split", [huge, 0, 0]),
+        (spec_file, "p_signal", huge),
+    ):
+        document = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**document, field: value}), encoding="utf-8")
+        command = "synth" if path == spec_file else "train"
+        flag = "--spec" if path == spec_file else "--config"
+        caplog.clear()
+        assert main([command, flag, str(path), "--out", str(tmp_path / "o")]) == EXIT_INVALID
+        assert f"{path}: {field}" in caplog.text and "too large for a float" in caplog.text
+        path.write_text(json.dumps(document), encoding="utf-8")
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_negative_seeds_exit_1_naming_the_seed(tmp_path, spec_file, train_config, caplog):
+    assert main(["train", "--config", str(train_config), "--seed", "-1", "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert "seed must be non-negative, got -1" in caplog.text
+    caplog.clear()
+    document = json.loads(spec_file.read_text(encoding="utf-8"))
+    spec_file.write_text(json.dumps({**document, "seed": -2}), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_file), "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert "seed must be non-negative, got -2" in caplog.text
+    caplog.clear()
+    assert main(["gradcheck", "--mode", "softmax", "--seed", "-1"]) == EXIT_INVALID
+    assert "--seed must be non-negative, got -1" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--num-seeds", "0"], "--num-seeds must be at least 1, got 0"),
+     (["--num-seeds", "-1"], "--num-seeds must be at least 1, got -1"),
+     # the relative error is at most 1, so even --corrupt would pass
+     (["--corrupt", "--tolerance", "inf"], "--tolerance must be in (0, 1), got inf"),
+     (["--tolerance", "1"], "--tolerance must be in (0, 1), got 1.0"),
+     (["--tolerance", "nan"], "--tolerance must be in (0, 1), got nan")],
+)
+def test_gradcheck_that_would_check_nothing_exits_1(flags, message, capsys, caplog):
+    assert main(["gradcheck", "--mode", "softmax", *flags]) == EXIT_INVALID
+    assert message in caplog.text
+    assert "gradient check" not in capsys.readouterr().err  # no report: nothing ran
+
+
 def test_predict_rejects_empty_text(tmp_path, train_config):
     train_dir = tmp_path / "run"
     assert main(["train", "--config", str(train_config), "--out", str(train_dir)]) == EXIT_OK

@@ -475,6 +475,30 @@ def test_spec_loading_is_strict(tmp_path):
         load_synthetic_spec(path)
 
 
+@pytest.mark.parametrize(
+    "member, match",
+    [('"p_signal": 1' + "0" * 400, "p_signal is too large for a float"),
+     ('"seed": null', "seed must not be null"),
+     ('"sequence_length": [12]', "sequence_length must be an integer"),
+     ('"taxonomy": 7', "taxonomy must be a string")],
+    ids=["huge-p_signal", "null-seed", "list-sequence_length", "int-taxonomy"],
+)
+def test_spec_member_errors_name_the_file_and_the_member(tmp_path, member, match):
+    path = tmp_path / "spec.json"
+    path.write_text('{"taxonomy": "isear-valence", ' + member + "}", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {match}$"):
+        load_synthetic_spec(path)
+
+
+def test_spec_rejects_negative_seed(tmp_path):
+    with pytest.raises(DataError, match="seed must be non-negative, got -2"):
+        SyntheticSpec(taxonomy=ISEAR, seed=-2)
+    path = tmp_path / "spec.json"
+    path.write_text('{"taxonomy": "isear-valence", "seed": -2}', encoding="utf-8")
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        load_synthetic_spec(path)
+
+
 def test_resolve_taxonomy_builtin_and_path(tmp_path):
     assert resolve_taxonomy("isear-valence").labels == ISEAR.labels
     from emord.taxonomy import save_taxonomy
@@ -486,3 +510,6 @@ def test_resolve_taxonomy_builtin_and_path(tmp_path):
     assert resolve_taxonomy("custom.json", relative_to=tmp_path).labels == ISEAR.labels
     with pytest.raises(DataError, match="neither"):
         resolve_taxonomy("no-such-taxonomy")
+    # a directory is not a taxonomy file
+    with pytest.raises(DataError, match="neither"):
+        resolve_taxonomy(".", relative_to=tmp_path)

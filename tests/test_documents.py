@@ -1,0 +1,147 @@
+"""Fuzzing the readers of user-written JSON documents: train configs, synth
+specs and taxonomies.
+
+Each example edits a valid document: it replaces values anywhere inside it,
+adds members (known, unknown or "format") and drops members.  The one
+acceptable failure is the reading module's ValueError subclass; any other
+exception propagates and fails the test.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emord.data import DataError, load_synthetic_spec
+from emord.gradcheck import tiny_taxonomy
+from emord.taxonomy import TaxonomyError, parse_taxonomy, save_taxonomy
+from emord.trainer import TrainerError, load_train_config_file, resolve_train_config
+
+#: Strings that mean something to some reader; "tax.json" is a taxonomy
+#: file beside each document, "doc.json" the document itself.
+NAMES = (
+    "softmax", "ordinal-1d", "ordinal-2d", "desk", "paper", "tsv", "csv", "1d", "2d",
+    "isear-valence", "goemotions-grid-5x5", "tax.json", "doc.json",
+    "emord.train/1", "emord.synth/1", "emord.taxonomy/1",
+)
+#: One JSON value: null, bools, small ints, ints beyond the float range,
+#: floats with NaN and ±Infinity, strings, and lists and objects of these.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=64),
+    st.integers(min_value=2**1024, max_value=10**400).map(lambda n: n * (-1) ** (n % 2)),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(NAMES),
+)
+JSON_VALUES = SCALARS | st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+TRAIN_CONFIG = {
+    "format": "emord.train/1", "mode": "ordinal-1d", "taxonomy": "isear-valence",
+    "corpus": "train.tsv", "corpus_format": "tsv", "preset": "desk", "epochs": 2,
+    "batch_size": 8, "learning_rate": 0.01, "max_seq_length": 12, "seed": 3,
+    "split": [0.8, 0.1, 0.1], "min_freq": 1, "weight_decay": 0, "beta1": 0.9,
+    "beta2": 0.999, "eps": 1e-8, "loss_weights": [1, 2.5], "embed_dim": 8,
+    "conv_channels": [8, 8], "kernel_sizes": [6, 4], "ffnn_hidden": [12, 8],
+}
+SYNTH_SPEC = {
+    "format": "emord.synth/1", "taxonomy": "tax.json", "examples_per_class": 4,
+    "p_signal": 0.5, "p_confuse": 0.1, "sequence_length": 6, "seed": 2, "filler_tokens": 3,
+}
+TAXONOMIES = (
+    {
+        "format": "emord.taxonomy/1",
+        "mode": "1d",
+        "labels": [{"name": f"level{k}", "rank": k} for k in range(3)],
+    },
+    {
+        "format": "emord.taxonomy/1",
+        "mode": "2d",
+        "grid_size": 3,
+        "labels": [
+            {"name": "low", "valence": 0, "arousal": 0},
+            {"name": "mid", "valence": 1, "arousal": 2},
+            {"name": "high", "valence": 2, "arousal": 1},
+        ],
+    },
+)
+
+
+def json_paths(node, prefix=()):
+    """Every key path into a document: object members and list items."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+def edited(data, document: dict) -> dict:
+    """`document` after one to three edits drawn from `data`."""
+    document = copy.deepcopy(document)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        edit = data.draw(st.sampled_from(("replace", "add", "drop")))
+        paths = list(json_paths(document))
+        if edit == "replace" and paths:
+            *parents, last = data.draw(st.sampled_from(paths))
+            node = document
+            for key in parents:
+                node = node[key]
+            node[last] = data.draw(JSON_VALUES)
+        elif edit == "add":
+            name = data.draw(st.sampled_from([*TRAIN_CONFIG, *SYNTH_SPEC, "grid_size"]) | st.text(max_size=4))
+            document[name] = data.draw(JSON_VALUES)
+        elif document:
+            del document[data.draw(st.sampled_from(sorted(document)))]
+    return document
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("documents")
+    save_taxonomy(tiny_taxonomy("ordinal-2d"), path / "tax.json")
+    return path
+
+
+def write(fuzz_dir, document):
+    path = fuzz_dir / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")  # NaN and Infinity as Python writes them
+    return path
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzz_train_config(fuzz_dir, data):
+    path = write(fuzz_dir, edited(data, TRAIN_CONFIG))
+    try:
+        resolve_train_config(load_train_config_file(path), {})
+    except TrainerError:
+        pass
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzz_synthetic_spec(fuzz_dir, data):
+    path = write(fuzz_dir, edited(data, SYNTH_SPEC))
+    try:
+        load_synthetic_spec(path)
+    except (DataError, TaxonomyError):  # a taxonomy file is the taxonomy module's to reject
+        pass
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data(), document=st.sampled_from(TAXONOMIES))
+def test_fuzz_taxonomy_document(data, document):
+    try:
+        taxonomy = parse_taxonomy(edited(data, document))
+    except TaxonomyError:
+        return
+    taxonomy.label_at
+    taxonomy.distance_table

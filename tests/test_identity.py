@@ -35,6 +35,14 @@ def test_two_runs_in_other_directories_print_the_same_digests(tmp_path):
             assert f"{case}/{artifact}" in paths
     for artifact in ("biased.ckpt",) + served:
         assert f"ordinal-2d-biased/{artifact}" in paths
+    synthesized = ("spec.json", "synth/corpus.tsv", "synth/taxonomy.json", "synth/manifest.json", "train.json")
+    for artifact in synthesized + trained + served:
+        assert f"softmax-grid-documents/{artifact}" in paths
+    # the config's lists reach the model's widths, and its JSON integers are written as floats
+    raw = (tmp_path / "a" / "softmax-grid-documents" / "train" / "final.ckpt").read_bytes()
+    header = raw[16 : 16 + int.from_bytes(raw[8:16], "little")].decode("utf-8")
+    assert '"conv_channels":[48,80]' in header and '"ffnn_hidden":[96,48]' in header
+    assert '"loss_weights":[1.0,0.5]' in header and '"weight_decay":0.0' in header
     # the biased head sends some rows off-grid, and not all
     biased = tmp_path / "a" / "ordinal-2d-biased" / "predict.jsonl"
     lines = biased.read_text(encoding="utf-8").splitlines()

@@ -125,6 +125,7 @@ def test_report_to_dict_serializable():
     assert doc["n_examples"] == 2
     assert doc["error_histogram"]["1"] == 1
     assert len(doc["confusion"]) == 23
+    assert set(doc["per_class"][0]) == {"label", "precision", "recall", "f1", "support", "predicted"}
 
 
 def test_writers(tmp_path):

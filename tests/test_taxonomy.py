@@ -87,6 +87,10 @@ def test_parse_rejects_duplicates_and_bad_values():
         parse_taxonomy(doc_1d([("solo", 0)]))
     with pytest.raises(TaxonomyError, match="grid_size"):
         parse_taxonomy(doc_2d([("a", (0, 0)), ("b", (0, 1))], grid_size=1))
+    # a grid too large for its per-cell tables is rejected, not left to numpy
+    with pytest.raises(TaxonomyError, match=r"grid_size in \[2, 256\]"):
+        parse_taxonomy(doc_2d([("a", (0, 0)), ("b", (0, 1))], grid_size=10**400))
+    assert parse_taxonomy(doc_2d([("a", (0, 0)), ("b", (255, 1))], grid_size=256)).label_at.size == 256**2
 
 
 def test_parse_rejects_bad_mode_and_format():

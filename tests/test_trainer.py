@@ -153,6 +153,28 @@ def test_config_file_loading(tmp_path):
         resolve_train_config(load_train_config_file(path), {})
 
 
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [("learning_rate", HUGE, "learning_rate is too large"),
+     ("split", [HUGE, 0, 0], "split entry is too large")],
+    ids=["learning_rate", "split"],
+)
+def test_config_file_rejects_numbers_too_large_for_a_float(tmp_path, name, value, match):
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps({name: value}), encoding="utf-8")
+    with pytest.raises(TrainerError, match=f"^{re.escape(str(path))}: {match} for a float$"):
+        load_train_config_file(path)
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(TrainerError, match="seed must be non-negative, got -1"):
+        tiny_config(seed=-1)
+    assert tiny_config(seed=0).seed == 0
+
+
 def test_config_document_roundtrip():
     config = tiny_config(mode="ordinal-1d", learning_rate=3e-3)
     doc = config.to_document()
@@ -322,4 +344,6 @@ def test_write_history(tmp_path):
     assert len(lines) == 2
     first = json.loads(lines[0])
     assert first["epoch"] == 1
-    assert "train_loss" in first and "val_macro_f1" in first
+    assert set(first) == {
+        "epoch", "train_loss", "val_accuracy", "val_macro_f1", "val_mean_distance", "val_mean_error_distance",
+    }  # every EpochStats field but the wall-clock `seconds`

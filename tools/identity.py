@@ -15,10 +15,16 @@ saw.  One more case serves the ordinal-2d model with a biased head, written
 here with save_checkpoint: its valence outputs are pushed to level 2 and its
 arousal outputs to level 1 or 2, split at the median test text, so that
 about half the eval and predict rows decode to the unlabeled cell (2, 1)
-and go off-grid.  The commands run as
+and go off-grid.  A last case goes through the two JSON documents a user
+writes: `emord synth --spec` writes a grid corpus, and `emord train
+--config` trains a softmax head on it with layers wider than desk, `split`
+and `loss_weights` as lists and `weight_decay` written as a JSON integer.
+The commands run as
 `python3 -m emord.cli` on this checkout's src/, with absolute paths, so the
 output directory appears in each manifest.json; it is masked there before
-hashing.  A checkout without this file can run a copy of it.
+hashing.  The documents case's train config names its corpus relative to the
+case directory, where that `train` runs, so the config holds no directory.
+A checkout without this file can run a copy of it.
 
 Digests depend on the BLAS kernel numpy uses, so compare two checkouts on
 one machine and pin no digest.
@@ -60,6 +66,19 @@ FILLERS = tuple(f"word{j}" for j in range(24))
 PUNCTUATION = ",.!?;:"
 MAX_TOKENS = 40
 EPOCHS = 2
+#: The documents case: its spec (examples_per_class is --per-label) and its
+#: train config, which names the corpus relative to the case directory.
+GRID = "goemotions-grid-5x5"
+SPEC = {
+    "format": "emord.synth/1", "taxonomy": GRID, "p_signal": 0.6, "p_confuse": 0.2,
+    "sequence_length": 16, "seed": 5, "filler_tokens": 12,
+}
+TRAIN_CONFIG = {
+    "format": "emord.train/1", "mode": "softmax", "taxonomy": GRID,
+    "corpus": "synth/corpus.tsv", "epochs": EPOCHS, "max_seq_length": MAX_TOKENS, "seed": 0,
+    "split": [0.7, 0.15, 0.15], "loss_weights": [1, 0.5], "weight_decay": 0,
+    "conv_channels": [48, 80], "ffnn_hidden": [96, 48],
+}
 
 
 def text_for(rng: random.Random, label_index: int, unseen: bool) -> str:
@@ -95,10 +114,11 @@ def write_corpus(path: Path, labels, per_label: int, rng: random.Random, unseen:
     return [text for text, _ in records]
 
 
-def emord(*argv: str, stdin=None, stdout=None) -> None:
+def emord(*argv: str, stdin=None, stdout=None, cwd=None) -> None:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     command = [sys.executable, "-m", "emord.cli", "-q", *argv]
-    run = subprocess.run(command, env={**os.environ, "PYTHONPATH": path}, stdin=stdin, stdout=stdout)
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(command, env=env, stdin=stdin, stdout=stdout, cwd=cwd)
     if run.returncode != 0:
         raise SystemExit(f"failed: emord {' '.join(argv)}")
 
@@ -115,6 +135,19 @@ def run_case(case: Path, mode: str, taxonomy: str, per_label: int) -> None:
         "--epochs", str(EPOCHS), "--max-seq-length", str(MAX_TOKENS), "--seed", "0",
         "--out", str(case / "train"),
     )
+    serve(case, case / "train" / "best.ckpt", case)
+
+
+def run_documents_case(case: Path, per_label: int) -> None:
+    """`emord synth --spec`, then `emord train --config`, then serve the model."""
+    case.mkdir()
+    (case / "spec.json").write_text(json.dumps({**SPEC, "examples_per_class": per_label}), encoding="utf-8")
+    emord("synth", "--spec", str(case / "spec.json"), "--out", str(case / "synth"))
+    (case / "train.json").write_text(json.dumps(TRAIN_CONFIG), encoding="utf-8")
+    emord("train", "--config", "train.json", "--out", "train", cwd=case)
+    rng = random.Random("documents")
+    texts = write_corpus(case / "test.tsv", builtin_taxonomy(GRID).labels, max(1, per_label // 2), rng, unseen=True)
+    (case / "predict.txt").write_text("".join(f"{text}\n" for text in texts), encoding="utf-8")
     serve(case, case / "train" / "best.ckpt", case)
 
 
@@ -162,6 +195,7 @@ def main(argv=None) -> int:
     for mode, taxonomy in MATRIX:
         run_case(out / mode, mode, taxonomy, args.per_label)
     run_biased_case(out / "ordinal-2d-biased", out / "ordinal-2d")
+    run_documents_case(out / "softmax-grid-documents", args.per_label)
     print("\n".join(digests(out)))
     return 0
 
