@@ -21,7 +21,6 @@ from .codec import (
     codewords,
     decode_thermometer,
     decode_thermometer_batch,
-    encode_onehot,
     encode_thermometer,
     target_for,
     target_width,
@@ -129,7 +128,6 @@ __all__ = [
     "decode_thermometer",
     "decode_thermometer_batch",
     "encode_corpus",
-    "encode_onehot",
     "encode_text",
     "encode_thermometer",
     "evaluate",

@@ -15,18 +15,25 @@ reproducibility.  Layout:
     payload      the parameter arena, then (resumable checkpoints only) the
                  AdamW m and v arenas, raw little-endian, back to back
 
-The header carries the embedded documents, their hashes, and an array table
-(name, shape, dtype, offset, nbytes of every array in every arena, in
-PARAM_FIELDS order).  The table is fixed by the header's model_config and
-whether optimizer state is present, so load_checkpoint requires it to equal
-the one it derives, checks every header field's JSON type, re-verifies the
-hashes, and checks that the vocabulary, taxonomy, head mode and sequence
-length agree with model_config.
+The header carries the embedded documents, their hashes, the sha256 of the
+payload bytes, and an array table (name, shape, dtype, offset, nbytes of
+every array in every arena, in PARAM_FIELDS order).  The table is fixed by
+the header's model_config and whether optimizer state is present, so
+load_checkpoint requires it to equal the one it derives, checks every
+header field's JSON type, re-verifies the hashes, and checks that the
+vocabulary, taxonomy, head mode and sequence length agree with
+model_config.
+
+Saves write format 2 (HEADER_FORMAT).  Format 1 is still read: its header
+has no payload hash, and it stores each conv weight as (Cout, Cin, k), so
+the loader puts those arrays in the arena's tap-major (k, Cin, Cout) layout
+after reading it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -48,7 +55,9 @@ from .taxonomy import EmotionTaxonomy, parse_taxonomy, taxonomy_to_document
 
 MAGIC = b"EMOC"
 CONTAINER_VERSION = 1
-HEADER_FORMAT = "emord.checkpoint/1"
+HEADER_FORMAT = "emord.checkpoint/2"
+#: The earlier format: conv weights stored (Cout, Cin, k), no payload hash.
+HEADER_FORMAT_1 = "emord.checkpoint/1"
 
 _DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
 
@@ -132,13 +141,14 @@ _HEADER = {
     "seed": _COUNT,
     "loss_weights": _NUMBER_PAIR,
     "epochs_completed": _COUNT,
-    "hashes": {"taxonomy": _TEXT, "vocab": _TEXT},
+    "hashes": {"taxonomy": _TEXT, "vocab": _TEXT, "payload": _TEXT},
     "arrays": _LIST,
     "optimizer": {
         "step": _COUNT,
         "adamw": _fields_of(AdamWConfig),
     },
 }
+_HEADER_1 = {**_HEADER, "hashes": {"taxonomy": _TEXT, "vocab": _TEXT}}
 _NULLABLE = {"optimizer"}
 
 
@@ -166,13 +176,23 @@ def _check_fields(path: Path, document: dict, schema: dict, where: str = "") -> 
             )
 
 
-def _array_table(config: ModelConfig, with_optimizer: bool) -> list[dict]:
+def _stored_shapes(config: ModelConfig, header_format: str) -> dict[str, tuple[int, ...]]:
+    """Each array's shape in a file of `header_format`: format 1 reverses the conv weights'."""
+    shapes = config.param_shapes()
+    if header_format == HEADER_FORMAT_1:
+        return {name: shape[::-1] if len(shape) == 3 else shape for name, shape in shapes.items()}
+    return shapes
+
+
+def _array_table(
+    config: ModelConfig, with_optimizer: bool, header_format: str = HEADER_FORMAT
+) -> list[dict]:
     """The header's array table: the parameter arena, then the m and v arenas."""
     tag = _DTYPE_TAGS[config.dtype]
     itemsize = np.dtype(tag).itemsize
     table, offset = [], 0
     for prefix in ("", "m/", "v/") if with_optimizer else ("",):
-        for name, shape in config.param_shapes().items():
+        for name, shape in _stored_shapes(config, header_format).items():
             nbytes = math.prod(shape) * itemsize
             table.append(
                 {
@@ -213,7 +233,7 @@ def _check_table(path: Path, table: list, expected: list[dict]) -> None:
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
-    """Write atomically; identical Checkpoint contents give identical bytes."""
+    """Write atomically in format 2; identical Checkpoint contents give identical bytes."""
     path = Path(path)
     cfg = ck.config
     arenas = [ck.params]
@@ -223,6 +243,12 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
     for params in arenas:
         if params.arena.dtype != cfg.np_dtype or [a.shape for _, a in params.named()] != shapes:
             raise CheckpointError(f"{path}: arrays do not match the checkpoint's model_config")
+    tag = _DTYPE_TAGS[cfg.dtype]
+    # no copy for a contiguous little-endian arena
+    payload = [np.ascontiguousarray(params.arena, dtype=tag) for params in arenas]
+    payload_hash = hashlib.sha256()
+    for arena in payload:
+        payload_hash.update(arena)
 
     header: dict = {
         "format": HEADER_FORMAT,
@@ -236,6 +262,7 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
         "hashes": {
             "taxonomy": taxonomy_fingerprint(ck.taxonomy),
             "vocab": vocab_fingerprint(ck.vocab),
+            "payload": payload_hash.hexdigest(),
         },
         "arrays": _array_table(cfg, ck.optimizer is not None),
         "optimizer": None,
@@ -247,15 +274,13 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
         }
 
     header_bytes = canonical_json(header).encode("utf-8")
-    tag = _DTYPE_TAGS[cfg.dtype]
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(int(CONTAINER_VERSION).to_bytes(4, "little"))
         fh.write(len(header_bytes).to_bytes(8, "little"))
         fh.write(header_bytes)
-        for params in arenas:
-            # no copy for a contiguous little-endian arena
-            fh.write(np.ascontiguousarray(params.arena, dtype=tag))
+        for arena in payload:
+            fh.write(arena)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -263,8 +288,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     The preamble and header are read and checked first, and the file's size
     against the header's array table; then each arena is read straight into
-    the array it is returned in, so loading holds little beyond the arenas.
-    The parameters come back frozen (see ModelParams.frozen).
+    the array it is returned in, so loading holds little beyond the arenas,
+    and the arenas are hashed in place against the header's payload hash.
+    The parameters come back read-only, the moments writable.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -284,10 +310,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             header = json.loads(fh.read(header_end - 16).decode("utf-8"))
         except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-        if type(header) is not dict or header.get("format") != HEADER_FORMAT:
-            fmt = header.get("format") if type(header) is dict else None
+        fmt = header.get("format") if type(header) is dict else None
+        if fmt not in (HEADER_FORMAT, HEADER_FORMAT_1):
             raise CheckpointError(f"{path}: unsupported header format {fmt!r}")
-        return _from_header(path, header, fh, size - header_end)
+        return _from_header(path, header, fmt, fh, size - header_end)
+
+
+def _conv_weights_to_tap_major(config: ModelConfig, arena: np.ndarray) -> None:
+    """Reorder, in place, each conv weight of a format-1 arena from (Cout, Cin, k) to (k, Cin, Cout)."""
+    offset = 0
+    for shape in _stored_shapes(config, HEADER_FORMAT_1).values():
+        size = math.prod(shape)
+        if len(shape) == 3:
+            stored = arena[offset : offset + size]
+            stored[...] = stored.reshape(shape).transpose(2, 1, 0).reshape(-1)
+        offset += size
 
 
 def _parse(path: Path, what: str, build, *args, **kwargs):
@@ -297,8 +334,8 @@ def _parse(path: Path, what: str, build, *args, **kwargs):
         raise CheckpointError(f"{path}: invalid {what} ({exc})") from exc
 
 
-def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
-    _check_fields(path, header, _HEADER)
+def _from_header(path: Path, header: dict, fmt: str, fh, payload_size: int) -> Checkpoint:
+    _check_fields(path, header, _HEADER if fmt == HEADER_FORMAT else _HEADER_1)
     mc = header["model_config"]
     config = _parse(
         path,
@@ -307,7 +344,7 @@ def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
         **{key: tuple(value) if type(value) is list else value for key, value in mc.items()},
     )
     opt = header["optimizer"]
-    table = _array_table(config, opt is not None)
+    table = _array_table(config, opt is not None, fmt)
     _check_table(path, header["arrays"], table)
     expected = table[-1]["offset"] + table[-1]["nbytes"]
     if payload_size != expected:
@@ -343,17 +380,25 @@ def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
             f"{config.min_seq_length} tokens the convolutions need"
         )
 
-    # each arena is read into its own native array, back to back
+    # each arena is read into its own native array, back to back; format 2
+    # hashes it as read, format 1 reorders its conv weights
     arenas = []
+    payload_hash = hashlib.sha256()
     for _ in range(1 if opt is None else 3):
         arena = np.empty(config.param_count, dtype=config.np_dtype)
         if fh.readinto(arena) != arena.nbytes:  # the file shrank since fstat
             raise CheckpointError(f"{path}: truncated checkpoint while reading the arrays")
+        if fmt == HEADER_FORMAT:
+            payload_hash.update(arena)
         if sys.byteorder == "big":
             arena.byteswap(inplace=True)  # stored little-endian
-        if not arenas:  # the parameters' arena is frozen, the moments' stay writable
+        if fmt == HEADER_FORMAT_1:
+            _conv_weights_to_tap_major(config, arena)
+        if not arenas:  # the parameters' arena is read-only, the moments' stay writable
             arena.setflags(write=False)
         arenas.append(ModelParams.over(config, arena))
+    if fmt == HEADER_FORMAT and hashes["payload"] != payload_hash.hexdigest():
+        raise CheckpointError(f"{path}: payload hash mismatch")
     params, *moments = arenas
 
     optimizer = None

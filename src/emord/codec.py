@@ -25,15 +25,6 @@ class CodecError(ValueError):
     """Invalid encode/decode arguments."""
 
 
-def encode_onehot(k: int, num_classes: int, dtype=np.float64) -> np.ndarray:
-    """One-hot vector of length num_classes with entry k set."""
-    if not 0 <= k < num_classes:
-        raise CodecError(f"class index {k} outside [0, {num_classes - 1}]")
-    out = np.zeros(num_classes, dtype=dtype)
-    out[k] = 1.0
-    return out
-
-
 def encode_thermometer(k: int, levels: int, dtype=np.float64) -> np.ndarray:
     """Codeword for level k among `levels` levels: k ones then zeros, length levels-1."""
     if levels < 2:

@@ -22,7 +22,7 @@ import typing
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +96,21 @@ def _check_record(text: str, label: str, taxonomy: EmotionTaxonomy, where: str) 
         raise DataError(f"{where}: unknown label {label!r}")
 
 
+def _csv_rows(fh, path: Path):
+    """csv.reader's rows; one it cannot parse (a field over csv's size limit,
+    a NUL before Python 3.11) is a DataError naming the header or the row."""
+    reader = csv.reader(fh)
+    for row_no in count():
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            where = f"row {row_no}" if row_no else "header"
+            raise DataError(f"{path} {where}: {exc}") from None
+        yield row
+
+
 def load_corpus(path: str | Path, fmt: str, taxonomy: EmotionTaxonomy) -> LabeledCorpus:
     """Read a labeled corpus, validating every row against the taxonomy.
 
@@ -123,14 +138,13 @@ def load_corpus(path: str | Path, fmt: str, taxonomy: EmotionTaxonomy) -> Labele
                 _check_record(text, label, taxonomy, f"{path} row {row_no}")
                 records.append((text, label))
         else:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file (missing header)") from None
+            rows = _csv_rows(fh, path)
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path}: empty file (missing header)")
             if header != ["text", "label"]:
                 raise DataError(f"{path}: header must be exactly text,label, got {header}")
-            for row_no, row in enumerate(reader, start=1):
+            for row_no, row in enumerate(rows, start=1):
                 if len(row) != 2:
                     raise DataError(f"{path} row {row_no}: expected 2 fields, got {len(row)}")
                 text, label = row

@@ -14,11 +14,7 @@ run through it, and `forward` cuts each chunk's trailing padding and, with
 `cache=False`, keeps no activations for a backward pass.  The
 one-text path (`predict_text` -> `predict_ids` -> `forward` ->
 `decode_outputs`, once per text) is dominated by per-call overhead, so
-each step does one call where it can.  A checkpoint from `load_checkpoint`
-or `Trainer.checkpoint()` has frozen params, so `forward` copies its conv
-weights into tap-major layout on the first call only (at paper widths most
-of a one-text forward); params built otherwise stay writable and are
-copied on every call.
+each step does one call where it can.
 """
 
 from __future__ import annotations

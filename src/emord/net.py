@@ -11,10 +11,12 @@ for every parameter and is verified against central finite differences in
 gradcheck.py.  float32 is the training dtype, float64 the gradient-checking
 dtype.
 
-Each conv multiplies by its weight copied into one contiguous matrix per
-tap.  A strided tap view is not a BLAS operand, so numpy multiplies it by
-its own loop below some product size, and that loop sums a row differently
-from the BLAS kernel; with contiguous taps every row of a tap product is
+Each conv weight is stored tap-major, conv1_w as (k1, E, C1) and conv2_w
+as (k2, C1, C2), so each tap is one contiguous matrix of the arena and
+forward() multiplies by it in place: no copy is made or kept.  A strided
+tap view is not a BLAS operand, so numpy would multiply it by its own loop
+below some product size, and that loop sums a row differently from the
+BLAS kernel; with contiguous taps every row of a tap product is
 bit-identical whatever the number of rows.  That lets forward() cut every
 batch (training, validation, evaluation and one-text prediction alike)
 after the last column a pooled output reads.  The FFNN products still
@@ -22,14 +24,7 @@ depend on the batch size, and not only for one row: at desk widths, with
 initial weights x4 and T=32, softmax and ordinal-1d outputs differ in the
 last bits from the same rows in a 256-row batch at about 25-32 of the batch
 sizes 1-39, 100, 129 and 255 (never at a multiple of 4), ordinal-2d outputs
-at batch size 1 only.  ROADMAP item 2 is to make them batch-invariant.
-
-Frozen params (a loaded checkpoint's, a Trainer snapshot's) make the
-tap-major copies on their first forward and keep them; writable params
-make them on every call, so that an in-place update is never read stale.
-At paper widths (vocab 4102, one BLAS thread) the copies took about 71 of
-the 88 ms of a one-row forward of a 20-token text, which takes 15 ms on
-frozen params; at desk widths about 7 us of a ~100 us predict_text.
+at batch size 1 only.  ROADMAP item 3 is to make them batch-invariant.
 
 A forward that keeps no cache (forward(..., cache=False): every caller
 but the training step) runs embedding -> conv1 -> ReLU -> conv2 -> ReLU ->
@@ -152,9 +147,9 @@ class ModelConfig:
         h1, h2 = self.ffnn_hidden
         return {
             "embedding": (self.vocab_size, e),
-            "conv1_w": (c1, e, k1),
+            "conv1_w": (k1, e, c1),
             "conv1_b": (c1,),
-            "conv2_w": (c2, c1, k2),
+            "conv2_w": (k2, c1, c2),
             "conv2_b": (c2,),
             "fc1_w": (c2, h1),
             "fc1_b": (h1,),
@@ -199,18 +194,19 @@ class ModelParams:
     finiteness check, a snapshot, a checkpoint write) runs once over it.
     `over(config, arena)`, `zeros(config)` and `like(arena)` are the only
     constructors; the fields are frozen, so no array can be rebound away
-    from its arena.  Params over a read-only arena that owns its memory
-    (`frozen`: a loaded checkpoint's, a Trainer snapshot's) keep the
-    tap-major conv weights forward() multiplies by.
+    from its arena.  Each array is stored in the layout forward() and
+    backward() read, the conv weights tap-major, so no pass copies or keeps
+    a reordered weight.  A loaded checkpoint's and a Trainer snapshot's
+    arena is read-only (`frozen_copy`), so nothing can write them.
 
     embedding row 0 is the padding slot: initialized to zeros, masked out of
     the forward pass, and never receives gradient, so it stays zero.
     """
 
     embedding: np.ndarray  # (V, E)
-    conv1_w: np.ndarray  # (C1, E, k1)
+    conv1_w: np.ndarray  # (k1, E, C1)
     conv1_b: np.ndarray  # (C1,)
-    conv2_w: np.ndarray  # (C2, C1, k2)
+    conv2_w: np.ndarray  # (k2, C1, C2)
     conv2_b: np.ndarray  # (C2,)
     fc1_w: np.ndarray  # (C2, H1)
     fc1_b: np.ndarray  # (H1,)
@@ -266,29 +262,6 @@ class ModelParams:
         arena.setflags(write=False)
         return self.like(arena)
 
-    @property
-    def frozen(self) -> bool:
-        """Whether no view can write the arena: it is read-only and owns its memory."""
-        flags = self.arena.flags
-        return not flags.writeable and flags.owndata
-
-    def conv_taps(self) -> tuple[np.ndarray, np.ndarray]:
-        """conv1_w and conv2_w in tap-major layout, one contiguous matrix per tap.
-
-        Frozen params make them once and keep them, read-only.  Others make
-        them afresh on every call, so that a weight updated in place is
-        never read stale.
-        """
-        if not self.frozen:
-            return _conv_taps(self.conv1_w), _conv_taps(self.conv2_w)
-        taps = self.__dict__.get("_taps")
-        if taps is None:
-            taps = _conv_taps(self.conv1_w), _conv_taps(self.conv2_w)
-            for tap in taps:
-                tap.setflags(write=False)
-            object.__setattr__(self, "_taps", taps)
-        return taps
-
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Seeded init: embedding U(-0.05, 0.05), weights U(+-sqrt(1/fan_in)), zero biases."""
@@ -308,7 +281,10 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     params = ModelParams.zeros(config)  # biases stay zero
     for name, bound in bounds.items():  # draws in PARAM_FIELDS order
         view = getattr(params, name)
-        view[...] = rng.uniform(-bound, bound, size=view.shape)
+        if view.ndim == 3:  # a conv weight, drawn as (Cout, Cin, k)
+            view[...] = rng.uniform(-bound, bound, size=view.shape[::-1]).transpose(2, 1, 0)
+        else:
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
     params.embedding[0] = 0.0
     return params
 
@@ -334,27 +310,22 @@ class ForwardCache:
     outputs: np.ndarray  # (B, out) post softmax/logistic
 
 
-def _conv_taps(w: np.ndarray) -> np.ndarray:
-    # (Cout, Cin, k) -> (k, Cin, Cout): each tap a contiguous matrix
-    return w.transpose(2, 1, 0).copy()
-
-
 def _product(rows: int, right: np.ndarray):
     """The function that multiplies `rows` rows by `right`: dot or matmul."""
     return np.ndarray.dot if rows * right.size <= _DOT_MACS else np.matmul
 
 
-def _conv1d(x: np.ndarray, taps: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # x (B, T, Cin), taps (k, Cin, Cout) -> (B, T-k+1, Cout), one GEMM per
+def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # x (B, T, Cin), w (k, Cin, Cout) -> (B, T-k+1, Cout), one GEMM per
     # tap: tap j maps every input row, and output t takes input row t+j.
     batch, t, c_in = x.shape
-    k = taps.shape[0]
+    k = w.shape[0]
     t_out = t - k + 1
     flat = x.reshape(batch * t, c_in)
-    mul = _product(batch * t, taps[0])
-    out = mul(flat, taps[0]).reshape(batch, t, -1)[:, :t_out] + b
+    mul = _product(batch * t, w[0])
+    out = mul(flat, w[0]).reshape(batch, t, -1)[:, :t_out] + b
     for j in range(1, k):
-        out += mul(flat, taps[j]).reshape(batch, t, -1)[:, j : j + t_out]
+        out += mul(flat, w[j]).reshape(batch, t, -1)[:, j : j + t_out]
     return out
 
 
@@ -439,7 +410,6 @@ def forward(
     t2 = t - k1 - k2 + 2
     pool_counts = np.minimum(n_real, t2).astype(dt)
     pool_mask = (np.arange(t2)[None, :] < pool_counts[:, None]).astype(dt)
-    taps1, taps2 = params.conv_taps()
 
     # The same arithmetic for one block of all B rows (the cached forward)
     # or for blocks of _block_rows rows: every step from the embedding to
@@ -451,10 +421,10 @@ def forward(
         stop = start + rows
         emb = params.embedding[token_ids[start:stop]]
         emb *= real[start:stop, :, None]
-        z1 = _conv1d(emb, taps1, params.conv1_b)
+        z1 = _conv1d(emb, params.conv1_w, params.conv1_b)
         # without a cache, each ReLU overwrites its input
         a1 = np.maximum(z1, 0, out=None if cache else z1)
-        z2 = _conv1d(a1, taps2, params.conv2_b)
+        z2 = _conv1d(a1, params.conv2_w, params.conv2_b)
         a2 = np.maximum(z2, 0, out=None if cache else z2)
         # a fresh product: numpy runs an in-place product with a broadcast
         # operand about 4x slower
@@ -497,14 +467,16 @@ def forward(
 
 def _conv1d_backward(x, w, d_out, d_w, d_b):
     # returns d_x for z = conv1d(x, w, b), one pair of GEMMs per tap, and
-    # writes the weight and bias gradients into d_w and d_b
+    # writes the weight and bias gradients into d_w and d_b, all (k, Cin, Cout).
+    # The transposed taps are copied: on a one-row batch the product with a
+    # transposed view of w[j] differs from this one in the last bits.
     batch, t_out, _ = d_out.shape
     c_in = x.shape[2]
     d_flat = d_out.reshape(batch * t_out, -1)
-    taps = w.transpose(2, 0, 1).copy()  # (k, Cout, Cin)
+    taps = w.transpose(0, 2, 1).copy()  # (k, Cout, Cin)
     d_x = np.zeros_like(x)
-    for j in range(w.shape[2]):
-        d_w[:, :, j] = d_flat.T @ x[:, j : j + t_out].reshape(-1, c_in)
+    for j in range(w.shape[0]):
+        d_w[j] = (d_flat.T @ x[:, j : j + t_out].reshape(-1, c_in)).T
         d_x[:, j : j + t_out] += (d_flat @ taps[j]).reshape(batch, t_out, c_in)
     d_out.sum(axis=(0, 1), out=d_b)
     return d_x

@@ -314,7 +314,8 @@ class Trainer:
     def checkpoint(self, with_optimizer: bool = False) -> Checkpoint:
         """Deep snapshot of the current model (and optionally optimizer) state.
 
-        Its params are frozen (see ModelParams.frozen); its moments are not.
+        Its params are a read-only copy (ModelParams.frozen_copy); its moments
+        are writable.
         """
         optimizer = None
         if with_optimizer:

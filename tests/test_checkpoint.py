@@ -1,5 +1,6 @@
 """Checkpoint container: bit-exact round trips and tamper detection."""
 
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from emord.checkpoint import (
     CONTAINER_VERSION,
+    HEADER_FORMAT,
+    HEADER_FORMAT_1,
     MAGIC,
     Checkpoint,
     CheckpointError,
@@ -27,10 +30,12 @@ from emord.net import ModelConfig, init_params
 from emord.optim import AdamWConfig, AdamWState, adamw_step
 from emord.taxonomy import builtin_taxonomy, taxonomy_to_document
 
-#: make_checkpoint(with_optimizer=True) as written by the earlier writer,
-#: which copied each array out on its own; reader and writer now change
-#: together, so this file pins the bytes on disk.
-PINNED = Path(__file__).parent / "data" / "checkpoint_v1_fixture.ckpt"
+#: make_checkpoint(with_optimizer=True) as save_checkpoint writes it (format
+#: 2); reader and writer change together, so this file pins the bytes on disk.
+PINNED = Path(__file__).parent / "data" / "checkpoint_v2_fixture.ckpt"
+#: The same checkpoint in format 1, written by an earlier writer: conv
+#: weights stored (Cout, Cin, k), and no payload hash.
+PINNED_V1 = Path(__file__).parent / "data" / "checkpoint_v1_fixture.ckpt"
 
 
 def make_checkpoint(with_optimizer=False, dtype="float32") -> Checkpoint:
@@ -257,7 +262,7 @@ def test_loaded_arrays_live_in_arenas(tmp_path):
     save_checkpoint(make_checkpoint(with_optimizer=True), path)
     loaded = load_checkpoint(path)
     state = loaded.optimizer.state
-    # the parameters are frozen, the moments writable
+    # the parameters are read-only, the moments writable
     for arena, arrays, writeable in (
         (loaded.params.arena, dict(loaded.params.named()), False),
         (state.m.arena, dict(state.m.named()), True),
@@ -272,12 +277,12 @@ def test_loaded_params_are_frozen(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint(), path)
     params = load_checkpoint(path).params
-    assert params.frozen
+    assert not params.arena.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         params.fc3_b[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         params.arena[0] = 1.0
-    assert not params.copy().frozen
+    assert params.copy().arena.flags.writeable
 
 
 def test_load_holds_little_beyond_the_arenas(tmp_path):
@@ -322,8 +327,11 @@ def test_file_that_shrinks_while_loading_is_a_checkpoint_error(tmp_path, monkeyp
         load_checkpoint(path)
 
 
-def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
-    loaded = load_checkpoint(PINNED)
+def header_of(raw: bytes) -> dict:
+    return json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])
+
+
+def assert_is_the_fixture_checkpoint(loaded):
     fresh = make_checkpoint(with_optimizer=True)
     assert loaded.config == fresh.config
     assert loaded.taxonomy == fresh.taxonomy
@@ -336,10 +344,78 @@ def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
     assert_params_equal(loaded.params, fresh.params)
     assert_params_equal(loaded.optimizer.state.m, fresh.optimizer.state.m)
     assert_params_equal(loaded.optimizer.state.v, fresh.optimizer.state.v)
+    return fresh
+
+
+def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
+    loaded = load_checkpoint(PINNED)
+    fresh = assert_is_the_fixture_checkpoint(loaded)
     for ck in (loaded, fresh):
         resaved = tmp_path / "resaved.ckpt"
         save_checkpoint(ck, resaved)
         assert resaved.read_bytes() == PINNED.read_bytes()
+
+
+def test_format_1_file_loads_with_tap_major_conv_weights():
+    raw = PINNED_V1.read_bytes()
+    header = header_of(raw)
+    assert header["format"] == HEADER_FORMAT_1 and "payload" not in header["hashes"]
+    loaded = load_checkpoint(PINNED_V1)
+    assert_is_the_fixture_checkpoint(loaded)
+    # each conv weight is the stored (Cout, Cin, k) array, transposed
+    payload = raw[16 + int.from_bytes(raw[8:16], "little") :]
+    arrays = {"": loaded.params, "m": loaded.optimizer.state.m, "v": loaded.optimizer.state.v}
+    for entry in header["arrays"]:
+        prefix, _, name = entry["name"].rpartition("/")
+        stored = np.frombuffer(
+            payload[entry["offset"] : entry["offset"] + entry["nbytes"]], dtype=entry["dtype"]
+        ).reshape(entry["shape"])
+        if name in ("conv1_w", "conv2_w"):
+            stored = stored.transpose(2, 1, 0)
+        assert np.array_equal(getattr(arrays[prefix], name), stored), entry["name"]
+
+
+def test_format_1_file_resaves_as_format_2(tmp_path):
+    resaved = tmp_path / "resaved.ckpt"
+    save_checkpoint(load_checkpoint(PINNED_V1), resaved)
+    raw = resaved.read_bytes()
+    header = header_of(raw)
+    assert header["format"] == HEADER_FORMAT == "emord.checkpoint/2"
+    payload = raw[16 + int.from_bytes(raw[8:16], "little") :]
+    assert header["hashes"]["payload"] == hashlib.sha256(payload).hexdigest()
+    assert_is_the_fixture_checkpoint(load_checkpoint(resaved))
+    assert raw == PINNED.read_bytes()
+
+
+def test_payload_hash_covers_every_arena(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(with_optimizer=True), path)
+    raw = path.read_bytes()
+    payload_start = 16 + int.from_bytes(raw[8:16], "little")
+    for at in (payload_start, (payload_start + len(raw)) // 2, len(raw) - 1):
+        case = bytearray(raw)
+        case[at] ^= 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(case))
+        with pytest.raises(CheckpointError, match="payload hash mismatch"):
+            load_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda header: header["hashes"].pop("payload"), "missing key 'hashes.payload'"),
+        (lambda header: set_key(header, "format", HEADER_FORMAT_1), "unknown key 'hashes.payload'"),
+        (
+            lambda header: (set_key(header, "format", HEADER_FORMAT_1), header["hashes"].pop("payload")),
+            r"array 'conv1_w' has shape \[6, 4, 3\], model_config needs \[3, 4, 6\]",
+        ),
+    ],
+    ids=["format-2-without-payload-hash", "format-1-with-payload-hash", "format-1-with-format-2-table"],
+)
+def test_rejects_header_of_the_other_format(tmp_path, edit, match):
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(rewrite_header(tmp_path, edit))
 
 
 def rewrite_header(tmp_path, edit):
@@ -536,11 +612,21 @@ def test_fuzz_header_values_of_another_type(fuzz_dir, choice, value):
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_fuzz_truncated_and_flipped_bytes(fuzz_dir, data):
+    # a flipped header byte may still give a valid header; a truncated file
+    # or a flipped payload byte never loads
     raw = (fuzz_dir / "model.ckpt").read_bytes()
+    payload_start = 16 + int.from_bytes(raw[8:16], "little")
     at = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
-    if data.draw(st.booleans()):
+    truncate = data.draw(st.booleans())
+    if truncate:
         case = raw[:at]
     else:
         case = bytearray(raw)
         case[at] ^= data.draw(st.integers(min_value=1, max_value=255))
-    loads_or_rejects(fuzz_dir / "case.ckpt", bytes(case))
+    path = fuzz_dir / "case.ckpt"
+    if truncate or at >= payload_start:
+        path.write_bytes(bytes(case))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+    else:
+        loads_or_rejects(path, bytes(case))

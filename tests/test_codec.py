@@ -17,7 +17,6 @@ from emord.codec import (
     codewords,
     decode_thermometer,
     decode_thermometer_batch,
-    encode_onehot,
     encode_thermometer,
     target_for,
     target_width,
@@ -43,7 +42,6 @@ def test_encode_examples():
     assert encode_thermometer(0, 5).tolist() == [0, 0, 0, 0]
     assert encode_thermometer(3, 5).tolist() == [1, 1, 1, 0]
     assert encode_thermometer(4, 5).tolist() == [1, 1, 1, 1]
-    assert encode_onehot(2, 4).tolist() == [0, 0, 1, 0]
 
 
 def test_encode_bounds():
@@ -53,8 +51,6 @@ def test_encode_bounds():
         encode_thermometer(-1, 5)
     with pytest.raises(CodecError):
         encode_thermometer(0, 1)
-    with pytest.raises(CodecError):
-        encode_onehot(4, 4)
 
 
 def test_decode_encode_identity_exhaustive():
@@ -191,7 +187,7 @@ def test_dtype_control():
 def reference_target(tax, label, mode, dtype):
     """The target built from the per-label encoders, as target_for once built it."""
     if mode == MODE_SOFTMAX:
-        return encode_onehot(tax.labels.index(label), tax.num_labels, dtype)
+        return np.eye(tax.num_labels, dtype=dtype)[tax.labels.index(label)]
     if mode == MODE_ORDINAL_1D:
         return encode_thermometer(tax.ranks[label], tax.num_labels, dtype)
     valence, arousal = tax.cells[label]

@@ -97,6 +97,16 @@ def test_load_csv_strict_header(tmp_path):
         load_corpus(path, "csv", ISEAR)
 
 
+@pytest.mark.parametrize("row, where", [(0, "header"), (2, "row 2")])
+def test_load_csv_row_csv_cannot_parse_names_the_row(tmp_path, row, where):
+    rows = ["text,label", "fine,joy", "fine,fear"]
+    rows[row] = "x" * 131073 + ",joy"  # over the csv module's field limit
+    path = tmp_path / "corpus.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))} {where}: field larger than field limit"):
+        load_corpus(path, "csv", ISEAR)
+
+
 def test_unknown_format_and_empty_corpus(tmp_path):
     path = tmp_path / "corpus.tsv"
     path.write_text("a\tjoy\n", encoding="utf-8")
@@ -108,6 +118,34 @@ def test_save_tsv_rejects_unrepresentable_text(tmp_path):
     corpus = LabeledCorpus((("has\ttab", "joy"),))
     with pytest.raises(DataError, match="tsv"):
         save_corpus_tsv(corpus, tmp_path / "x.tsv")
+
+
+#: Pieces of corpus files: labels, texts, separators, line ends, quotes, a
+#: csv header, a BOM, NUL, bytes that are not UTF-8 and an encoded surrogate.
+CORPUS_PIECES = st.sampled_from(
+    [b"joy", b"fear", b"so happy", b" ", b"\t", b",", b'"', b"\n", b"\r", b"\r\n",
+     b"text,label\n", b"\xef\xbb\xbf", b"\x00", b"\xff", b"caf\xe9", b"caf\xc3\xa9", b"\xed\xa0\x80"]
+)
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "corpus.txt"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    fmt=st.sampled_from(["tsv", "csv"]),
+    pieces=st.lists(st.one_of(CORPUS_PIECES, st.binary(max_size=3)), max_size=24),
+)
+def test_fuzz_load_corpus(corpus_path, fmt, pieces):
+    # the one acceptable failure is DataError; anything else propagates
+    corpus_path.write_bytes(b"".join(pieces))
+    try:
+        corpus = load_corpus(corpus_path, fmt, ISEAR)
+    except DataError:
+        return
+    assert corpus.records and all(label in ISEAR.label_index for _, label in corpus.records)
 
 
 def test_filter_labels():

@@ -33,6 +33,10 @@ def test_two_runs_in_other_directories_print_the_same_digests(tmp_path):
     for case in ("softmax", "ordinal-1d", "ordinal-2d"):
         for artifact in trained + served:
             assert f"{case}/{artifact}" in paths
+    for artifact in ("holdout.tsv", "holdout/holdout.json", "holdout/manifest.json"):
+        assert f"ordinal-2d/{artifact}" in paths
+    holdout = json.loads((tmp_path / "a" / "ordinal-2d" / "holdout" / "holdout.json").read_text(encoding="utf-8"))
+    assert (holdout["holdout_label"], holdout["n_examples"]) == ("surprise", 2)
     for artifact in ("biased.ckpt",) + served:
         assert f"ordinal-2d-biased/{artifact}" in paths
     synthesized = ("spec.json", "synth/corpus.tsv", "synth/taxonomy.json", "synth/manifest.json", "train.json")

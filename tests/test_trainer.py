@@ -234,9 +234,9 @@ def test_resume_from_disk_is_byte_identical(tmp_path):
     straight = train(tiny_config(epochs=4), corpus)
     save_checkpoint(train(tiny_config(epochs=2), corpus).final, tmp_path / "half.ckpt")
     half = load_checkpoint(tmp_path / "half.ckpt")
-    assert half.params.frozen
+    assert not half.params.arena.flags.writeable
     resumed = Trainer.resume(tiny_config(epochs=4), half, corpus)
-    assert not resumed.params.frozen  # trains on a writable copy
+    assert resumed.params.arena.flags.writeable  # trains on a writable copy
     resumed_result = resumed.run()
     save_checkpoint(straight.final, tmp_path / "straight.ckpt")
     save_checkpoint(resumed_result.final, tmp_path / "resumed.ckpt")
@@ -249,11 +249,11 @@ def test_resume_from_disk_is_byte_identical(tmp_path):
 def test_snapshots_have_frozen_params_and_writable_moments():
     trainer = Trainer(tiny_config(), tiny_corpus())
     snapshot = trainer.checkpoint(with_optimizer=True)
-    assert snapshot.params.frozen and not trainer.params.frozen
+    assert not snapshot.params.arena.flags.writeable and trainer.params.arena.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         snapshot.params.fc1_w[0, 0] = 1.0
     state = snapshot.optimizer.state
-    assert not state.m.frozen and not state.v.frozen
+    assert state.m.arena.flags.writeable and state.v.arena.flags.writeable
     kept = snapshot.params.arena.copy()
     trainer.run_epoch()
     assert np.array_equal(snapshot.params.arena, kept)

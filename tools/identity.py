@@ -11,7 +11,9 @@ The matrix: softmax and ordinal-1d heads on isear-valence and an
 ordinal-2d head on the 5x5 grid, each trained on generated texts of 1-40
 tokens with upper case and punctuation, then evaluated and fed to `emord
 predict` on stdin with texts that also hold tokens the training corpus never
-saw.  One more case serves the ordinal-2d model with a biased head, written
+saw.  The ordinal-2d model is also evaluated with `emord eval
+--holdout-label` on the test texts of HOLDOUT_LABEL, into holdout/.  One
+more case serves the ordinal-2d model with a biased head, written
 here with save_checkpoint: its valence outputs are pushed to level 2 and its
 arousal outputs to level 1 or 2, split at the median test text, so that
 about half the eval and predict rows decode to the unlabeled cell (2, 1)
@@ -62,6 +64,8 @@ MATRIX = (
 #: text's output at 0.5 instead.
 HEAD_BIAS = (4.0, 4.0, -4.0, -4.0, 4.0, 0.0, -4.0, -4.0)
 SPLIT = 5
+#: The label whose ordinal-2d test texts get a holdout-proximity report.
+HOLDOUT_LABEL = "surprise"
 FILLERS = tuple(f"word{j}" for j in range(24))
 PUNCTUATION = ",.!?;:"
 MAX_TOKENS = 40
@@ -136,6 +140,19 @@ def run_case(case: Path, mode: str, taxonomy: str, per_label: int) -> None:
         "--out", str(case / "train"),
     )
     serve(case, case / "train" / "best.ckpt", case)
+    if mode == "ordinal-2d":
+        serve_holdout(case, case / "train" / "best.ckpt")
+
+
+def serve_holdout(case: Path, checkpoint: Path) -> None:
+    """`emord eval --holdout-label HOLDOUT_LABEL` on case/test.tsv's texts of that label."""
+    rows = (case / "test.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    held = [row for row in rows if row.rstrip("\n").split("\t")[1] == HOLDOUT_LABEL]
+    (case / "holdout.tsv").write_text("".join(held), encoding="utf-8")
+    emord(
+        "eval", "--checkpoint", str(checkpoint), "--corpus", str(case / "holdout.tsv"),
+        "--holdout-label", HOLDOUT_LABEL, "--out", str(case / "holdout"),
+    )
 
 
 def run_documents_case(case: Path, per_label: int) -> None:
