@@ -156,12 +156,24 @@ def load_corpus(path: str | Path, fmt: str, taxonomy: EmotionTaxonomy) -> Labele
 
 
 def save_corpus_tsv(corpus: LabeledCorpus, path: str | Path) -> None:
-    """Write the tab-separated form; rejects texts that cannot survive it."""
+    """Write the tab-separated form; rejects a record load_corpus would reject.
+
+    load_corpus splits fields at a tab and lines at \\n and \\r, so no text
+    or label may hold one, and it rejects a blank text and text that is not
+    UTF-8.
+    """
     with atomic_write(path, encoding="utf-8", newline="\n") as fh:
-        for text, label in corpus.records:
-            if "\t" in text or "\n" in text:
-                raise DataError("tsv cannot hold texts containing tabs or newlines")
-            fh.write(f"{text}\t{label}\n")
+        for row_no, (text, label) in enumerate(corpus.records, start=1):
+            where = f"{path} record {row_no}"
+            record = text + label
+            if "\t" in record or "\n" in record or "\r" in record:
+                raise DataError(f"{where}: tsv cannot hold a tab, \\n or \\r in a text or label")
+            if not text.strip():
+                raise DataError(f"{where}: empty text")
+            try:
+                fh.write(f"{text}\t{label}\n")
+            except UnicodeEncodeError:  # a lone surrogate
+                raise DataError(f"{where}: not valid UTF-8") from None
 
 
 def _is_punct(ch: str) -> bool:

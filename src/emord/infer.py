@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .codec import MODE_SOFTMAX, CodecError, check_mode_compatible, decode_thermometer_batch
+from .codec import MODE_SOFTMAX, CodecError, decode_thermometer_batch, target_width
 from .data import DataError, encode_text
 from .net import forward
 from .taxonomy import EmotionTaxonomy
@@ -90,14 +90,13 @@ def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) ->
     level it would get on its own.
     """
     outputs = np.asarray(outputs)
+    width = target_width(mode, taxonomy)
+    if outputs.ndim != 2 or outputs.shape[1] != width:
+        raise CodecError(f"{mode} outputs must be (N, {width}), got shape {outputs.shape}")
     if mode == MODE_SOFTMAX:
         indices = np.argmax(outputs, axis=1)
         return Decoded(taxonomy, mode, indices, np.zeros(len(indices), dtype=bool), outputs)
-    check_mode_compatible(mode, taxonomy)
     d, levels = taxonomy.coords.shape[1], taxonomy.levels
-    width = d * (levels - 1)
-    if outputs.ndim != 2 or outputs.shape[1] != width:
-        raise CodecError(f"{mode} outputs must be (N, {width}), got shape {outputs.shape}")
     coords = decode_thermometer_batch(outputs.reshape(-1, levels - 1)).reshape(-1, d)
     # each row's row-major position in the flat tables (Horner's rule), which
     # is cheaper than indexing them with a tuple of D arrays

@@ -26,10 +26,17 @@ last bits from the same rows in a 256-row batch at about 25-32 of the batch
 sizes 1-39, 100, 129 and 255 (never at a multiple of 4), ordinal-2d outputs
 at batch size 1 only.  ROADMAP item 3 is to make them batch-invariant.
 
+Every ReLU overwrites its input, in every forward, so each hidden
+activation exists once.  The ForwardCache a training forward returns holds
+activations only: the masked embedding, a1, a2, the pool's mask, counts and
+output, h1 and h2.  backward() takes each ReLU's mask from its output
+(a > 0 exactly where the pre-activation is > 0) and writes each ReLU's
+input gradient over its output gradient.
+
 A forward that keeps no cache (forward(..., cache=False): every caller
 but the training step) runs embedding -> conv1 -> ReLU -> conv2 -> ReLU ->
-masked pool over blocks of rows, each ReLU in place, then the FFNN and head
-once over the whole pooled matrix.  A block holds
+masked pool over blocks of rows, then the FFNN and head once over the
+whole pooled matrix.  A block holds
 max(128 KiB // row, ceil(conv weight bytes / row), 1) rows, where row is
 T * max(E, C1, C2) * itemsize at the cut width T, so a block's widest
 activation stays in a core's L2 cache unless that would make the block
@@ -37,10 +44,7 @@ smaller than the conv weights it reads: 16-18 rows at desk widths, a whole
 16-row batch at paper widths and T=200.  The outputs are bit-identical to
 the cached forward's, which runs the same code as one block of all B rows:
 each step up to the pool works row by row, each conv row is the same at
-any row count, and the FFNN sees the same pooled matrix.  At desk widths
-(T=32, one BLAS thread) a 256-row forward fell from 6.5 to 3.9 ms (min of
-200 interleaved calls) and no longer overflows L2 with a 5 MB set of
-activations; a one-row forward stays at about 80 us.
+any row count, and the FFNN sees the same pooled matrix.
 
 At desk widths a batched forward is bound by the conv GEMMs, but a one-row
 forward (one text served by predict_text) is bound by numpy's per-call
@@ -291,28 +295,32 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Activations retained by forward() for the matching backward() call."""
+    """What backward() reads of a training forward: activations only.
 
-    token_ids: np.ndarray  # (B, T) int
-    emb: np.ndarray  # (B, T, E)
-    z1: np.ndarray  # (B, T1, C1) pre-ReLU
+    Every ReLU in forward() overwrites its input, so no pre-activation is
+    kept; backward() takes each ReLU's mask from its output, as a > 0 holds
+    exactly where the pre-activation is > 0 (also for -0.0 and NaN).
+    """
+
+    token_ids: np.ndarray  # (B, T) int, cut
+    emb: np.ndarray  # (B, T, E), padding positions zeroed
     a1: np.ndarray  # (B, T1, C1)
-    z2: np.ndarray  # (B, T2, C2) pre-ReLU
     a2: np.ndarray  # (B, T2, C2)
     pool_mask: np.ndarray  # (B, T2) dtype 0/1
     pool_counts: np.ndarray  # (B,) dtype
     pooled: np.ndarray  # (B, C2)
-    h1_pre: np.ndarray
-    h1: np.ndarray
-    h2_pre: np.ndarray
-    h2: np.ndarray
-    logits: np.ndarray  # (B, out)
-    outputs: np.ndarray  # (B, out) post softmax/logistic
+    h1: np.ndarray  # (B, H1)
+    h2: np.ndarray  # (B, H2)
 
 
 def _product(rows: int, right: np.ndarray):
     """The function that multiplies `rows` rows by `right`: dot or matmul."""
     return np.ndarray.dot if rows * right.size <= _DOT_MACS else np.matmul
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    """ReLU in place: `x` is overwritten and returned."""
+    return np.maximum(x, 0, out=x)
 
 
 def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -421,21 +429,16 @@ def forward(
         stop = start + rows
         emb = params.embedding[token_ids[start:stop]]
         emb *= real[start:stop, :, None]
-        z1 = _conv1d(emb, params.conv1_w, params.conv1_b)
-        # without a cache, each ReLU overwrites its input
-        a1 = np.maximum(z1, 0, out=None if cache else z1)
-        z2 = _conv1d(a1, params.conv2_w, params.conv2_b)
-        a2 = np.maximum(z2, 0, out=None if cache else z2)
+        a1 = _relu(_conv1d(emb, params.conv1_w, params.conv1_b))
+        a2 = _relu(_conv1d(a1, params.conv2_w, params.conv2_b))
         # a fresh product: numpy runs an in-place product with a broadcast
         # operand about 4x slower
         masked = a2 * pool_mask[start:stop, :, None]
         blocks.append(masked.sum(axis=1) / pool_counts[start:stop, None])
     pooled = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    h1_pre = _product(b, params.fc1_w)(pooled, params.fc1_w) + params.fc1_b
-    h1 = np.maximum(h1_pre, 0)
-    h2_pre = _product(b, params.fc2_w)(h1, params.fc2_w) + params.fc2_b
-    h2 = np.maximum(h2_pre, 0)
+    h1 = _relu(_product(b, params.fc1_w)(pooled, params.fc1_w) + params.fc1_b)
+    h2 = _relu(_product(b, params.fc2_w)(h1, params.fc2_w) + params.fc2_b)
     logits = _product(b, params.fc3_w)(h2, params.fc3_w) + params.fc3_b
 
     if config.head_mode == MODE_SOFTMAX:
@@ -449,19 +452,13 @@ def forward(
     return outputs, ForwardCache(
         token_ids=token_ids,
         emb=emb,
-        z1=z1,
         a1=a1,
-        z2=z2,
         a2=a2,
         pool_mask=pool_mask,
         pool_counts=pool_counts,
         pooled=pooled,
-        h1_pre=h1_pre,
         h1=h1,
-        h2_pre=h2_pre,
         h2=h2,
-        logits=logits,
-        outputs=outputs,
     )
 
 
@@ -495,35 +492,35 @@ def backward(
     differentiated here.  Returns a ModelParams holding the gradients, each
     written straight into its view of one fresh arena.
     """
-    if d_logits.shape != cache.logits.shape:
-        raise NetError(
-            f"d_logits shape {d_logits.shape} does not match logits {cache.logits.shape}"
-        )
+    logits_shape = (len(cache.h2), params.fc3_b.size)
+    if d_logits.shape != logits_shape:
+        raise NetError(f"d_logits shape {d_logits.shape} does not match logits {logits_shape}")
     grads = params.like(np.empty_like(params.arena))
     np.matmul(cache.h2.T, d_logits, out=grads.fc3_w)
     d_logits.sum(axis=0, out=grads.fc3_b)
+    # each ReLU's input gradient is written over its output gradient, with
+    # the mask taken from the ReLU's output
     d_h2 = d_logits @ params.fc3_w.T
+    np.multiply(d_h2, cache.h2 > 0, out=d_h2)
+    np.matmul(cache.h1.T, d_h2, out=grads.fc2_w)
+    d_h2.sum(axis=0, out=grads.fc2_b)
 
-    d_h2_pre = d_h2 * (cache.h2_pre > 0)
-    np.matmul(cache.h1.T, d_h2_pre, out=grads.fc2_w)
-    d_h2_pre.sum(axis=0, out=grads.fc2_b)
-    d_h1 = d_h2_pre @ params.fc2_w.T
-
-    d_h1_pre = d_h1 * (cache.h1_pre > 0)
-    np.matmul(cache.pooled.T, d_h1_pre, out=grads.fc1_w)
-    d_h1_pre.sum(axis=0, out=grads.fc1_b)
-    d_pooled = d_h1_pre @ params.fc1_w.T
+    d_h1 = d_h2 @ params.fc2_w.T
+    np.multiply(d_h1, cache.h1 > 0, out=d_h1)
+    np.matmul(cache.pooled.T, d_h1, out=grads.fc1_w)
+    d_h1.sum(axis=0, out=grads.fc1_b)
+    d_pooled = d_h1 @ params.fc1_w.T
 
     d_a2 = (
         cache.pool_mask[:, :, None]
         * d_pooled[:, None, :]
         / cache.pool_counts[:, None, None]
     )
-    d_z2 = d_a2 * (cache.z2 > 0)
-    d_a1 = _conv1d_backward(cache.a1, params.conv2_w, d_z2, grads.conv2_w, grads.conv2_b)
+    np.multiply(d_a2, cache.a2 > 0, out=d_a2)
+    d_a1 = _conv1d_backward(cache.a1, params.conv2_w, d_a2, grads.conv2_w, grads.conv2_b)
 
-    d_z1 = d_a1 * (cache.z1 > 0)
-    d_emb = _conv1d_backward(cache.emb, params.conv1_w, d_z1, grads.conv1_w, grads.conv1_b)
+    np.multiply(d_a1, cache.a1 > 0, out=d_a1)
+    d_emb = _conv1d_backward(cache.emb, params.conv1_w, d_a1, grads.conv1_w, grads.conv1_b)
 
     # padding is masked out of the forward pass, so only real positions
     # scatter, and the padding row's gradient stays exactly zero.  The

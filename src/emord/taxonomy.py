@@ -221,6 +221,9 @@ def _record_name(rec, labels: list[str]) -> str:
     name = rec.get("name")
     if not isinstance(name, str) or not name:
         raise TaxonomyError("each label record needs a non-empty string name")
+    if "\t" in name or "\n" in name or "\r" in name:
+        # a corpus file separates its fields with tabs and its lines with \n or \r
+        raise TaxonomyError(f"label {name!r}: a name cannot hold a tab, \\n or \\r")
     if name in labels:
         raise TaxonomyError(f"duplicate label: {name!r}")
     return name

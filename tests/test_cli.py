@@ -217,6 +217,20 @@ def test_invalid_inputs_exit_1(tmp_path, spec_file):
     assert main([]) == EXIT_INVALID
 
 
+def test_synth_with_a_tab_in_a_label_exits_1_and_writes_nothing(tmp_path, spec_file, caplog):
+    # its corpus.tsv would split that label into two fields, so train would
+    # reject the corpus synth wrote
+    taxonomy = tmp_path / "taxonomy.json"
+    labels = [{"name": "low\tmood", "rank": 0}, {"name": "calm", "rank": 1}]
+    taxonomy.write_text(json.dumps({"mode": "1d", "labels": labels}), encoding="utf-8")
+    document = json.loads(spec_file.read_text(encoding="utf-8"))
+    spec_file.write_text(json.dumps({**document, "taxonomy": str(taxonomy)}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--spec", str(spec_file), "--out", str(out)]) == EXIT_INVALID
+    assert "'low\\tmood': a name cannot hold a tab" in caplog.text
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_files_that_are_not_utf8_exit_1_naming_the_file(tmp_path, train_config, caplog):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff")

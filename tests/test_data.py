@@ -120,6 +120,40 @@ def test_save_tsv_rejects_unrepresentable_text(tmp_path):
         save_corpus_tsv(corpus, tmp_path / "x.tsv")
 
 
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x85", "\u2028"])
+def test_save_tsv_writes_only_what_load_corpus_reads_back(tmp_path, brk):
+    # load_corpus splits lines at \n and \r only, so the other line
+    # boundaries of str.splitlines load back inside their text
+    corpus = LabeledCorpus((("so" + brk + "happy", "joy"), ("quite" + brk, "fear")))
+    path = tmp_path / "x.tsv"
+    if brk == "\r":
+        with pytest.raises(DataError, match=r"tsv cannot hold a tab, \\n or \\r"):
+            save_corpus_tsv(corpus, path)
+        assert not path.exists()
+        return
+    save_corpus_tsv(corpus, path)
+    assert load_corpus(path, "tsv", ISEAR).records == corpus.records
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        (("fine", "jo\ty"), "tsv cannot hold"),
+        (("fine", "joy\n"), "tsv cannot hold"),
+        (("fine", "\rjoy"), "tsv cannot hold"),
+        (("", "joy"), "empty text"),
+        ((" \x0b\u2028", "joy"), "empty text"),
+        (("fine\udcff", "joy"), "not valid UTF-8"),
+        (("fine", "jo\ud800y"), "not valid UTF-8"),
+    ],
+)
+def test_save_tsv_rejects_a_record_load_corpus_would_reject(tmp_path, record, error):
+    path = tmp_path / "x.tsv"
+    with pytest.raises(DataError, match=re.escape(f"{path} record 2: {error}")):
+        save_corpus_tsv(LabeledCorpus((("fine", "joy"), record)), path)
+    assert not path.exists()
+
+
 #: Pieces of corpus files: labels, texts, separators, line ends, quotes, a
 #: csv header, a BOM, NUL, bytes that are not UTF-8 and an encoded surrogate.
 CORPUS_PIECES = st.sampled_from(

@@ -257,17 +257,29 @@ def test_ordinal_2d_decode_equals_decoding_each_half_alone():
     assert np.array_equal(strided.coords, decoded.coords)
 
 
-@pytest.mark.parametrize("shape", [(3, 7), (3, 1), (3, 0), (8,)])
+@pytest.mark.parametrize("shape", [(3, 7), (3, 9), (3, 1), (3, 0), (8,), (2, 3, 8)])
 def test_ordinal_2d_decode_rejects_a_block_without_two_equal_halves(shape):
     with pytest.raises(CodecError, match=rf"ordinal-2d outputs .*{re.escape(str(shape))}"):
         decode_outputs(GRID, "ordinal-2d", np.full(shape, 0.5))
 
 
-@pytest.mark.parametrize("shape", [(3, 5), (3, 7), (3, 0), (6,)])
+@pytest.mark.parametrize("shape", [(3, 5), (3, 7), (3, 0), (6,), (2, 3, 6)])
 def test_ordinal_1d_decode_rejects_a_block_of_another_width(shape):
     # a level past the last rank once raised numpy's IndexError
     with pytest.raises(CodecError, match=rf"ordinal-1d outputs .*{re.escape(str(shape))}"):
         decode_outputs(ISEAR, "ordinal-1d", np.full(shape, 0.9))
+
+
+@pytest.mark.parametrize("taxonomy", [ISEAR, GRID], ids=["isear", "grid"])
+@pytest.mark.parametrize("shape", ["K-1", "K+1", "1-D", "3-D"])
+def test_softmax_decode_rejects_a_block_of_another_shape(taxonomy, shape):
+    # a wider block once decoded to indices past the last label, a 1-D one
+    # raised numpy's AxisError and a 3-D one a TypeError
+    k = taxonomy.num_labels
+    shape = {"K-1": (3, k - 1), "K+1": (3, k + 1), "1-D": (k,), "3-D": (2, 3, k)}[shape]
+    outputs = np.random.default_rng(0).random(shape)
+    with pytest.raises(CodecError, match=rf"softmax outputs .*{re.escape(str(shape))}"):
+        decode_outputs(taxonomy, "softmax", outputs)
 
 
 def make_checkpoint(mode="softmax"):

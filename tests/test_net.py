@@ -141,8 +141,8 @@ def test_forward_shapes_and_probabilities():
     ids = rng.integers(1, 11, size=(4, 12))
     out, cache = forward(params, cfg, ids)
     assert out.shape == (4, 5)
-    assert cache.z1.shape == (4, 7, 3)  # 12 - 6 + 1
-    assert cache.z2.shape == (4, 4, 4)  # 7 - 4 + 1
+    assert cache.a1.shape == (4, 7, 3)  # 12 - 6 + 1
+    assert cache.a2.shape == (4, 4, 4)  # 7 - 4 + 1
     assert np.allclose(out.sum(axis=1), 1.0)
     assert np.all(out > 0)
 
@@ -420,10 +420,10 @@ def reference_forward(params, config, token_ids):
 HEADS = [("softmax", 7), ("ordinal-1d", 6), ("ordinal-2d", 8)]
 
 
-def scaled_desk_model(mode, width):
+def scaled_desk_model(mode, width, dtype="float32"):
     """Desk widths over 40 ids, initial weights times 4 so that the outputs
     spread over (0, 1) and a last-bit change in a sum reaches them."""
-    config = ModelConfig.desk(40, width, mode)
+    config = ModelConfig.desk(40, width, mode, dtype=dtype)
     params = init_params(config, seed=3)
     params.arena[...] *= 4
     return config, params
@@ -471,7 +471,7 @@ def test_forward_cuts_every_batch_at_the_last_real_column():
     for rows, width in ((256, 20), (52, 20), (51, 20), (8, 20), (7, 11), (1, 11)):
         _, cache = forward(params, config, ids[:rows])
         assert cache.token_ids.shape == (rows, width)
-        assert cache.emb.shape[1] == width and cache.z2.shape[1] == width - 8
+        assert cache.emb.shape[1] == width and cache.a2.shape[1] == width - 8
     ids[3, 24] = 9  # past T - 8: nothing is cut
     assert forward(params, config, ids)[1].token_ids.shape == (256, 32)
     one = np.zeros((1, 9), dtype=np.int64)
@@ -496,20 +496,93 @@ def test_cut_forward_equals_the_uncut_reference(mode, width, batch):
         assert np.array_equal(outputs, reference_forward(params, config, ids))
 
 
+def conv_returns(monkeypatch):
+    """A copy of every _conv1d return from now on: the pre-ReLU values,
+    which forward's in-place ReLU overwrites."""
+    returns = []
+
+    def recording(x, taps, b):
+        z = _conv1d(x, taps, b)
+        returns.append(z.copy())
+        return z
+
+    monkeypatch.setattr(net, "_conv1d", recording)
+    return returns
+
+
 @pytest.mark.parametrize("batch", [2, 7, 256])
-def test_each_row_alone_equals_it_inside_a_batch(batch):
+def test_each_row_alone_equals_it_inside_a_batch(batch, monkeypatch):
     # each row of a conv product sums alike whatever the number of rows, so
-    # a text forwarded alone (cut to its own length) gets the activations it
-    # gets inside any batch, one-text prediction included
+    # a text forwarded alone (cut to its own length) gets the pre-activations
+    # it gets inside any batch, one-text prediction included
     config, params = scaled_desk_model("ordinal-2d", 8)
     ids = padded_rows(np.random.default_rng(batch), batch, 32, [1, 3, 9, 17, 23, 32])
+    returns = conv_returns(monkeypatch)
     _, cache = forward(params, config, ids)
+    z1, z2 = returns
     for i in range(batch):
+        del returns[:]
         _, alone = forward(params, config, ids[i : i + 1])
-        t1, t2 = alone.z1.shape[1], alone.z2.shape[1]
-        assert np.array_equal(alone.z1[0], cache.z1[i, :t1])
-        assert np.array_equal(alone.z2[0], cache.z2[i, :t2])
+        alone_z1, alone_z2 = returns
+        t1, t2 = alone_z1.shape[1], alone_z2.shape[1]
+        assert np.array_equal(alone_z1[0], z1[i, :t1])
+        assert np.array_equal(alone_z2[0], z2[i, :t2])
         assert np.array_equal(alone.pooled[0], cache.pooled[i])
+
+
+# ------------------------------------- backward against its out-of-place form
+
+
+def reference_backward(params, config, cache, d_logits):
+    # backward's formula with every ReLU mask taken from the pre-activation,
+    # recomputed here as forward computed it, and every product out of place
+    rows = len(cache.h2)
+    z1 = _conv1d(cache.emb, params.conv1_w, params.conv1_b)
+    z2 = _conv1d(cache.a1, params.conv2_w, params.conv2_b)
+    h1_pre = net._product(rows, params.fc1_w)(cache.pooled, params.fc1_w) + params.fc1_b
+    h2_pre = net._product(rows, params.fc2_w)(cache.h1, params.fc2_w) + params.fc2_b
+    grads = params.like(np.empty_like(params.arena))
+    np.matmul(cache.h2.T, d_logits, out=grads.fc3_w)
+    d_logits.sum(axis=0, out=grads.fc3_b)
+    d_h2_pre = (d_logits @ params.fc3_w.T) * (h2_pre > 0)
+    np.matmul(cache.h1.T, d_h2_pre, out=grads.fc2_w)
+    d_h2_pre.sum(axis=0, out=grads.fc2_b)
+    d_h1_pre = (d_h2_pre @ params.fc2_w.T) * (h1_pre > 0)
+    np.matmul(cache.pooled.T, d_h1_pre, out=grads.fc1_w)
+    d_h1_pre.sum(axis=0, out=grads.fc1_b)
+    d_pooled = d_h1_pre @ params.fc1_w.T
+    d_a2 = cache.pool_mask[:, :, None] * d_pooled[:, None, :] / cache.pool_counts[:, None, None]
+    d_z2 = d_a2 * (z2 > 0)
+    d_a1 = _conv1d_backward(cache.a1, params.conv2_w, d_z2, grads.conv2_w, grads.conv2_b)
+    d_z1 = d_a1 * (z1 > 0)
+    d_emb = _conv1d_backward(cache.emb, params.conv1_w, d_z1, grads.conv1_w, grads.conv1_b)
+    real = cache.token_ids != 0
+    embed_dim = grads.embedding.shape[1]
+    flat_index = (cache.token_ids[real][:, None] * embed_dim + np.arange(embed_dim)).reshape(-1)
+    grads.embedding.fill(0)
+    np.add.at(grads.embedding.reshape(-1), flat_index, d_emb[real].reshape(-1))
+    return grads
+
+
+@pytest.mark.parametrize("mode, width", HEADS)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_backward_equals_the_out_of_place_reference(mode, width, dtype):
+    # masks from the activations, written in place, give the gradients that
+    # masks from the pre-activations give, bit for bit
+    config, params = scaled_desk_model(mode, width, dtype)
+    rng = np.random.default_rng([width, len(dtype)])
+    one = np.zeros((1, 32), dtype=np.int64)
+    one[0, 0] = 7  # cut to 9 columns, one conv2 position
+    for ids in (one, padded_rows(rng, 7, 32, range(1, 33)), padded_rows(rng, 16, 32, range(1, 33))):
+        outputs, cache = forward(params, config, ids)
+        d_logits = rng.standard_normal(outputs.shape).astype(dtype)
+        grads = backward(params, config, cache, d_logits)
+        expected = reference_backward(params, config, cache, d_logits)
+        assert grads.arena.dtype == np.dtype(dtype)
+        for (name, got), (_, want) in zip(grads.named(), expected.named()):
+            assert np.array_equal(got, want), (name, ids.shape)
+        if len(ids) == 1:
+            assert cache.a2.shape[1] == 1
 
 
 # ------------------------------------------- cache-free forward in row blocks

@@ -93,6 +93,14 @@ def test_parse_rejects_duplicates_and_bad_values():
     assert parse_taxonomy(doc_2d([("a", (0, 0)), ("b", (255, 1))], grid_size=256)).label_at.size == 256**2
 
 
+@pytest.mark.parametrize("name", ["low\tmood", "low\nmood", "low\rmood", "mood\r"])
+def test_parse_rejects_a_name_a_corpus_file_cannot_hold(name):
+    # a corpus file splits fields at tabs and lines at \n and \r
+    for document in (doc_1d([(name, 0), ("b", 1)]), doc_2d([("a", (0, 0)), (name, (0, 1))])):
+        with pytest.raises(TaxonomyError, match=re.escape(f"label {name!r}: a name cannot hold")):
+            parse_taxonomy(document)
+
+
 def test_parse_rejects_bad_mode_and_format():
     with pytest.raises(TaxonomyError, match="mode"):
         parse_taxonomy({"mode": "3d", "labels": []})
