@@ -60,7 +60,11 @@ class Prediction:
 
 @dataclass(frozen=True)
 class Decoded(Sequence):
-    """Decoded rows as arrays; `coords`, the raw decoded coordinates, is None for softmax."""
+    """Decoded rows as arrays; `coords`, the raw decoded coordinates, is None for softmax.
+
+    `decoded[i]` is row i as a Prediction; `decoded[a:b]` is a Decoded of
+    those rows, every array column sliced alike.
+    """
 
     taxonomy: EmotionTaxonomy
     mode: str
@@ -72,7 +76,17 @@ class Decoded(Sequence):
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, i: int) -> Prediction:
+    def _columns(self) -> dict[str, np.ndarray]:
+        """The per-row arrays by field name; `coords` is left out when None."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)
+        }
+
+    def __getitem__(self, i: int | slice) -> Prediction | Decoded:
+        if isinstance(i, slice):
+            return replace(self, **{name: rows[i] for name, rows in self._columns().items()})
         label = self.taxonomy.labels[self.indices[i]]
         # a 1d taxonomy has no cells and a 2d one no ranks, so .get() yields None
         rank = self.taxonomy.ranks.get(label)
@@ -118,12 +132,10 @@ def predict_ids(ck: Checkpoint, token_ids: np.ndarray, batch_size: int = 256) ->
         return decode_outputs(ck.taxonomy, mode, np.zeros((0, ck.config.output_width)))
     if len(parts) == 1:
         return parts[0]
-    columns = {
-        f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in fields(Decoded)
-        if isinstance(getattr(parts[0], f.name), np.ndarray)
-    }
-    return replace(parts[0], **columns)
+    columns = [p._columns() for p in parts]
+    return replace(
+        parts[0], **{name: np.concatenate([c[name] for c in columns]) for name in columns[0]}
+    )
 
 
 def predict_text(ck: Checkpoint, text: str) -> Prediction:

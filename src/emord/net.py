@@ -99,15 +99,18 @@ class ModelConfig:
 
     `output_width` must match the head mode: K for softmax, K-1 for
     ordinal-1d, 2*(G-1) for ordinal-2d (two stacked heads of width G-1).
+    The widths have no defaults: a training run takes them from its
+    TrainConfig, whose preset table (trainer.PRESETS) holds the desk and
+    paper widths.
     """
 
     vocab_size: int
     output_width: int
-    head_mode: str = MODE_SOFTMAX
-    embed_dim: int = 32
-    conv_channels: tuple[int, int] = (32, 64)
-    kernel_sizes: tuple[int, int] = (6, 4)
-    ffnn_hidden: tuple[int, int] = (64, 32)
+    head_mode: str
+    embed_dim: int
+    conv_channels: tuple[int, int]
+    kernel_sizes: tuple[int, int]
+    ffnn_hidden: tuple[int, int]
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -162,30 +165,6 @@ class ModelConfig:
             "fc3_w": (h2, self.output_width),
             "fc3_b": (self.output_width,),
         }
-
-    @classmethod
-    def desk(cls, vocab_size: int, output_width: int, head_mode: str, **overrides):
-        """Laptop-scale widths; trains in seconds on the synthetic corpora."""
-        base = dict(
-            embed_dim=32,
-            conv_channels=(32, 64),
-            kernel_sizes=(6, 4),
-            ffnn_hidden=(64, 32),
-        )
-        base.update(overrides)
-        return cls(vocab_size, output_width, head_mode, **base)
-
-    @classmethod
-    def paper(cls, vocab_size: int, output_width: int, head_mode: str, **overrides):
-        """Full-size widths: conv filters (1024, 2048), FFNN hidden (2048, 768)."""
-        base = dict(
-            embed_dim=768,
-            conv_channels=(1024, 2048),
-            kernel_sizes=(6, 4),
-            ffnn_hidden=(2048, 768),
-        )
-        base.update(overrides)
-        return cls(vocab_size, output_width, head_mode, **base)
 
 
 @dataclass(frozen=True, init=False)

@@ -51,6 +51,7 @@ from .losses import logit_gradient, loss_value
 from .metrics import MetricsReport, evaluate
 from .net import ModelConfig, NetError, backward, forward, init_params
 from .optim import AdamWConfig, AdamWState, OptimizerError, adamw_step
+from .taxonomy import EmotionTaxonomy
 
 logger = logging.getLogger(__name__)
 
@@ -58,12 +59,27 @@ _SHUFFLE_STREAM = 303
 
 CONFIG_FORMAT = "emord.train/1"
 
-PRESETS = ("desk", "paper")
-
-#: Preset-dependent defaults; anything not listed here is preset-independent.
-_PRESET_DEFAULTS = {
-    "desk": {"learning_rate": 1e-3, "max_seq_length": 32},
-    "paper": {"learning_rate": 0.6e-5, "max_seq_length": 200},
+#: The value of every preset field, by preset: "desk" trains in seconds on
+#: a laptop, "paper" has the paper's widths.  A TrainConfig field named here
+#: and left as None takes its preset's value; every other field is the same
+#: in both presets.
+PRESETS = {
+    "desk": {
+        "learning_rate": 1e-3,
+        "max_seq_length": 32,
+        "embed_dim": 32,
+        "conv_channels": (32, 64),
+        "kernel_sizes": (6, 4),
+        "ffnn_hidden": (64, 32),
+    },
+    "paper": {
+        "learning_rate": 0.6e-5,
+        "max_seq_length": 200,
+        "embed_dim": 768,
+        "conv_channels": (1024, 2048),
+        "kernel_sizes": (6, 4),
+        "ffnn_hidden": (2048, 768),
+    },
 }
 
 
@@ -86,11 +102,11 @@ class TrainingDivergedError(RuntimeError):
 class TrainConfig:
     """Fully resolved training recipe.
 
-    Width fields left as None take the preset's widths ("desk": laptop-scale,
-    "paper": full-scale); `learning_rate` and `max_seq_length` left as None
-    take the preset's values.  Exactly one data source — `corpus` or
-    `synthetic` — should be set unless the corpus is handed to the trainer
-    directly.
+    The preset fields (the keys of PRESETS: `learning_rate`,
+    `max_seq_length` and the four widths) left as None take the preset's
+    values on construction, so afterwards only `corpus` and `synthetic` can
+    be None.  Exactly one data source — `corpus` or `synthetic` — should be
+    set unless the corpus is handed to the trainer directly.
     """
 
     mode: str = MODE_SOFTMAX
@@ -130,8 +146,8 @@ class TrainConfig:
         if self.mode not in HEAD_MODES:
             raise TrainerError(f"unknown head mode {self.mode!r}; choose from {HEAD_MODES}")
         if self.preset not in PRESETS:
-            raise TrainerError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
-        for name, value in _PRESET_DEFAULTS[self.preset].items():
+            raise TrainerError(f"unknown preset {self.preset!r}; choose from {tuple(PRESETS)}")
+        for name, value in PRESETS[self.preset].items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
         if self.corpus_format not in CORPUS_FORMATS:
@@ -167,9 +183,11 @@ class TrainConfig:
 
 #: The kind of each TrainConfig field in a config file.  None in a preset
 #: field stands for "the preset's value"; a document asks for that by leaving
-#: the field out, never by writing null, so `float | None` reads as float.
+#: the field out, never by writing null, so `float | None` reads as float and
+#: `tuple[int, int] | None` as `tuple[int, int]`.  Only a data source may be
+#: null.
 _CONFIG_KINDS = {
-    name: typing.get_args(hint)[0] if name in _PRESET_DEFAULTS["desk"] else hint
+    name: typing.get_args(hint)[0] if name in PRESETS["desk"] else hint
     for name, hint in typing.get_type_hints(TrainConfig).items()
 }
 
@@ -222,21 +240,15 @@ class TrainResult:
     history: list[EpochStats]
 
 
-def build_model_config(config: TrainConfig, vocab_size: int, output_width: int) -> ModelConfig:
-    builder = ModelConfig.desk if config.preset == "desk" else ModelConfig.paper
-    overrides: dict = {"dtype": "float32"}
-    for name in ("embed_dim", "conv_channels", "kernel_sizes", "ffnn_hidden"):
-        value = getattr(config, name)
-        if value is not None:
-            overrides[name] = value
-    return builder(vocab_size, output_width, config.mode, **overrides)
-
-
-def load_configured_corpus(config: TrainConfig) -> LabeledCorpus:
-    """Materialize the data source a config names."""
-    taxonomy = resolve_taxonomy(config.taxonomy)
+def load_configured_corpus(config: TrainConfig, taxonomy: EmotionTaxonomy) -> LabeledCorpus:
+    """Materialize the data source a config names, over its resolved taxonomy."""
     if config.synthetic is not None:
         spec = load_synthetic_spec(config.synthetic)
+        if spec.taxonomy != taxonomy:
+            raise TrainerError(
+                f"{config.synthetic}: the spec's taxonomy is not the config's "
+                f"taxonomy {config.taxonomy!r}"
+            )
         return generate_synthetic(spec)
     if config.corpus is not None:
         return load_corpus(config.corpus, config.corpus_format, taxonomy)
@@ -251,7 +263,7 @@ class Trainer:
         self.taxonomy = resolve_taxonomy(config.taxonomy)
         check_mode_compatible(config.mode, self.taxonomy)
         if corpus is None:
-            corpus = load_configured_corpus(config)
+            corpus = load_configured_corpus(config, self.taxonomy)
         self.train_split, self.val_split, self.test_split = split_corpus(
             corpus, config.split, config.seed
         )
@@ -261,8 +273,14 @@ class Trainer:
             logger.warning("validation split is empty; validating on the train split")
             self.val_split = self.train_split
         self.vocab = build_vocab(self.train_split, config.min_freq)
-        self.model_config = build_model_config(
-            config, self.vocab.size, target_width(config.mode, self.taxonomy)
+        self.model_config = ModelConfig(
+            vocab_size=self.vocab.size,
+            output_width=target_width(config.mode, self.taxonomy),
+            head_mode=config.mode,
+            embed_dim=config.embed_dim,
+            conv_channels=config.conv_channels,
+            kernel_sizes=config.kernel_sizes,
+            ffnn_hidden=config.ffnn_hidden,
         )
         if config.max_seq_length < self.model_config.min_seq_length:
             raise TrainerError(

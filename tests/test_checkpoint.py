@@ -29,6 +29,7 @@ from emord.hashing import canonical_json, sha256_file
 from emord.net import ModelConfig, init_params
 from emord.optim import AdamWConfig, AdamWState, adamw_step
 from emord.taxonomy import builtin_taxonomy, taxonomy_to_document
+from test_net import preset_model
 
 #: make_checkpoint(with_optimizer=True) as save_checkpoint writes it (format
 #: 2); reader and writer change together, so this file pins the bytes on disk.
@@ -288,7 +289,7 @@ def test_loaded_params_are_frozen(tmp_path):
 def test_load_holds_little_beyond_the_arenas(tmp_path):
     # a desk-width resumable checkpoint: three arenas of about 110 kB each
     vocab = build_vocab(LabeledCorpus(((" ".join(f"w{i}" for i in range(200)), "joy"),)))
-    config = ModelConfig.desk(vocab.size, 7, "softmax")
+    config = preset_model("desk", vocab.size, 7, "softmax")
     params = init_params(config, seed=0)
     state = AdamWState.initial(params)
     path = tmp_path / "model.ckpt"

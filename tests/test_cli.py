@@ -14,8 +14,9 @@ import pytest
 from emord.checkpoint import Checkpoint, save_checkpoint
 from emord.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, LockError, locked_output_dir, main
 from emord.data import LabeledCorpus, build_vocab, save_corpus_tsv
-from emord.net import ModelConfig, init_params
+from emord.net import init_params
 from emord.taxonomy import builtin_taxonomy
+from test_net import preset_model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -203,6 +204,26 @@ def test_divergence_exits_2(tmp_path, train_config):
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
 
 
+def test_train_manifest_records_the_preset_widths(tmp_path, spec_file):
+    out = tmp_path / "run"
+    assert main(["train", "--synthetic", str(spec_file), "--epochs", "1", "--out", str(out)]) == EXIT_OK
+    config = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+    assert config["embed_dim"] == 32
+    assert config["conv_channels"] == [32, 64]
+    assert config["kernel_sizes"] == [6, 4]
+    assert config["ffnn_hidden"] == [64, 32]
+
+
+def test_train_on_a_spec_of_another_taxonomy_exits_1_naming_the_spec(tmp_path, spec_file, caplog):
+    document = json.loads(spec_file.read_text(encoding="utf-8"))
+    spec_file.write_text(json.dumps({**document, "taxonomy": "goemotions-grid-5x5"}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--synthetic", str(spec_file), "--out", str(out)]) == EXIT_INVALID
+    assert str(spec_file) in caplog.text
+    assert "'isear-valence'" in caplog.text
+    assert not (out / "manifest.json").exists()
+
+
 def test_invalid_inputs_exit_1(tmp_path, spec_file):
     # missing file
     assert main(["synth", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == EXIT_INVALID
@@ -330,7 +351,7 @@ def grid_checkpoint(path):
     """An untrained ordinal-2d checkpoint over the grid taxonomy, saved to `path`."""
     taxonomy = builtin_taxonomy("goemotions-grid-5x5")
     vocab = build_vocab(LabeledCorpus((("alpha beta gamma delta", "joy"),)))
-    config = ModelConfig.desk(vocab.size, 8, "ordinal-2d")
+    config = preset_model("desk", vocab.size, 8, "ordinal-2d")
     save_checkpoint(
         Checkpoint(config, init_params(config, seed=0), taxonomy, vocab, max_seq_length=12), path
     )

@@ -15,7 +15,7 @@ from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
 from emord.infer import decode_outputs, predict_ids, predict_text
 from emord.net import ModelConfig, NetError, forward, init_params
 from emord.taxonomy import TaxonomyError, builtin_taxonomy, parse_taxonomy
-from test_net import reference_forward
+from test_net import preset_model, reference_forward
 from test_taxonomy import plain_chebyshev, plain_l1
 
 ISEAR = builtin_taxonomy("isear-valence")
@@ -349,6 +349,30 @@ def test_predict_ids_on_no_rows_is_empty(mode):
         assert decoded.coords.shape == (0, ck.taxonomy.coords.shape[1])
 
 
+@pytest.mark.parametrize(
+    "mode, taxonomy, width",
+    [("softmax", ISEAR, 7), ("ordinal-1d", ISEAR, 6), ("ordinal-2d", GRID, 8)],
+    ids=["softmax", "ordinal-1d", "ordinal-2d"],
+)
+def test_a_slice_of_decoded_rows_is_decoded_rows(mode, taxonomy, width):
+    outputs = np.random.default_rng(4).random((4, width))
+    d = decode_outputs(taxonomy, mode, outputs)
+    middle = d[1:3]
+    assert len(middle) == 2 and list(middle) == [d[1], d[2]]
+    assert [p.cell for p in middle] == [d[1].cell, d[2].cell]
+    assert np.array_equal(middle.outputs, outputs[1:3])
+    reverse = d[::-1]
+    assert len(reverse) == 4 and list(reverse) == [d[3], d[2], d[1], d[0]]
+    empty = d[5:]
+    assert len(empty) == 0 and list(empty) == []
+    assert empty.outputs.shape == (0, width)
+    for part in (middle, reverse, empty):
+        assert (part.coords is None) == (mode == "softmax")
+        assert part.mode == mode and part.taxonomy is taxonomy
+    # an int, also a numpy one, still gives one row
+    assert d[np.int64(2)] == d[2] == d[-2]
+
+
 def test_predict_text_roundtrip():
     ck = make_checkpoint()
     pred = predict_text(ck, "alpha beta unknownword gamma")
@@ -384,7 +408,7 @@ def desk_checkpoint(mode, t=32, **widths):
     taxonomy = GRID if mode == "ordinal-2d" else ISEAR
     vocab = build_vocab(LabeledCorpus(((" ".join(f"w{i}" for i in range(40)), "joy"),)))
     width = {"softmax": 7, "ordinal-1d": 6, "ordinal-2d": 8}[mode]
-    config = ModelConfig.desk(vocab.size, width, mode, **widths)
+    config = preset_model("desk", vocab.size, width, mode, **widths)
     params = init_params(config, seed=3)
     params.arena[...] *= 4
     return Checkpoint(

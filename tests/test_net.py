@@ -21,6 +21,9 @@ from emord.net import (
     forward,
     init_params,
 )
+from emord.trainer import PRESETS
+
+WIDTH_FIELDS = ("embed_dim", "conv_channels", "kernel_sizes", "ffnn_hidden")
 
 
 def tiny_config(**overrides):
@@ -51,15 +54,23 @@ def test_config_validation():
     assert tiny_config().min_seq_length == 9
 
 
+def preset_model(preset, vocab_size, output_width, head_mode, **overrides):
+    """A ModelConfig at the widths trainer.PRESETS gives `preset`."""
+    widths = {name: PRESETS[preset][name] for name in WIDTH_FIELDS}
+    return ModelConfig(vocab_size, output_width, head_mode, **{**widths, **overrides})
+
+
 def test_presets():
-    desk = ModelConfig.desk(100, 7, "softmax")
+    desk = preset_model("desk", 100, 7, "softmax")
     assert desk.embed_dim == 32
     assert desk.conv_channels == (32, 64)
     assert desk.ffnn_hidden == (64, 32)
     assert desk.kernel_sizes == (6, 4)
-    paper = ModelConfig.paper(100, 7, "softmax")
+    paper = preset_model("paper", 100, 7, "softmax")
+    assert paper.embed_dim == 768
     assert paper.conv_channels == (1024, 2048)
     assert paper.ffnn_hidden == (2048, 768)
+    assert paper.kernel_sizes == (6, 4)
 
 
 def test_init_params_shapes_and_rules():
@@ -423,7 +434,7 @@ HEADS = [("softmax", 7), ("ordinal-1d", 6), ("ordinal-2d", 8)]
 def scaled_desk_model(mode, width, dtype="float32"):
     """Desk widths over 40 ids, initial weights times 4 so that the outputs
     spread over (0, 1) and a last-bit change in a sum reaches them."""
-    config = ModelConfig.desk(40, width, mode, dtype=dtype)
+    config = preset_model("desk", 40, width, mode, dtype=dtype)
     params = init_params(config, seed=3)
     params.arena[...] *= 4
     return config, params
@@ -604,7 +615,7 @@ def conv1_row_counts(monkeypatch):
 @pytest.mark.parametrize("mode, width", HEADS)
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_cache_free_forward_equals_the_cached_and_the_reference(mode, width, dtype, monkeypatch):
-    config = ModelConfig.desk(40, width, mode, dtype=dtype)
+    config = preset_model("desk", 40, width, mode, dtype=dtype)
     params = init_params(config, seed=3)
     params.arena[...] *= 4
     params.embedding[0] = 0.5  # so that only the mask zeros the padding
@@ -629,7 +640,7 @@ def test_cache_free_forward_equals_the_cached_and_the_reference(mode, width, dty
 def test_conv_weights_over_the_budget_make_one_block(monkeypatch):
     # conv weights of 608 KiB against 16 KiB rows: a block under 38 rows
     # would read more weight than activation, so 38 rows at most make one
-    config = ModelConfig.desk(40, 7, "softmax", conv_channels=(128, 256))
+    config = preset_model("desk", 40, 7, "softmax", conv_channels=(128, 256))
     assert _block_rows(config, 16) == 38
     params = init_params(config, seed=3)
     params.arena[...] *= 4
@@ -644,7 +655,7 @@ def test_conv_weights_over_the_budget_make_one_block(monkeypatch):
         assert np.array_equal(outputs, reference_forward(params, config, ids[:batch]))
     # at paper widths the conv weights alone are 52 MB, so a 16-row batch
     # of 200 ids is one block
-    assert _block_rows(ModelConfig.paper(40, 7, "softmax"), 200) >= 16
+    assert _block_rows(preset_model("paper", 40, 7, "softmax"), 200) >= 16
 
 
 def test_cache_free_forward_holds_under_half_the_memory():

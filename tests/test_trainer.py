@@ -117,11 +117,25 @@ def test_train_config_applies_its_preset(tmp_path):
     assert (desk.max_seq_length, desk.learning_rate) == (32, 1e-3)
     explicit = TrainConfig(preset="paper", max_seq_length=64, learning_rate=1e-4)
     assert (explicit.max_seq_length, explicit.learning_rate) == (64, 1e-4)
+    # a width given keeps its value, and the preset fills the others
+    narrow = TrainConfig(preset="paper", embed_dim=64)
+    assert narrow.embed_dim == 64
+    for name in ("conv_channels", "kernel_sizes", "ffnn_hidden", "max_seq_length"):
+        assert getattr(narrow, name) == PRESETS["paper"][name]
     # a config file leaves a preset value to the preset by omitting it, not by null
     path = tmp_path / "train.json"
-    path.write_text(json.dumps({"learning_rate": None}), encoding="utf-8")
-    with pytest.raises(TrainerError, match="must not be null"):
-        load_train_config_file(path)
+    for name in ("learning_rate", "embed_dim"):
+        path.write_text(json.dumps({name: None}), encoding="utf-8")
+        with pytest.raises(TrainerError, match="must not be null"):
+            load_train_config_file(path)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_field_resolves_from_the_table(preset):
+    config = TrainConfig(preset=preset)
+    assert {name: getattr(config, name) for name in PRESETS[preset]} == PRESETS[preset]
+    unset = [name for name, value in vars(config).items() if value is None]
+    assert unset == ["corpus", "synthetic"]
 
 
 def test_resolve_rejects_unknown_fields():
