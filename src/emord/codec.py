@@ -112,7 +112,7 @@ def target_for(
     if mode == MODE_SOFTMAX:
         row = _onehot_table(taxonomy.num_labels)[i]
     else:
-        row = _ordinal_code(taxonomy.levels, tuple(taxonomy.coords[i].tolist()))
+        row = _ordinal_code(taxonomy.levels, taxonomy.points[i])
     return row.astype(dtype)
 
 

@@ -333,8 +333,9 @@ def split_corpus(
     A label with fewer records than splits goes entirely to train, with a
     warning.  Within each split, records keep their original corpus order.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise DataError("ratios must be three non-negative numbers")
+    # written so that a NaN fails it too
+    if len(ratios) != 3 or not all(0 <= r <= 1 for r in ratios):
+        raise DataError(f"ratios must be three numbers in [0, 1], got {tuple(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"ratios must sum to 1, got {sum(ratios)}")
     if len(corpus) == 0:

@@ -8,7 +8,8 @@ divergence surfaces as a hard error instead of silent NaN spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,14 +29,19 @@ class AdamWConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must be in [0, 1)")
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise ValueError(f"eps must be positive, got {self.eps!r}")
         if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
 
 
 @dataclass

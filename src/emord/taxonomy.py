@@ -1,21 +1,23 @@
 """Emotion label sets arranged on a valence scale or a valence-arousal grid.
 
 A taxonomy is loaded from a strict JSON document and is immutable afterwards,
-so instances can be shared freely between threads.  Decoding and scoring read
-its geometry from one table: each label's integer coordinates on one axis
-(its valence rank, "1d") or two (its valence-arousal grid cell, "2d").
-Distances, the label at each coordinate and the level count are derived
-from it the same way in both modes; each table is built on first use and
+so instances can be shared freely between threads.  It is one list of labels
+and one integer point per label, on one axis (its valence rank, "1d") or two
+(its valence-arousal grid cell, "2d"): the points are distinct and lie in
+[0, levels) on every axis.  The mode, the per-label ranks or cells, distances,
+the label at each coordinate and the level count are all derived from the
+points the same way in both modes; each table is built on first use and
 cached on the instance.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
@@ -25,6 +27,9 @@ DOCUMENT_FORMAT = "emord.taxonomy/1"
 
 #: Largest 2d grid_size; the decode table holds one entry per grid cell.
 MAX_GRID_SIZE = 256
+
+#: The coordinate fields of a label record, by mode.
+AXES = {"1d": ("rank",), "2d": ("valence", "arousal")}
 
 #: Names accepted by :func:`builtin_taxonomy`.
 BUILTIN_TAXONOMIES = ("isear-valence", "goemotions-grid-5x5")
@@ -36,17 +41,39 @@ class TaxonomyError(ValueError):
 
 @dataclass(frozen=True)
 class EmotionTaxonomy:
-    """Label set with either a valence rank ("1d") or a grid cell ("2d") per label."""
+    """Labels at distinct integer points in [0, levels) on one axis ("1d") or two ("2d")."""
 
     labels: tuple[str, ...]
-    mode: str  # "1d" or "2d"
-    ranks: dict[str, int] = field(default_factory=dict)
-    cells: dict[str, tuple[int, int]] = field(default_factory=dict)
-    grid_size: int = 0
+    points: tuple[tuple[int, ...], ...]  # one per label: (rank,) or (valence, arousal)
+    levels: int  # levels on each axis: K ranks in 1d, G grid levels in 2d
 
     @property
     def num_labels(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def mode(self) -> str:
+        """The number of axes a point has, as "1d" or "2d"."""
+        return f"{len(self.points[0])}d"
+
+    @cached_property
+    def ranks(self) -> dict[str, int]:
+        """Each label's valence rank in 1d; empty in 2d."""
+        if self.mode != "1d":
+            return {}
+        return {label: point[0] for label, point in zip(self.labels, self.points)}
+
+    @cached_property
+    def cells(self) -> dict[str, tuple[int, int]]:
+        """Each label's (valence, arousal) grid cell in 2d; empty in 1d."""
+        if self.mode != "2d":
+            return {}
+        return dict(zip(self.labels, self.points))
+
+    @property
+    def grid_size(self) -> int:
+        """G in 2d, 0 in 1d."""
+        return self.levels if self.mode == "2d" else 0
 
     @cached_property
     def label_index(self) -> dict[str, int]:
@@ -62,33 +89,17 @@ class EmotionTaxonomy:
     def rank(self, label: str) -> int:
         if self.mode != "1d":
             raise TaxonomyError("ranks are only defined for 1d taxonomies")
-        self.index(label)  # an unknown label raises
-        return self.ranks[label]
+        return self.points[self.index(label)][0]
 
     def cell(self, label: str) -> tuple[int, int]:
         if self.mode != "2d":
             raise TaxonomyError("cells are only defined for 2d taxonomies")
-        self.index(label)  # an unknown label raises
-        return self.cells[label]
-
-    @cached_property
-    def levels(self) -> int:
-        """Levels on each axis: K ranks in 1d, G grid levels in 2d."""
-        return self.num_labels if self.mode == "1d" else self.grid_size
+        return self.points[self.index(label)]
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """(K, D) coordinates by label index: (rank,) in 1d, (valence, arousal) in 2d."""
-        if self.mode == "1d":
-            points = [(self.ranks[label],) for label in self.labels]
-        else:
-            points = [self.cells[label] for label in self.labels]
-        return _read_only(np.array(points))
-
-    @cached_property
-    def _points(self) -> list[list[int]]:
-        # `coords` as Python ints: per-pair arithmetic on numpy scalars is slower
-        return self.coords.tolist()
+        """(K, D) `points` as an array, by label index."""
+        return _read_only(np.array(self.points))
 
     @cached_property
     def distance_table(self) -> np.ndarray:
@@ -140,8 +151,10 @@ def parse_taxonomy(document: dict) -> EmotionTaxonomy:
 
     Document layout (JSON): a header with "mode" ("1d" or "2d"), "grid_size"
     (2d only), an optional "format" tag, and a "labels" list holding one record
-    per label: {"name", "rank"} in 1d mode, {"name", "valence", "arousal"} in
-    2d mode. Unknown fields are rejected.
+    per label: its "name" and one integer per axis of the mode (AXES).  Each
+    label sits at a distinct point in [0, levels) on every axis, where levels
+    is the label count in 1d (so the ranks are 0..K-1) and grid_size in 2d.
+    Unknown fields are rejected.
     """
     if not isinstance(document, dict):
         raise TaxonomyError("taxonomy document must be a JSON object")
@@ -152,70 +165,45 @@ def parse_taxonomy(document: dict) -> EmotionTaxonomy:
     if fmt != DOCUMENT_FORMAT:
         raise TaxonomyError(f"unsupported format tag: {fmt!r}")
     mode = document.get("mode")
-    if mode not in ("1d", "2d"):
+    if not isinstance(mode, str) or mode not in AXES:
         raise TaxonomyError(f"mode must be '1d' or '2d', got {mode!r}")
     records = document.get("labels")
     if not isinstance(records, list) or len(records) < 2:
         raise TaxonomyError("a taxonomy needs a list of at least 2 labels")
-
     if mode == "1d":
         if "grid_size" in document:
             raise TaxonomyError("grid_size is only valid in 2d mode")
-        return _parse_1d(records)
-    return _parse_2d(records, document.get("grid_size"))
+        levels = len(records)  # so K distinct ranks are exactly 0..K-1
+    else:
+        levels = document.get("grid_size")
+        if type(levels) is not int or not 2 <= levels <= MAX_GRID_SIZE:
+            raise TaxonomyError(f"2d mode requires an integer grid_size in [2, {MAX_GRID_SIZE}]")
 
-
-def _parse_1d(records: list) -> EmotionTaxonomy:
-    labels: list[str] = []
-    ranks: dict[str, int] = {}
+    axes = AXES[mode]
+    fields = {"name", *axes}
+    owners: dict[tuple[int, ...], str] = {}  # each point's label, in record order
     for rec in records:
-        name = _record_name(rec, labels)
-        unknown = set(rec) - {"name", "rank"}
-        if unknown:
-            raise TaxonomyError(f"label {name!r}: unknown or mixed fields {sorted(unknown)}")
-        rank = rec.get("rank")
-        if not isinstance(rank, int) or isinstance(rank, bool):
-            raise TaxonomyError(f"label {name!r}: rank must be an integer")
-        labels.append(name)
-        ranks[name] = rank
-    k = len(labels)
-    seen = sorted(ranks.values())
-    if seen != list(range(k)):
-        if len(set(seen)) != k:
-            raise TaxonomyError("duplicate rank")
-        raise TaxonomyError(f"ranks must cover 0..{k - 1} exactly, got {seen}")
-    return EmotionTaxonomy(labels=tuple(labels), mode="1d", ranks=ranks)
-
-
-def _parse_2d(records: list, grid_size) -> EmotionTaxonomy:
-    if type(grid_size) is not int or not 2 <= grid_size <= MAX_GRID_SIZE:
-        raise TaxonomyError(f"2d mode requires an integer grid_size in [2, {MAX_GRID_SIZE}]")
-    labels: list[str] = []
-    cells: dict[str, tuple[int, int]] = {}
-    for rec in records:
-        name = _record_name(rec, labels)
-        unknown = set(rec) - {"name", "valence", "arousal"}
-        if unknown:
-            raise TaxonomyError(f"label {name!r}: unknown or mixed fields {sorted(unknown)}")
-        cell = []
-        for axis in ("valence", "arousal"):
+        name = _record_name(rec, owners.values())
+        if not rec.keys() <= fields:
+            extra = sorted(rec.keys() - fields)
+            raise TaxonomyError(f"label {name!r}: unknown or mixed fields {extra}")
+        coordinates: list[int] = []
+        for axis in axes:
             level = rec.get(axis)
-            if not isinstance(level, int) or isinstance(level, bool):
+            if type(level) is not int:  # not isinstance: a bool is an int
                 raise TaxonomyError(f"label {name!r}: {axis} must be an integer")
-            if not 0 <= level < grid_size:
-                raise TaxonomyError(
-                    f"label {name!r}: {axis}={level} outside [0, {grid_size - 1}]"
-                )
-            cell.append(level)
-        cell = (cell[0], cell[1])
-        if cell in cells.values():
-            raise TaxonomyError(f"duplicate cell {cell} (label {name!r})")
-        labels.append(name)
-        cells[name] = cell
-    return EmotionTaxonomy(labels=tuple(labels), mode="2d", cells=cells, grid_size=grid_size)
+            if not 0 <= level < levels:
+                raise TaxonomyError(f"label {name!r}: {axis}={level} outside [0, {levels - 1}]")
+            coordinates.append(level)
+        point = tuple(coordinates)
+        owner = owners.setdefault(point, name)
+        if owner != name:
+            where = ", ".join(f"{axis}={level}" for axis, level in zip(axes, point))
+            raise TaxonomyError(f"label {name!r}: {where} duplicates label {owner!r}")
+    return EmotionTaxonomy(labels=tuple(owners.values()), points=tuple(owners), levels=levels)
 
 
-def _record_name(rec, labels: list[str]) -> str:
+def _record_name(rec, labels: Collection[str]) -> str:
     if not isinstance(rec, dict):
         raise TaxonomyError("each label record must be an object")
     name = rec.get("name")
@@ -231,22 +219,16 @@ def _record_name(rec, labels: list[str]) -> str:
 
 def taxonomy_to_document(taxonomy: EmotionTaxonomy) -> dict:
     """Inverse of parse_taxonomy: a document that reloads to an equal taxonomy."""
-    doc: dict = {"format": DOCUMENT_FORMAT, "mode": taxonomy.mode}
-    if taxonomy.mode == "1d":
-        doc["labels"] = [
-            {"name": name, "rank": taxonomy.ranks[name]} for name in taxonomy.labels
-        ]
-    else:
-        doc["grid_size"] = taxonomy.grid_size
-        doc["labels"] = [
-            {
-                "name": name,
-                "valence": taxonomy.cells[name][0],
-                "arousal": taxonomy.cells[name][1],
-            }
-            for name in taxonomy.labels
-        ]
-    return doc
+    records = [{"name": name} for name in taxonomy.labels]
+    # an axis at a time, as dict(zip(axes, point)) per record costs twice as much
+    for d, axis in enumerate(AXES[taxonomy.mode]):
+        for record, point in zip(records, taxonomy.points):
+            record[axis] = point[d]
+    document: dict = {"format": DOCUMENT_FORMAT, "mode": taxonomy.mode}
+    if taxonomy.grid_size:  # 2d only
+        document["grid_size"] = taxonomy.grid_size
+    document["labels"] = records
+    return document
 
 
 def load_taxonomy(path: str | Path) -> EmotionTaxonomy:
@@ -282,7 +264,7 @@ def label_distance(taxonomy: EmotionTaxonomy, a: str, b: str) -> int:
     """L1 gap between two labels' coordinates: the rank gap in 1d, the sum of
     the valence and arousal gaps in 2d, as the two-head objective adds the
     per-axis errors."""
-    points = taxonomy._points
+    points = taxonomy.points
     gap = 0
     for x, y in zip(points[taxonomy.index(a)], points[taxonomy.index(b)]):
         gap += abs(x - y)

@@ -17,6 +17,7 @@ import math
 import time
 import typing
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -159,16 +160,27 @@ class TrainConfig:
                 raise TrainerError(f"{name} must be at least 1")
         if self.seed < 0:
             raise TrainerError(f"seed must be non-negative, got {self.seed}")
-        if self.learning_rate <= 0:
-            raise TrainerError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise TrainerError("weight_decay must be non-negative")
+        try:
+            self.adamw  # built and checked once, here
+        except ValueError as exc:
+            raise TrainerError(str(exc)) from None
         if len(self.split) != 3 or any(r < 0 for r in self.split):
             raise TrainerError("split must be three non-negative ratios")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise TrainerError(f"split ratios must sum to 1, got {sum(self.split)}")
         if len(self.loss_weights) != 2 or any(w <= 0 for w in self.loss_weights):
             raise TrainerError("loss_weights must be two positive numbers")
+
+    @cached_property
+    def adamw(self) -> AdamWConfig:
+        """The AdamW hyperparameters of this recipe."""
+        return AdamWConfig(
+            learning_rate=self.learning_rate,
+            beta1=self.beta1,
+            beta2=self.beta2,
+            eps=self.eps,
+            weight_decay=self.weight_decay,
+        )
 
     def to_document(self) -> dict:
         """JSON-ready snapshot of every resolved value (manifest embedding)."""
@@ -298,13 +310,6 @@ class Trainer:
             ]
         )
         self.params = init_params(self.model_config, config.seed)
-        self.adamw = AdamWConfig(
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-            weight_decay=config.weight_decay,
-        )
         self.opt_state = AdamWState.initial(self.params)
         self.epochs_done = 0
         self.history: list[EpochStats] = []
@@ -314,9 +319,23 @@ class Trainer:
     def resume(
         cls, config: TrainConfig, ck: Checkpoint, corpus: LabeledCorpus | None = None
     ) -> "Trainer":
-        """Continue a run from a checkpoint that carries optimizer state."""
+        """Continue a run from a checkpoint that carries optimizer state.
+
+        The config must match what the checkpoint records of the run, so that
+        the resumed epochs replay the straight run's.
+        """
         if ck.optimizer is None:
             raise TrainerError("checkpoint has no optimizer state; cannot resume")
+        recorded = {
+            "max_seq_length": ck.max_seq_length,
+            "loss_weights": ck.loss_weights,
+            **dataclasses.asdict(ck.optimizer.adamw),
+        }
+        for name, value in recorded.items():
+            if getattr(config, name) != value:
+                raise TrainerError(
+                    f"checkpoint has {name}={value!r} but the config has {getattr(config, name)!r}"
+                )
         trainer = cls(config, corpus)
         if vocab_fingerprint(trainer.vocab) != vocab_fingerprint(ck.vocab):
             raise TrainerError("checkpoint vocabulary does not match the configured data")
@@ -337,7 +356,7 @@ class Trainer:
         """
         optimizer = None
         if with_optimizer:
-            optimizer = OptimizerSnapshot(adamw=self.adamw, state=self.opt_state.copy())
+            optimizer = OptimizerSnapshot(adamw=self.config.adamw, state=self.opt_state.copy())
         return Checkpoint(
             config=self.model_config,
             params=self.params.frozen_copy(),
@@ -385,7 +404,7 @@ class Trainer:
                 logit_gradient(outputs, targets, config.mode, config.loss_weights),
             )
             try:
-                adamw_step(self.params, grads, self.opt_state, self.adamw)
+                adamw_step(self.params, grads, self.opt_state, config.adamw)
             except OptimizerError as exc:
                 raise TrainingDivergedError(epoch, batch_index, str(exc)) from exc
             total_loss += batch_loss * len(picked)

@@ -409,6 +409,10 @@ def test_split_ratio_validation():
         split_corpus(corpus, (0.5, 0.2, 0.2))
     with pytest.raises(DataError):
         split_corpus(corpus, (1.1, -0.05, -0.05))
+    nan, inf = float("nan"), float("inf")
+    for ratios in ((nan, 0.5, 0.5), (0.5, nan, 0.5), (inf, 0.0, 0.0), (1.0, 0.0, -inf)):
+        with pytest.raises(DataError, match=r"three numbers in \[0, 1\]"):
+            split_corpus(corpus, ratios)
 
 
 def test_largest_remainder_allocation():

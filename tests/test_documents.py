@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emord.checkpoint import taxonomy_fingerprint
 from emord.data import DataError, load_synthetic_spec
 from emord.gradcheck import tiny_taxonomy
-from emord.taxonomy import TaxonomyError, parse_taxonomy, save_taxonomy
+from emord.taxonomy import TaxonomyError, parse_taxonomy, save_taxonomy, taxonomy_to_document
 from emord.trainer import TrainerError, load_train_config_file, resolve_train_config
 
 #: Strings that mean something to some reader; "tax.json" is a taxonomy
@@ -145,3 +146,8 @@ def test_fuzz_taxonomy_document(data, document):
         return
     taxonomy.label_at
     taxonomy.distance_table
+    # every accepted document round-trips, to an equal taxonomy and hash
+    again = parse_taxonomy(taxonomy_to_document(taxonomy))
+    assert again == taxonomy
+    assert hash(again) == hash(taxonomy)
+    assert taxonomy_fingerprint(again) == taxonomy_fingerprint(taxonomy)

@@ -33,12 +33,20 @@ def grads_like(params, fill=0.5):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^learning_rate must be positive, got 0.0$"):
         AdamWConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^beta1 must be in \[0, 1\), got 1.0$"):
         AdamWConfig(beta1=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^beta2 must be in \[0, 1\), got -0.5$"):
+        AdamWConfig(beta2=-0.5)
+    with pytest.raises(ValueError, match="^eps must be positive, got 0$"):
+        AdamWConfig(eps=0)
+    with pytest.raises(ValueError, match="^weight_decay must be non-negative, got -0.1$"):
         AdamWConfig(weight_decay=-0.1)
+    with pytest.raises(ValueError, match="^learning_rate must be finite, got nan$"):
+        AdamWConfig(learning_rate=float("nan"), eps=float("inf"))
+    with pytest.raises(ValueError, match="^eps must be finite, got inf$"):
+        AdamWConfig(eps=float("inf"))
 
 
 def test_first_step_matches_hand_computation():

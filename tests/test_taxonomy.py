@@ -46,9 +46,9 @@ def test_parse_1d_basic():
 
 
 def test_parse_1d_ranks_must_be_bijection():
-    with pytest.raises(TaxonomyError, match="duplicate rank"):
+    with pytest.raises(TaxonomyError, match="^label 'b': rank=0 duplicates label 'a'$"):
         parse_taxonomy(doc_1d([("a", 0), ("b", 0), ("c", 2)]))
-    with pytest.raises(TaxonomyError, match="cover 0"):
+    with pytest.raises(TaxonomyError, match=re.escape("label 'c': rank=3 outside [0, 2]")):
         parse_taxonomy(doc_1d([("a", 0), ("b", 2), ("c", 3)]))
 
 
@@ -77,7 +77,7 @@ def test_parse_rejects_mixed_mode_fields():
 def test_parse_rejects_duplicates_and_bad_values():
     with pytest.raises(TaxonomyError, match="duplicate label"):
         parse_taxonomy(doc_1d([("a", 0), ("a", 1)]))
-    with pytest.raises(TaxonomyError, match="duplicate cell"):
+    with pytest.raises(TaxonomyError, match="^label 'b': valence=0, arousal=0 duplicates label 'a'$"):
         parse_taxonomy(doc_2d([("a", (0, 0)), ("b", (0, 0))]))
     with pytest.raises(TaxonomyError, match="outside"):
         parse_taxonomy(doc_2d([("a", (0, 0)), ("b", (5, 0))], grid_size=5))
@@ -119,6 +119,35 @@ def test_document_round_trip_1d_and_2d(tmp_path):
         path = tmp_path / "tax.json"
         save_taxonomy(tax, path)
         assert load_taxonomy(path) == tax
+
+
+def test_save_taxonomy_bytes_are_pinned(tmp_path):
+    # the key order is format, mode[, grid_size], labels, with each record's
+    # name first, whatever order the source document had: `emord synth`
+    # writes these bytes and a checkpoint's taxonomy hash covers them
+    documents = (
+        {"labels": [{"rank": 1, "name": "calm"}, {"rank": 0, "name": "gloom"}], "mode": "1d"},
+        {
+            "labels": [
+                {"arousal": 0, "valence": 2, "name": "calm"},
+                {"arousal": 1, "valence": 0, "name": "gloom"},
+            ],
+            "grid_size": 3,
+            "mode": "2d",
+        },
+    )
+    expected = (
+        '{\n  "format": "emord.taxonomy/1",\n  "mode": "1d",\n  "labels": [\n'
+        '    {\n      "name": "calm",\n      "rank": 1\n    },\n'
+        '    {\n      "name": "gloom",\n      "rank": 0\n    }\n  ]\n}\n',
+        '{\n  "format": "emord.taxonomy/1",\n  "mode": "2d",\n  "grid_size": 3,\n  "labels": [\n'
+        '    {\n      "name": "calm",\n      "valence": 2,\n      "arousal": 0\n    },\n'
+        '    {\n      "name": "gloom",\n      "valence": 0,\n      "arousal": 1\n    }\n  ]\n}\n',
+    )
+    for document, text in zip(documents, expected):
+        path = tmp_path / "tax.json"
+        save_taxonomy(parse_taxonomy(document), path)
+        assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_load_rejects_bad_json(tmp_path):

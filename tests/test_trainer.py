@@ -70,6 +70,12 @@ def test_config_validation():
         tiny_config(split=(0.5, 0.4, 0.2))
     with pytest.raises(TrainerError, match="learning_rate"):
         tiny_config(learning_rate=0.0)
+    # the AdamW hyperparameters are AdamWConfig's to check, reported as ours
+    with pytest.raises(TrainerError, match=r"^beta1 must be in \[0, 1\), got 1.5$"):
+        tiny_config(beta1=1.5)
+    with pytest.raises(TrainerError, match="^eps must be positive, got 0$"):
+        tiny_config(eps=0)
+    assert tiny_config().adamw.learning_rate == 1e-2
 
 
 # float, float | None and tuple[float, ...] fields alike
@@ -286,6 +292,18 @@ def test_resume_rejects_mismatched_data():
     other = tiny_corpus(per_class=13, seed=5)
     with pytest.raises(TrainerError, match="vocabulary"):
         Trainer.resume(tiny_config(epochs=4), result.final, other)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("max_seq_length", 20), ("learning_rate", 0.5), ("loss_weights", (1.0, 2.0)),
+     ("beta1", 0.8), ("beta2", 0.99), ("eps", 1e-6), ("weight_decay", 0.0)],
+)
+def test_resume_rejects_a_config_the_run_did_not_use(name, value):
+    corpus = tiny_corpus()
+    result = train(tiny_config(), corpus)
+    with pytest.raises(TrainerError, match=f"^checkpoint has {name}="):
+        Trainer.resume(tiny_config(epochs=4, **{name: value}), result.final, corpus)
 
 
 def test_resume_with_nothing_left_to_do():
