@@ -2,9 +2,13 @@
 and a synthetic marker-token corpus generator.
 
 Tokenization lowercases, splits on whitespace and strips punctuation off
-each token's edges.  Every vocabulary token is its own tokenization (the
-`Vocabulary` rejects any other), so encoding looks each raw token up as it
-stands and cleans only the ones it misses.
+each token's edges.  A corpus is split once: `LabeledCorpus.tokenization`
+keeps its distinct raw tokens and one integer per token position, and both
+`build_vocab` and `encode_corpus` work from it, so each distinct raw token
+is cleaned and looked up once per call, not once per occurrence.  Every
+vocabulary token is its own tokenization (the `Vocabulary` rejects any
+other), so encoding looks each raw token up as it stands and cleans only
+the ones it misses.
 
 The synthetic generator plants class-marker tokens among filler tokens.  With
 `p_confuse > 0` a planted marker is sometimes swapped for the marker of a
@@ -20,9 +24,10 @@ import logging
 import re
 import typing
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, count
+from functools import cached_property
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +62,18 @@ class DataError(ValueError):
     """Malformed corpus file, bad split request, or invalid synthetic spec."""
 
 
+class Tokenization(typing.NamedTuple):
+    """Every text's `text.lower().split()`, with each token as an integer.
+
+    Token position j of the chained splits holds the raw token
+    `raw[ids[j]]`; record i owns the next `lengths[i]` positions.
+    """
+
+    raw: tuple[str, ...]  # distinct raw tokens, in first-seen order
+    ids: np.ndarray  # (total tokens,) int32: 4 bytes per token position
+    lengths: np.ndarray  # (records,) intp
+
+
 @dataclass(frozen=True)
 class LabeledCorpus:
     """Immutable sequence of (text, label) records plus a provenance note."""
@@ -66,6 +83,26 @@ class LabeledCorpus:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def tokenization(self) -> Tokenization:
+        """The corpus split into raw tokens once, kept as integers."""
+        lengths = []
+
+        def splits():
+            # one record's split at a time: holding every split at once
+            # would hold a string per token of the corpus
+            for text, _ in self.records:
+                split = text.lower().split()
+                lengths.append(len(split))
+                yield split
+
+        # a missing key takes the next integer; the lookups run in C
+        first_seen = defaultdict(count().__next__)
+        ids = np.fromiter(
+            map(first_seen.__getitem__, chain.from_iterable(splits())), dtype=np.int32
+        )
+        return Tokenization(tuple(first_seen), ids, np.array(lengths, dtype=np.intp))
 
     def texts(self) -> list[str]:
         return [text for text, _ in self.records]
@@ -241,12 +278,11 @@ def build_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
         raise DataError("min_freq must be at least 1")
     if len(corpus) == 0:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    # one count over every text's raw tokens, in C
-    raw_counts = Counter(chain.from_iterable(text.lower().split() for text, _ in corpus.records))
+    raw, ids, _ = corpus.tokenization
     # each distinct raw token is cleaned once; the ones that clean alike pool
     counts: Counter[str] = Counter()
-    for raw, n in raw_counts.items():
-        token = _clean(raw)
+    for raw_token, n in zip(raw, np.bincount(ids, minlength=len(raw)).tolist()):
+        token = _clean(raw_token)
         if token:
             counts[token] += n
     kept = sorted(
@@ -258,32 +294,34 @@ def build_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
     return Vocabulary(tokens=tuple(kept), min_freq=min_freq)
 
 
-def _token_ids(text: str, index: dict[str, int], max_len: int) -> list[int]:
-    """The ids of `text_tokens(text)[:max_len]`, found faster.
+def _raw_token_id(raw: str, index: dict[str, int]) -> int:
+    """The id one raw token of `text.lower().split()` encodes to; 0 drops it.
 
     Every vocabulary token is its own tokenization, so a raw token found in
-    the table cleans to itself; only a miss is cleaned (and dropped if
-    nothing is left) and looked up again.  Truncation comes after the drop.
+    the table cleans to itself; only a miss is cleaned, dropped if nothing
+    is left, and looked up again, becoming UNK_ID if still not found.
     """
-    # a plain loop: a C-level map over the raw tokens first measured no
-    # faster, since hashing the fresh strings dominates, and slower on any
-    # text with a miss, which it must walk a second time
-    ids = []
-    for raw in text.lower().split():
-        token_id = index.get(raw)
-        if token_id is None:
-            token = _clean(raw)
-            if not token:
-                continue
-            token_id = index.get(token, UNK_ID)
-        ids.append(token_id)
-    del ids[max_len:]
-    return ids
+    token_id = index.get(raw)
+    if token_id is None:
+        token = _clean(raw)
+        token_id = index.get(token, UNK_ID) if token else 0
+    return token_id
 
 
 def encode_text(text: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
-    """Token ids for one text: truncated to max_len, right-padded with 0."""
-    ids = _token_ids(text, vocab._index, max_len)
+    """Token ids for one text: truncated to max_len, right-padded with 0.
+
+    The ids are those of `text_tokens(text)[:max_len]`; the cut comes after
+    the drop.
+    """
+    index = vocab._index
+    ids = []
+    for raw in text.lower().split():
+        # a hit needs no call of the rule, which would return the same id
+        token_id = index.get(raw) or _raw_token_id(raw, index)
+        if token_id:
+            ids.append(token_id)
+    del ids[max_len:]
     out = np.zeros(max_len, dtype=np.int64)
     out[: len(ids)] = ids
     return out
@@ -294,21 +332,32 @@ def encode_corpus(
 ) -> tuple[np.ndarray, list[str]]:
     """Id matrix (N, max_len) plus the gold labels, rejecting empty token rows.
 
-    Row i is `encode_text` of record i; the rows are filled in one scatter.
+    Row i is `encode_text` of record i.  `_raw_token_id` runs once per
+    distinct raw token of the corpus's tokenization; gathering, dropping,
+    cutting and filling the rows are array operations.
     """
-    index = vocab._index
-    rows = [_token_ids(text, index, max_len) for text, _ in corpus.records]
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    if not lengths.all():
-        i = int(np.argmin(lengths))
+    raw, ids, lengths = corpus.tokenization
+    by_raw = np.fromiter(
+        map(_raw_token_id, raw, repeat(vocab._index)), dtype=np.int64, count=len(raw)
+    )
+    token_ids = by_raw[ids]
+    kept = token_ids != 0
+    rows = np.repeat(np.arange(len(lengths)), lengths)[kept]
+    token_ids = token_ids[kept]
+    counts = np.bincount(rows, minlength=len(lengths))
+    if not counts.all():
+        i = int(np.argmin(counts))
         raise DataError(
             f"record {i + 1}: no tokens survive normalization: {corpus.records[i][0]!r}"
         )
-    matrix = np.zeros((len(rows), max_len), dtype=np.int64)
-    # each row's ids fill a prefix of it, and a mask assigns in row-major order
-    matrix[np.arange(max_len) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum())
-    )
+    # a kept token's column is its rank among its record's kept tokens
+    cols = np.arange(len(rows))
+    cols -= (np.cumsum(counts) - counts)[rows]
+    if counts.max(initial=0) > max_len:  # the cut copies every array, so only when it cuts
+        inside = cols < max_len
+        rows, cols, token_ids = rows[inside], cols[inside], token_ids[inside]
+    matrix = np.zeros((len(lengths), max_len), dtype=np.int64)
+    matrix[rows, cols] = token_ids
     return matrix, corpus.labels()
 
 

@@ -327,6 +327,7 @@ class Trainer:
         if ck.optimizer is None:
             raise TrainerError("checkpoint has no optimizer state; cannot resume")
         recorded = {
+            "seed": ck.seed,
             "max_seq_length": ck.max_seq_length,
             "loss_weights": ck.loss_weights,
             **dataclasses.asdict(ck.optimizer.adamw),

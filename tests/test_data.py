@@ -352,6 +352,68 @@ def test_encode_corpus_equals_stacked_encode_text(vocab_texts, corpus_texts, max
     assert labels == ["joy"] * len(corpus_texts)
 
 
+# words that are only punctuation, have punctuation on an edge, lowercase in
+# context (a final Σ, İ to two characters) or are unlikely to be in a vocabulary
+WORDS = st.one_of(
+    st.sampled_from(["ΟΔΟΣ", "σας", "ΣΑΣ!", "İstanbul", "İ", "...", "!!", "«»", "(x)", "x.",
+                     "¡Olé!", "unseen", "A", "b", "x"]),
+    st.text(alphabet="abcABC019éÜİΣßς日٣x²$5+'-.,!?…«»¡()", min_size=1, max_size=6),
+)
+# whitespace that str.split knows, beyond space, tab and newline
+SPACES = st.sampled_from([" ", "\t", "\n", "\x1c", "\u2028", "\u3000", "  "])
+WORD_TEXTS = st.lists(st.tuples(WORDS, SPACES), max_size=14).map(
+    lambda words: "".join(word + space for word, space in words)
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(train=st.lists(WORD_TEXTS, min_size=1, max_size=8), extra=st.lists(WORD_TEXTS, max_size=4),
+       min_freq=st.sampled_from([1, 2, 3]), max_len=st.integers(1, 8))
+# dropped tokens before the cut and misses, then a record that vanishes too
+@example(train=["ΟΔΟΣ σας İstanbul x x", "x σας"],
+         extra=["... !! ΟΔΟΣ\x1cunseen\u2028x «» σας x x x"], min_freq=2, max_len=3)
+@example(train=["ΟΔΟΣ σας İstanbul x x", "x σας"],
+         extra=["... !! ΟΔΟΣ\x1cunseen\u2028x «» σας x x x", "!! ..."], min_freq=2, max_len=3)
+def test_corpus_paths_agree_with_the_per_text_definitions(train, extra, min_freq, max_len):
+    corpus = LabeledCorpus(tuple((text, "joy") for text in train))
+    counts = Counter(token for text in train for token in text_tokens(text))
+    expected = sorted((tok for tok, n in counts.items() if n >= min_freq),
+                      key=lambda tok: (-counts[tok], tok))
+    if not expected:
+        with pytest.raises(DataError, match="min_freq"):
+            build_vocab(corpus, min_freq)
+        return
+    vocab = build_vocab(corpus, min_freq)
+    assert vocab.tokens == tuple(expected)
+
+    # the cache: the distinct raw tokens once each, and integers
+    splits = [text.lower().split() for text in train]
+    raw, ids, lengths = corpus.tokenization
+    assert raw == tuple(dict.fromkeys(token for split in splits for token in split))
+    assert ids.dtype.kind == lengths.dtype.kind == "i"
+    assert [raw[i] for i in ids.tolist()] == [token for split in splits for token in split]
+    assert lengths.tolist() == [len(split) for split in splits]
+    assert vars(corpus).keys() == {"records", "provenance", "tokenization"}
+
+    probe = LabeledCorpus(tuple((text, "joy") for text in train + extra))
+    for target in (corpus, probe):
+        vanishing = [i for i, (text, _) in enumerate(target.records) if not text_tokens(text)]
+        if vanishing:
+            i = vanishing[0]
+            message = f"record {i + 1}: no tokens survive normalization: {target.records[i][0]!r}"
+            with pytest.raises(DataError) as err:
+                encode_corpus(target, vocab, max_len)
+            assert str(err.value) == message
+            continue
+        matrix, _ = encode_corpus(target, vocab, max_len)
+        for row, (text, _) in zip(matrix.tolist(), target.records):
+            assert row == encode_text(text, vocab, max_len).tolist()
+        cached = target.tokenization
+        again, _ = encode_corpus(target, vocab, max_len)
+        assert target.tokenization is cached
+        assert np.array_equal(again, matrix)
+
+
 # ------------------------------------------------------------------- splits
 
 

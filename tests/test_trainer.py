@@ -297,7 +297,7 @@ def test_resume_rejects_mismatched_data():
 @pytest.mark.parametrize(
     "name, value",
     [("max_seq_length", 20), ("learning_rate", 0.5), ("loss_weights", (1.0, 2.0)),
-     ("beta1", 0.8), ("beta2", 0.99), ("eps", 1e-6), ("weight_decay", 0.0)],
+     ("beta1", 0.8), ("beta2", 0.99), ("eps", 1e-6), ("weight_decay", 0.0), ("seed", 1)],
 )
 def test_resume_rejects_a_config_the_run_did_not_use(name, value):
     corpus = tiny_corpus()
