@@ -28,17 +28,28 @@ def read_document(path: str | Path, fmt: str, kinds: dict, error: type[ValueErro
         document = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # also UnicodeDecodeError
         raise error(f"{path}: not valid JSON ({exc})") from exc
+    return parse_document(document, fmt, kinds, error, f"{path}: ")
+
+
+def parse_document(
+    document, fmt: str, kinds: dict, error: type[ValueError], where: str = ""
+) -> dict:
+    """read_document's reading of a document already parsed from JSON.
+
+    `where` prefixes every error message; `document` is left as it is.
+    """
     if not isinstance(document, dict):
-        raise error(f"{path}: document must be a JSON object")
-    tag = document.pop("format", fmt)
+        raise error(f"{where}document must be a JSON object")
+    tag = document.get("format", fmt)
     if tag != fmt:
-        raise error(f"{path}: unsupported format tag {tag!r}")
-    unknown = set(document) - kinds.keys()
+        raise error(f"{where}unsupported format tag {tag!r}")
+    members = {name: value for name, value in document.items() if name != "format"}
+    unknown = members.keys() - kinds.keys()
     if unknown:
-        raise error(f"{path}: unknown fields {sorted(unknown)}")
+        raise error(f"{where}unknown fields {sorted(unknown)}")
     return {
-        name: _coerce(value, kinds[name], f"{path}: {name}", error)
-        for name, value in document.items()
+        name: _coerce(value, kinds[name], f"{where}{name}", error)
+        for name, value in members.items()
     }
 
 

@@ -140,7 +140,7 @@ def predict_ids(ck: Checkpoint, token_ids: np.ndarray, batch_size: int = 256) ->
 
 def predict_text(ck: Checkpoint, text: str) -> Prediction:
     """Predict one raw text with a trained checkpoint."""
-    row = encode_text(text, ck.vocab, ck.max_seq_length)
+    row = encode_text(text, ck.vocab, ck.recipe.max_seq_length)
     if row[0] == 0:
         raise DataError(f"no tokens survive normalization: {text!r}")
     return predict_ids(ck, row[None, :])[0]

@@ -127,7 +127,7 @@ def evaluate(ck: Checkpoint, corpus: LabeledCorpus, batch_size: int = 256) -> Ev
     """Run the model over a corpus and measure everything in one pass."""
     if len(corpus) == 0:
         raise MetricsError("cannot evaluate on an empty corpus")
-    token_ids, gold_labels = encode_corpus(corpus, ck.vocab, ck.max_seq_length)
+    token_ids, gold_labels = encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length)
     decoded = predict_ids(ck, token_ids, batch_size=batch_size)
     labels = ck.taxonomy.labels
     pairs = tuple(zip(gold_labels, [labels[i] for i in decoded.indices.tolist()]))
@@ -243,7 +243,7 @@ def holdout_proximity(ck: Checkpoint, corpus: LabeledCorpus, held_out_label: str
         )
     if len(corpus) == 0:
         raise MetricsError("cannot evaluate on an empty corpus")
-    token_ids, _ = encode_corpus(corpus, ck.vocab, ck.max_seq_length)
+    token_ids, _ = encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length)
     decoded = predict_ids(ck, token_ids)
     distances = np.abs(decoded.coords - target).sum(axis=1)
     counts = np.bincount(distances, minlength=max_distance(taxonomy) + 1).tolist()

@@ -99,9 +99,9 @@ class ModelConfig:
 
     `output_width` must match the head mode: K for softmax, K-1 for
     ordinal-1d, 2*(G-1) for ordinal-2d (two stacked heads of width G-1).
-    The widths have no defaults: a training run takes them from its
-    TrainConfig, whose preset table (trainer.PRESETS) holds the desk and
-    paper widths.
+    The widths have no defaults: TrainConfig.model_config builds the
+    config a recipe trains, and the recipe's preset table (recipe.PRESETS)
+    holds the desk and paper widths.
     """
 
     vocab_size: int

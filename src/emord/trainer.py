@@ -13,31 +13,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import time
-import typing
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_write
-from .checkpoint import (
-    Checkpoint,
-    OptimizerSnapshot,
-    taxonomy_fingerprint,
-    vocab_fingerprint,
-)
-from .codec import (
-    HEAD_MODES,
-    MODE_SOFTMAX,
-    check_mode_compatible,
-    target_for,
-    target_width,
-)
+from .checkpoint import Checkpoint, taxonomy_fingerprint, vocab_fingerprint
+from .codec import MODE_SOFTMAX, check_mode_compatible, target_for
 from .data import (
-    CORPUS_FORMATS,
     LabeledCorpus,
     build_vocab,
     encode_corpus,
@@ -47,45 +32,30 @@ from .data import (
     resolve_taxonomy,
     split_corpus,
 )
-from .documents import read_document
 from .losses import logit_gradient, loss_value
 from .metrics import MetricsReport, evaluate
-from .net import ModelConfig, NetError, backward, forward, init_params
-from .optim import AdamWConfig, AdamWState, OptimizerError, adamw_step
+from .net import NetError, backward, forward, init_params
+from .optim import AdamWState, OptimizerError, adamw_step
+from .recipe import (  # noqa: F401  (the recipe's names are served from here too)
+    CONFIG_FORMAT,
+    PRESETS,
+    TrainConfig,
+    TrainerError,
+    _CONFIG_KINDS,
+    load_train_config_file,
+    resolve_train_config,
+)
 from .taxonomy import EmotionTaxonomy
 
 logger = logging.getLogger(__name__)
 
 _SHUFFLE_STREAM = 303
 
-CONFIG_FORMAT = "emord.train/1"
-
-#: The value of every preset field, by preset: "desk" trains in seconds on
-#: a laptop, "paper" has the paper's widths.  A TrainConfig field named here
-#: and left as None takes its preset's value; every other field is the same
-#: in both presets.
-PRESETS = {
-    "desk": {
-        "learning_rate": 1e-3,
-        "max_seq_length": 32,
-        "embed_dim": 32,
-        "conv_channels": (32, 64),
-        "kernel_sizes": (6, 4),
-        "ffnn_hidden": (64, 32),
-    },
-    "paper": {
-        "learning_rate": 0.6e-5,
-        "max_seq_length": 200,
-        "embed_dim": 768,
-        "conv_channels": (1024, 2048),
-        "kernel_sizes": (6, 4),
-        "ffnn_hidden": (2048, 768),
-    },
-}
-
-
-class TrainerError(ValueError):
-    """Invalid training configuration or data/config mismatch."""
+#: The TrainConfig fields a resumed run may change: how long to train, and
+#: where the data comes from.  The data itself is checked through the
+#: vocabulary and taxonomy fingerprints; every other field shapes the
+#: trajectory, so Trainer.resume requires the checkpoint's value.
+_RESUME_FREE = frozenset({"epochs", "corpus", "synthetic", "corpus_format", "taxonomy"})
 
 
 class TrainingDivergedError(RuntimeError):
@@ -97,133 +67,6 @@ class TrainingDivergedError(RuntimeError):
         )
         self.epoch = epoch
         self.batch_index = batch_index
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Fully resolved training recipe.
-
-    The preset fields (the keys of PRESETS: `learning_rate`,
-    `max_seq_length` and the four widths) left as None take the preset's
-    values on construction, so afterwards only `corpus` and `synthetic` can
-    be None.  Exactly one data source — `corpus` or `synthetic` — should be
-    set unless the corpus is handed to the trainer directly.
-    """
-
-    mode: str = MODE_SOFTMAX
-    taxonomy: str = "isear-valence"
-    corpus: str | None = None
-    corpus_format: str = "tsv"
-    synthetic: str | None = None
-    preset: str = "desk"
-    epochs: int = 10
-    batch_size: int = 16
-    learning_rate: float | None = None
-    max_seq_length: int | None = None
-    seed: int = 0
-    split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    min_freq: int = 1
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    loss_weights: tuple[float, float] = (1.0, 1.0)
-    embed_dim: int | None = None
-    conv_channels: tuple[int, int] | None = None
-    kernel_sizes: tuple[int, int] | None = None
-    ffnn_hidden: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            # a list (as JSON carries a tuple) becomes a tuple, so equality
-            # and unpacking never depend on which door a config came in
-            if isinstance(value, list):
-                value = tuple(value)
-                object.__setattr__(self, field.name, value)
-            entries = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
-                raise TrainerError(f"{field.name} must be finite, got {value!r}")
-        if self.mode not in HEAD_MODES:
-            raise TrainerError(f"unknown head mode {self.mode!r}; choose from {HEAD_MODES}")
-        if self.preset not in PRESETS:
-            raise TrainerError(f"unknown preset {self.preset!r}; choose from {tuple(PRESETS)}")
-        for name, value in PRESETS[self.preset].items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
-        if self.corpus_format not in CORPUS_FORMATS:
-            raise TrainerError(f"unknown corpus format {self.corpus_format!r}")
-        if self.corpus is not None and self.synthetic is not None:
-            raise TrainerError("set corpus or synthetic, not both")
-        for name in ("epochs", "batch_size", "max_seq_length", "min_freq"):
-            if getattr(self, name) < 1:
-                raise TrainerError(f"{name} must be at least 1")
-        if self.seed < 0:
-            raise TrainerError(f"seed must be non-negative, got {self.seed}")
-        try:
-            self.adamw  # built and checked once, here
-        except ValueError as exc:
-            raise TrainerError(str(exc)) from None
-        if len(self.split) != 3 or any(r < 0 for r in self.split):
-            raise TrainerError("split must be three non-negative ratios")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise TrainerError(f"split ratios must sum to 1, got {sum(self.split)}")
-        if len(self.loss_weights) != 2 or any(w <= 0 for w in self.loss_weights):
-            raise TrainerError("loss_weights must be two positive numbers")
-
-    @cached_property
-    def adamw(self) -> AdamWConfig:
-        """The AdamW hyperparameters of this recipe."""
-        return AdamWConfig(
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            weight_decay=self.weight_decay,
-        )
-
-    def to_document(self) -> dict:
-        """JSON-ready snapshot of every resolved value (manifest embedding)."""
-        doc: dict = {"format": CONFIG_FORMAT}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            doc[field.name] = value
-        return doc
-
-
-#: The kind of each TrainConfig field in a config file.  None in a preset
-#: field stands for "the preset's value"; a document asks for that by leaving
-#: the field out, never by writing null, so `float | None` reads as float and
-#: `tuple[int, int] | None` as `tuple[int, int]`.  Only a data source may be
-#: null.
-_CONFIG_KINDS = {
-    name: typing.get_args(hint)[0] if name in PRESETS["desk"] else hint
-    for name, hint in typing.get_type_hints(TrainConfig).items()
-}
-
-
-def load_train_config_file(path: str | Path) -> dict:
-    """Strictly parse a training-config JSON file into a field dict."""
-    return read_document(path, CONFIG_FORMAT, _CONFIG_KINDS, TrainerError)
-
-
-def resolve_train_config(
-    file_values: dict | None = None, overrides: dict | None = None
-) -> TrainConfig:
-    """Layer defaults, preset, config file, then explicit overrides.
-
-    Precedence (low to high): dataclass defaults, preset defaults (applied
-    by TrainConfig), config file values, overrides (CLI flags).  Overrides
-    that are None are treated as "not given".
-    """
-    file_values = dict(file_values or {})
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    unknown = (set(file_values) | set(overrides)) - _CONFIG_KINDS.keys()
-    if unknown:
-        raise TrainerError(f"unknown config fields {sorted(unknown)}")
-    return TrainConfig(**{**file_values, **overrides})
 
 
 @dataclass(frozen=True)
@@ -285,20 +128,7 @@ class Trainer:
             logger.warning("validation split is empty; validating on the train split")
             self.val_split = self.train_split
         self.vocab = build_vocab(self.train_split, config.min_freq)
-        self.model_config = ModelConfig(
-            vocab_size=self.vocab.size,
-            output_width=target_width(config.mode, self.taxonomy),
-            head_mode=config.mode,
-            embed_dim=config.embed_dim,
-            conv_channels=config.conv_channels,
-            kernel_sizes=config.kernel_sizes,
-            ffnn_hidden=config.ffnn_hidden,
-        )
-        if config.max_seq_length < self.model_config.min_seq_length:
-            raise TrainerError(
-                f"max_seq_length {config.max_seq_length} is shorter than the "
-                f"convolutions need ({self.model_config.min_seq_length})"
-            )
+        self.model_config = config.model_config(self.vocab.size, self.taxonomy)
         self.train_ids, train_labels = encode_corpus(
             self.train_split, self.vocab, config.max_seq_length
         )
@@ -326,16 +156,11 @@ class Trainer:
         """
         if ck.optimizer is None:
             raise TrainerError("checkpoint has no optimizer state; cannot resume")
-        recorded = {
-            "seed": ck.seed,
-            "max_seq_length": ck.max_seq_length,
-            "loss_weights": ck.loss_weights,
-            **dataclasses.asdict(ck.optimizer.adamw),
-        }
-        for name, value in recorded.items():
-            if getattr(config, name) != value:
+        for field in dataclasses.fields(TrainConfig):
+            recorded, given = getattr(ck.recipe, field.name), getattr(config, field.name)
+            if field.name not in _RESUME_FREE and recorded != given:
                 raise TrainerError(
-                    f"checkpoint has {name}={value!r} but the config has {getattr(config, name)!r}"
+                    f"checkpoint has {field.name}={recorded!r} but the config has {given!r}"
                 )
         trainer = cls(config, corpus)
         if vocab_fingerprint(trainer.vocab) != vocab_fingerprint(ck.vocab):
@@ -343,9 +168,9 @@ class Trainer:
         if taxonomy_fingerprint(trainer.taxonomy) != taxonomy_fingerprint(ck.taxonomy):
             raise TrainerError("checkpoint taxonomy does not match the config")
         if trainer.model_config != ck.config:
-            raise TrainerError("checkpoint model widths do not match the config")
+            raise TrainerError("checkpoint model does not match the config")
         trainer.params = ck.params.copy()
-        trainer.opt_state = ck.optimizer.state.copy()
+        trainer.opt_state = ck.optimizer.copy()
         trainer.epochs_done = ck.epochs_completed
         return trainer
 
@@ -355,19 +180,14 @@ class Trainer:
         Its params are a read-only copy (ModelParams.frozen_copy); its moments
         are writable.
         """
-        optimizer = None
-        if with_optimizer:
-            optimizer = OptimizerSnapshot(adamw=self.config.adamw, state=self.opt_state.copy())
         return Checkpoint(
             config=self.model_config,
             params=self.params.frozen_copy(),
             taxonomy=self.taxonomy,
             vocab=self.vocab,
-            max_seq_length=self.config.max_seq_length,
-            seed=self.config.seed,
-            loss_weights=self.config.loss_weights,
+            recipe=self.config,
             epochs_completed=self.epochs_done,
-            optimizer=optimizer,
+            optimizer=self.opt_state.copy() if with_optimizer else None,
         )
 
     # A diverging step overflows before the NetError, loss and OptimizerError

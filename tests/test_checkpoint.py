@@ -1,8 +1,9 @@
 """Checkpoint container: bit-exact round trips and tamper detection."""
 
-import hashlib
+import dataclasses
 import json
 import tracemalloc
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,65 +13,51 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emord.checkpoint import (
-    CONTAINER_VERSION,
+    _HEADER,
     HEADER_FORMAT,
-    HEADER_FORMAT_1,
-    MAGIC,
     Checkpoint,
     CheckpointError,
-    OptimizerSnapshot,
     load_checkpoint,
     save_checkpoint,
     taxonomy_fingerprint,
     vocab_fingerprint,
 )
+from emord.cli import EXIT_INVALID, main
 from emord.data import LabeledCorpus, Vocabulary, build_vocab
 from emord.hashing import canonical_json, sha256_file
-from emord.net import ModelConfig, init_params
-from emord.optim import AdamWConfig, AdamWState, adamw_step
+from emord.net import init_params
+from emord.optim import AdamWState, adamw_step
+from emord.recipe import _CONFIG_KINDS, TrainConfig
 from emord.taxonomy import builtin_taxonomy, taxonomy_to_document
-from test_net import preset_model
 
 #: make_checkpoint(with_optimizer=True) as save_checkpoint writes it (format
-#: 2); reader and writer change together, so this file pins the bytes on disk.
-PINNED = Path(__file__).parent / "data" / "checkpoint_v2_fixture.ckpt"
-#: The same checkpoint in format 1, written by an earlier writer: conv
-#: weights stored (Cout, Cin, k), and no payload hash.
-PINNED_V1 = Path(__file__).parent / "data" / "checkpoint_v1_fixture.ckpt"
+#: 3); reader and writer change together, so this file pins the bytes on disk.
+PINNED = Path(__file__).parent / "data" / "checkpoint_v3_fixture.ckpt"
+
+RECIPE = TrainConfig(
+    mode="softmax",
+    taxonomy="isear-valence",
+    learning_rate=0.01,
+    max_seq_length=24,
+    seed=5,
+    loss_weights=(1.0, 0.5),
+    embed_dim=4,
+    conv_channels=(3, 3),
+    kernel_sizes=(6, 4),
+    ffnn_hidden=(5, 4),
+)
 
 
 def make_checkpoint(with_optimizer=False, dtype="float32") -> Checkpoint:
     taxonomy = builtin_taxonomy("isear-valence")
     vocab = build_vocab(LabeledCorpus((("red green blue cue0 cue1", "joy"),)))
-    config = ModelConfig(
-        vocab_size=vocab.size,
-        output_width=7,
-        head_mode="softmax",
-        embed_dim=4,
-        conv_channels=(3, 3),
-        kernel_sizes=(6, 4),
-        ffnn_hidden=(5, 4),
-        dtype=dtype,
-    )
+    config = RECIPE.model_config(vocab.size, taxonomy, dtype)
     params = init_params(config, seed=5)
     optimizer = None
     if with_optimizer:
-        adamw = AdamWConfig(learning_rate=0.01)
-        state = AdamWState.initial(params)
-        grads = params.copy()
-        adamw_step(params, grads, state, adamw)
-        optimizer = OptimizerSnapshot(adamw=adamw, state=state)
-    return Checkpoint(
-        config=config,
-        params=params,
-        taxonomy=taxonomy,
-        vocab=vocab,
-        max_seq_length=24,
-        seed=5,
-        loss_weights=(1.0, 0.5),
-        epochs_completed=3,
-        optimizer=optimizer,
-    )
+        optimizer = AdamWState.initial(params)
+        adamw_step(params, params.copy(), optimizer, RECIPE.adamw)
+    return Checkpoint(config, params, taxonomy, vocab, RECIPE, epochs_completed=3, optimizer=optimizer)
 
 
 def assert_params_equal(a, b):
@@ -88,9 +75,7 @@ def test_roundtrip_inference_checkpoint(tmp_path):
     assert loaded.taxonomy == ck.taxonomy
     assert loaded.vocab.tokens == ck.vocab.tokens
     assert loaded.vocab.min_freq == ck.vocab.min_freq
-    assert loaded.max_seq_length == 24
-    assert loaded.seed == 5
-    assert loaded.loss_weights == (1.0, 0.5)
+    assert loaded.recipe == RECIPE
     assert loaded.epochs_completed == 3
     assert loaded.optimizer is None
     assert_params_equal(loaded.params, ck.params)
@@ -102,11 +87,10 @@ def test_roundtrip_optimizer_state(tmp_path):
     save_checkpoint(ck, path)
     loaded = load_checkpoint(path)
     assert loaded.optimizer is not None
-    assert loaded.optimizer.adamw == ck.optimizer.adamw
-    assert loaded.optimizer.state.step == 1
-    for name, arr in ck.optimizer.state.m.named():
-        assert np.array_equal(getattr(loaded.optimizer.state.m, name), arr)
-        assert np.array_equal(getattr(loaded.optimizer.state.v, name), getattr(ck.optimizer.state.v, name))
+    assert loaded.recipe.adamw == ck.recipe.adamw
+    assert loaded.optimizer.step == 1
+    assert_params_equal(loaded.optimizer.m, ck.optimizer.m)
+    assert_params_equal(loaded.optimizer.v, ck.optimizer.v)
 
 
 def test_resave_is_byte_identical(tmp_path):
@@ -168,93 +152,57 @@ def test_save_does_not_leave_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
-def rewrite_checkpoint(src, dst, edit):
-    """Copy `src` to `dst` after edit(header, arrays) changed it in place."""
-    raw = src.read_bytes()
-    header_len = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + header_len])
-    payload = raw[16 + header_len :]
-    arrays = {
-        e["name"]: np.frombuffer(
-            payload[e["offset"] : e["offset"] + e["nbytes"]], dtype=e["dtype"]
-        ).reshape(e["shape"])
-        for e in header["arrays"]
-    }
-    edit(header, arrays)
-    if "arrays" in header:
-        entries, offset = [], 0
-        for name, arr in arrays.items():
-            entries.append(
-                {
-                    "name": name,
-                    "shape": list(arr.shape),
-                    "dtype": arr.dtype.str,
-                    "offset": offset,
-                    "nbytes": arr.nbytes,
-                }
-            )
-            offset += arr.nbytes
-        header["arrays"] = entries
-    header_bytes = canonical_json(header).encode("utf-8")
-    dst.write_bytes(
-        MAGIC
-        + CONTAINER_VERSION.to_bytes(4, "little")
-        + len(header_bytes).to_bytes(8, "little")
-        + header_bytes
-        + b"".join(np.ascontiguousarray(arr).tobytes() for arr in arrays.values())
-    )
+def test_save_rejects_a_model_config_the_recipe_does_not_build(tmp_path):
+    ck = make_checkpoint()
+    wider = dataclasses.replace(ck, config=dataclasses.replace(ck.config, embed_dim=5))
+    with pytest.raises(CheckpointError, match="not the one the recipe builds"):
+        save_checkpoint(wider, tmp_path / "model.ckpt")
+    short = dataclasses.replace(ck, recipe=dataclasses.replace(RECIPE, max_seq_length=8))
+    with pytest.raises(CheckpointError, match="the recipe builds no model .*shorter than the 9 tokens"):
+        save_checkpoint(short, tmp_path / "model.ckpt")
+    assert not (tmp_path / "model.ckpt").exists()
 
 
-def tampered(tmp_path, edit):
+def header_keys(schema, where=""):
+    """Every key of a format-3 header, nested ones dotted, recipe members included."""
+    for key, kind in schema.items():
+        yield where + key
+        if isinstance(kind, dict):
+            yield from header_keys(kind, where + key + ".")
+
+
+def drop_key(header, dotted):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        header = header[key]
+    del header[last]
+
+
+@pytest.mark.parametrize("key", [key for key in header_keys(_HEADER) if key != "format"])
+def test_missing_header_key_is_a_checkpoint_error(tmp_path, key):
+    with pytest.raises(CheckpointError, match=f"missing key '{key}'"):
+        load_checkpoint(rewrite_header(tmp_path, lambda header: drop_key(header, key)))
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda raw: raw + bytes(4), "payload is 2656 bytes, header expects 2652"),
+        (lambda raw: raw[:-4], "payload is 2648 bytes, header expects 2652"),
+    ],
+    ids=["extra-bytes", "short"],
+)
+def test_rejects_payload_of_another_size(tmp_path, edit, match):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint(with_optimizer=True), path)
-    bad = tmp_path / "bad.ckpt"
-    rewrite_checkpoint(path, bad, edit)
-    return bad
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
 
 
-@pytest.mark.parametrize("name", ["fc3_w", "m/fc3_w", "v/conv1_w"])
-def test_rejects_array_shape_not_in_model_config(tmp_path, name):
-    # a transposed array has the right byte count but the wrong shape
-    def transpose(header, arrays):
-        arrays[name] = arrays[name].T
-
-    with pytest.raises(CheckpointError, match=f"'{name}' has shape"):
-        load_checkpoint(tampered(tmp_path, transpose))
-
-
-@pytest.mark.parametrize("name", ["fc1_b", "v/fc1_b"])
-def test_rejects_array_dtype_not_in_model_config(tmp_path, name):
-    def widen(header, arrays):
-        arrays[name] = arrays[name].astype("<f8")
-
-    with pytest.raises(CheckpointError, match=f"'{name}' has dtype '<f8'"):
-        load_checkpoint(tampered(tmp_path, widen))
-
-
-@pytest.mark.parametrize("key", ["model_config", "arrays"])
-def test_missing_header_key_is_a_checkpoint_error(tmp_path, key):
-    def drop(header, arrays):
-        del header[key]
-
-    with pytest.raises(CheckpointError, match=f"missing key '{key}'"):
-        load_checkpoint(tampered(tmp_path, drop))
-
-
-@pytest.mark.parametrize("offset", [-4, "end"])
-def test_rejects_array_bytes_outside_the_payload(tmp_path, offset):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(make_checkpoint(), path)
-    raw = path.read_bytes()
-    header_len = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + header_len])
-    payload = raw[16 + header_len :]
-    entry = header["arrays"][-1]
-    entry["offset"] = len(payload) - entry["nbytes"] // 2 if offset == "end" else offset
-    header_bytes = canonical_json(header).encode("utf-8")
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(raw[:8] + len(header_bytes).to_bytes(8, "little") + header_bytes + payload)
-    with pytest.raises(CheckpointError, match="byte range"):
+def test_rejects_moments_without_an_optimizer_step(tmp_path):
+    bad = rewrite_header(tmp_path, lambda header: set_key(header, "optimizer_step", None))
+    with pytest.raises(CheckpointError, match="payload is 2652 bytes, header expects 884"):
         load_checkpoint(bad)
 
 
@@ -262,7 +210,7 @@ def test_loaded_arrays_live_in_arenas(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint(with_optimizer=True), path)
     loaded = load_checkpoint(path)
-    state = loaded.optimizer.state
+    state = loaded.optimizer
     # the parameters are read-only, the moments writable
     for arena, arrays, writeable in (
         (loaded.params.arena, dict(loaded.params.named()), False),
@@ -289,19 +237,13 @@ def test_loaded_params_are_frozen(tmp_path):
 def test_load_holds_little_beyond_the_arenas(tmp_path):
     # a desk-width resumable checkpoint: three arenas of about 110 kB each
     vocab = build_vocab(LabeledCorpus(((" ".join(f"w{i}" for i in range(200)), "joy"),)))
-    config = preset_model("desk", vocab.size, 7, "softmax")
+    recipe = TrainConfig(learning_rate=0.01)
+    config = recipe.model_config(vocab.size, builtin_taxonomy("isear-valence"))
     params = init_params(config, seed=0)
     state = AdamWState.initial(params)
     path = tmp_path / "model.ckpt"
     save_checkpoint(
-        Checkpoint(
-            config=config,
-            params=params,
-            taxonomy=builtin_taxonomy("isear-valence"),
-            vocab=vocab,
-            max_seq_length=32,
-            optimizer=OptimizerSnapshot(adamw=AdamWConfig(learning_rate=0.01), state=state),
-        ),
+        Checkpoint(config, params, builtin_taxonomy("isear-valence"), vocab, recipe, optimizer=state),
         path,
     )
     arena_bytes = 3 * params.arena.nbytes
@@ -337,18 +279,18 @@ def assert_is_the_fixture_checkpoint(loaded):
     assert loaded.config == fresh.config
     assert loaded.taxonomy == fresh.taxonomy
     assert loaded.vocab.tokens == fresh.vocab.tokens
-    assert (loaded.max_seq_length, loaded.seed, loaded.loss_weights, loaded.epochs_completed) == (
-        24, 5, (1.0, 0.5), 3
-    )
-    assert loaded.optimizer.adamw == fresh.optimizer.adamw
-    assert loaded.optimizer.state.step == fresh.optimizer.state.step == 1
+    assert (loaded.recipe, loaded.epochs_completed) == (RECIPE, 3)
+    assert loaded.optimizer.step == fresh.optimizer.step == 1
     assert_params_equal(loaded.params, fresh.params)
-    assert_params_equal(loaded.optimizer.state.m, fresh.optimizer.state.m)
-    assert_params_equal(loaded.optimizer.state.v, fresh.optimizer.state.v)
+    assert_params_equal(loaded.optimizer.m, fresh.optimizer.m)
+    assert_params_equal(loaded.optimizer.v, fresh.optimizer.v)
     return fresh
 
 
 def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
+    header = header_of(PINNED.read_bytes())
+    assert header["format"] == HEADER_FORMAT == "emord.checkpoint/3"
+    assert set(header) == set(_HEADER)
     loaded = load_checkpoint(PINNED)
     fresh = assert_is_the_fixture_checkpoint(loaded)
     for ck in (loaded, fresh):
@@ -357,35 +299,15 @@ def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
         assert resaved.read_bytes() == PINNED.read_bytes()
 
 
-def test_format_1_file_loads_with_tap_major_conv_weights():
-    raw = PINNED_V1.read_bytes()
-    header = header_of(raw)
-    assert header["format"] == HEADER_FORMAT_1 and "payload" not in header["hashes"]
-    loaded = load_checkpoint(PINNED_V1)
-    assert_is_the_fixture_checkpoint(loaded)
-    # each conv weight is the stored (Cout, Cin, k) array, transposed
-    payload = raw[16 + int.from_bytes(raw[8:16], "little") :]
-    arrays = {"": loaded.params, "m": loaded.optimizer.state.m, "v": loaded.optimizer.state.v}
-    for entry in header["arrays"]:
-        prefix, _, name = entry["name"].rpartition("/")
-        stored = np.frombuffer(
-            payload[entry["offset"] : entry["offset"] + entry["nbytes"]], dtype=entry["dtype"]
-        ).reshape(entry["shape"])
-        if name in ("conv1_w", "conv2_w"):
-            stored = stored.transpose(2, 1, 0)
-        assert np.array_equal(getattr(arrays[prefix], name), stored), entry["name"]
-
-
-def test_format_1_file_resaves_as_format_2(tmp_path):
-    resaved = tmp_path / "resaved.ckpt"
-    save_checkpoint(load_checkpoint(PINNED_V1), resaved)
-    raw = resaved.read_bytes()
-    header = header_of(raw)
-    assert header["format"] == HEADER_FORMAT == "emord.checkpoint/2"
-    payload = raw[16 + int.from_bytes(raw[8:16], "little") :]
-    assert header["hashes"]["payload"] == hashlib.sha256(payload).hexdigest()
-    assert_is_the_fixture_checkpoint(load_checkpoint(resaved))
-    assert raw == PINNED.read_bytes()
+@pytest.mark.parametrize("fmt", ["emord.checkpoint/1", "emord.checkpoint/2"])
+def test_rejects_an_earlier_format_by_name(tmp_path, fmt):
+    bad = rewrite_header(tmp_path, lambda header: set_key(header, "format", fmt))
+    match = f"unsupported header format '{fmt}'; this version reads 'emord.checkpoint/3'"
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(bad)
+    out = str(tmp_path / "out")
+    assert main(["predict", "--checkpoint", str(bad), "--text", "red green"]) == EXIT_INVALID
+    assert main(["eval", "--checkpoint", str(bad), "--corpus", str(bad), "--out", out]) == EXIT_INVALID
 
 
 def test_payload_hash_covers_every_arena(tmp_path):
@@ -400,23 +322,6 @@ def test_payload_hash_covers_every_arena(tmp_path):
         bad.write_bytes(bytes(case))
         with pytest.raises(CheckpointError, match="payload hash mismatch"):
             load_checkpoint(bad)
-
-
-@pytest.mark.parametrize(
-    "edit, match",
-    [
-        (lambda header: header["hashes"].pop("payload"), "missing key 'hashes.payload'"),
-        (lambda header: set_key(header, "format", HEADER_FORMAT_1), "unknown key 'hashes.payload'"),
-        (
-            lambda header: (set_key(header, "format", HEADER_FORMAT_1), header["hashes"].pop("payload")),
-            r"array 'conv1_w' has shape \[6, 4, 3\], model_config needs \[3, 4, 6\]",
-        ),
-    ],
-    ids=["format-2-without-payload-hash", "format-1-with-payload-hash", "format-1-with-format-2-table"],
-)
-def test_rejects_header_of_the_other_format(tmp_path, edit, match):
-    with pytest.raises(CheckpointError, match=match):
-        load_checkpoint(rewrite_header(tmp_path, edit))
 
 
 def rewrite_header(tmp_path, edit):
@@ -442,52 +347,21 @@ def set_key(header, dotted, value):
     header[last] = value
 
 
-def alias_moment_to_weight(header):
-    # m/fc3_b read from fc3_b's bytes: same byte count, so the sizes add up
-    entries = {entry["name"]: entry for entry in header["arrays"]}
-    entries["m/fc3_b"]["offset"] = entries["fc3_b"]["offset"]
-
-
-def add_junk_array(header, arrays):
-    arrays["junk"] = np.zeros(3, dtype="<f4")
-
-
-def drop_optimizer_keep_moments(header, arrays):
-    header["optimizer"] = None
-
-
-@pytest.mark.parametrize(
-    "edit, match",
-    [
-        (alias_moment_to_weight, "'m/fc3_b' byte range"),
-        (add_junk_array, "lists 34 arrays"),
-        (drop_optimizer_keep_moments, "lists 33 arrays, model_config and the optimizer field need 11"),
-    ],
-    ids=["aliased-offset", "extra-entry", "moments-without-optimizer"],
-)
-def test_rejects_array_table_not_derived_from_model_config(tmp_path, edit, match):
-    if edit is alias_moment_to_weight:
-        bad = rewrite_header(tmp_path, edit)
-    else:
-        bad = tampered(tmp_path, edit)
-    with pytest.raises(CheckpointError, match=match):
-        load_checkpoint(bad)
-
-
 @pytest.mark.parametrize(
     "key, value, match",
     [
-        ("loss_weights", 5, "'loss_weights' must be a list of two finite numbers"),
-        ("max_seq_length", "24", "'max_seq_length' must be a non-negative integer"),
-        ("model_config.vocab_size", "9", "'model_config.vocab_size' must be"),
-        ("optimizer.adamw.momentum", 0.9, "unknown key 'optimizer.adamw.momentum'"),
-        ("optimizer.step", "1", "'optimizer.step' must be"),
-        ("epochs_completed", "3", "'epochs_completed' must be"),
-        ("seed", True, "'seed' must be a non-negative integer, got True"),
-        ("vocab.min_freq", "1", "'vocab.min_freq' must be"),
+        ("recipe", ["softmax"], "'recipe' must be an object"),
+        ("recipe.format", "emord.train/2", r"invalid recipe \(unsupported format tag 'emord.train/2'\)"),
+        ("recipe.momentum", 0.9, "unknown key 'recipe.momentum'"),
+        ("recipe.batch_size", 2.0, r"invalid recipe \(batch_size must be an integer\)"),
+        ("recipe.learning_rate", 0.0, r"invalid recipe \(learning_rate must be positive, got 0.0\)"),
+        ("recipe.mode", "ordinal-3d", "invalid recipe .*unknown head mode 'ordinal-3d'"),
+        ("dtype", "float16", r"invalid model \(dtype must be float32 or float64, got 'float16'\)"),
+        ("optimizer_step", "1", "'optimizer_step' must be a non-negative integer or null"),
         ("taxonomy", ["1d"], "'taxonomy' must be an object"),
+        ("epochs_completed", "3", "'epochs_completed' must be"),
+        ("vocab.min_freq", "1", "'vocab.min_freq' must be"),
         ("taxonomy.mode", "3d", "invalid taxonomy"),
-        ("optimizer.adamw.learning_rate", 0.0, "invalid optimizer.adamw"),
     ],
 )
 def test_rejects_header_value_of_wrong_type(tmp_path, key, value, match):
@@ -497,13 +371,14 @@ def test_rejects_header_value_of_wrong_type(tmp_path, key, value, match):
 
 
 def test_rejects_vocab_size_not_matching_the_tokens(tmp_path):
+    # one token fewer gives a smaller embedding than the payload holds
     def drop_last_token(header):
         vocab = header["vocab"]
         vocab["tokens"] = vocab["tokens"][:-1]
         short = Vocabulary(tokens=tuple(vocab["tokens"]), min_freq=vocab["min_freq"])
         header["hashes"]["vocab"] = vocab_fingerprint(short)
 
-    with pytest.raises(CheckpointError, match="vocab_size is 7, the vocabulary needs 6"):
+    with pytest.raises(CheckpointError, match="payload is 2652 bytes, header expects 2604"):
         load_checkpoint(rewrite_header(tmp_path, drop_last_token))
 
 
@@ -526,14 +401,14 @@ def test_rejects_vocab_tokens_that_tokenization_cannot_yield(tmp_path, token, ma
 
 @pytest.mark.parametrize(
     "head_mode, match",
-    [("softmax", "output_width is 7, a softmax head over the taxonomy needs 23"),
+    [("softmax", "payload is 2652 bytes, header expects 3612"),
      ("ordinal-1d", "ordinal-1d head requires a 1d taxonomy")],
 )
 def test_rejects_output_width_not_matching_the_taxonomy(tmp_path, head_mode, match):
     grid = builtin_taxonomy("goemotions-grid-5x5")
 
     def use_grid(header):
-        header["model_config"]["head_mode"] = head_mode
+        header["recipe"]["mode"] = head_mode
         header["taxonomy"] = taxonomy_to_document(grid)
         header["hashes"]["taxonomy"] = taxonomy_fingerprint(grid)
 
@@ -542,7 +417,7 @@ def test_rejects_output_width_not_matching_the_taxonomy(tmp_path, head_mode, mat
 
 
 def test_rejects_max_seq_length_below_the_conv_minimum(tmp_path):
-    bad = rewrite_header(tmp_path, lambda header: set_key(header, "max_seq_length", 3))
+    bad = rewrite_header(tmp_path, lambda header: set_key(header, "recipe.max_seq_length", 3))
     with pytest.raises(CheckpointError, match="max_seq_length 3 is shorter than the 9 tokens"):
         load_checkpoint(bad)
 
@@ -608,6 +483,33 @@ def test_fuzz_header_values_of_another_type(fuzz_dir, choice, value):
         fuzz_dir / "case.ckpt",
         raw[:8] + len(header_bytes).to_bytes(8, "little") + header_bytes + raw[16 + header_len :],
     )
+
+
+#: A value of each JSON type, for the recipe, dtype and optimizer_step below.
+ANOTHER_TYPE = (None, True, 7, 1.5, "text", [1], {"a": 1})
+
+
+def fits(kind, value) -> bool:
+    """Whether a config document may hold `value` in a member of `kind`."""
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None
+        return value is None or fits(args[0], value)
+    if kind is float:
+        return type(value) in (int, float)
+    return type(value) is kind  # never for a tuple kind, which needs 2 or 3 items
+
+
+@pytest.mark.parametrize("key", [f"recipe.{name}" for name in _CONFIG_KINDS] + ["dtype", "optimizer_step"])
+def test_recipe_dtype_and_step_of_another_type_are_rejected(tmp_path, key):
+    # no value below is a dtype ("text" names none), and a null step
+    # disowns the saved moments
+    kind = _CONFIG_KINDS.get(key.removeprefix("recipe."), int if key == "optimizer_step" else None)
+    for value in ANOTHER_TYPE:
+        if kind is not None and fits(kind, value):
+            continue
+        bad = rewrite_header(tmp_path, lambda header: set_key(header, key, value))
+        with pytest.raises(CheckpointError, match=f"'{key}' must be|invalid (recipe|model)|payload is"):
+            load_checkpoint(bad)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)

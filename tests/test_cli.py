@@ -15,8 +15,8 @@ from emord.checkpoint import Checkpoint, save_checkpoint
 from emord.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, LockError, locked_output_dir, main
 from emord.data import LabeledCorpus, build_vocab, save_corpus_tsv
 from emord.net import init_params
+from emord.recipe import TrainConfig
 from emord.taxonomy import builtin_taxonomy
-from test_net import preset_model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -351,10 +351,9 @@ def grid_checkpoint(path):
     """An untrained ordinal-2d checkpoint over the grid taxonomy, saved to `path`."""
     taxonomy = builtin_taxonomy("goemotions-grid-5x5")
     vocab = build_vocab(LabeledCorpus((("alpha beta gamma delta", "joy"),)))
-    config = preset_model("desk", vocab.size, 8, "ordinal-2d")
-    save_checkpoint(
-        Checkpoint(config, init_params(config, seed=0), taxonomy, vocab, max_seq_length=12), path
-    )
+    recipe = TrainConfig(mode="ordinal-2d", taxonomy="goemotions-grid-5x5", max_seq_length=12)
+    config = recipe.model_config(vocab.size, taxonomy)
+    save_checkpoint(Checkpoint(config, init_params(config, seed=0), taxonomy, vocab, recipe), path)
     return path
 
 

@@ -19,8 +19,14 @@ def digest_lines(out: Path) -> list[str]:
 def test_two_runs_in_other_directories_print_the_same_digests(tmp_path):
     first = digest_lines(tmp_path / "a")
     assert digest_lines(tmp_path / "b" / "nested") == first  # the directory is masked
-    paths = [line.split("  ")[1] for line in first]
-    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in first)
+    digests = [line for line in first if not line.startswith("resave ")]
+    paths = [line.split("  ")[1] for line in digests]
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in digests)
+    # every checkpoint, CLI-trained or biased, resaves byte for byte
+    checkpoints = [path for path in paths if path.endswith(".ckpt")]
+    assert [line for line in first if line.startswith("resave ")] == [
+        f"resave equal  {path}" for path in checkpoints
+    ]
     served = (
         "eval/report.json",
         "eval/confusion.csv",
@@ -42,11 +48,12 @@ def test_two_runs_in_other_directories_print_the_same_digests(tmp_path):
     synthesized = ("spec.json", "synth/corpus.tsv", "synth/taxonomy.json", "synth/manifest.json", "train.json")
     for artifact in synthesized + trained + served:
         assert f"softmax-grid-documents/{artifact}" in paths
-    # the config's lists reach the model's widths, and its JSON integers are written as floats
+    # the config's lists reach the recipe's widths, and its JSON integers are written as floats
     raw = (tmp_path / "a" / "softmax-grid-documents" / "train" / "final.ckpt").read_bytes()
     header = raw[16 : 16 + int.from_bytes(raw[8:16], "little")].decode("utf-8")
-    assert '"conv_channels":[48,80]' in header and '"ffnn_hidden":[96,48]' in header
-    assert '"loss_weights":[1.0,0.5]' in header and '"weight_decay":0.0' in header
+    recipe = json.dumps(json.loads(header)["recipe"], sort_keys=True, separators=(",", ":"))
+    assert '"conv_channels":[48,80]' in recipe and '"ffnn_hidden":[96,48]' in recipe
+    assert '"loss_weights":[1.0,0.5]' in recipe and '"weight_decay":0.0' in recipe
     # the biased head sends some rows off-grid, and not all
     biased = tmp_path / "a" / "ordinal-2d-biased" / "predict.jsonl"
     lines = biased.read_text(encoding="utf-8").splitlines()

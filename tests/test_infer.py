@@ -13,9 +13,10 @@ from emord.checkpoint import Checkpoint
 from emord.codec import CodecError, decode_thermometer_batch, encode_thermometer, target_for
 from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
 from emord.infer import decode_outputs, predict_ids, predict_text
-from emord.net import ModelConfig, NetError, forward, init_params
+from emord.net import NetError, forward, init_params
+from emord.recipe import TrainConfig
 from emord.taxonomy import TaxonomyError, builtin_taxonomy, parse_taxonomy
-from test_net import preset_model, reference_forward
+from test_net import reference_forward
 from test_taxonomy import plain_chebyshev, plain_l1
 
 ISEAR = builtin_taxonomy("isear-valence")
@@ -284,27 +285,17 @@ def test_softmax_decode_rejects_a_block_of_another_shape(taxonomy, shape):
 
 def make_checkpoint(mode="softmax"):
     taxonomy = GRID if mode == "ordinal-2d" else ISEAR
-    corpus = LabeledCorpus((("alpha beta gamma delta", "joy"),))
-    vocab = build_vocab(corpus)
-    width = {"softmax": 7, "ordinal-1d": 6, "ordinal-2d": 8}[mode]
-    config = ModelConfig(
-        vocab_size=vocab.size,
-        output_width=width,
-        head_mode=mode,
+    vocab = build_vocab(LabeledCorpus((("alpha beta gamma delta", "joy"),)))
+    recipe = TrainConfig(
+        mode=mode,
+        max_seq_length=12,
         embed_dim=4,
         conv_channels=(3, 3),
         kernel_sizes=(6, 4),
         ffnn_hidden=(5, 4),
-        dtype="float32",
     )
-    return Checkpoint(
-        config=config,
-        params=init_params(config, seed=0),
-        taxonomy=taxonomy,
-        vocab=vocab,
-        max_seq_length=12,
-        seed=0,
-    )
+    config = recipe.model_config(vocab.size, taxonomy)
+    return Checkpoint(config, init_params(config, seed=0), taxonomy, vocab, recipe)
 
 
 def test_predict_ids_matches_forward(mode="ordinal-1d"):
@@ -376,7 +367,7 @@ def test_a_slice_of_decoded_rows_is_decoded_rows(mode, taxonomy, width):
 def test_predict_text_roundtrip():
     ck = make_checkpoint()
     pred = predict_text(ck, "alpha beta unknownword gamma")
-    ids = encode_text("alpha beta unknownword gamma", ck.vocab, ck.max_seq_length)
+    ids = encode_text("alpha beta unknownword gamma", ck.vocab, ck.recipe.max_seq_length)
     outputs, _ = forward(ck.params, ck.config, ids[None, :])
     (direct,) = decode_outputs(ck.taxonomy, "softmax", outputs)
     assert pred.label == direct.label
@@ -407,13 +398,11 @@ def desk_checkpoint(mode, t=32, **widths):
     """
     taxonomy = GRID if mode == "ordinal-2d" else ISEAR
     vocab = build_vocab(LabeledCorpus(((" ".join(f"w{i}" for i in range(40)), "joy"),)))
-    width = {"softmax": 7, "ordinal-1d": 6, "ordinal-2d": 8}[mode]
-    config = preset_model("desk", vocab.size, width, mode, **widths)
+    recipe = TrainConfig(mode=mode, max_seq_length=t, seed=3, **widths)
+    config = recipe.model_config(vocab.size, taxonomy)
     params = init_params(config, seed=3)
     params.arena[...] *= 4
-    return Checkpoint(
-        config=config, params=params, taxonomy=taxonomy, vocab=vocab, max_seq_length=t, seed=3
-    )
+    return Checkpoint(config, params, taxonomy, vocab, recipe)
 
 
 def padded_rows(rng, n, t, vocab_size, lengths):
@@ -434,7 +423,7 @@ def test_trimmed_predict_ids_outputs_equal_untrimmed_forward(mode, batch):
     # rows under T - 8 get trimmed, rows at and over it keep all T columns;
     # the reference runs every column
     ck = desk_checkpoint(mode)
-    t = ck.max_seq_length
+    t = ck.recipe.max_seq_length
     rng = np.random.default_rng(batch)
     short = [1, 2, 5, t - 12, t - 9]
     for lengths in ([1, 2, 5], short, short + [t - 8], short + [t - 7, t]):

@@ -12,10 +12,18 @@ from emord.metrics import (
     write_pairs_csv,
     write_report_json,
 )
+from emord.recipe import TrainConfig
 from emord.taxonomy import builtin_taxonomy
 
 ISEAR = builtin_taxonomy("isear-valence")
 GRID = builtin_taxonomy("goemotions-grid-5x5")
+
+
+def grid_recipe(**widths) -> TrainConfig:
+    """An ordinal-2d recipe over the grid at sequence length 12."""
+    return TrainConfig(
+        mode="ordinal-2d", taxonomy="goemotions-grid-5x5", max_seq_length=12, **widths
+    )
 
 
 def test_confusion_matrix_layout():
@@ -161,37 +169,17 @@ def test_writers(tmp_path):
 def test_holdout_validation_errors():
     from emord.checkpoint import Checkpoint
     from emord.data import LabeledCorpus, build_vocab
-    from emord.net import ModelConfig, init_params
+    from emord.net import init_params
 
     vocab = build_vocab(LabeledCorpus((("cue0 cue1 fill0 fill1", "joy"),)))
-    config = ModelConfig(
-        vocab_size=vocab.size,
-        output_width=8,
-        head_mode="ordinal-2d",
-        embed_dim=4,
-        conv_channels=(3, 3),
-        kernel_sizes=(6, 4),
-        ffnn_hidden=(5, 4),
-        dtype="float32",
-    )
-    ck = Checkpoint(
-        config=config,
-        params=init_params(config, 0),
-        taxonomy=GRID,
-        vocab=vocab,
-        max_seq_length=12,
-    )
+    recipe = grid_recipe(embed_dim=4, conv_channels=(3, 3), ffnn_hidden=(5, 4))
+    config = recipe.model_config(vocab.size, GRID)
+    ck = Checkpoint(config, init_params(config, 0), GRID, vocab, recipe)
     mixed = LabeledCorpus((("cue0 cue1", "joy"), ("cue0 cue1", "grief")))
     with pytest.raises(MetricsError, match="only 'joy'"):
         holdout_proximity(ck, mixed, "joy")
 
-    ck_1d = Checkpoint(
-        config=config,
-        params=ck.params,
-        taxonomy=ISEAR,
-        vocab=vocab,
-        max_seq_length=12,
-    )
+    ck_1d = Checkpoint(config, ck.params, ISEAR, vocab, recipe)
     with pytest.raises(MetricsError, match="grid"):
         holdout_proximity(ck_1d, mixed, "joy")
 
@@ -202,29 +190,15 @@ def test_holdout_distances_use_raw_cells():
     from emord.checkpoint import Checkpoint
     from emord.data import LabeledCorpus, build_vocab, encode_corpus
     from emord.infer import predict_ids
-    from emord.net import ModelConfig, init_params
+    from emord.net import init_params
 
     corpus = LabeledCorpus(
         tuple((f"cue{i} fill0 fill1 fill2", "joy") for i in range(4))
     )
     vocab = build_vocab(corpus)
-    config = ModelConfig(
-        vocab_size=vocab.size,
-        output_width=8,
-        head_mode="ordinal-2d",
-        embed_dim=4,
-        conv_channels=(3, 3),
-        kernel_sizes=(6, 4),
-        ffnn_hidden=(5, 4),
-        dtype="float32",
-    )
-    ck = Checkpoint(
-        config=config,
-        params=init_params(config, 0),
-        taxonomy=GRID,
-        vocab=vocab,
-        max_seq_length=12,
-    )
+    recipe = grid_recipe(embed_dim=4, conv_channels=(3, 3), ffnn_hidden=(5, 4))
+    config = recipe.model_config(vocab.size, GRID)
+    ck = Checkpoint(config, init_params(config, 0), GRID, vocab, recipe)
     report = holdout_proximity(ck, corpus, "joy")
     token_ids, _ = encode_corpus(corpus, vocab, 12)
     preds = predict_ids(ck, token_ids)
@@ -240,30 +214,16 @@ def spread_grid_model():
     """An untrained ordinal-2d model whose 300 texts decode to 8 cells, one unlabeled."""
     from emord.checkpoint import Checkpoint
     from emord.data import LabeledCorpus, build_vocab
-    from emord.net import ModelConfig, init_params
+    from emord.net import init_params
 
     rng = np.random.default_rng(0)
     corpus = LabeledCorpus(
         tuple((" ".join(f"w{j}" for j in rng.integers(0, 30, size=6)), "joy") for _ in range(300))
     )
     vocab = build_vocab(corpus)
-    config = ModelConfig(
-        vocab_size=vocab.size,
-        output_width=8,
-        head_mode="ordinal-2d",
-        embed_dim=8,
-        conv_channels=(8, 8),
-        kernel_sizes=(6, 4),
-        ffnn_hidden=(16, 16),
-        dtype="float32",
-    )
-    ck = Checkpoint(
-        config=config,
-        params=init_params(config, 0),
-        taxonomy=GRID,
-        vocab=vocab,
-        max_seq_length=12,
-    )
+    recipe = grid_recipe(embed_dim=8, conv_channels=(8, 8), ffnn_hidden=(16, 16))
+    config = recipe.model_config(vocab.size, GRID)
+    ck = Checkpoint(config, init_params(config, 0), GRID, vocab, recipe)
     return ck, corpus
 
 
@@ -271,7 +231,7 @@ def decode_rows(ck, corpus):
     from emord.data import encode_corpus
     from emord.infer import predict_ids
 
-    decoded = predict_ids(ck, encode_corpus(corpus, ck.vocab, ck.max_seq_length)[0])
+    decoded = predict_ids(ck, encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length)[0])
     return [decoded[i] for i in range(len(decoded))]
 
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from emord.checkpoint import load_checkpoint, save_checkpoint
-from emord.data import LabeledCorpus, SyntheticSpec, generate_synthetic
-from emord.taxonomy import builtin_taxonomy
+from emord.data import LabeledCorpus, SyntheticSpec, generate_synthetic, save_corpus_tsv
+from emord.hashing import canonical_json
+from emord.taxonomy import builtin_taxonomy, save_taxonomy
 from emord.trainer import (
     PRESETS,
     TrainConfig,
@@ -73,7 +74,7 @@ def test_config_validation():
     # the AdamW hyperparameters are AdamWConfig's to check, reported as ours
     with pytest.raises(TrainerError, match=r"^beta1 must be in \[0, 1\), got 1.5$"):
         tiny_config(beta1=1.5)
-    with pytest.raises(TrainerError, match="^eps must be positive, got 0$"):
+    with pytest.raises(TrainerError, match=r"^eps must be positive, got 0\.0$"):
         tiny_config(eps=0)
     assert tiny_config().adamw.learning_rate == 1e-2
 
@@ -195,6 +196,22 @@ def test_config_rejects_negative_seed():
     assert tiny_config(seed=0).seed == 0
 
 
+def test_float_fields_hold_floats():
+    # equal configs must give equal documents, and so equal manifests and
+    # checkpoint bytes, whether a float was written as an integer or not
+    ints = tiny_config(learning_rate=1, weight_decay=0, loss_weights=(1, 0.5), split=(1, 0, 0))
+    floats = tiny_config(
+        learning_rate=1.0, weight_decay=0.0, loss_weights=(1.0, 0.5), split=(1.0, 0.0, 0.0)
+    )
+    assert ints == floats
+    assert canonical_json(ints.to_document()) == canonical_json(floats.to_document())
+    for name in FLOAT_FIELDS:
+        value = getattr(ints, name)
+        assert all(type(x) is float for x in (value if isinstance(value, tuple) else (value,)))
+    with pytest.raises(TrainerError, match="^weight_decay must be numeric, got '0.1'$"):
+        tiny_config(weight_decay="0.1")
+
+
 def test_config_document_roundtrip():
     config = tiny_config(mode="ordinal-1d", learning_rate=3e-3)
     doc = config.to_document()
@@ -243,7 +260,7 @@ def test_resume_matches_uninterrupted_run():
         straight.final.params.named(), resumed_result.final.params.named()
     ):
         assert np.array_equal(arr_a, arr_b), name
-    assert resumed_result.final.optimizer.state.step == straight.final.optimizer.state.step
+    assert resumed_result.final.optimizer.step == straight.final.optimizer.step
 
 
 def test_resume_from_disk_is_byte_identical(tmp_path):
@@ -272,7 +289,7 @@ def test_snapshots_have_frozen_params_and_writable_moments():
     assert not snapshot.params.arena.flags.writeable and trainer.params.arena.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         snapshot.params.fc1_w[0, 0] = 1.0
-    state = snapshot.optimizer.state
+    state = snapshot.optimizer
     assert state.m.arena.flags.writeable and state.v.arena.flags.writeable
     kept = snapshot.params.arena.copy()
     trainer.run_epoch()
@@ -297,13 +314,30 @@ def test_resume_rejects_mismatched_data():
 @pytest.mark.parametrize(
     "name, value",
     [("max_seq_length", 20), ("learning_rate", 0.5), ("loss_weights", (1.0, 2.0)),
-     ("beta1", 0.8), ("beta2", 0.99), ("eps", 1e-6), ("weight_decay", 0.0), ("seed", 1)],
+     ("beta1", 0.8), ("beta2", 0.99), ("eps", 1e-6), ("weight_decay", 0.0), ("seed", 1),
+     ("batch_size", 4), ("split", (0.7, 0.2, 0.1)), ("min_freq", 2), ("preset", "paper")],
 )
 def test_resume_rejects_a_config_the_run_did_not_use(name, value):
     corpus = tiny_corpus()
     result = train(tiny_config(), corpus)
     with pytest.raises(TrainerError, match=f"^checkpoint has {name}="):
         Trainer.resume(tiny_config(epochs=4, **{name: value}), result.final, corpus)
+
+
+def test_resume_accepts_other_epochs_corpus_path_and_taxonomy_spelling(tmp_path):
+    # the same data under another path, and the same taxonomy as a JSON
+    # file instead of its builtin name
+    corpus = tiny_corpus()
+    save_corpus_tsv(corpus, tmp_path / "a.tsv")
+    save_corpus_tsv(corpus, tmp_path / "b.tsv")
+    save_taxonomy(ISEAR, tmp_path / "isear.json")
+    result = train(tiny_config(corpus=str(tmp_path / "a.tsv")))
+    config = tiny_config(
+        epochs=3, corpus=str(tmp_path / "b.tsv"), taxonomy=str(tmp_path / "isear.json")
+    )
+    resumed = Trainer.resume(config, result.final)
+    assert resumed.epochs_done == 2
+    assert resumed.run().final.epochs_completed == 3
 
 
 def test_resume_with_nothing_left_to_do():
