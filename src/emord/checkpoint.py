@@ -143,10 +143,7 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
     """Write atomically in format 3; identical Checkpoint contents give identical bytes."""
     path = Path(path)
     cfg = ck.config
-    try:
-        derived = ck.recipe.model_config(ck.vocab.size, ck.taxonomy, cfg.dtype)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: the recipe builds no model ({exc})") from exc
+    derived = _parse(path, "recipe", ck.recipe.model_config, ck.vocab.size, ck.taxonomy, cfg.dtype)
     if cfg != derived:
         raise CheckpointError(f"{path}: the model config is not the one the recipe builds")
     arenas = [ck.params]

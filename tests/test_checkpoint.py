@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emord.checkpoint import (
-    _HEADER,
     HEADER_FORMAT,
     Checkpoint,
     CheckpointError,
@@ -58,6 +57,10 @@ def make_checkpoint(with_optimizer=False, dtype="float32") -> Checkpoint:
         optimizer = AdamWState.initial(params)
         adamw_step(params, params.copy(), optimizer, RECIPE.adamw)
     return Checkpoint(config, params, taxonomy, vocab, RECIPE, epochs_completed=3, optimizer=optimizer)
+
+
+def header_of(raw: bytes) -> dict:
+    return json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])
 
 
 def assert_params_equal(a, b):
@@ -158,17 +161,18 @@ def test_save_rejects_a_model_config_the_recipe_does_not_build(tmp_path):
     with pytest.raises(CheckpointError, match="not the one the recipe builds"):
         save_checkpoint(wider, tmp_path / "model.ckpt")
     short = dataclasses.replace(ck, recipe=dataclasses.replace(RECIPE, max_seq_length=8))
-    with pytest.raises(CheckpointError, match="the recipe builds no model .*shorter than the 9 tokens"):
+    with pytest.raises(CheckpointError, match=r"invalid recipe \(max_seq_length 8 is shorter than the 9 tokens"):
         save_checkpoint(short, tmp_path / "model.ckpt")
     assert not (tmp_path / "model.ckpt").exists()
 
 
-def header_keys(schema, where=""):
-    """Every key of a format-3 header, nested ones dotted, recipe members included."""
-    for key, kind in schema.items():
+def header_keys(document, where=""):
+    """Every key of a saved header, nested ones dotted; the taxonomy document's
+    members are parse_taxonomy's to check."""
+    for key, value in document.items():
         yield where + key
-        if isinstance(kind, dict):
-            yield from header_keys(kind, where + key + ".")
+        if type(value) is dict and key != "taxonomy":
+            yield from header_keys(value, where + key + ".")
 
 
 def drop_key(header, dotted):
@@ -178,7 +182,7 @@ def drop_key(header, dotted):
     del header[last]
 
 
-@pytest.mark.parametrize("key", [key for key in header_keys(_HEADER) if key != "format"])
+@pytest.mark.parametrize("key", [key for key in header_keys(header_of(PINNED.read_bytes())) if key != "format"])
 def test_missing_header_key_is_a_checkpoint_error(tmp_path, key):
     with pytest.raises(CheckpointError, match=f"missing key '{key}'"):
         load_checkpoint(rewrite_header(tmp_path, lambda header: drop_key(header, key)))
@@ -270,10 +274,6 @@ def test_file_that_shrinks_while_loading_is_a_checkpoint_error(tmp_path, monkeyp
         load_checkpoint(path)
 
 
-def header_of(raw: bytes) -> dict:
-    return json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])
-
-
 def assert_is_the_fixture_checkpoint(loaded):
     fresh = make_checkpoint(with_optimizer=True)
     assert loaded.config == fresh.config
@@ -290,7 +290,10 @@ def assert_is_the_fixture_checkpoint(loaded):
 def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
     header = header_of(PINNED.read_bytes())
     assert header["format"] == HEADER_FORMAT == "emord.checkpoint/3"
-    assert set(header) == set(_HEADER)
+    assert set(header) == {
+        "format", "recipe", "dtype", "taxonomy", "vocab", "epochs_completed", "optimizer_step", "hashes"
+    }
+    assert header["recipe"] == RECIPE.to_document()
     loaded = load_checkpoint(PINNED)
     fresh = assert_is_the_fixture_checkpoint(loaded)
     for ck in (loaded, fresh):
