@@ -16,7 +16,8 @@ reproducibility.  Layout:
                  AdamW m and v arenas, raw little-endian, back to back
 
 The header states each fact once: the resolved TrainConfig as its config
-document (`recipe`), the parameter dtype, the taxonomy document, the
+document (`recipe`, without the directories the data was read from, so the
+bytes do not depend on them), the parameter dtype, the taxonomy document, the
 vocabulary, the epochs completed, the AdamW step (null without moments),
 and the sha256 of the taxonomy, the vocabulary and the payload bytes.  The
 model's widths, the arrays' shapes and byte ranges and the payload size all
@@ -67,7 +68,8 @@ class Checkpoint:
 
     `config` is `recipe.model_config(vocab.size, taxonomy, dtype)`, and
     `optimizer` holds the AdamW moments of a resumable checkpoint; the AdamW
-    hyperparameters are `recipe.adamw`.
+    hyperparameters are `recipe.adamw`.  save_checkpoint stores
+    `recipe.portable()`, so a loaded recipe names no data directory.
     """
 
     config: ModelConfig
@@ -162,7 +164,7 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
 
     header = {
         "format": HEADER_FORMAT,
-        "recipe": ck.recipe.to_document(),
+        "recipe": ck.recipe.portable().to_document(),
         "dtype": cfg.dtype,
         "taxonomy": taxonomy_to_document(ck.taxonomy),
         "vocab": {"tokens": list(ck.vocab.tokens), "min_freq": ck.vocab.min_freq},

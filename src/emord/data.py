@@ -342,13 +342,10 @@ def encode_corpus(
         map(_raw_token_id, raw, repeat(vocab._index)), dtype=np.int32, count=len(raw)
     )
     token_ids = by_raw[ids]
-    kept = token_ids != 0
-    counts = lengths
-    if not kept.all():  # a raw token that cleans to nothing is dropped
-        token_ids = token_ids[kept]
-        rows = np.repeat(np.arange(len(lengths)), lengths)[kept]
-        counts = np.bincount(rows, minlength=len(lengths))
-    del kept
+    dropped = np.flatnonzero(token_ids == 0)  # raw tokens that clean to nothing
+    rows = np.searchsorted(np.cumsum(lengths), dropped, side="right")
+    counts = lengths - np.bincount(rows, minlength=len(lengths))
+    token_ids = np.delete(token_ids, dropped)
     if not counts.all():
         i = int(np.argmin(counts))
         raise DataError(

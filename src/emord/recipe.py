@@ -175,6 +175,17 @@ class TrainConfig:
             )
         return config
 
+    def portable(self) -> "TrainConfig":
+        """This recipe without the directories its data was read from.
+
+        `corpus` and `synthetic` become None and a taxonomy file is named by
+        its file name (a builtin name stays as it is), so a checkpoint that
+        stores this recipe has the same bytes wherever the run's data lived.
+        """
+        return dataclasses.replace(
+            self, corpus=None, synthetic=None, taxonomy=Path(self.taxonomy).name
+        )
+
     def to_document(self) -> dict:
         """JSON-ready snapshot of every resolved value (manifest and checkpoint)."""
         doc: dict = {"format": CONFIG_FORMAT}

@@ -106,6 +106,26 @@ def test_resave_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_bytes_do_not_depend_on_where_the_data_lived(tmp_path):
+    ck = make_checkpoint(with_optimizer=True)
+    save_checkpoint(ck, tmp_path / "plain.ckpt")
+    elsewhere = {
+        "corpus": {"corpus": str(tmp_path / "a" / "train.tsv")},
+        "synthetic": {"synthetic": str(tmp_path / "b" / "spec.json")},
+    }
+    for name, location in elsewhere.items():
+        ck.recipe = dataclasses.replace(RECIPE, **location)
+        save_checkpoint(ck, tmp_path / f"{name}.ckpt")
+        assert (tmp_path / f"{name}.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
+    # a taxonomy file is recorded by its file name, the same from any directory
+    for directory in ("a", "b/nested"):
+        ck.recipe = dataclasses.replace(RECIPE, taxonomy=str(tmp_path / directory / "mine.json"))
+        save_checkpoint(ck, tmp_path / "file.ckpt")
+        loaded = load_checkpoint(tmp_path / "file.ckpt")
+        assert loaded.recipe == dataclasses.replace(RECIPE, taxonomy="mine.json")
+        assert loaded.recipe.corpus is None and loaded.recipe.synthetic is None
+
+
 def test_float64_params_roundtrip(tmp_path):
     ck = make_checkpoint(dtype="float64")
     path = tmp_path / "f64.ckpt"

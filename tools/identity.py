@@ -23,14 +23,13 @@ writes: `emord synth --spec` writes a grid corpus, and `emord train
 and `loss_weights` as lists and `weight_decay` written as a JSON integer.
 The commands run as
 `python3 -m emord.cli` on this checkout's src/, with absolute paths, so the
-output directory appears in each manifest.json and, through the recipe, in
-each checkpoint header, and so in the sha256 of a checkpoint that an eval
-manifest records; all are masked before hashing.  The documents
-case's train config names its corpus relative to the case directory, where
-that `train` runs, so the config holds no directory.  After each
-checkpoint's digest comes one line saying whether `load_checkpoint` then
-`save_checkpoint` writes its bytes again, which guards the recipe's round
-trip (the documents case's JSON integers included).
+output directory appears in each manifest.json; it is masked there before
+hashing.  A checkpoint's recipe names no data directory, so checkpoints are
+hashed as written.  The documents case's train config names its corpus
+relative to the case directory, where that `train` runs, so the config holds
+no directory.  After each checkpoint's digest comes one line saying whether
+`load_checkpoint` then `save_checkpoint` writes its bytes again, which guards
+the recipe's round trip (the documents case's JSON integers included).
 A checkout without this file can run a copy of it.
 
 Digests depend on the BLAS kernel numpy uses, so compare two checkouts on
@@ -196,13 +195,6 @@ def run_biased_case(case: Path, source: Path) -> None:
     serve(case, case / "biased.ckpt", source)
 
 
-def masked_header(data: bytes, out: bytes) -> bytes:
-    """A checkpoint's bytes with `out` replaced by $OUT in its header."""
-    end = 16 + int.from_bytes(data[8:16], "little")
-    header = data[16:end].replace(out, b"$OUT")
-    return data[:8] + len(header).to_bytes(8, "little") + header + data[end:]
-
-
 def resaves_equal(path: Path) -> bool:
     """Whether save_checkpoint(load_checkpoint(path)) writes `path`'s bytes again."""
     with tempfile.TemporaryDirectory() as scratch:
@@ -212,27 +204,15 @@ def resaves_equal(path: Path) -> bool:
 
 
 def digests(out: Path) -> list[str]:
-    """`sha256  path` for every file under `out`, `out` masked, and after each
-    checkpoint's line whether it resaves byte for byte.
-
-    `out` is masked in each manifest and in each checkpoint header, whose
-    recipe names the corpus the run read; an eval manifest's sha256 of its
-    checkpoint becomes the masked checkpoint's.
-    """
-    out_bytes = json.dumps(str(out))[1:-1].encode("utf-8")  # as JSON writes it
-    files = {path: path.read_bytes() for path in sorted(p for p in out.rglob("*") if p.is_file())}
-    checkpoint_shas = {}
-    for path, data in files.items():
-        if path.suffix == ".ckpt":
-            files[path] = masked_header(data, out_bytes)
-            checkpoint_shas[hashlib.sha256(data).hexdigest()] = hashlib.sha256(files[path]).hexdigest()
+    """`sha256  path` for every file under `out`, with `out` masked in each
+    manifest, and after each checkpoint's line whether it resaves byte for byte."""
+    masked = json.dumps(str(out))[1:-1].encode("utf-8")  # as json.dump writes it
     lines = []
-    for path, data in files.items():
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
         name = path.relative_to(out).as_posix()
         if path.name == "manifest.json":
-            data = data.replace(out_bytes, b"$OUT")
-            for raw, masked in checkpoint_shas.items():
-                data = data.replace(raw.encode("ascii"), masked.encode("ascii"))
+            data = data.replace(masked, b"$OUT")
         lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
         if path.suffix == ".ckpt":
             lines.append(f"resave {'equal' if resaves_equal(path) else 'differs'}  {name}")
