@@ -22,9 +22,10 @@ vocabulary, the epochs completed, the AdamW step (null without moments),
 and the sha256 of the taxonomy, the vocabulary and the payload bytes.  The
 model's widths, the arrays' shapes and byte ranges and the payload size all
 follow from the recipe, the vocabulary size and the taxonomy through
-TrainConfig.model_config, which the trainer builds its model with too.
-load_checkpoint checks every header field's JSON type, reads the recipe as
-a config file is read, re-verifies the hashes and derives the rest.
+TrainConfig.model_config, which the trainer builds its model with and a
+Checkpoint derives its `config` with.  load_checkpoint checks every header
+field's JSON type, reads the recipe as a config file is read, re-verifies
+the hashes and derives the rest.
 
 Saves and loads are format 3 (HEADER_FORMAT) only; a file of an earlier
 format is rejected by name.
@@ -37,7 +38,7 @@ import json
 import os
 import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,19 +67,27 @@ class CheckpointError(ValueError):
 class Checkpoint:
     """Everything needed to run (and optionally resume training) a model.
 
-    `config` is `recipe.model_config(vocab.size, taxonomy, dtype)`, and
-    `optimizer` holds the AdamW moments of a resumable checkpoint; the AdamW
-    hyperparameters are `recipe.adamw`.  save_checkpoint stores
-    `recipe.portable()`, so a loaded recipe names no data directory.
+    `config` is derived once, on construction, as `recipe.model_config(
+    vocab.size, taxonomy, params.arena.dtype.name)`, so it is always the
+    model the recipe builds.  `optimizer` holds the AdamW moments of a
+    resumable checkpoint; the AdamW hyperparameters are `recipe.adamw`.
+    save_checkpoint stores `recipe.portable()`, so a loaded recipe names no
+    data directory.
     """
 
-    config: ModelConfig
     params: ModelParams
     taxonomy: EmotionTaxonomy
     vocab: Vocabulary
     recipe: TrainConfig
     epochs_completed: int = 0
     optimizer: AdamWState | None = None
+    # stored, not a property: inference reads it several times per text
+    config: ModelConfig = field(init=False, compare=False)
+
+    def __post_init__(self):
+        self.config = self.recipe.model_config(
+            self.vocab.size, self.taxonomy, self.params.arena.dtype.name
+        )
 
 
 def vocab_fingerprint(vocab: Vocabulary) -> str:
@@ -145,9 +154,6 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
     """Write atomically in format 3; identical Checkpoint contents give identical bytes."""
     path = Path(path)
     cfg = ck.config
-    derived = _parse(path, "recipe", ck.recipe.model_config, ck.vocab.size, ck.taxonomy, cfg.dtype)
-    if cfg != derived:
-        raise CheckpointError(f"{path}: the model config is not the one the recipe builds")
     arenas = [ck.params]
     if ck.optimizer is not None:
         arenas += [ck.optimizer.m, ck.optimizer.v]
@@ -273,7 +279,6 @@ def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
     params, *moments = arenas
 
     return Checkpoint(
-        config=config,
         params=params,
         taxonomy=taxonomy,
         vocab=vocab,

@@ -4,7 +4,8 @@ Subcommands: synth (generate a marker-token corpus), train, eval, predict,
 gradcheck.  Conventions, kept strictly:
 
 - Exit codes: 0 success, 1 invalid input or a failed check, 2 runtime
-  failure (training divergence, locked output directory, I/O trouble).
+  failure (training divergence, locked output directory, I/O trouble, a
+  model too large to allocate).
 - Human-readable output goes to stderr; only `predict` writes data (JSON
   lines) to stdout, so pipelines stay clean.
 - Commands that produce artifacts take --out DIR, hold a .lock file there
@@ -13,19 +14,20 @@ gradcheck.  Conventions, kept strictly:
   hashes, so reruns can be compared file-by-file.  eval computes its report
   first, so a failed eval writes no manifest.
 - For train, values resolve as: command-line flags over config-file values
-  over preset defaults.
+  over preset defaults.  Every TrainConfig field has one flag,
+  --field-name, generated from its kind in `_CONFIG_KINDS`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import os
 import socket
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
@@ -53,8 +55,8 @@ from .metrics import (
 )
 from .taxonomy import save_taxonomy
 from .trainer import (
+    _CONFIG_KINDS,
     PRESETS,
-    TrainConfig,
     Trainer,
     TrainingDivergedError,
     load_train_config_file,
@@ -69,6 +71,22 @@ EXIT_RUNTIME = 2
 MANIFEST_FORMAT = "emord.manifest/1"
 
 logger = logging.getLogger("emord")
+
+#: How `emord train --help` presents a TrainConfig field's flag, beyond the
+#: name, type and arity its kind gives: help, choices and metavar.
+_TRAIN_FLAGS = {
+    "mode": {"choices": list(HEAD_MODES), "help": "head mode"},
+    "taxonomy": {"help": "builtin taxonomy name or JSON path"},
+    "corpus": {"help": "labeled corpus file"},
+    "corpus_format": {"choices": list(CORPUS_FORMATS)},
+    "synthetic": {"help": "synthetic spec JSON file (instead of --corpus)"},
+    "preset": {"choices": list(PRESETS), "help": "width/lr preset (default desk)"},
+    "split": {"metavar": ("TRAIN", "VAL", "TEST")},
+    "loss_weights": {
+        "metavar": ("VALENCE", "AROUSAL"),
+        "help": "per-head loss weights (ordinal-2d only)",
+    },
+}
 
 #: What json.dumps(obj, sort_keys=True) builds on every call, built once.
 _PREDICTION_JSON = json.JSONEncoder(sort_keys=True)
@@ -154,16 +172,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_overrides(args) -> dict:
-    """The TrainConfig fields set by flags; a field with no flag reads as None."""
-    return {
-        field.name: getattr(args, field.name, None) for field in dataclasses.fields(TrainConfig)
-    }
-
-
 def cmd_train(args) -> int:
     file_values = load_train_config_file(args.config) if args.config else {}
-    config = resolve_train_config(file_values, _train_overrides(args))
+    config = resolve_train_config(file_values, {name: getattr(args, name) for name in _CONFIG_KINDS})
     inputs: dict = {}
     if config.corpus is not None:
         inputs["corpus"] = sha256_file(config.corpus)
@@ -331,31 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
         "history.jsonl, and manifest.json.",
     )
     p_train.add_argument("--config", help="training config JSON file")
-    p_train.add_argument("--preset", choices=list(PRESETS), help="width/lr preset (default desk)")
-    p_train.add_argument("--mode", choices=list(HEAD_MODES), help="head mode")
-    p_train.add_argument("--taxonomy", help="builtin taxonomy name or JSON path")
-    p_train.add_argument("--corpus", help="labeled corpus file")
-    p_train.add_argument("--corpus-format", choices=list(CORPUS_FORMATS), dest="corpus_format")
-    p_train.add_argument("--synthetic", help="synthetic spec JSON file (instead of --corpus)")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", type=int, dest="batch_size")
-    p_train.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p_train.add_argument("--max-seq-length", type=int, dest="max_seq_length")
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--min-freq", type=int, dest="min_freq")
-    p_train.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p_train.add_argument(
-        "--split", type=float, nargs=3, metavar=("TRAIN", "VAL", "TEST"), default=None
-    )
-    p_train.add_argument(
-        "--loss-weights",
-        type=float,
-        nargs=2,
-        metavar=("VALENCE", "AROUSAL"),
-        dest="loss_weights",
-        default=None,
-        help="per-head loss weights (ordinal-2d only)",
-    )
+    # one flag per TrainConfig field, typed by its kind; a flag not given
+    # reads as None, which resolve_train_config takes as "not given"
+    for name, kind in _CONFIG_KINDS.items():
+        # `str | None` takes a str, `tuple[X, ...]` one X per entry
+        entries = [arg for arg in typing.get_args(kind) if arg is not type(None)] or [kind]
+        arity = {"nargs": len(entries)} if typing.get_origin(kind) is tuple else {}
+        flag = "--" + name.replace("_", "-")
+        p_train.add_argument(flag, dest=name, type=entries[0], **arity, **_TRAIN_FLAGS.get(name, {}))
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.set_defaults(func=cmd_train)
 
@@ -430,7 +424,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         logger.error("%s", exc)
         return EXIT_INVALID
-    except (RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError, MemoryError) as exc:
         logger.error("%s", exc)
         return EXIT_RUNTIME
 

@@ -7,7 +7,8 @@ hint: int, float, str, a tuple of fixed length (tuple[int, int],
 tuple[float, float, float], ...) and `X | None` for a member that may be
 null.  A float member takes any JSON number, and a JSON integer becomes the
 float equal to it; an integer too large for a float is rejected.  A bool is
-never a number.
+never a number.  A tuple member takes a list (or, from Python, a tuple) of
+exactly its length.  TrainConfig checks its fields with `coerce_member` too.
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ def parse_document(
     if unknown:
         raise error(f"{where}unknown fields {sorted(unknown)}")
     return {
-        name: _coerce(value, kinds[name], f"{where}{name}", error)
+        name: coerce_member(value, kinds[name], f"{where}{name}", error)
         for name, value in members.items()
     }
 
 
-def _coerce(value, kind, what: str, error: type[ValueError]):
+def coerce_member(value, kind, what: str, error: type[ValueError]):
+    """`value` as a member of kind `kind`, or `error` naming it as `what`."""
     args = typing.get_args(kind)
     if type(None) in args:  # X | None
         if value is None:
@@ -69,7 +71,7 @@ def _coerce(value, kind, what: str, error: type[ValueError]):
     if not args:
         return _number(value, kind, what, error)
     # tuple[int, int] -> (int, int)
-    if type(value) is not list or len(value) != len(args):
+    if type(value) not in (list, tuple) or len(value) != len(args):
         raise error(f"{what} must be a list of {len(args)} values")
     return tuple(_number(item, args[0], f"{what} entry", error) for item in value)
 

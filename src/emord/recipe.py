@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import typing
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from .codec import HEAD_MODES, MODE_SOFTMAX, target_width
 from .data import CORPUS_FORMATS
-from .documents import read_document
+from .documents import coerce_member, read_document
 from .net import ModelConfig
 from .optim import AdamWConfig
 from .taxonomy import EmotionTaxonomy
@@ -62,10 +61,12 @@ class TrainConfig:
     The preset fields (the keys of PRESETS: `learning_rate`,
     `max_seq_length` and the four widths) left as None take the preset's
     values on construction, so afterwards only `corpus` and `synthetic` can
-    be None.  Every float field holds floats, tuple entries included, so
-    equal recipes give equal documents.  Exactly one data source — `corpus`
-    or `synthetic` — should be set unless the corpus is handed to the
-    trainer directly.
+    be None.  Then every field is checked under its `_CONFIG_KINDS` kind as
+    a config file's member is: an int field holds an int, a float field a
+    float (an int becomes the equal float, tuple entries included) and a
+    tuple field exactly its length, so `to_document()` always reads back.
+    Exactly one data source — `corpus` or `synthetic` — should be set
+    unless the corpus is handed to the trainer directly.
     """
 
     mode: str = MODE_SOFTMAX
@@ -92,33 +93,20 @@ class TrainConfig:
     ffnn_hidden: tuple[int, int] | None = None
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            # a list (as JSON carries a tuple) becomes a tuple, and an integer
-            # in a float field the equal float, so equality, unpacking and
-            # to_document never depend on which door a config came in
-            if isinstance(value, list):
-                value = tuple(value)
+        preset = coerce_member(self.preset, str, "preset", TrainerError)
+        if preset not in PRESETS:
+            raise TrainerError(f"unknown preset {preset!r}; choose from {tuple(PRESETS)}")
+        for name, kind in _CONFIG_KINDS.items():
+            value = getattr(self, name)
+            if value is None:
+                value = PRESETS[preset].get(name)
+            value = coerce_member(value, kind, name, TrainerError)
+            object.__setattr__(self, name, value)
             entries = value if isinstance(value, tuple) else (value,)
-            kind = _CONFIG_KINDS[field.name]
-            if value is not None and float in (kind, *typing.get_args(kind)):
-                if not all(isinstance(x, numbers.Real) for x in entries):
-                    raise TrainerError(f"{field.name} must be numeric, got {value!r}")
-                try:
-                    entries = tuple(map(float, entries))
-                except OverflowError:
-                    raise TrainerError(f"{field.name} is too large for a float") from None
-                value = entries if isinstance(value, tuple) else entries[0]
-            object.__setattr__(self, field.name, value)
             if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
-                raise TrainerError(f"{field.name} must be finite, got {value!r}")
+                raise TrainerError(f"{name} must be finite, got {value!r}")
         if self.mode not in HEAD_MODES:
             raise TrainerError(f"unknown head mode {self.mode!r}; choose from {HEAD_MODES}")
-        if self.preset not in PRESETS:
-            raise TrainerError(f"unknown preset {self.preset!r}; choose from {tuple(PRESETS)}")
-        for name, value in PRESETS[self.preset].items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
         if self.corpus_format not in CORPUS_FORMATS:
             raise TrainerError(f"unknown corpus format {self.corpus_format!r}")
         if self.corpus is not None and self.synthetic is not None:
@@ -132,11 +120,11 @@ class TrainConfig:
             self.adamw  # built and checked once, here
         except ValueError as exc:
             raise TrainerError(str(exc)) from None
-        if len(self.split) != 3 or any(r < 0 for r in self.split):
+        if any(r < 0 for r in self.split):
             raise TrainerError("split must be three non-negative ratios")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise TrainerError(f"split ratios must sum to 1, got {sum(self.split)}")
-        if len(self.loss_weights) != 2 or any(w <= 0 for w in self.loss_weights):
+        if any(w <= 0 for w in self.loss_weights):
             raise TrainerError("loss_weights must be two positive numbers")
 
     @cached_property
@@ -197,7 +185,8 @@ class TrainConfig:
         return doc
 
 
-#: The kind of each TrainConfig field in a config file.  None in a preset
+#: The kind of each TrainConfig field, in a config file and on construction,
+#: and the type and arity of its `emord train` flag.  None in a preset
 #: field stands for "the preset's value"; a document asks for that by leaving
 #: the field out, never by writing null, so `float | None` reads as float and
 #: `tuple[int, int] | None` as `tuple[int, int]`.  Only a data source may be
@@ -220,11 +209,12 @@ def resolve_train_config(
 
     Precedence (low to high): dataclass defaults, preset defaults (applied
     by TrainConfig), config file values, overrides (CLI flags).  Overrides
-    that are None are treated as "not given".
+    that are None are treated as "not given"; an unknown name is rejected
+    whatever its value.
     """
-    file_values = dict(file_values or {})
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    unknown = (set(file_values) | set(overrides)) - _CONFIG_KINDS.keys()
+    file_values, overrides = file_values or {}, overrides or {}
+    unknown = (file_values.keys() | overrides.keys()) - _CONFIG_KINDS.keys()
     if unknown:
         raise TrainerError(f"unknown config fields {sorted(unknown)}")
-    return TrainConfig(**{**file_values, **overrides})
+    given = {name: value for name, value in overrides.items() if value is not None}
+    return TrainConfig(**{**file_values, **given})

@@ -181,7 +181,6 @@ class Trainer:
         are writable.
         """
         return Checkpoint(
-            config=self.model_config,
             params=self.params.frozen_copy(),
             taxonomy=self.taxonomy,
             vocab=self.vocab,

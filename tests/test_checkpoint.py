@@ -26,7 +26,7 @@ from emord.data import LabeledCorpus, Vocabulary, build_vocab
 from emord.hashing import canonical_json, sha256_file
 from emord.net import init_params
 from emord.optim import AdamWState, adamw_step
-from emord.recipe import _CONFIG_KINDS, TrainConfig
+from emord.recipe import _CONFIG_KINDS, TrainConfig, TrainerError
 from emord.taxonomy import builtin_taxonomy, taxonomy_to_document
 
 #: make_checkpoint(with_optimizer=True) as save_checkpoint writes it (format
@@ -56,7 +56,7 @@ def make_checkpoint(with_optimizer=False, dtype="float32") -> Checkpoint:
     if with_optimizer:
         optimizer = AdamWState.initial(params)
         adamw_step(params, params.copy(), optimizer, RECIPE.adamw)
-    return Checkpoint(config, params, taxonomy, vocab, RECIPE, epochs_completed=3, optimizer=optimizer)
+    return Checkpoint(params, taxonomy, vocab, RECIPE, epochs_completed=3, optimizer=optimizer)
 
 
 def header_of(raw: bytes) -> dict:
@@ -175,15 +175,15 @@ def test_save_does_not_leave_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
-def test_save_rejects_a_model_config_the_recipe_does_not_build(tmp_path):
-    ck = make_checkpoint()
-    wider = dataclasses.replace(ck, config=dataclasses.replace(ck.config, embed_dim=5))
-    with pytest.raises(CheckpointError, match="not the one the recipe builds"):
-        save_checkpoint(wider, tmp_path / "model.ckpt")
-    short = dataclasses.replace(ck, recipe=dataclasses.replace(RECIPE, max_seq_length=8))
-    with pytest.raises(CheckpointError, match=r"invalid recipe \(max_seq_length 8 is shorter than the 9 tokens"):
-        save_checkpoint(short, tmp_path / "model.ckpt")
-    assert not (tmp_path / "model.ckpt").exists()
+def test_checkpoint_derives_its_model_config_from_the_recipe():
+    ck = make_checkpoint(dtype="float64")
+    assert ck.config == RECIPE.model_config(ck.vocab.size, ck.taxonomy, "float64")
+    with pytest.raises(TypeError):
+        Checkpoint(ck.params, ck.taxonomy, ck.vocab, RECIPE, config=ck.config)
+    # a recipe whose model does not fit builds no Checkpoint to save
+    short = dataclasses.replace(RECIPE, max_seq_length=8)
+    with pytest.raises(TrainerError, match="max_seq_length 8 is shorter than the 9 tokens"):
+        dataclasses.replace(ck, recipe=short)
 
 
 def header_keys(document, where=""):
@@ -267,7 +267,7 @@ def test_load_holds_little_beyond_the_arenas(tmp_path):
     state = AdamWState.initial(params)
     path = tmp_path / "model.ckpt"
     save_checkpoint(
-        Checkpoint(config, params, builtin_taxonomy("isear-valence"), vocab, recipe, optimizer=state),
+        Checkpoint(params, builtin_taxonomy("isear-valence"), vocab, recipe, optimizer=state),
         path,
     )
     arena_bytes = 3 * params.arena.nbytes

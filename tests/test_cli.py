@@ -1,5 +1,7 @@
 """Command-line behavior: pipelines, exit codes, locks, and manifests."""
 
+import argparse
+import csv
 import io
 import json
 import os
@@ -12,11 +14,26 @@ from pathlib import Path
 import pytest
 
 from emord.checkpoint import Checkpoint, save_checkpoint
-from emord.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, LockError, locked_output_dir, main
-from emord.data import LabeledCorpus, build_vocab, save_corpus_tsv
+from emord.cli import (
+    _TRAIN_FLAGS,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    LockError,
+    build_parser,
+    locked_output_dir,
+    main,
+)
+from emord.data import (
+    LabeledCorpus,
+    build_vocab,
+    generate_synthetic,
+    load_synthetic_spec,
+    save_corpus_tsv,
+)
 from emord.net import init_params
-from emord.recipe import TrainConfig
-from emord.taxonomy import builtin_taxonomy
+from emord.recipe import _CONFIG_KINDS, TrainConfig
+from emord.taxonomy import builtin_taxonomy, save_taxonomy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -190,6 +207,103 @@ def test_lock_names_its_holder_and_is_never_broken(tmp_path, spec_file, caplog):
     assert (out / ".lock").is_dir()
 
 
+def train_parser() -> argparse.ArgumentParser:
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices["train"]
+
+
+def test_every_train_config_field_has_exactly_one_flag():
+    actions = train_parser()._actions
+    for name in _CONFIG_KINDS:
+        (action,) = [a for a in actions if a.dest == name]
+        assert action.option_strings == ["--" + name.replace("_", "-")]
+    assert {a.dest for a in actions} - _CONFIG_KINDS.keys() == {"help", "config", "out"}
+    assert _TRAIN_FLAGS.keys() <= _CONFIG_KINDS.keys()
+
+
+#: A value other than the default for every TrainConfig field; a path names
+#: a file the test writes.
+NON_DEFAULT = {
+    "mode": "ordinal-1d",
+    "taxonomy": "isear.json",
+    "corpus": "corpus.tsv",
+    "corpus_format": "csv",
+    "synthetic": "spec.json",
+    "preset": "paper",
+    "epochs": 2,
+    "batch_size": 4,
+    "learning_rate": 0.003,
+    "max_seq_length": 16,
+    "seed": 3,
+    "split": [0.6, 0.2, 0.2],
+    "min_freq": 2,
+    "weight_decay": 0.05,
+    "beta1": 0.8,
+    "beta2": 0.99,
+    "eps": 1e-6,
+    "loss_weights": [0.5, 2.0],
+    "embed_dim": 6,
+    "conv_channels": [5, 6],
+    "kernel_sizes": [3, 2],
+    "ffnn_hidden": [7, 5],
+}
+
+
+def as_flags(values: dict) -> list[str]:
+    flags = []
+    for name, value in values.items():
+        flags.append("--" + name.replace("_", "-"))
+        flags += [str(v) for v in value] if isinstance(value, list) else [str(value)]
+    return flags
+
+
+@pytest.mark.parametrize("name", list(_CONFIG_KINDS))
+def test_a_field_from_the_config_file_trains_as_its_flag_does(tmp_path, spec_file, name):
+    corpus = generate_synthetic(load_synthetic_spec(spec_file))
+    save_corpus_tsv(corpus, tmp_path / "corpus.tsv")
+    with open(tmp_path / "corpus.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([("text", "label"), *corpus.records])
+    save_taxonomy(builtin_taxonomy("isear-valence"), tmp_path / "isear.json")
+    value = NON_DEFAULT[name]
+    if name in ("taxonomy", "corpus", "synthetic"):
+        value = str(tmp_path / value)
+    # a small, fast run; the field under test is left out, so it takes the
+    # file's value in one run and the flag's in the other
+    base = {
+        "synthetic": str(spec_file),
+        "epochs": 1,
+        "batch_size": 8,
+        "max_seq_length": 12,
+        "embed_dim": 4,
+        "conv_channels": [4, 4],
+        "ffnn_hidden": [6, 4],
+    }
+    if name in ("corpus", "corpus_format"):
+        base = {**base, "synthetic": None, "corpus": str(tmp_path / "corpus.csv")}
+    base = {k: v for k, v in base.items() if k != name and v is not None}
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({name: value}), encoding="utf-8")
+    by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+    assert main(["train", *as_flags(base), "--config", str(config), "--out", str(by_file)]) == EXIT_OK
+    assert main(["train", *as_flags({**base, name: value}), "--out", str(by_flag)]) == EXIT_OK
+    for artifact in ("best.ckpt", "final.ckpt", "history.jsonl"):
+        assert (by_file / artifact).read_bytes() == (by_flag / artifact).read_bytes(), artifact
+    manifests = [json.loads((d / "manifest.json").read_text(encoding="utf-8")) for d in (by_file, by_flag)]
+    assert manifests[0]["config"] == manifests[1]["config"]
+    assert manifests[0]["config"][name] == value
+    assert value != TrainConfig().to_document()[name]
+
+
+def test_a_width_too_large_to_allocate_exits_2_without_an_output_dir(tmp_path, spec_file, caplog):
+    # 771 PiB of parameters: past the address space, so numpy refuses at once
+    out = tmp_path / "run"
+    flags = ["--synthetic", str(spec_file), "--embed-dim", "1000000000000000"]
+    assert main(["train", *flags, "--out", str(out)]) == EXIT_RUNTIME
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "Unable to allocate" in record.getMessage()
+    assert not out.exists()
+
+
 def test_divergence_exits_2(tmp_path, train_config):
     code = main(
         [
@@ -353,7 +467,7 @@ def grid_checkpoint(path):
     vocab = build_vocab(LabeledCorpus((("alpha beta gamma delta", "joy"),)))
     recipe = TrainConfig(mode="ordinal-2d", taxonomy="goemotions-grid-5x5", max_seq_length=12)
     config = recipe.model_config(vocab.size, taxonomy)
-    save_checkpoint(Checkpoint(config, init_params(config, seed=0), taxonomy, vocab, recipe), path)
+    save_checkpoint(Checkpoint(init_params(config, seed=0), taxonomy, vocab, recipe), path)
     return path
 
 

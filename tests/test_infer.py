@@ -295,7 +295,7 @@ def make_checkpoint(mode="softmax"):
         ffnn_hidden=(5, 4),
     )
     config = recipe.model_config(vocab.size, taxonomy)
-    return Checkpoint(config, init_params(config, seed=0), taxonomy, vocab, recipe)
+    return Checkpoint(init_params(config, seed=0), taxonomy, vocab, recipe)
 
 
 def test_predict_ids_matches_forward(mode="ordinal-1d"):
@@ -402,7 +402,7 @@ def desk_checkpoint(mode, t=32, **widths):
     config = recipe.model_config(vocab.size, taxonomy)
     params = init_params(config, seed=3)
     params.arena[...] *= 4
-    return Checkpoint(config, params, taxonomy, vocab, recipe)
+    return Checkpoint(params, taxonomy, vocab, recipe)
 
 
 def padded_rows(rng, n, t, vocab_size, lengths):

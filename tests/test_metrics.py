@@ -172,14 +172,17 @@ def test_holdout_validation_errors():
     from emord.net import init_params
 
     vocab = build_vocab(LabeledCorpus((("cue0 cue1 fill0 fill1", "joy"),)))
-    recipe = grid_recipe(embed_dim=4, conv_channels=(3, 3), ffnn_hidden=(5, 4))
+    widths = dict(embed_dim=4, conv_channels=(3, 3), ffnn_hidden=(5, 4))
+    recipe = grid_recipe(**widths)
     config = recipe.model_config(vocab.size, GRID)
-    ck = Checkpoint(config, init_params(config, 0), GRID, vocab, recipe)
+    ck = Checkpoint(init_params(config, 0), GRID, vocab, recipe)
     mixed = LabeledCorpus((("cue0 cue1", "joy"), ("cue0 cue1", "grief")))
     with pytest.raises(MetricsError, match="only 'joy'"):
         holdout_proximity(ck, mixed, "joy")
 
-    ck_1d = Checkpoint(config, ck.params, ISEAR, vocab, recipe)
+    softmax = TrainConfig(mode="softmax", max_seq_length=12, **widths)
+    params_1d = init_params(softmax.model_config(vocab.size, ISEAR), 0)
+    ck_1d = Checkpoint(params_1d, ISEAR, vocab, softmax)
     with pytest.raises(MetricsError, match="grid"):
         holdout_proximity(ck_1d, mixed, "joy")
 
@@ -198,7 +201,7 @@ def test_holdout_distances_use_raw_cells():
     vocab = build_vocab(corpus)
     recipe = grid_recipe(embed_dim=4, conv_channels=(3, 3), ffnn_hidden=(5, 4))
     config = recipe.model_config(vocab.size, GRID)
-    ck = Checkpoint(config, init_params(config, 0), GRID, vocab, recipe)
+    ck = Checkpoint(init_params(config, 0), GRID, vocab, recipe)
     report = holdout_proximity(ck, corpus, "joy")
     token_ids, _ = encode_corpus(corpus, vocab, 12)
     preds = predict_ids(ck, token_ids)
@@ -223,7 +226,7 @@ def spread_grid_model():
     vocab = build_vocab(corpus)
     recipe = grid_recipe(embed_dim=8, conv_channels=(8, 8), ffnn_hidden=(16, 16))
     config = recipe.model_config(vocab.size, GRID)
-    ck = Checkpoint(config, init_params(config, 0), GRID, vocab, recipe)
+    ck = Checkpoint(init_params(config, 0), GRID, vocab, recipe)
     return ck, corpus
 
 

@@ -11,9 +11,12 @@ import pytest
 
 from emord.checkpoint import load_checkpoint, save_checkpoint
 from emord.data import LabeledCorpus, SyntheticSpec, generate_synthetic, save_corpus_tsv
+from emord.documents import parse_document
 from emord.hashing import canonical_json
 from emord.taxonomy import builtin_taxonomy, save_taxonomy
 from emord.trainer import (
+    _CONFIG_KINDS,
+    CONFIG_FORMAT,
     PRESETS,
     TrainConfig,
     Trainer,
@@ -150,6 +153,9 @@ def test_resolve_rejects_unknown_fields():
         resolve_train_config({"lern_rate": 1e-3}, {})
     with pytest.raises(TrainerError, match="momentum"):
         resolve_train_config({}, {"momentum": 0.9})
+    # an unknown name is rejected even when its value reads as "not given"
+    with pytest.raises(TrainerError, match="bogus"):
+        resolve_train_config({}, {"bogus": None})
 
 
 def test_config_file_loading(tmp_path):
@@ -208,8 +214,59 @@ def test_float_fields_hold_floats():
     for name in FLOAT_FIELDS:
         value = getattr(ints, name)
         assert all(type(x) is float for x in (value if isinstance(value, tuple) else (value,)))
-    with pytest.raises(TrainerError, match="^weight_decay must be numeric, got '0.1'$"):
+    with pytest.raises(TrainerError, match="^weight_decay must be a number$"):
         tiny_config(weight_decay="0.1")
+
+
+def fields_of_kind(*kinds):
+    return [name for name, kind in _CONFIG_KINDS.items() if kind in kinds]
+
+
+@pytest.mark.parametrize("value", [1.0, 2.5, True], ids=["float", "fraction", "bool"])
+@pytest.mark.parametrize("name", fields_of_kind(int))
+def test_an_int_field_takes_only_an_int(name, value):
+    with pytest.raises(TrainerError, match=f"^{name} must be an integer$"):
+        tiny_config(**{name: value})
+
+
+@pytest.mark.parametrize("name", fields_of_kind(str, str | None))
+def test_a_str_field_takes_only_a_string(name):
+    with pytest.raises(TrainerError, match=f"^{name} must be a string$"):
+        tiny_config(**{name: 1})
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, kind in _CONFIG_KINDS.items() if typing.get_origin(kind) is tuple]
+)
+def test_a_tuple_field_takes_exactly_its_length(name):
+    length = len(typing.get_args(_CONFIG_KINDS[name]))
+    for value in ((1,) * (length - 1), (1,) * (length + 1), [1] * (length + 1), 1):
+        with pytest.raises(TrainerError, match=f"^{name} must be a list of {length} values$"):
+            tiny_config(**{name: value})
+
+
+def test_tuple_entries_take_their_kind():
+    with pytest.raises(TrainerError, match="^conv_channels entry must be an integer$"):
+        tiny_config(conv_channels=(8.0, 8))
+    with pytest.raises(TrainerError, match="^split entry must be a number$"):
+        tiny_config(split=(1, 0, "0"))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        dict(learning_rate=1, weight_decay=0, beta1=0, eps=1),
+        dict(split=[1, 0, 0], loss_weights=[2, 1], conv_channels=[5, 6], kernel_sizes=[3, 2]),
+        dict(split=(0.5, 0.25, 0.25), loss_weights=(2, 1.5), ffnn_hidden=(7, 5)),
+    ],
+    ids=["ints-as-floats", "lists", "tuples"],
+)
+def test_every_config_reads_back_from_its_document(values):
+    config = tiny_config(**values)
+    document = config.to_document()
+    read = parse_document(document, CONFIG_FORMAT, _CONFIG_KINDS, TrainerError)
+    assert TrainConfig(**read) == config
+    assert TrainConfig(**read).to_document() == document
 
 
 def test_config_document_roundtrip():
