@@ -16,7 +16,7 @@ from emord.taxonomy import label_distance
 isear = builtin_taxonomy("isear-valence")
 print("isear-valence ranks:")
 for label in isear.labels:
-    print(f"  {isear.rank(label)}  {label}")
+    print(f"  {isear.ranks[label]}  {label}")
 
 print()
 print("rank distances:")
@@ -57,7 +57,7 @@ print(f"noisy output {noisy.tolist()} decodes to level {decode_thermometer(noisy
 grid = builtin_taxonomy("goemotions-grid-5x5")
 print()
 print("goemotions-grid-5x5 cells (valence, arousal):")
-by_cell = {grid.cell(label): label for label in grid.labels}
+by_cell = {grid.cells[label]: label for label in grid.labels}
 for v in range(4, -1, -1):
     row = []
     for a in range(5):
@@ -70,7 +70,7 @@ for a, b in [("grief", "sadness"), ("grief", "excitement"), ("pride", "fear")]:
 
 print()
 target = target_for(grid, "pride", "ordinal-2d")
-print(f"ordinal-2d target for 'pride' (cell {grid.cell('pride')}):")
+print(f"ordinal-2d target for 'pride' (cell {grid.cells['pride']}):")
 print(f"  valence half {target[:4].tolist()}  arousal half {target[4:].tolist()}")
 
 # The same squared-distance law holds on the grid: MSE between two 2d targets

@@ -60,7 +60,7 @@ print()
 
 # -------------------------------------------------------- part 2: held-out joy
 held_out = "joy"
-print(f"part 2: training again WITHOUT {held_out!r} (cell {taxonomy.cell(held_out)})")
+print(f"part 2: training again WITHOUT {held_out!r} (cell {taxonomy.cells[held_out]})")
 spec = SyntheticSpec(
     taxonomy=taxonomy,
     examples_per_class=150,

@@ -80,7 +80,6 @@ from .trainer import (
     TrainingDivergedError,
     TrainResult,
     resolve_train_config,
-    train,
 )
 
 __all__ = [
@@ -155,5 +154,4 @@ __all__ = [
     "target_width",
     "taxonomy_to_document",
     "text_tokens",
-    "train",
 ]

@@ -237,7 +237,7 @@ def cmd_eval(args) -> int:
         write_report_json(result.report, out_dir / "report.json")
         write_confusion_csv(result.report, out_dir / "confusion.csv")
         write_histogram_csv(result.report, out_dir / "histogram.csv")
-        write_pairs_csv(result.pairs, out_dir / "pairs.csv")
+        write_pairs_csv(result, out_dir / "pairs.csv")
     rep = result.report
     logger.info(
         "n=%d accuracy=%.4f macro_f1=%.4f mean_error_distance=%.3f",

@@ -38,7 +38,6 @@ from .taxonomy import (
     BUILTIN_TAXONOMIES,
     EmotionTaxonomy,
     builtin_taxonomy,
-    label_distance,
     load_taxonomy,
 )
 
@@ -327,10 +326,8 @@ def encode_text(text: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
     return out
 
 
-def encode_corpus(
-    corpus: LabeledCorpus, vocab: Vocabulary, max_len: int
-) -> tuple[np.ndarray, list[str]]:
-    """Id matrix (N, max_len) plus the gold labels, rejecting empty token rows.
+def encode_corpus(corpus: LabeledCorpus, vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """Id matrix (N, max_len) of the corpus's texts, rejecting empty token rows.
 
     Row i is `encode_text` of record i.  `_raw_token_id` runs once per
     distinct raw token of the corpus's tokenization; gathering, dropping,
@@ -362,7 +359,7 @@ def encode_corpus(
         flat, token_ids = flat[inside], token_ids[inside]
     matrix = np.zeros((len(lengths), max_len), dtype=np.int64)
     matrix.reshape(-1)[flat] = token_ids
-    return matrix, corpus.labels()
+    return matrix
 
 
 def _largest_remainder(n: int, ratios: tuple[float, ...]) -> list[int]:
@@ -478,10 +475,9 @@ def marker_token(taxonomy: EmotionTaxonomy, label: str) -> str:
 
 def nearest_neighbor_labels(taxonomy: EmotionTaxonomy, label: str) -> list[str]:
     """Labels at minimal positive scale distance from `label`, in label order."""
-    others = [(label_distance(taxonomy, label, other), other)
-              for other in taxonomy.labels if other != label]
-    best = min(d for d, _ in others)
-    return [other for d, other in others if d == best]
+    row = taxonomy.distance_table[taxonomy.index(label)]
+    best = row[row > 0].min()  # distinct labels sit at distinct points
+    return [other for other, d in zip(taxonomy.labels, row.tolist()) if d == best]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> LabeledCorpus:

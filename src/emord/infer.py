@@ -7,7 +7,9 @@ labeled cell (L1, ties toward lower valence then lower arousal) and
 flagged `off_grid`; the raw decoded cell is kept, since its distance to
 the gold cell is exactly what the proximity metrics measure.  A block of
 outputs decodes into one `Decoded` record of arrays by lookups in the
-taxonomy's tables, and `decoded[i]` is row i as a `Prediction`.
+taxonomy's tables, and `decoded[i]` is row i as a `Prediction`.  The
+record holds label indices: `evaluate` scores them as they are, and a
+name is looked up only for a `Prediction`.
 
 `predict_ids` runs the model on chunks of rows; validation and `evaluate`
 run through it, and `forward` cuts each chunk's trailing padding and, with
@@ -87,12 +89,13 @@ class Decoded(Sequence):
     def __getitem__(self, i: int | slice) -> Prediction | Decoded:
         if isinstance(i, slice):
             return replace(self, **{name: rows[i] for name, rows in self._columns().items()})
-        label = self.taxonomy.labels[self.indices[i]]
-        # a 1d taxonomy has no cells and a 2d one no ranks, so .get() yields None
-        rank = self.taxonomy.ranks.get(label)
-        cell = self.taxonomy.cells.get(label)
-        if cell is not None and self.coords is not None:
-            cell = tuple(self.coords[i].tolist())  # the raw decoded cell
+        index = self.indices[i]
+        if self.coords is None:
+            point = self.taxonomy.points[index]
+        else:  # the raw decoded point, which in 2d may be an unlabeled cell
+            point = tuple(self.coords[i].tolist())
+        rank, cell = (point[0], None) if len(point) == 1 else (None, point)
+        label = self.taxonomy.labels[index]
         return Prediction(label, self.mode, rank, cell, bool(self.off_grid[i]), self.outputs[i])
 
 

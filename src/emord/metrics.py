@@ -9,10 +9,12 @@ All distances are computed between the gold label and the *resolved*
 predicted label.  Raw decoded grid cells (possibly unlabeled) matter only to
 `holdout_proximity`, which asks where the model places a class it never saw.
 
-Scoring works on label indices and decoded arrays: the (gold, predicted)
-pairs become two index arrays once, the confusion matrix, histograms and
-means are counts and gathers over the taxonomy's distance tables, and the
-off-grid rate and holdout distances come from the decoded record's arrays.
+Scoring works on label indices from decode to report: `evaluate` maps the
+corpus's gold names to indices once and takes the predicted indices as
+decoded, the confusion matrix, histograms and means are counts and gathers
+over the taxonomy's distance tables, and the off-grid rate and holdout
+distances come from the decoded record's arrays.  Label names appear again
+only where a file is written.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .checkpoint import Checkpoint
-from .data import DataError, LabeledCorpus, encode_corpus
+from .data import LabeledCorpus, encode_corpus
 from .infer import predict_ids
 from .taxonomy import EmotionTaxonomy, max_distance
 
@@ -96,7 +98,8 @@ class MetricsReport:
 @dataclass(frozen=True)
 class EvalResult:
     report: MetricsReport
-    pairs: tuple[tuple[str, str], ...]  # (gold, predicted) per example
+    gold: np.ndarray  # (N,) label indices, one per example
+    predicted: np.ndarray  # (N,) resolved predicted label indices
 
 
 def per_class_metrics(confusion: np.ndarray, labels: tuple[str, ...]) -> tuple[ClassMetrics, ...]:
@@ -127,35 +130,43 @@ def evaluate(ck: Checkpoint, corpus: LabeledCorpus, batch_size: int = 256) -> Ev
     """Run the model over a corpus and measure everything in one pass."""
     if len(corpus) == 0:
         raise MetricsError("cannot evaluate on an empty corpus")
-    token_ids, gold_labels = encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length)
+    taxonomy = ck.taxonomy
+    # an unknown gold label is a TaxonomyError that names it
+    gold = np.fromiter(map(taxonomy.index, corpus.labels()), dtype=np.intp, count=len(corpus))
+    token_ids = encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length)
     decoded = predict_ids(ck, token_ids, batch_size=batch_size)
-    labels = ck.taxonomy.labels
-    pairs = tuple(zip(gold_labels, [labels[i] for i in decoded.indices.tolist()]))
-    report = build_report(pairs, ck.taxonomy, ck.config.head_mode, off_grid=decoded.off_grid)
-    return EvalResult(report=report, pairs=pairs)
+    report = build_report(gold, decoded.indices, taxonomy, ck.config.head_mode, decoded.off_grid)
+    return EvalResult(report=report, gold=gold, predicted=decoded.indices)
 
 
 def build_report(
-    pairs,
+    gold: np.ndarray,
+    predicted: np.ndarray,
     taxonomy: EmotionTaxonomy,
     mode: str,
     off_grid: np.ndarray | None = None,
 ) -> MetricsReport:
-    """Assemble a MetricsReport from (gold, predicted) label pairs and, for the
-    off-grid rate on a grid, each example's decoded off-grid flag."""
-    pairs = tuple(pairs)
-    if not pairs:
+    """Assemble a MetricsReport from each example's gold and predicted label
+    index and, for the off-grid rate on a grid, its decoded off-grid flag."""
+    gold, pred = np.asarray(gold), np.asarray(predicted)
+    if gold.ndim != 1 or gold.shape != pred.shape:
+        raise MetricsError(
+            f"gold and predicted must be two (N,) index arrays, got {gold.shape} and {pred.shape}"
+        )
+    n = len(gold)
+    if n == 0:
         raise MetricsError("no (gold, predicted) pairs to score")
-    index = taxonomy.label_index
-    for gold, pred in pairs:
-        if gold not in index or pred not in index:
-            raise MetricsError(f"pair ({gold!r}, {pred!r}) not in the taxonomy")
-    gold = np.array([index[g] for g, _ in pairs])
-    pred = np.array([index[p] for _, p in pairs])
-    wrong = gold != pred
     labels = taxonomy.labels
     k = len(labels)
-    n = len(pairs)
+    for name, indices in (("gold", gold), ("predicted", pred)):
+        # gold * k + pred would count an index outside [0, K) as another cell
+        if indices.dtype.kind not in "iu" or indices.min() < 0 or indices.max() >= k:
+            raise MetricsError(f"{name} label indices must be integers in [0, {k})")
+    if off_grid is not None and np.shape(off_grid) != (n,):
+        raise MetricsError(
+            f"off_grid must hold one flag per example ({n}), got shape {np.shape(off_grid)}"
+        )
+    wrong = gold != pred
     confusion = np.bincount(gold * k + pred, minlength=k * k).reshape(k, k)
     per_class = per_class_metrics(confusion, labels)
     # a class with no gold example that the model never predicts says nothing
@@ -243,8 +254,7 @@ def holdout_proximity(ck: Checkpoint, corpus: LabeledCorpus, held_out_label: str
         )
     if len(corpus) == 0:
         raise MetricsError("cannot evaluate on an empty corpus")
-    token_ids, _ = encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length)
-    decoded = predict_ids(ck, token_ids)
+    decoded = predict_ids(ck, encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length))
     distances = np.abs(decoded.coords - target).sum(axis=1)
     counts = np.bincount(distances, minlength=max_distance(taxonomy) + 1).tolist()
     return HoldoutReport(
@@ -280,10 +290,10 @@ def write_histogram_csv(report: MetricsReport, path: str | Path) -> None:
             writer.writerow([d, report.error_histogram[d]])
 
 
-def write_pairs_csv(pairs, path: str | Path) -> None:
-    """Per-example gold,predicted rows; everything else re-derives from these."""
+def write_pairs_csv(result: EvalResult, path: str | Path) -> None:
+    """Per-example gold,predicted label names; everything else re-derives from these."""
+    names = np.array(result.report.labels, dtype=object)
     with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gold", "predicted"])
-        for gold, pred in pairs:
-            writer.writerow([gold, pred])
+        writer.writerows(zip(names[result.gold], names[result.predicted]))

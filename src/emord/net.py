@@ -131,6 +131,8 @@ class ModelConfig:
             raise NetError("kernel sizes must be positive")
         if self.dtype not in ("float32", "float64"):
             raise NetError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if self.param_count * np.dtype(self.dtype).itemsize > np.iinfo(np.intp).max:
+            raise NetError(f"{self.param_count} parameters are more than one array can hold: {self}")
 
     @property
     def np_dtype(self):

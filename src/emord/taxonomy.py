@@ -86,16 +86,6 @@ class EmotionTaxonomy:
         except (KeyError, TypeError):  # an unhashable label is unknown too
             raise TaxonomyError(f"unknown label: {label!r}") from None
 
-    def rank(self, label: str) -> int:
-        if self.mode != "1d":
-            raise TaxonomyError("ranks are only defined for 1d taxonomies")
-        return self.points[self.index(label)][0]
-
-    def cell(self, label: str) -> tuple[int, int]:
-        if self.mode != "2d":
-            raise TaxonomyError("cells are only defined for 2d taxonomies")
-        return self.points[self.index(label)]
-
     @cached_property
     def coords(self) -> np.ndarray:
         """(K, D) `points` as an array, by label index."""

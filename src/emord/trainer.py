@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .checkpoint import Checkpoint, taxonomy_fingerprint, vocab_fingerprint
+from .checkpoint import Checkpoint
 from .codec import MODE_SOFTMAX, check_mode_compatible, target_for
 from .data import (
     LabeledCorpus,
@@ -52,9 +52,9 @@ logger = logging.getLogger(__name__)
 _SHUFFLE_STREAM = 303
 
 #: The TrainConfig fields a resumed run may change: how long to train, and
-#: where the data comes from.  The data itself is checked through the
-#: vocabulary and taxonomy fingerprints; every other field shapes the
-#: trajectory, so Trainer.resume requires the checkpoint's value.
+#: where the data comes from.  The data itself is checked by comparing the
+#: vocabulary and the taxonomy; every other field shapes the trajectory, so
+#: Trainer.resume requires the checkpoint's value.
 _RESUME_FREE = frozenset({"epochs", "corpus", "synthetic", "corpus_format", "taxonomy"})
 
 
@@ -129,14 +129,12 @@ class Trainer:
             self.val_split = self.train_split
         self.vocab = build_vocab(self.train_split, config.min_freq)
         self.model_config = config.model_config(self.vocab.size, self.taxonomy)
-        self.train_ids, train_labels = encode_corpus(
-            self.train_split, self.vocab, config.max_seq_length
-        )
+        self.train_ids = encode_corpus(self.train_split, self.vocab, config.max_seq_length)
         dt = self.model_config.np_dtype
         self.train_targets = np.stack(
             [
                 target_for(self.taxonomy, label, config.mode, dtype=dt)
-                for label in train_labels
+                for label in self.train_split.labels()
             ]
         )
         self.params = init_params(self.model_config, config.seed)
@@ -163,9 +161,9 @@ class Trainer:
                     f"checkpoint has {field.name}={recorded!r} but the config has {given!r}"
                 )
         trainer = cls(config, corpus)
-        if vocab_fingerprint(trainer.vocab) != vocab_fingerprint(ck.vocab):
+        if trainer.vocab != ck.vocab:
             raise TrainerError("checkpoint vocabulary does not match the configured data")
-        if taxonomy_fingerprint(trainer.taxonomy) != taxonomy_fingerprint(ck.taxonomy):
+        if trainer.taxonomy != ck.taxonomy:
             raise TrainerError("checkpoint taxonomy does not match the config")
         if trainer.model_config != ck.config:
             raise TrainerError("checkpoint model does not match the config")
@@ -280,11 +278,6 @@ class Trainer:
             best_epoch=self._best[1],
             history=list(self.history),
         )
-
-
-def train(config: TrainConfig, corpus: LabeledCorpus | None = None) -> TrainResult:
-    """Train a model end to end from a resolved config."""
-    return Trainer(config, corpus).run()
 
 
 def write_history(history: list[EpochStats], path: str | Path) -> None:

@@ -386,11 +386,13 @@ def test_criterion_8_report_matches_brute_force():
             pairs = [(gold, predicted) for gold, predicted in reader]
         assert len(pairs) == 50
 
-        report = build_report(pairs, GRID, "ordinal-2d")
+        gold = np.array([GRID.index(gold) for gold, _ in pairs])
+        predicted = np.array([GRID.index(pred) for _, pred in pairs])
+        report = build_report(gold, predicted, GRID, "ordinal-2d")
 
         labels = list(GRID.labels)
         index = {label: i for i, label in enumerate(labels)}
-        cells = {label: GRID.cell(label) for label in labels}
+        cells = {label: GRID.cells[label] for label in labels}
         n = len(pairs)
 
         def l1(a, b):

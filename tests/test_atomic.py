@@ -10,7 +10,8 @@ from emord.atomic import atomic_write
 from emord.checkpoint import save_checkpoint
 from emord.cli import write_manifest
 from emord.data import DataError, LabeledCorpus, save_corpus_tsv
-from emord.metrics import write_pairs_csv, write_report_json
+from emord.metrics import EvalResult, build_report, write_pairs_csv, write_report_json
+from emord.taxonomy import builtin_taxonomy
 from emord.trainer import EpochStats, write_history
 from test_checkpoint import make_checkpoint
 
@@ -45,9 +46,10 @@ class _BadStats(EpochStats):
         raise RuntimeError("stats lost")
 
 
-def _pairs_then_failure():
-    yield ("joy", "joy")
-    raise RuntimeError("pairs lost")
+def _write_pairs_past_the_labels(path):
+    # the header is written by then; the rows fail on an index past the labels
+    report = build_report(np.array([0]), np.array([0]), builtin_taxonomy("isear-valence"), "softmax")
+    write_pairs_csv(EvalResult(report, np.array([0, 99]), np.array([0, 0])), path)
 
 
 def _stats(epoch, cls=EpochStats):
@@ -60,7 +62,7 @@ def _fail_after_the_header(*args, **kwargs):
 
 WRITERS = {
     "report.json": (lambda path: write_report_json(_BadReport(), path), TypeError),
-    "pairs.csv": (lambda path: write_pairs_csv(_pairs_then_failure(), path), RuntimeError),
+    "pairs.csv": (_write_pairs_past_the_labels, IndexError),
     "history.jsonl": (
         lambda path: write_history([_stats(1), _stats(2, _BadStats)], path),
         RuntimeError,

@@ -304,6 +304,18 @@ def test_a_width_too_large_to_allocate_exits_2_without_an_output_dir(tmp_path, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "widths", [["--embed-dim", "99999999999999999999999"], ["--conv-channels", "4000000000", "4000000000"]]
+)
+def test_widths_no_array_can_hold_exit_1_without_an_output_dir(tmp_path, spec_file, caplog, widths):
+    out = tmp_path / "run"
+    assert main(["train", "--synthetic", str(spec_file), *widths, "--out", str(out)]) == EXIT_INVALID
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "parameters are more than one array can hold" in record.getMessage()
+    assert f"{widths[0][2:].replace('-', '_')}=" in record.getMessage()
+    assert not out.exists()
+
+
 def test_divergence_exits_2(tmp_path, train_config):
     code = main(
         [

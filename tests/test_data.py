@@ -345,11 +345,10 @@ def test_encode_corpus_equals_stacked_encode_text(vocab_texts, corpus_texts, max
         with pytest.raises(DataError, match=rf"^record {vanishing[0] + 1}: "):
             encode_corpus(corpus, vocab, max_len)
         return
-    matrix, labels = encode_corpus(corpus, vocab, max_len)
+    matrix = encode_corpus(corpus, vocab, max_len)
     assert matrix.dtype == np.int64
     assert matrix.tolist() == expected
     assert np.array_equal(matrix, np.stack([encode_text(t, vocab, max_len) for t in corpus_texts]))
-    assert labels == ["joy"] * len(corpus_texts)
 
 
 # words that are only punctuation, have punctuation on an edge, lowercase in
@@ -405,11 +404,11 @@ def test_corpus_paths_agree_with_the_per_text_definitions(train, extra, min_freq
                 encode_corpus(target, vocab, max_len)
             assert str(err.value) == message
             continue
-        matrix, _ = encode_corpus(target, vocab, max_len)
+        matrix = encode_corpus(target, vocab, max_len)
         for row, (text, _) in zip(matrix.tolist(), target.records):
             assert row == encode_text(text, vocab, max_len).tolist()
         cached = target.tokenization
-        again, _ = encode_corpus(target, vocab, max_len)
+        again = encode_corpus(target, vocab, max_len)
         assert target.tokenization is cached
         assert np.array_equal(again, matrix)
 

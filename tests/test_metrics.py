@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emord.metrics import (
+    EvalResult,
     MetricsError,
     build_report,
     holdout_proximity,
@@ -19,6 +20,12 @@ ISEAR = builtin_taxonomy("isear-valence")
 GRID = builtin_taxonomy("goemotions-grid-5x5")
 
 
+def report_of(pairs, taxonomy, mode, **kwargs):
+    """build_report over (gold, predicted) label names, mapped to indices."""
+    gold, pred = (np.array([taxonomy.index(name) for name in names]) for names in zip(*pairs))
+    return build_report(gold, pred, taxonomy, mode, **kwargs)
+
+
 def grid_recipe(**widths) -> TrainConfig:
     """An ordinal-2d recipe over the grid at sequence length 12."""
     return TrainConfig(
@@ -28,7 +35,7 @@ def grid_recipe(**widths) -> TrainConfig:
 
 def test_confusion_matrix_layout():
     pairs = [("joy", "joy"), ("joy", "fear"), ("fear", "joy"), ("sadness", "sadness")]
-    cm = build_report(pairs, ISEAR, "softmax").confusion
+    cm = report_of(pairs, ISEAR, "softmax").confusion
     assert cm.shape == (7, 7)
     joy, fear, sadness = ISEAR.index("joy"), ISEAR.index("fear"), ISEAR.index("sadness")
     assert cm[joy, joy] == 1
@@ -40,7 +47,7 @@ def test_confusion_matrix_layout():
 
 def test_per_class_metrics_conventions():
     pairs = [("joy", "joy"), ("joy", "joy"), ("joy", "fear"), ("fear", "joy")]
-    stats = {m.label: m for m in build_report(pairs, ISEAR, "softmax").per_class}
+    stats = {m.label: m for m in report_of(pairs, ISEAR, "softmax").per_class}
     joy = stats["joy"]
     assert joy.support == 3 and joy.predicted == 3
     assert joy.precision == pytest.approx(2 / 3)
@@ -56,21 +63,21 @@ def test_per_class_metrics_conventions():
 def test_macro_f1_excludes_absent_classes():
     # only classes with gold or predicted examples enter the average
     pairs = [("joy", "joy"), ("fear", "fear"), ("fear", "fear")]
-    assert build_report(pairs, ISEAR, "softmax").macro_f1 == pytest.approx(1.0)
+    assert report_of(pairs, ISEAR, "softmax").macro_f1 == pytest.approx(1.0)
     pairs = [("joy", "joy"), ("fear", "joy")]
     # joy: p=1/2, r=1, f1=2/3; fear: 0 -> macro over exactly these two
-    assert build_report(pairs, ISEAR, "softmax").macro_f1 == pytest.approx((2 / 3 + 0.0) / 2)
+    assert report_of(pairs, ISEAR, "softmax").macro_f1 == pytest.approx((2 / 3 + 0.0) / 2)
 
 
 def test_macro_f1_counts_a_class_that_is_only_predicted():
     # fear has no gold example but is predicted once, so it enters the mean at 0
     pairs = [("joy", "joy"), ("joy", "fear")]
-    assert build_report(pairs, ISEAR, "softmax").macro_f1 == pytest.approx((2 / 3 + 0.0) / 2)
+    assert report_of(pairs, ISEAR, "softmax").macro_f1 == pytest.approx((2 / 3 + 0.0) / 2)
 
 
 def test_error_histogram_buckets():
     pairs = [("sadness", "sadness"), ("sadness", "anger"), ("sadness", "joy")]
-    hist = build_report(pairs, ISEAR, "ordinal-1d").error_histogram
+    hist = report_of(pairs, ISEAR, "ordinal-1d").error_histogram
     assert hist == {1: 0, 2: 1, 3: 0, 4: 0, 5: 0, 6: 1}
 
 
@@ -81,7 +88,7 @@ def test_build_report_ordinal_fields():
         ("joy", "sadness"),      # d=6
         ("anger", "anger"),      # d=0
     ]
-    report = build_report(pairs, ISEAR, "ordinal-1d")
+    report = report_of(pairs, ISEAR, "ordinal-1d")
     assert report.n_examples == 4
     assert report.accuracy == pytest.approx(0.5)
     assert report.mean_error_distance == pytest.approx((1 + 6) / 2)
@@ -98,7 +105,7 @@ def test_build_report_grid_fields():
         ("grief", "sadness"),      # L1=1 cheb=1
         ("grief", "excitement"),   # L1=8 cheb=4
     ]
-    report = build_report(pairs, GRID, "ordinal-2d")
+    report = report_of(pairs, GRID, "ordinal-2d")
     assert report.mean_error_distance == pytest.approx((1 + 8) / 2)
     assert report.mean_distance == pytest.approx(9 / 3)
     assert report.chebyshev_histogram == {1: 1, 2: 0, 3: 0, 4: 1}
@@ -108,7 +115,7 @@ def test_build_report_grid_fields():
 
 def test_build_report_perfect_predictions():
     pairs = [("joy", "joy"), ("fear", "fear")]
-    report = build_report(pairs, ISEAR, "softmax")
+    report = report_of(pairs, ISEAR, "softmax")
     assert report.accuracy == 1.0
     assert report.mean_error_distance == 0.0
     assert report.max_error_distance == 0
@@ -117,17 +124,34 @@ def test_build_report_perfect_predictions():
 
 
 def test_build_report_validation():
-    with pytest.raises(MetricsError):
-        build_report([], ISEAR, "softmax")
-    with pytest.raises(MetricsError, match="not in the taxonomy"):
-        build_report([("joy", "confidence")], ISEAR, "softmax")
+    empty = np.zeros(0, dtype=np.intp)
+    with pytest.raises(MetricsError, match="no \\(gold, predicted\\) pairs"):
+        build_report(empty, empty, ISEAR, "softmax")
+    ok = np.array([0, 6])
+    for gold, pred in [(ok, np.array([0])), (ok[:, None], ok[:, None]), (np.int64(0), np.int64(0))]:
+        with pytest.raises(MetricsError, match="two \\(N,\\) index arrays"):
+            build_report(gold, pred, ISEAR, "softmax")
+    # -1 or K would otherwise count as another cell of the confusion matrix
+    for bad in ([0, -1], [0, 7], [0.0, 1.0], [True, False]):
+        with pytest.raises(MetricsError, match=r"predicted label indices must be integers in \[0, 7\)"):
+            build_report(ok, np.array(bad), ISEAR, "softmax")
+        with pytest.raises(MetricsError, match=r"gold label indices must be integers in \[0, 7\)"):
+            build_report(np.array(bad), ok, ISEAR, "softmax")
+
+
+@pytest.mark.parametrize("flags", [np.ones(5, bool), np.ones((2, 2), bool), np.ones(1, bool), []])
+def test_build_report_takes_one_off_grid_flag_per_example(flags):
+    gold = np.array([GRID.index("grief"), GRID.index("joy")])
+    with pytest.raises(MetricsError, match=r"one flag per example \(2\)"):
+        build_report(gold, gold, GRID, "ordinal-2d", off_grid=flags)
+    assert build_report(gold, gold, GRID, "ordinal-2d", off_grid=np.ones(2, bool)).off_grid_rate == 1.0
 
 
 def test_report_to_dict_serializable():
     import json
 
     pairs = [("grief", "sadness"), ("joy", "joy")]
-    report = build_report(pairs, GRID, "ordinal-2d")
+    report = report_of(pairs, GRID, "ordinal-2d")
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["format"] == "emord.report/1"
     assert doc["n_examples"] == 2
@@ -138,7 +162,7 @@ def test_report_to_dict_serializable():
 
 def test_writers(tmp_path):
     pairs = [("sadness", "sadness"), ("sadness", "joy"), ("joy", "joy")]
-    report = build_report(pairs, ISEAR, "softmax")
+    report = report_of(pairs, ISEAR, "softmax")
     report_path = tmp_path / "report.json"
     write_report_json(report, report_path)
     text = report_path.read_text(encoding="utf-8")
@@ -161,7 +185,8 @@ def test_writers(tmp_path):
     assert len(lines) == 7  # distances 1..6, zero buckets kept
 
     pairs_path = tmp_path / "pairs.csv"
-    write_pairs_csv(pairs, pairs_path)
+    gold, pred = (np.array([ISEAR.index(name) for name in names]) for names in zip(*pairs))
+    write_pairs_csv(EvalResult(report, gold, pred), pairs_path)
     lines = pairs_path.read_text(encoding="utf-8").splitlines()
     assert lines == ["gold,predicted", "sadness,sadness", "sadness,joy", "joy,joy"]
 
@@ -203,9 +228,8 @@ def test_holdout_distances_use_raw_cells():
     config = recipe.model_config(vocab.size, GRID)
     ck = Checkpoint(init_params(config, 0), GRID, vocab, recipe)
     report = holdout_proximity(ck, corpus, "joy")
-    token_ids, _ = encode_corpus(corpus, vocab, 12)
-    preds = predict_ids(ck, token_ids)
-    target = GRID.cell("joy")
+    preds = predict_ids(ck, encode_corpus(corpus, vocab, 12))
+    target = GRID.cells["joy"]
     expected = [abs(p.cell[0] - target[0]) + abs(p.cell[1] - target[1]) for p in preds]
     assert report.mean_distance == pytest.approx(sum(expected) / len(expected))
     assert report.n_examples == 4
@@ -234,7 +258,7 @@ def decode_rows(ck, corpus):
     from emord.data import encode_corpus
     from emord.infer import predict_ids
 
-    decoded = predict_ids(ck, encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length)[0])
+    decoded = predict_ids(ck, encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length))
     return [decoded[i] for i in range(len(decoded))]
 
 
@@ -247,13 +271,14 @@ def test_evaluate_off_grid_rate_counts_decoded_rows():
     flags = [pred.off_grid for pred in rows]
     assert 0 < sum(flags) < len(flags)
     assert result.report.off_grid_rate == sum(flags) / len(flags)
-    assert result.pairs == tuple((gold, pred.label) for gold, pred in zip(corpus.labels(), rows))
+    assert [GRID.labels[i] for i in result.gold] == corpus.labels()
+    assert [GRID.labels[i] for i in result.predicted] == [pred.label for pred in rows]
 
 
 def test_holdout_distribution_equals_a_loop_over_cells():
     ck, corpus = spread_grid_model()
     report = holdout_proximity(ck, corpus, "joy")
-    target = GRID.cell("joy")
+    target = GRID.cells["joy"]
     distribution = {d: 0 for d in range(9)}
     for pred in decode_rows(ck, corpus):
         v, a = pred.cell

@@ -54,6 +54,25 @@ def test_config_validation():
     assert tiny_config().min_seq_length == 9
 
 
+@pytest.mark.parametrize(
+    "widths", [{"embed_dim": 10**23}, {"conv_channels": (4 * 10**9, 4 * 10**9)}]
+)
+def test_widths_no_array_can_hold_are_a_net_error(widths):
+    with pytest.raises(NetError, match=r"^\d+ parameters are more than one array can hold: ModelConfig\(vocab_size="):
+        tiny_config(**widths)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_the_largest_arena_a_config_accepts_is_the_largest_array_numpy_indexes(dtype):
+    # only configs are built here, never their arenas
+    itemsize = np.dtype(dtype).itemsize
+    rest = tiny_config(vocab_size=3, embed_dim=1, dtype=dtype).param_count - 3
+    largest = np.iinfo(np.intp).max // itemsize - rest  # the vocab_size whose arena just fits
+    assert tiny_config(vocab_size=largest, embed_dim=1, dtype=dtype).param_count == largest + rest
+    with pytest.raises(NetError, match=f"^{largest + 1 + rest} parameters are more than"):
+        tiny_config(vocab_size=largest + 1, embed_dim=1, dtype=dtype)
+
+
 def preset_model(preset, vocab_size, output_width, head_mode, **overrides):
     """A ModelConfig at the widths trainer.PRESETS gives `preset`."""
     widths = {name: PRESETS[preset][name] for name in WIDTH_FIELDS}

@@ -41,7 +41,7 @@ def test_parse_1d_basic():
     tax = parse_taxonomy(doc_1d([("low", 0), ("mid", 1), ("high", 2)]))
     assert tax.mode == "1d"
     assert tax.labels == ("low", "mid", "high")
-    assert tax.rank("mid") == 1
+    assert tax.ranks["mid"] == 1
     assert tax.num_labels == 3
 
 
@@ -178,8 +178,8 @@ def test_isear_taxonomy_shape_and_distances():
     # pinned ordering facts for the shipped valence scale
     assert label_distance(tax, "sadness", "anger") == 2
     assert label_distance(tax, "sadness", "fear") == 5
-    assert tax.rank("sadness") == 0
-    assert tax.rank("joy") == 6
+    assert tax.ranks["sadness"] == 0
+    assert tax.ranks["joy"] == 6
     assert max_distance(tax) == 6
     assert tax.levels == 7 and tax.coords.shape == (7, 1)
 
@@ -192,8 +192,8 @@ def test_grid_taxonomy_shape_and_distances():
     cells = list(tax.cells.values())
     assert len(set(cells)) == 23  # injective
     assert all(0 <= v < 5 and 0 <= a < 5 for v, a in cells)
-    assert tax.cell("grief") == (0, 0)
-    assert tax.cell("pride") == (3, 2)
+    assert tax.cells["grief"] == (0, 0)
+    assert tax.cells["pride"] == (3, 2)
     assert label_distance(tax, "grief", "pride") == 5
     assert tax.chebyshev_table[tax.index("grief"), tax.index("pride")] == 3
     assert max_distance(tax) == 8
@@ -212,7 +212,7 @@ def test_label_at_cell():
         row = np.concatenate([encode_thermometer(cell[0], 5), encode_thermometer(cell[1], 5)])
         return decode_outputs(tax, "ordinal-2d", row[None, :])[0]
 
-    joy = decode(tax.cell("joy"))
+    joy = decode(tax.cells["joy"])
     assert joy.label == "joy" and not joy.off_grid
     empty = [
         (v, a)
@@ -303,18 +303,9 @@ def test_label_distance_is_the_l1_gap_in_plain_ints():
 def test_unknown_labels_of_any_type_are_taxonomy_errors(label):
     t1 = builtin_taxonomy("isear-valence")
     t2 = builtin_taxonomy("goemotions-grid-5x5")
-    for lookup in (t1.index, t1.rank, t2.index, t2.cell):
+    for lookup in (t1.index, t2.index):
         with pytest.raises(TaxonomyError, match="^unknown label: "):
             lookup(label)
-
-
-def test_mode_mismatch_accessors():
-    t1 = builtin_taxonomy("isear-valence")
-    t2 = builtin_taxonomy("goemotions-grid-5x5")
-    with pytest.raises(TaxonomyError):
-        t1.cell("sadness")
-    with pytest.raises(TaxonomyError):
-        t2.rank("joy")
 
 
 def test_shipped_documents_parse_strictly():

@@ -13,7 +13,7 @@ from emord.checkpoint import load_checkpoint, save_checkpoint
 from emord.data import LabeledCorpus, SyntheticSpec, generate_synthetic, save_corpus_tsv
 from emord.documents import parse_document
 from emord.hashing import canonical_json
-from emord.taxonomy import builtin_taxonomy, save_taxonomy
+from emord.taxonomy import EmotionTaxonomy, builtin_taxonomy, save_taxonomy
 from emord.trainer import (
     _CONFIG_KINDS,
     CONFIG_FORMAT,
@@ -24,7 +24,6 @@ from emord.trainer import (
     TrainingDivergedError,
     load_train_config_file,
     resolve_train_config,
-    train,
     write_history,
 )
 
@@ -282,7 +281,7 @@ def test_config_document_roundtrip():
 
 
 def test_training_runs_and_improves():
-    result = train(tiny_config(epochs=4), tiny_corpus(per_class=20))
+    result = Trainer(tiny_config(epochs=4), tiny_corpus(per_class=20)).run()
     assert len(result.history) == 4
     assert result.final.epochs_completed == 4
     assert result.final.optimizer is not None
@@ -294,18 +293,18 @@ def test_training_runs_and_improves():
 
 def test_training_is_deterministic():
     corpus = tiny_corpus()
-    a = train(tiny_config(), corpus)
-    b = train(tiny_config(), corpus)
+    a = Trainer(tiny_config(), corpus).run()
+    b = Trainer(tiny_config(), corpus).run()
     for (name, arr_a), (_, arr_b) in zip(a.final.params.named(), b.final.params.named()):
         assert np.array_equal(arr_a, arr_b), name
     assert [s.train_loss for s in a.history] == [s.train_loss for s in b.history]
-    c = train(tiny_config(seed=1), corpus)
+    c = Trainer(tiny_config(seed=1), corpus).run()
     assert not np.array_equal(a.final.params.fc3_w, c.final.params.fc3_w)
 
 
 def test_resume_matches_uninterrupted_run():
     corpus = tiny_corpus()
-    straight = train(tiny_config(epochs=4), corpus)
+    straight = Trainer(tiny_config(epochs=4), corpus).run()
 
     half = Trainer(tiny_config(epochs=2), corpus)
     half_result = half.run()
@@ -325,8 +324,8 @@ def test_resume_from_disk_is_byte_identical(tmp_path):
     # arenas on load; training on from it must match the straight run bit
     # for bit, down to the bytes of the final checkpoint
     corpus = tiny_corpus()
-    straight = train(tiny_config(epochs=4), corpus)
-    save_checkpoint(train(tiny_config(epochs=2), corpus).final, tmp_path / "half.ckpt")
+    straight = Trainer(tiny_config(epochs=4), corpus).run()
+    save_checkpoint(Trainer(tiny_config(epochs=2), corpus).run().final, tmp_path / "half.ckpt")
     half = load_checkpoint(tmp_path / "half.ckpt")
     assert not half.params.arena.flags.writeable
     resumed = Trainer.resume(tiny_config(epochs=4), half, corpus)
@@ -355,17 +354,23 @@ def test_snapshots_have_frozen_params_and_writable_moments():
 
 def test_resume_requires_optimizer_state():
     corpus = tiny_corpus()
-    result = train(tiny_config(), corpus)
+    result = Trainer(tiny_config(), corpus).run()
     with pytest.raises(TrainerError, match="optimizer"):
         Trainer.resume(tiny_config(epochs=4), result.best, corpus)
 
 
-def test_resume_rejects_mismatched_data():
+def test_resume_rejects_mismatched_data(tmp_path):
     corpus = tiny_corpus(seed=0)
-    result = train(tiny_config(), corpus)
+    result = Trainer(tiny_config(), corpus).run()
     other = tiny_corpus(per_class=13, seed=5)
     with pytest.raises(TrainerError, match="vocabulary"):
         Trainer.resume(tiny_config(epochs=4), result.final, other)
+    # the same labels and head width, on a reversed scale
+    reversed_scale = EmotionTaxonomy(ISEAR.labels, ISEAR.points[::-1], ISEAR.levels)
+    save_taxonomy(reversed_scale, tmp_path / "reversed.json")
+    config = tiny_config(epochs=4, taxonomy=str(tmp_path / "reversed.json"))
+    with pytest.raises(TrainerError, match="^checkpoint taxonomy does not match the config$"):
+        Trainer.resume(config, result.final, corpus)
 
 
 @pytest.mark.parametrize(
@@ -376,7 +381,7 @@ def test_resume_rejects_mismatched_data():
 )
 def test_resume_rejects_a_config_the_run_did_not_use(name, value):
     corpus = tiny_corpus()
-    result = train(tiny_config(), corpus)
+    result = Trainer(tiny_config(), corpus).run()
     with pytest.raises(TrainerError, match=f"^checkpoint has {name}="):
         Trainer.resume(tiny_config(epochs=4, **{name: value}), result.final, corpus)
 
@@ -388,7 +393,7 @@ def test_resume_accepts_other_epochs_corpus_path_and_taxonomy_spelling(tmp_path)
     save_corpus_tsv(corpus, tmp_path / "a.tsv")
     save_corpus_tsv(corpus, tmp_path / "b.tsv")
     save_taxonomy(ISEAR, tmp_path / "isear.json")
-    result = train(tiny_config(corpus=str(tmp_path / "a.tsv")))
+    result = Trainer(tiny_config(corpus=str(tmp_path / "a.tsv"))).run()
     config = tiny_config(
         epochs=3, corpus=str(tmp_path / "b.tsv"), taxonomy=str(tmp_path / "isear.json")
     )
@@ -399,7 +404,7 @@ def test_resume_accepts_other_epochs_corpus_path_and_taxonomy_spelling(tmp_path)
 
 def test_resume_with_nothing_left_to_do():
     corpus = tiny_corpus()
-    result = train(tiny_config(epochs=2), corpus)
+    result = Trainer(tiny_config(epochs=2), corpus).run()
     resumed = Trainer.resume(tiny_config(epochs=2), result.final, corpus)
     with pytest.raises(TrainerError, match="nothing to train"):
         resumed.run()
@@ -409,7 +414,7 @@ def test_divergence_reports_location():
     corpus = tiny_corpus()
     config = tiny_config(learning_rate=1e30, epochs=1)  # guaranteed blow-up
     with pytest.raises(TrainingDivergedError) as err:
-        train(config, corpus)
+        Trainer(config, corpus).run()
     assert err.value.epoch == 1
     assert err.value.batch_index >= 0
 
@@ -420,7 +425,7 @@ def test_divergence_raises_no_numpy_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(TrainingDivergedError):
-            train(tiny_config(learning_rate=1e30, epochs=1), tiny_corpus())
+            Trainer(tiny_config(learning_rate=1e30, epochs=1), tiny_corpus()).run()
 
 
 def test_empty_validation_falls_back_to_train(caplog):
@@ -460,7 +465,7 @@ def test_mode_taxonomy_compatibility():
 
 
 def test_write_history(tmp_path):
-    result = train(tiny_config(epochs=2), tiny_corpus())
+    result = Trainer(tiny_config(epochs=2), tiny_corpus()).run()
     path = tmp_path / "history.jsonl"
     write_history(result.history, path)
     lines = path.read_text(encoding="utf-8").splitlines()
