@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,21 @@ class ClassMetrics:
         return dict(vars(self))
 
 
+def _fields_equal(self, other) -> bool:
+    """Dataclass equality comparing each array field whole, by np.array_equal.
+
+    The generated __eq__ compares the fields as tuples, which asks numpy
+    for the truth value of an elementwise array comparison and raises.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Full evaluation of one model on one labeled corpus."""
@@ -70,6 +85,8 @@ class MetricsReport:
     chebyshev_histogram: dict[int, int] | None = None  # 2d only
     mean_error_chebyshev: float | None = None
     off_grid_rate: float | None = None
+
+    __eq__ = _fields_equal
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -100,6 +117,8 @@ class EvalResult:
     report: MetricsReport
     gold: np.ndarray  # (N,) label indices, one per example
     predicted: np.ndarray  # (N,) resolved predicted label indices
+
+    __eq__ = _fields_equal
 
 
 def per_class_metrics(confusion: np.ndarray, labels: tuple[str, ...]) -> tuple[ClassMetrics, ...]:

@@ -6,10 +6,16 @@ for the ordinal heads).  Convolutions are valid (no padding), stride 1, so
 each conv shortens the time axis by kernel-1.
 
 Everything is plain numpy, and each convolution runs as one GEMM per kernel
-tap, forward and backward.  backward() returns exact reverse-mode gradients
-for every parameter and is verified against central finite differences in
-gradcheck.py.  float32 is the training dtype, float64 the gradient-checking
-dtype.
+tap, forward and backward.  forward() multiplies each tap by the flat
+(B*T, Cin) rows and adds tap j's product shifted up by j rows, in one
+contiguous add per tap: output t of a text takes input row t+j, and a row
+past the text's last output takes the next text's taps and is cut away.
+Each kept row sums the same products in the same order as a strided add
+over a (B, T-k+1) view would, so the values are bit-identical to it; only
+the memory the adds walk changes.  backward() returns exact reverse-mode
+gradients for every parameter and is verified against central finite
+differences in gradcheck.py.  float32 is the training dtype, float64 the
+gradient-checking dtype.
 
 Each conv weight is stored tap-major, conv1_w as (k1, E, C1) and conv2_w
 as (k2, C1, C2), so each tap is one contiguous matrix of the arena and
@@ -26,12 +32,13 @@ last bits from the same rows in a 256-row batch at about 25-32 of the batch
 sizes 1-39, 100, 129 and 255 (never at a multiple of 4), ordinal-2d outputs
 at batch size 1 only.  ROADMAP item 3 is to make them batch-invariant.
 
-Every ReLU overwrites its input, in every forward, so each hidden
-activation exists once.  The ForwardCache a training forward returns holds
-activations only: the masked embedding, a1, a2, the pool's mask, counts and
-output, h1 and h2.  backward() takes each ReLU's mask from its output
-(a > 0 exactly where the pre-activation is > 0) and writes each ReLU's
-input gradient over its output gradient.
+Each hidden activation exists once, in every forward: a conv ReLU writes
+the compact activation out of the conv's flat buffer, which is then
+dropped, and an FFNN ReLU overwrites its input.  The ForwardCache a
+training forward returns holds activations only: the masked embedding, a1,
+a2, the pool's mask, counts and output, h1 and h2.  backward() takes each
+ReLU's mask from its output (a > 0 exactly where the pre-activation is
+> 0) and writes each ReLU's input gradient over its output gradient.
 
 A forward that keeps no cache (forward(..., cache=False): every caller
 but the training step) runs embedding -> conv1 -> ReLU -> conv2 -> ReLU ->
@@ -49,8 +56,11 @@ any row count, and the FFNN sees the same pooled matrix.
 At desk widths a batched forward is bound by the conv GEMMs, but a one-row
 forward (one text served by predict_text) is bound by numpy's per-call
 overhead.  So forward() derives the padding mask once, for the all-padding
-check, the trim, the embedding and the pool, masks the gathered embedding
-in place, multiplies small products with ndarray.dot (see _DOT_MACS), and
+check, the trim, the embedding and the pool, gathers the embedding with
+embedding.take(ids, axis=0) (the method: np.take's wrapper costs about
+0.9 us more per call) and masks it in place by the mask in the model's
+dtype (x * 1.0 and x * 0.0 give the bits a bool mask gives, -0.0
+included), multiplies small products with ndarray.dot (see _DOT_MACS), and
 applies the logistic head without gathering its two halves.
 """
 
@@ -278,9 +288,9 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 class ForwardCache:
     """What backward() reads of a training forward: activations only.
 
-    Every ReLU in forward() overwrites its input, so no pre-activation is
-    kept; backward() takes each ReLU's mask from its output, as a > 0 holds
-    exactly where the pre-activation is > 0 (also for -0.0 and NaN).
+    forward() keeps no pre-activation; backward() takes each ReLU's mask
+    from its output, as a > 0 holds exactly where the pre-activation is > 0
+    (also for -0.0 and NaN).
     """
 
     token_ids: np.ndarray  # (B, T) int, cut
@@ -305,17 +315,20 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # x (B, T, Cin), w (k, Cin, Cout) -> (B, T-k+1, Cout), one GEMM per
-    # tap: tap j maps every input row, and output t takes input row t+j.
+    # x (B, T, Cin), w (k, Cin, Cout) -> (B, T-k+1, Cout), a view of a
+    # (B*T, Cout) buffer.  Output t takes input row t+j through tap j, so
+    # tap j's product is added shifted up j flat rows; a kept row sums
+    # ((P0 + bias) + P1[t+1]) + ..., as a strided add would.
     batch, t, c_in = x.shape
     k = w.shape[0]
-    t_out = t - k + 1
-    flat = x.reshape(batch * t, c_in)
-    mul = _product(batch * t, w[0])
-    out = mul(flat, w[0]).reshape(batch, t, -1)[:, :t_out] + b
+    n = batch * t
+    flat = x.reshape(n, c_in)
+    mul = _product(n, w[0])
+    out = mul(flat, w[0])
+    out += b
     for j in range(1, k):
-        out += mul(flat, w[j]).reshape(batch, t, -1)[:, j : j + t_out]
-    return out
+        out[: n - j] += mul(flat, w[j])[j:]
+    return out.reshape(batch, t, -1)[:, : t - k + 1]
 
 
 def _block_rows(config: ModelConfig, length: int) -> int:
@@ -405,13 +418,15 @@ def forward(
     # the pool works row by row, and each row of a tap product is the same
     # at any row count, so each pooled row is bit-identical either way.
     rows = b if cache else _block_rows(config, t)
+    realf = real.astype(dt)  # x * 1.0 and x * 0.0 give a bool mask's bits
     blocks = []
     for start in range(0, b, rows):
         stop = start + rows
-        emb = params.embedding[token_ids[start:stop]]
-        emb *= real[start:stop, :, None]
-        a1 = _relu(_conv1d(emb, params.conv1_w, params.conv1_b))
-        a2 = _relu(_conv1d(a1, params.conv2_w, params.conv2_b))
+        emb = params.embedding.take(token_ids[start:stop], axis=0)
+        emb *= realf[start:stop, :, None]
+        # out of place: compact activations, and the flat buffers are dropped
+        a1 = np.maximum(_conv1d(emb, params.conv1_w, params.conv1_b), 0)
+        a2 = np.maximum(_conv1d(a1, params.conv2_w, params.conv2_b), 0)
         # a fresh product: numpy runs an in-place product with a broadcast
         # operand about 4x slower
         masked = a2 * pool_mask[start:stop, :, None]
@@ -492,11 +507,9 @@ def backward(
     d_h1.sum(axis=0, out=grads.fc1_b)
     d_pooled = d_h1 @ params.fc1_w.T
 
-    d_a2 = (
-        cache.pool_mask[:, :, None]
-        * d_pooled[:, None, :]
-        / cache.pool_counts[:, None, None]
-    )
+    # the mask holds 0 and 1 and the counts are positive, so dividing each
+    # row once first gives the bits of (mask * d) / count
+    d_a2 = cache.pool_mask[:, :, None] * (d_pooled / cache.pool_counts[:, None])[:, None, :]
     np.multiply(d_a2, cache.a2 > 0, out=d_a2)
     d_a1 = _conv1d_backward(cache.a1, params.conv2_w, d_a2, grads.conv2_w, grads.conv2_b)
 

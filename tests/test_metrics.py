@@ -1,5 +1,7 @@
 """Scoring: confusion, macro-F1 conventions, distance metrics, and writers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,26 @@ def test_build_report_takes_one_off_grid_flag_per_example(flags):
     with pytest.raises(MetricsError, match=r"one flag per example \(2\)"):
         build_report(gold, gold, GRID, "ordinal-2d", off_grid=flags)
     assert build_report(gold, gold, GRID, "ordinal-2d", off_grid=np.ones(2, bool)).off_grid_rate == 1.0
+
+
+@pytest.mark.parametrize("taxonomy, mode", [(ISEAR, "softmax"), (GRID, "ordinal-2d")])
+def test_reports_compare_by_value(taxonomy, mode):
+    # the array fields compare whole: equal reports are equal, and one
+    # confusion cell or one index apart makes them unequal
+    gold, pred = np.array([0, 1]), np.array([0, 2])
+    report = build_report(gold, pred, taxonomy, mode)
+    same = build_report(gold.copy(), pred.copy(), taxonomy, mode)
+    assert report == same and not report != same
+    confusion = same.confusion.copy()
+    confusion[1, 1] += 1
+    assert report != dataclasses.replace(same, confusion=confusion)
+    assert report != build_report(gold, gold, taxonomy, mode)
+    assert report != report.to_dict()
+    result = EvalResult(report, gold, pred)
+    assert result == EvalResult(same, gold.copy(), pred.copy())
+    assert result != EvalResult(same, gold, gold)
+    assert result != EvalResult(same, pred, pred)
+    assert result != EvalResult(dataclasses.replace(same, confusion=confusion), gold, pred)
 
 
 def test_report_to_dict_serializable():

@@ -528,7 +528,7 @@ def test_cut_forward_equals_the_uncut_reference(mode, width, batch):
 
 def conv_returns(monkeypatch):
     """A copy of every _conv1d return from now on: the pre-ReLU values,
-    which forward's in-place ReLU overwrites."""
+    whose flat buffer forward drops after its ReLU."""
     returns = []
 
     def recording(x, taps, b):
@@ -558,6 +558,100 @@ def test_each_row_alone_equals_it_inside_a_batch(batch, monkeypatch):
         assert np.array_equal(alone_z1[0], z1[i, :t1])
         assert np.array_equal(alone_z2[0], z2[i, :t2])
         assert np.array_equal(alone.pooled[0], cache.pooled[i])
+
+
+# ------------------------- conv taps and gather against the strided form
+
+
+def strided_conv1d(x, w, b):
+    # the strided form of _conv1d: each tap's product added through a
+    # (B, T-k+1) view of its (B, T) rows
+    batch, t, c_in = x.shape
+    k = w.shape[0]
+    t_out = t - k + 1
+    flat = x.reshape(batch * t, c_in)
+    mul = net._product(batch * t, w[0])
+    out = mul(flat, w[0]).reshape(batch, t, -1)[:, :t_out] + b
+    for j in range(1, k):
+        out += mul(flat, w[j]).reshape(batch, t, -1)[:, j : j + t_out]
+    return out
+
+
+def masked_gather(embedding, ids):
+    # the gather by fancy index, masked by the bool padding mask
+    emb = embedding[ids]
+    emb *= (ids != 0)[:, :, None]
+    return emb
+
+
+def assert_same_bytes(got, want):
+    # np.array_equal takes -0.0 for +0.0; the bytes do not
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def conv_operands(rng, batch, t, c_in, c_out, k, dtype):
+    x = rng.standard_normal((batch, t, c_in)).astype(dtype)
+    x[:, ::3] = np.maximum(x[:, ::3], 0)  # ReLU outputs: zero rows and columns
+    x[0, -1] = 0.0  # the last flat row, which every later tap shifts past
+    w = rng.standard_normal((k, c_in, c_out)).astype(dtype)
+    b = rng.standard_normal(c_out).astype(dtype)
+    b[::4] = -0.0  # a zero sum plus -0.0 keeps the sign of the sum
+    return x, w, b
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, c_in, c_out", [(6, 32, 32), (4, 32, 64)])  # desk conv1, conv2
+def test_conv_taps_give_the_strided_form_bytes_at_desk_widths(k, c_in, c_out, dtype):
+    rng = np.random.default_rng([k, c_in, c_out, np.dtype(dtype).itemsize])
+    for batch in (1, 2, 16, 18, 255):
+        for t in (9, 28, 32):
+            x, w, b = conv_operands(rng, batch, t, c_in, c_out, k, dtype)
+            assert_same_bytes(_conv1d(x, w, b), strided_conv1d(x, w, b))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "batch, t, c_in, c_out, k",
+    [
+        (3, 6, 5, 4, 1),  # k = 1: no shifted tap
+        (1, 4, 3, 5, 4),  # T = k: one output position per row
+        (5, 4, 3, 5, 4),
+        (2, 40, 768, 1024, 6),  # mid width
+    ],
+)
+def test_conv_taps_give_the_strided_form_bytes_at_edge_shapes(batch, t, c_in, c_out, k, dtype):
+    rng = np.random.default_rng([batch, t, c_in, c_out, k])
+    x, w, b = conv_operands(rng, batch, t, c_in, c_out, k, dtype)
+    assert_same_bytes(_conv1d(x, w, b), strided_conv1d(x, w, b))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_forward_gives_the_strided_form_bytes(dtype, monkeypatch):
+    # a padding row of negative values masks to -0.0 in the embedding,
+    # which only the bytes tell from +0.0
+    config, params = scaled_desk_model("ordinal-2d", 8, dtype)
+    params.embedding[0] = -np.linspace(0.1, 0.5, config.embed_dim)
+    ids = padded_rows(np.random.default_rng(11), 37, 32, range(1, 33))
+    outputs, cache = forward(params, config, ids)
+    free, _ = forward(params, config, ids, cache=False)
+    emb = masked_gather(params.embedding, cache.token_ids)
+    assert np.signbit(emb[cache.token_ids == 0]).all()
+    a1 = np.maximum(strided_conv1d(emb, params.conv1_w, params.conv1_b), 0)
+    a2 = np.maximum(strided_conv1d(a1, params.conv2_w, params.conv2_b), 0)
+    for got, want in ((cache.emb, emb), (cache.a1, a1), (cache.a2, a2)):
+        assert_same_bytes(got, want)
+        assert got.flags.c_contiguous and got.base is None  # compact, owning its data
+    monkeypatch.setattr(net, "_conv1d", strided_conv1d)
+    strided, strided_cache = forward(params, config, ids)
+    assert_same_bytes(outputs, strided)
+    assert_same_bytes(free, strided)
+    assert_same_bytes(cache.pooled, strided_cache.pooled)
+    for kind in "iu":
+        for size in (1, 2, 4, 8):
+            same, same_cache = forward(params, config, ids.astype(f"{kind}{size}"))
+            assert_same_bytes(same, outputs)
+            assert_same_bytes(same_cache.emb, cache.emb)
 
 
 # ------------------------------------- backward against its out-of-place form
