@@ -14,20 +14,22 @@ reproducibility.  Layout:
     header       canonical JSON (sorted keys, no whitespace)
     payload      the parameter arena, then (resumable checkpoints only) the
                  AdamW m and v arenas, raw little-endian, back to back
+    trailer      the 32-byte sha256 of every byte before it
 
 The header states each fact once: the resolved TrainConfig as its config
 document (`recipe`, without the directories the data was read from, so the
 bytes do not depend on them), the parameter dtype, the taxonomy document, the
-vocabulary, the epochs completed, the AdamW step (null without moments),
-and the sha256 of the taxonomy, the vocabulary and the payload bytes.  The
-model's widths, the arrays' shapes and byte ranges and the payload size all
-follow from the recipe, the vocabulary size and the taxonomy through
+vocabulary, the epochs completed and the AdamW step (null without moments).
+The model's widths, the arrays' shapes and byte ranges and the payload size
+all follow from the recipe, the vocabulary size and the taxonomy through
 TrainConfig.model_config, which the trainer builds its model with and a
 Checkpoint derives its `config` with.  load_checkpoint checks every header
-field's JSON type, reads the recipe as a config file is read, re-verifies
-the hashes and derives the rest.
+field's JSON type, reads the recipe as a config file is read and derives the
+rest; a crafted file can carry a valid checksum, so the header is checked as
+outside input.  The trailer is compared last, so any changed byte that still
+gives a valid header ends in a checksum mismatch.
 
-Saves and loads are format 3 (HEADER_FORMAT) only; a file of an earlier
+Saves and loads are format 4 (HEADER_FORMAT) only; a file of an earlier
 format is rejected by name.
 """
 
@@ -46,24 +48,25 @@ import numpy as np
 from .atomic import atomic_write
 from .data import Vocabulary
 from .documents import parse_document
-from .hashing import canonical_json, sha256_json, sha256_text
-from .net import ModelConfig, ModelParams
+from .hashing import canonical_json
+from .net import ModelConfig, ModelParams, fields_equal
 from .optim import AdamWState
 from .recipe import CONFIG_FORMAT, TrainConfig, TrainerError, _CONFIG_KINDS
 from .taxonomy import EmotionTaxonomy, parse_taxonomy, taxonomy_to_document
 
 MAGIC = b"EMOC"
 CONTAINER_VERSION = 1
-HEADER_FORMAT = "emord.checkpoint/3"
+HEADER_FORMAT = "emord.checkpoint/4"
 
 _DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
+_CHECKSUM_SIZE = 32  # the sha256 trailer
 
 
 class CheckpointError(ValueError):
     """Unreadable, corrupt, or internally inconsistent checkpoint file."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
     """Everything needed to run (and optionally resume training) a model.
 
@@ -84,18 +87,12 @@ class Checkpoint:
     # stored, not a property: inference reads it several times per text
     config: ModelConfig = field(init=False, compare=False)
 
+    __eq__ = fields_equal
+
     def __post_init__(self):
         self.config = self.recipe.model_config(
             self.vocab.size, self.taxonomy, self.params.arena.dtype.name
         )
-
-
-def vocab_fingerprint(vocab: Vocabulary) -> str:
-    return sha256_text("\n".join(vocab.tokens) + f"\nmin_freq={vocab.min_freq}")
-
-
-def taxonomy_fingerprint(taxonomy: EmotionTaxonomy) -> str:
-    return sha256_json(taxonomy_to_document(taxonomy))
 
 
 def _is_count(value) -> bool:
@@ -123,7 +120,6 @@ _HEADER = {
     "vocab": {"tokens": _TEXTS, "min_freq": _COUNT},
     "epochs_completed": _COUNT,
     "optimizer_step": _COUNT,
-    "hashes": {"taxonomy": _TEXT, "vocab": _TEXT, "payload": _TEXT},
 }
 _NULLABLE = {"optimizer_step"}
 
@@ -151,7 +147,7 @@ def _check_fields(path: Path, document: dict, schema: dict, where: str = "") -> 
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
-    """Write atomically in format 3; identical Checkpoint contents give identical bytes."""
+    """Write atomically in format 4; identical Checkpoint contents give identical bytes."""
     path = Path(path)
     cfg = ck.config
     arenas = [ck.params]
@@ -164,9 +160,6 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
     tag = _DTYPE_TAGS[cfg.dtype]
     # no copy for a contiguous little-endian arena
     payload = [np.ascontiguousarray(params.arena, dtype=tag) for params in arenas]
-    payload_hash = hashlib.sha256()
-    for arena in payload:
-        payload_hash.update(arena)
 
     header = {
         "format": HEADER_FORMAT,
@@ -176,20 +169,15 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
         "vocab": {"tokens": list(ck.vocab.tokens), "min_freq": ck.vocab.min_freq},
         "epochs_completed": ck.epochs_completed,
         "optimizer_step": None if ck.optimizer is None else ck.optimizer.step,
-        "hashes": {
-            "taxonomy": taxonomy_fingerprint(ck.taxonomy),
-            "vocab": vocab_fingerprint(ck.vocab),
-            "payload": payload_hash.hexdigest(),
-        },
     }
     header_bytes = canonical_json(header).encode("utf-8")
+    preamble = MAGIC + CONTAINER_VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(8, "little")
+    checksum = hashlib.sha256()
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(int(CONTAINER_VERSION).to_bytes(4, "little"))
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(header_bytes)
-        for arena in payload:
-            fh.write(arena)
+        for part in (preamble, header_bytes, *payload):
+            checksum.update(part)
+            fh.write(part)
+        fh.write(checksum.digest())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -198,9 +186,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     The preamble and header are read and checked first, and the file's size
     against the arenas the header's model needs; then each arena is read
     straight into the array it is returned in, so loading holds little
-    beyond the arenas, and the arenas are hashed in place against the
-    header's payload hash.  The parameters come back read-only, the moments
-    writable.
+    beyond the arenas.  Every byte is hashed as it is read, and the digest
+    is compared with the trailer last.  The parameters come back read-only,
+    the moments writable.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -214,10 +202,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if version != CONTAINER_VERSION:
             raise CheckpointError(f"{path}: unsupported container version {version}")
         header_end = 16 + int.from_bytes(preamble[8:16], "little")
-        if header_end > size:
+        if header_end + _CHECKSUM_SIZE > size:
             raise CheckpointError(f"{path}: truncated checkpoint while reading header")
+        header_bytes = fh.read(header_end - 16)
+        checksum = hashlib.sha256(preamble + header_bytes)
         try:
-            header = json.loads(fh.read(header_end - 16).decode("utf-8"))
+            header = json.loads(header_bytes.decode("utf-8"))
         except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
         fmt = header.get("format") if type(header) is dict else None
@@ -225,7 +215,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(
                 f"{path}: unsupported header format {fmt!r}; this version reads {HEADER_FORMAT!r}"
             )
-        return _from_header(path, header, fh, size - header_end)
+        return _from_header(path, header, fh, size - header_end - _CHECKSUM_SIZE, checksum)
 
 
 def _parse(path: Path, what: str, build, *args, **kwargs):
@@ -235,7 +225,7 @@ def _parse(path: Path, what: str, build, *args, **kwargs):
         raise CheckpointError(f"{path}: invalid {what} ({exc})") from exc
 
 
-def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
+def _from_header(path: Path, header: dict, fh, payload_size: int, checksum) -> Checkpoint:
     _check_fields(path, header, _HEADER)
     values = _parse(
         path, "recipe", parse_document, header["recipe"], CONFIG_FORMAT, _CONFIG_KINDS, TrainerError
@@ -249,11 +239,6 @@ def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
         tokens=tuple(header["vocab"]["tokens"]),
         min_freq=header["vocab"]["min_freq"],
     )
-    hashes = header["hashes"]
-    if hashes["taxonomy"] != taxonomy_fingerprint(taxonomy):
-        raise CheckpointError(f"{path}: taxonomy hash mismatch")
-    if hashes["vocab"] != vocab_fingerprint(vocab):
-        raise CheckpointError(f"{path}: vocabulary hash mismatch")
     config = _parse(path, "model", recipe.model_config, vocab.size, taxonomy, header["dtype"])
     step = header["optimizer_step"]
     arena_count = 1 if step is None else 3
@@ -263,19 +248,18 @@ def _from_header(path: Path, header: dict, fh, payload_size: int) -> Checkpoint:
 
     # each arena is read into its own native array, back to back, and hashed as read
     arenas = []
-    payload_hash = hashlib.sha256()
     for _ in range(arena_count):
         arena = np.empty(config.param_count, dtype=config.np_dtype)
         if fh.readinto(arena) != arena.nbytes:  # the file shrank since fstat
             raise CheckpointError(f"{path}: truncated checkpoint while reading the arrays")
-        payload_hash.update(arena)
+        checksum.update(arena)
         if sys.byteorder == "big":
             arena.byteswap(inplace=True)  # stored little-endian
         if not arenas:  # the parameters' arena is read-only, the moments' stay writable
             arena.setflags(write=False)
         arenas.append(ModelParams.over(config, arena))
-    if hashes["payload"] != payload_hash.hexdigest():
-        raise CheckpointError(f"{path}: payload hash mismatch")
+    if fh.read(_CHECKSUM_SIZE) != checksum.digest():
+        raise CheckpointError(f"{path}: checksum mismatch")
     params, *moments = arenas
 
     return Checkpoint(

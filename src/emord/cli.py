@@ -11,7 +11,8 @@ gradcheck.  Conventions, kept strictly:
 - Commands that produce artifacts take --out DIR, hold a .lock file there
   for the duration of the run, and write manifest.json before any artifact
   — a timestamp-free snapshot of the resolved configuration and input
-  hashes, so reruns can be compared file-by-file.  eval computes its report
+  hashes (the sha256 of each input file, and of the taxonomy document), so
+  reruns can be compared file-by-file.  eval computes its report
   first, so a failed eval writes no manifest.
 - For train, values resolve as: command-line flags over config-file values
   over preset defaults.  Every TrainConfig field has one flag,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import logging
 import os
@@ -32,7 +34,7 @@ from pathlib import Path
 
 from . import __version__
 from .atomic import atomic_write
-from .checkpoint import load_checkpoint, save_checkpoint, taxonomy_fingerprint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import HEAD_MODES
 from .data import (
     CORPUS_FORMATS,
@@ -43,7 +45,7 @@ from .data import (
     save_corpus_tsv,
 )
 from .gradcheck import check_gradients
-from .hashing import sha256_file
+from .hashing import canonical_json, sha256_file
 from .infer import predict_text
 from .metrics import (
     evaluate,
@@ -53,7 +55,7 @@ from .metrics import (
     write_pairs_csv,
     write_report_json,
 )
-from .taxonomy import save_taxonomy
+from .taxonomy import EmotionTaxonomy, save_taxonomy, taxonomy_to_document
 from .trainer import (
     _CONFIG_KINDS,
     PRESETS,
@@ -134,6 +136,11 @@ def locked_output_dir(path: str | Path):
         yield path
     finally:
         lock.unlink(missing_ok=True)
+
+
+def taxonomy_fingerprint(taxonomy: EmotionTaxonomy) -> str:
+    """The sha256 of the taxonomy's canonical document, as manifests record it."""
+    return hashlib.sha256(canonical_json(taxonomy_to_document(taxonomy)).encode("utf-8")).hexdigest()
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, artifacts: list[str]) -> None:

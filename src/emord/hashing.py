@@ -1,18 +1,10 @@
-"""SHA-256 helpers used for artifact integrity and reproducibility checks."""
+"""File digests and the canonical JSON form that manifests and checkpoint headers use."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from pathlib import Path
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def sha256_text(text: str) -> str:
-    return sha256_bytes(text.encode("utf-8"))
 
 
 def sha256_file(path: str | Path) -> str:
@@ -26,7 +18,3 @@ def sha256_file(path: str | Path) -> str:
 def canonical_json(document) -> str:
     """Stable serialization: sorted keys, no whitespace, ASCII only."""
     return json.dumps(document, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
-def sha256_json(document) -> str:
-    return sha256_text(canonical_json(document))

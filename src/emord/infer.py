@@ -29,7 +29,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .codec import MODE_SOFTMAX, CodecError, decode_thermometer_batch, target_width
 from .data import DataError, encode_text
-from .net import forward
+from .net import fields_equal, forward
 from .taxonomy import EmotionTaxonomy
 
 
@@ -60,7 +60,7 @@ class Prediction:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decoded(Sequence):
     """Decoded rows as arrays; `coords`, the raw decoded coordinates, is None for softmax.
 
@@ -74,6 +74,8 @@ class Decoded(Sequence):
     off_grid: np.ndarray  # (N,) bool
     outputs: np.ndarray  # (N, width)
     coords: np.ndarray | None = None  # (N, D)
+
+    __eq__ = fields_equal
 
     def __len__(self) -> int:
         return len(self.indices)

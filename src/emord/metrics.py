@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .atomic import atomic_write
 from .checkpoint import Checkpoint
 from .data import LabeledCorpus, encode_corpus
 from .infer import predict_ids
+from .net import fields_equal
 from .taxonomy import EmotionTaxonomy, max_distance
 
 REPORT_FORMAT = "emord.report/1"
@@ -52,22 +53,7 @@ class ClassMetrics:
         return dict(vars(self))
 
 
-def _fields_equal(self, other) -> bool:
-    """Dataclass equality comparing each array field whole, by np.array_equal.
-
-    The generated __eq__ compares the fields as tuples, which asks numpy
-    for the truth value of an elementwise array comparison and raises.
-    """
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    for f in fields(self):
-        a, b = getattr(self, f.name), getattr(other, f.name)
-        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
     """Full evaluation of one model on one labeled corpus."""
 
@@ -86,7 +72,7 @@ class MetricsReport:
     mean_error_chebyshev: float | None = None
     off_grid_rate: float | None = None
 
-    __eq__ = _fields_equal
+    __eq__ = fields_equal
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -112,13 +98,13 @@ class MetricsReport:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalResult:
     report: MetricsReport
     gold: np.ndarray  # (N,) label indices, one per example
     predicted: np.ndarray  # (N,) resolved predicted label indices
 
-    __eq__ = _fields_equal
+    __eq__ = fields_equal
 
 
 def per_class_metrics(confusion: np.ndarray, labels: tuple[str, ...]) -> tuple[ClassMetrics, ...]:

@@ -67,7 +67,7 @@ applies the logistic head without gathering its two halves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -101,6 +101,26 @@ PARAM_FIELDS = (
 
 class NetError(ValueError):
     """Invalid model configuration or forward-pass input."""
+
+
+def fields_equal(self, other) -> bool:
+    """`__eq__` for a dataclass with array fields: each compared field whole,
+    an array by np.array_equal.
+
+    The generated __eq__ compares the fields as tuples, which asks numpy
+    for the truth value of an elementwise array comparison and raises.  A
+    class that takes this `__eq__` is declared with eq=False, so it is
+    unhashable (`hash()` names the class) rather than hashing its arrays.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        if not f.compare:
+            continue
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -179,7 +199,7 @@ class ModelConfig:
         }
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ModelParams:
     """All trainable arrays; also used as the container for gradients and
     for each AdamW moment.
@@ -210,6 +230,8 @@ class ModelParams:
     fc3_w: np.ndarray  # (H2, out)
     fc3_b: np.ndarray  # (out,)
     arena: np.ndarray = field(repr=False, compare=False)
+
+    __eq__ = fields_equal
 
     def _bind(self, arena: np.ndarray, shapes) -> None:
         offset = 0

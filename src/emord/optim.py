@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .net import ModelParams
+from .net import ModelParams, fields_equal
 
 
 class OptimizerError(RuntimeError):
@@ -44,7 +44,7 @@ class AdamWConfig:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamWState:
     """First/second moment estimates plus the step counter.
 
@@ -54,6 +54,8 @@ class AdamWState:
     step: int
     m: ModelParams
     v: ModelParams
+
+    __eq__ = fields_equal
 
     @classmethod
     def initial(cls, params: ModelParams) -> "AdamWState":

@@ -1,6 +1,7 @@
 """Checkpoint container: bit-exact round trips and tamper detection."""
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 import typing
@@ -18,11 +19,9 @@ from emord.checkpoint import (
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
-    taxonomy_fingerprint,
-    vocab_fingerprint,
 )
-from emord.cli import EXIT_INVALID, main
-from emord.data import LabeledCorpus, Vocabulary, build_vocab
+from emord.cli import EXIT_INVALID, main, taxonomy_fingerprint
+from emord.data import LabeledCorpus, build_vocab
 from emord.hashing import canonical_json, sha256_file
 from emord.net import init_params
 from emord.optim import AdamWState, adamw_step
@@ -30,8 +29,10 @@ from emord.recipe import _CONFIG_KINDS, TrainConfig, TrainerError
 from emord.taxonomy import builtin_taxonomy, taxonomy_to_document
 
 #: make_checkpoint(with_optimizer=True) as save_checkpoint writes it (format
-#: 3); reader and writer change together, so this file pins the bytes on disk.
-PINNED = Path(__file__).parent / "data" / "checkpoint_v3_fixture.ckpt"
+#: 4); reader and writer change together, so this file pins the bytes on disk.
+PINNED = Path(__file__).parent / "data" / "checkpoint_v4_fixture.ckpt"
+#: The same checkpoint as format 3 wrote it, which is no longer read.
+FORMAT_3 = Path(__file__).parent / "data" / "checkpoint_v3_fixture.ckpt"
 
 RECIPE = TrainConfig(
     mode="softmax",
@@ -61,6 +62,18 @@ def make_checkpoint(with_optimizer=False, dtype="float32") -> Checkpoint:
 
 def header_of(raw: bytes) -> dict:
     return json.loads(raw[16 : 16 + int.from_bytes(raw[8:16], "little")])
+
+
+def with_header(raw: bytes, header: dict) -> bytes:
+    """A saved file's bytes with `header` in place of its own, checksum recomputed."""
+    header_bytes = canonical_json(header).encode("utf-8")
+    body = (
+        raw[:8]
+        + len(header_bytes).to_bytes(8, "little")
+        + header_bytes
+        + raw[16 + int.from_bytes(raw[8:16], "little") : -32]
+    )
+    return body + hashlib.sha256(body).digest()
 
 
 def assert_params_equal(a, b):
@@ -159,10 +172,6 @@ def test_magic_and_corruption_detection(tmp_path):
 
 def test_fingerprints_are_stable_and_discriminating():
     ck = make_checkpoint()
-    v1 = vocab_fingerprint(ck.vocab)
-    assert v1 == vocab_fingerprint(ck.vocab)
-    other_vocab = build_vocab(LabeledCorpus((("totally different words", "joy"),)))
-    assert v1 != vocab_fingerprint(other_vocab)
     t1 = taxonomy_fingerprint(ck.taxonomy)
     assert t1 == taxonomy_fingerprint(builtin_taxonomy("isear-valence"))
     assert t1 != taxonomy_fingerprint(builtin_taxonomy("goemotions-grid-5x5"))
@@ -184,6 +193,25 @@ def test_checkpoint_derives_its_model_config_from_the_recipe():
     short = dataclasses.replace(RECIPE, max_seq_length=8)
     with pytest.raises(TrainerError, match="max_seq_length 8 is shorter than the 9 tokens"):
         dataclasses.replace(ck, recipe=short)
+
+
+def test_checkpoints_compare_by_value_and_are_unhashable():
+    first, second = load_checkpoint(PINNED), load_checkpoint(PINNED)
+    assert first == second and not first != second
+    assert first.params == second.params and first.optimizer == second.optimizer
+    assert first != first.params and first.params != first.optimizer
+    # one bit of one weight, and of one first moment
+    arena = second.params.arena.copy()
+    arena.view(np.uint32)[arena.size // 2] ^= 1
+    flipped = dataclasses.replace(second, params=second.params.like(arena))
+    assert first != flipped and first.params != flipped.params
+    moments = second.optimizer.copy()
+    moments.m.arena.view(np.uint32)[0] ^= 1
+    assert first.optimizer != moments
+    assert first != dataclasses.replace(second, optimizer=moments)
+    for value in (first, first.params, first.optimizer):
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+            hash(value)
 
 
 def header_keys(document, where=""):
@@ -286,7 +314,7 @@ def test_file_that_shrinks_while_loading_is_a_checkpoint_error(tmp_path, monkeyp
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint(with_optimizer=True), path)
     size = path.stat().st_size
-    path.write_bytes(path.read_bytes()[:-16])
+    path.write_bytes(path.read_bytes()[: -32 - 16])  # the trailer and part of the last arena
     # fstat still reports the size the header expects, as if the file
     # shrank after it was taken
     monkeypatch.setattr("emord.checkpoint.os.fstat", lambda fd: SimpleNamespace(st_size=size))
@@ -309,9 +337,9 @@ def assert_is_the_fixture_checkpoint(loaded):
 
 def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
     header = header_of(PINNED.read_bytes())
-    assert header["format"] == HEADER_FORMAT == "emord.checkpoint/3"
+    assert header["format"] == HEADER_FORMAT == "emord.checkpoint/4"
     assert set(header) == {
-        "format", "recipe", "dtype", "taxonomy", "vocab", "epochs_completed", "optimizer_step", "hashes"
+        "format", "recipe", "dtype", "taxonomy", "vocab", "epochs_completed", "optimizer_step"
     }
     assert header["recipe"] == RECIPE.to_document()
     loaded = load_checkpoint(PINNED)
@@ -322,44 +350,84 @@ def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
         assert resaved.read_bytes() == PINNED.read_bytes()
 
 
+def assert_commands_reject(tmp_path, path):
+    out = str(tmp_path / "out")
+    assert main(["predict", "--checkpoint", str(path), "--text", "red green"]) == EXIT_INVALID
+    assert main(["eval", "--checkpoint", str(path), "--corpus", str(path), "--out", out]) == EXIT_INVALID
+
+
 @pytest.mark.parametrize("fmt", ["emord.checkpoint/1", "emord.checkpoint/2"])
 def test_rejects_an_earlier_format_by_name(tmp_path, fmt):
     bad = rewrite_header(tmp_path, lambda header: set_key(header, "format", fmt))
-    match = f"unsupported header format '{fmt}'; this version reads 'emord.checkpoint/3'"
+    match = f"unsupported header format '{fmt}'; this version reads 'emord.checkpoint/4'"
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(bad)
-    out = str(tmp_path / "out")
-    assert main(["predict", "--checkpoint", str(bad), "--text", "red green"]) == EXIT_INVALID
-    assert main(["eval", "--checkpoint", str(bad), "--corpus", str(bad), "--out", out]) == EXIT_INVALID
+    assert_commands_reject(tmp_path, bad)
 
 
-def test_payload_hash_covers_every_arena(tmp_path):
+def test_format_3_file_is_rejected_by_name(tmp_path):
+    # a real format-3 file: three fingerprints in its header, no trailer
+    assert set(header_of(FORMAT_3.read_bytes())["hashes"]) == {"taxonomy", "vocab", "payload"}
+    match = "unsupported header format 'emord.checkpoint/3'; this version reads 'emord.checkpoint/4'"
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(FORMAT_3)
+    assert_commands_reject(tmp_path, FORMAT_3)
+
+
+def test_checksum_covers_header_arenas_and_trailer(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint(with_optimizer=True), path)
     raw = path.read_bytes()
-    payload_start = 16 + int.from_bytes(raw[8:16], "little")
-    for at in (payload_start, (payload_start + len(raw)) // 2, len(raw) - 1):
+    arena_bytes = (len(raw) - 32 - (16 + int.from_bytes(raw[8:16], "little"))) // 3
+    # the last byte of each text below: recipe.seed 5 -> 4, epochs_completed
+    # 3 -> 2 and the token "red" -> "ree" each still give a valid header
+    places = [raw.index(text) + len(text) - 1 for text in (b'"seed":5', b'"epochs_completed":3', b'"red')]
+    # the first and last byte of each arena, and of the trailer
+    for end in range(len(raw) - 32, 0, -arena_bytes)[:3]:
+        places += [end - arena_bytes, end - 1]
+    places += [len(raw) - 32, len(raw) - 1]
+    for at in places:
         case = bytearray(raw)
         case[at] ^= 1
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(case))
-        with pytest.raises(CheckpointError, match="payload hash mismatch"):
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_checkpoint(bad)
 
 
-def rewrite_header(tmp_path, edit):
-    """A saved resumable checkpoint after edit(header) changed only its header."""
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b'"seed":5', b'"seed":7'),
+        (b'"learning_rate":0.01', b'"learning_rate":0.07'),
+        (b'"epochs_completed":3', b'"epochs_completed":9'),
+        (b'"optimizer_step":1', b'"optimizer_step":9'),
+    ],
+    ids=["recipe.seed", "recipe.learning_rate", "epochs_completed", "optimizer_step"],
+)
+def test_same_length_header_edit_is_rejected(tmp_path, old, new):
+    # a valid header of the same length, which only the checksum can catch
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint(with_optimizer=True), path)
     raw = path.read_bytes()
-    header_len = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + header_len])
+    assert raw.count(old) == 1
+    bad = tmp_path / "edited.ckpt"
+    bad.write_bytes(raw.replace(old, new))
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
+        load_checkpoint(bad)
+    assert_commands_reject(tmp_path, bad)
+
+
+def rewrite_header(tmp_path, edit):
+    """A saved resumable checkpoint after edit(header) changed its header,
+    with the checksum recomputed, so only the header checks can reject it."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_checkpoint(with_optimizer=True), path)
+    raw = path.read_bytes()
+    header = header_of(raw)
     edit(header)
-    header_bytes = canonical_json(header).encode("utf-8")
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(
-        raw[:8] + len(header_bytes).to_bytes(8, "little") + header_bytes + raw[16 + header_len :]
-    )
+    bad.write_bytes(with_header(raw, header))
     return bad
 
 
@@ -398,8 +466,6 @@ def test_rejects_vocab_size_not_matching_the_tokens(tmp_path):
     def drop_last_token(header):
         vocab = header["vocab"]
         vocab["tokens"] = vocab["tokens"][:-1]
-        short = Vocabulary(tokens=tuple(vocab["tokens"]), min_freq=vocab["min_freq"])
-        header["hashes"]["vocab"] = vocab_fingerprint(short)
 
     with pytest.raises(CheckpointError, match="payload is 2652 bytes, header expects 2604"):
         load_checkpoint(rewrite_header(tmp_path, drop_last_token))
@@ -411,12 +477,11 @@ def test_rejects_vocab_size_not_matching_the_tokens(tmp_path):
      ("Hello!", r"invalid vocabulary \(vocabulary tokens must be their own tokenization; not: \['Hello!'\]\)")],
 )
 def test_rejects_vocab_tokens_that_tokenization_cannot_yield(tmp_path, token, match):
-    # the hash is recomputed, so only the vocabulary rule can catch it
+    # the checksum is recomputed, so only the vocabulary rule can catch it
     def replace_last_token(header):
         vocab = header["vocab"]
         assert vocab["tokens"][0] == "blue"
         vocab["tokens"][-1] = token
-        header["hashes"]["vocab"] = vocab_fingerprint(SimpleNamespace(**vocab))
 
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(rewrite_header(tmp_path, replace_last_token))
@@ -433,7 +498,6 @@ def test_rejects_output_width_not_matching_the_taxonomy(tmp_path, head_mode, mat
     def use_grid(header):
         header["recipe"]["mode"] = head_mode
         header["taxonomy"] = taxonomy_to_document(grid)
-        header["hashes"]["taxonomy"] = taxonomy_fingerprint(grid)
 
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(rewrite_header(tmp_path, use_grid))
@@ -492,8 +556,7 @@ JSON_VALUES = st.one_of(
 @given(choice=st.integers(min_value=0), value=JSON_VALUES)
 def test_fuzz_header_values_of_another_type(fuzz_dir, choice, value):
     raw = (fuzz_dir / "model.ckpt").read_bytes()
-    header_len = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + header_len])
+    header = header_of(raw)
     paths = list(header_paths(header))
     *parents, last = paths[choice % len(paths)]
     node = header
@@ -501,11 +564,8 @@ def test_fuzz_header_values_of_another_type(fuzz_dir, choice, value):
         node = node[key]
     assume(json_type(value) != json_type(node[last]))
     node[last] = value
-    header_bytes = canonical_json(header).encode("utf-8")
-    loads_or_rejects(
-        fuzz_dir / "case.ckpt",
-        raw[:8] + len(header_bytes).to_bytes(8, "little") + header_bytes + raw[16 + header_len :],
-    )
+    # the checksum is recomputed, so the header checks must reject the value
+    loads_or_rejects(fuzz_dir / "case.ckpt", with_header(raw, header))
 
 
 #: A value of each JSON type, for the recipe, dtype and optimizer_step below.
@@ -538,10 +598,8 @@ def test_recipe_dtype_and_step_of_another_type_are_rejected(tmp_path, key):
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(data=st.data())
 def test_fuzz_truncated_and_flipped_bytes(fuzz_dir, data):
-    # a flipped header byte may still give a valid header; a truncated file
-    # or a flipped payload byte never loads
+    # no truncated file and no flipped byte, wherever it lands, loads
     raw = (fuzz_dir / "model.ckpt").read_bytes()
-    payload_start = 16 + int.from_bytes(raw[8:16], "little")
     at = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
     truncate = data.draw(st.booleans())
     if truncate:
@@ -550,9 +608,6 @@ def test_fuzz_truncated_and_flipped_bytes(fuzz_dir, data):
         case = bytearray(raw)
         case[at] ^= data.draw(st.integers(min_value=1, max_value=255))
     path = fuzz_dir / "case.ckpt"
-    if truncate or at >= payload_start:
-        path.write_bytes(bytes(case))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-    else:
-        loads_or_rejects(path, bytes(case))
+    path.write_bytes(bytes(case))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emord.checkpoint import taxonomy_fingerprint
+from emord.cli import taxonomy_fingerprint
 from emord.data import DataError, load_synthetic_spec
 from emord.gradcheck import tiny_taxonomy
 from emord.taxonomy import TaxonomyError, parse_taxonomy, save_taxonomy, taxonomy_to_document

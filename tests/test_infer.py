@@ -208,6 +208,21 @@ def test_a_wide_grid_builds_no_per_cell_target_table():
     assert pred.label == "high" and pred.cell == (g - 1, g - 1) and not pred.off_grid
 
 
+def test_decoded_compares_by_value_and_is_unhashable():
+    outputs = np.random.default_rng(0).random((4, GRID.levels * 2 - 2))
+    decoded = decode_outputs(GRID, "ordinal-2d", outputs)
+    assert decoded == decode_outputs(GRID, "ordinal-2d", outputs.copy())
+    assert decoded[1:] == decode_outputs(GRID, "ordinal-2d", outputs[1:])
+    other = outputs.copy()
+    other[0, 0] = np.nextafter(other[0, 0], 2.0)
+    nudged = decode_outputs(GRID, "ordinal-2d", other)
+    assert np.array_equal(nudged.indices, decoded.indices)  # only the raw outputs differ
+    assert decoded != nudged
+    assert decoded != decode_outputs(GRID, "softmax", np.eye(4, GRID.num_labels))
+    with pytest.raises(TypeError, match="unhashable type: 'Decoded'"):
+        hash(decoded)
+
+
 def test_prediction_to_dict():
     outputs = np.zeros((1, 7))
     outputs[0, 2] = 1.0

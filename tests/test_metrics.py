@@ -167,6 +167,10 @@ def test_reports_compare_by_value(taxonomy, mode):
     assert result != EvalResult(same, gold, gold)
     assert result != EvalResult(same, pred, pred)
     assert result != EvalResult(dataclasses.replace(same, confusion=confusion), gold, pred)
+    # a report holds arrays, so hash() refuses it by the class's own name
+    for value in (report, result):
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+            hash(value)
 
 
 def test_report_to_dict_serializable():
