@@ -23,10 +23,12 @@ vocabulary, the epochs completed and the AdamW step (null without moments).
 The model's widths, the arrays' shapes and byte ranges and the payload size
 all follow from the recipe, the vocabulary size and the taxonomy through
 TrainConfig.model_config, which the trainer builds its model with and a
-Checkpoint derives its `config` with.  load_checkpoint checks every header
-field's JSON type, reads the recipe as a config file is read and derives the
-rest; a crafted file can carry a valid checksum, so the header is checked as
-outside input.  The trailer is compared last, so any changed byte that still
+Checkpoint derives its `config` with.  load_checkpoint reads the header, its
+vocabulary and its recipe with documents.parse_document, the reader config
+files go through, so every member is required and of its JSON kind; the
+taxonomy document goes through parse_taxonomy, and the rest is derived.  A
+crafted file can carry a valid checksum, so the header is checked as outside
+input.  The trailer is compared last, so any changed byte that still
 gives a valid header ends in a checksum mismatch.
 
 Saves and loads are format 4 (HEADER_FORMAT) only; a file of an earlier
@@ -38,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import reprlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,55 +96,18 @@ class Checkpoint:
         )
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0  # a bool is not an int here
-
-
-#: JSON kinds of header values: (description, test).
-_COUNT = ("a non-negative integer", _is_count)
-_TEXT = ("a string", lambda value: type(value) is str)
-_OBJECT = ("an object", lambda value: type(value) is dict)
-_TEXTS = (
-    "a list of strings",
-    lambda value: type(value) is list and all(type(item) is str for item in value),
-)
-_ANY = ("any value", lambda value: True)
-
-#: Every header field and its kind; nested dicts are objects with exactly
-#: these keys.  The recipe holds every TrainConfig field, each the config
-#: reader's to check; the taxonomy document is parse_taxonomy's.
+#: The kind of every header member but "format", which load_checkpoint reads
+#: first, and of the vocabulary's; every member is required.  The recipe is the
+#: config reader's to read and the taxonomy document parse_taxonomy's.
 _HEADER = {
-    "format": _TEXT,
-    "recipe": dict.fromkeys(("format", *_CONFIG_KINDS), _ANY),
-    "dtype": _TEXT,
-    "taxonomy": _OBJECT,
-    "vocab": {"tokens": _TEXTS, "min_freq": _COUNT},
-    "epochs_completed": _COUNT,
-    "optimizer_step": _COUNT,
+    "recipe": dict,
+    "dtype": str,
+    "taxonomy": dict,
+    "vocab": dict,
+    "epochs_completed": int,
+    "optimizer_step": int | None,
 }
-_NULLABLE = {"optimizer_step"}
-
-
-def _check_fields(path: Path, document: dict, schema: dict, where: str = "") -> None:
-    unknown = sorted(set(document) - set(schema))
-    if unknown:
-        raise CheckpointError(f"{path}: header has unknown key {where + unknown[0]!r}")
-    for key, kind in schema.items():
-        name = where + key
-        if key not in document:
-            raise CheckpointError(f"{path}: header is missing key {name!r}")
-        value = document[key]
-        if value is None and name in _NULLABLE:
-            continue
-        what, test = _OBJECT if isinstance(kind, dict) else kind
-        if not test(value):
-            nullable = " or null" if name in _NULLABLE else ""
-            raise CheckpointError(
-                f"{path}: header key {name!r} must be {what}{nullable}, "
-                f"got {reprlib.repr(value)}"
-            )
-        if isinstance(kind, dict):
-            _check_fields(path, value, kind, name + ".")
+_VOCAB = {"tokens": tuple[str, ...], "min_freq": int}
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
@@ -226,21 +190,31 @@ def _parse(path: Path, what: str, build, *args, **kwargs):
 
 
 def _from_header(path: Path, header: dict, fh, payload_size: int, checksum) -> Checkpoint:
-    _check_fields(path, header, _HEADER)
+    members = parse_document(
+        header, HEADER_FORMAT, _HEADER, CheckpointError, f"{path}: ", required=_HEADER
+    )
+    vocab_fields = _parse(
+        path, "vocabulary", parse_document, members["vocab"], None, _VOCAB, ValueError, required=_VOCAB
+    )
+    step = members["optimizer_step"]
+    counts = (members["epochs_completed"], step or 0, vocab_fields["min_freq"])
+    for name, count in zip(("epochs_completed", "optimizer_step", "vocab.min_freq"), counts):
+        if count < 0:
+            raise CheckpointError(f"{path}: {name} must not be negative, got {count}")
     values = _parse(
-        path, "recipe", parse_document, header["recipe"], CONFIG_FORMAT, _CONFIG_KINDS, TrainerError
+        path,
+        "recipe",
+        parse_document,
+        members["recipe"],
+        CONFIG_FORMAT,
+        _CONFIG_KINDS,
+        TrainerError,
+        required=("format", *_CONFIG_KINDS),
     )
     recipe = _parse(path, "recipe", TrainConfig, **values)
-    taxonomy = _parse(path, "taxonomy", parse_taxonomy, header["taxonomy"])
-    vocab = _parse(
-        path,
-        "vocabulary",
-        Vocabulary,
-        tokens=tuple(header["vocab"]["tokens"]),
-        min_freq=header["vocab"]["min_freq"],
-    )
-    config = _parse(path, "model", recipe.model_config, vocab.size, taxonomy, header["dtype"])
-    step = header["optimizer_step"]
+    taxonomy = _parse(path, "taxonomy", parse_taxonomy, members["taxonomy"])
+    vocab = _parse(path, "vocabulary", Vocabulary, **vocab_fields)
+    config = _parse(path, "model", recipe.model_config, vocab.size, taxonomy, members["dtype"])
     arena_count = 1 if step is None else 3
     expected = arena_count * config.param_count * np.dtype(config.np_dtype).itemsize
     if payload_size != expected:
@@ -267,6 +241,6 @@ def _from_header(path: Path, header: dict, fh, payload_size: int, checksum) -> C
         taxonomy=taxonomy,
         vocab=vocab,
         recipe=recipe,
-        epochs_completed=header["epochs_completed"],
+        epochs_completed=members["epochs_completed"],
         optimizer=None if step is None else AdamWState(step, *moments),
     )

@@ -75,10 +75,9 @@ class Tokenization(typing.NamedTuple):
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    """Immutable sequence of (text, label) records plus a provenance note."""
+    """Immutable sequence of (text, label) records."""
 
     records: tuple[tuple[str, str], ...]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -114,7 +113,7 @@ def filter_labels(corpus: LabeledCorpus, keep) -> LabeledCorpus:
     """Sub-corpus containing only records whose label is in `keep`."""
     keep = set(keep)
     records = tuple(rec for rec in corpus.records if rec[1] in keep)
-    return LabeledCorpus(records, provenance=f"{corpus.provenance}[filtered]")
+    return LabeledCorpus(records)
 
 
 def check_utf8(text: str, where: str) -> None:
@@ -188,7 +187,7 @@ def load_corpus(path: str | Path, fmt: str, taxonomy: EmotionTaxonomy) -> Labele
                 records.append((text, label))
     if not records:
         raise DataError(f"{path}: corpus has no records")
-    return LabeledCorpus(tuple(records), provenance=str(path))
+    return LabeledCorpus(tuple(records))
 
 
 def save_corpus_tsv(corpus: LabeledCorpus, path: str | Path) -> None:
@@ -414,14 +413,7 @@ def split_corpus(
             assigned[part].extend(shuffled[start : start + count])
             start += count
 
-    splits = []
-    for part, name in enumerate(("train", "val", "test")):
-        picked = sorted(assigned[part])
-        records = tuple(corpus.records[i] for i in picked)
-        splits.append(
-            LabeledCorpus(records, provenance=f"{corpus.provenance}[{name}]")
-        )
-    return splits[0], splits[1], splits[2]
+    return tuple(LabeledCorpus(tuple(corpus.records[i] for i in sorted(part))) for part in assigned)
 
 
 @dataclass(frozen=True)
@@ -455,13 +447,6 @@ class SyntheticSpec:
             raise DataError("filler_tokens must be positive")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
-
-    def describe(self) -> str:
-        return (
-            f"synthetic(classes={self.taxonomy.num_labels},per_class={self.examples_per_class},"
-            f"p_signal={self.p_signal},p_confuse={self.p_confuse},"
-            f"len={self.sequence_length},seed={self.seed})"
-        )
 
 
 #: A spec document names its taxonomy; every other member is the field's own kind.
@@ -502,7 +487,7 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledCorpus:
                 else:
                     tokens.append(fillers[rng.integers(spec.filler_tokens)])
             records.append((" ".join(tokens), label))
-    return LabeledCorpus(tuple(records), provenance=spec.describe())
+    return LabeledCorpus(tuple(records))
 
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:

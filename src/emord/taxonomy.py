@@ -1,6 +1,7 @@
 """Emotion label sets arranged on a valence scale or a valence-arousal grid.
 
-A taxonomy is loaded from a strict JSON document and is immutable afterwards,
+A taxonomy is loaded from a strict JSON document, whose members and label
+records are read by documents.parse_document, and is immutable afterwards,
 so instances can be shared freely between threads.  It is one list of labels
 and one integer point per label, on one axis (its valence rank, "1d") or two
 (its valence-arousal grid cell, "2d"): the points are distinct and lie in
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Collection
 
 import numpy as np
 
 from .atomic import atomic_write
+from .documents import parse_document
 
 DOCUMENT_FORMAT = "emord.taxonomy/1"
 
@@ -30,6 +31,9 @@ MAX_GRID_SIZE = 256
 
 #: The coordinate fields of a label record, by mode.
 AXES = {"1d": ("rank",), "2d": ("valence", "arousal")}
+
+#: The kinds of a taxonomy document's members; a label record's follow from the mode.
+_DOCUMENT_KINDS = {"mode": str, "grid_size": int, "labels": tuple[dict, ...]}
 
 #: Names accepted by :func:`builtin_taxonomy`.
 BUILTIN_TAXONOMIES = ("isear-valence", "goemotions-grid-5x5")
@@ -144,67 +148,49 @@ def parse_taxonomy(document: dict) -> EmotionTaxonomy:
     per label: its "name" and one integer per axis of the mode (AXES).  Each
     label sits at a distinct point in [0, levels) on every axis, where levels
     is the label count in 1d (so the ranks are 0..K-1) and grid_size in 2d.
-    Unknown fields are rejected.
+    The document and each record are read by documents.parse_document, which
+    rejects unknown and missing members and members of the wrong JSON kind.
     """
-    if not isinstance(document, dict):
-        raise TaxonomyError("taxonomy document must be a JSON object")
-    unknown = set(document) - {"format", "mode", "grid_size", "labels"}
-    if unknown:
-        raise TaxonomyError(f"unknown document fields: {sorted(unknown)}")
-    fmt = document.get("format", DOCUMENT_FORMAT)
-    if fmt != DOCUMENT_FORMAT:
-        raise TaxonomyError(f"unsupported format tag: {fmt!r}")
-    mode = document.get("mode")
-    if not isinstance(mode, str) or mode not in AXES:
+    members = parse_document(
+        document, DOCUMENT_FORMAT, _DOCUMENT_KINDS, TaxonomyError, required=("mode", "labels")
+    )
+    mode, records = members["mode"], members["labels"]
+    if mode not in AXES:
         raise TaxonomyError(f"mode must be '1d' or '2d', got {mode!r}")
-    records = document.get("labels")
-    if not isinstance(records, list) or len(records) < 2:
+    if len(records) < 2:
         raise TaxonomyError("a taxonomy needs a list of at least 2 labels")
+    levels = members.get("grid_size")
     if mode == "1d":
-        if "grid_size" in document:
+        if levels is not None:
             raise TaxonomyError("grid_size is only valid in 2d mode")
         levels = len(records)  # so K distinct ranks are exactly 0..K-1
-    else:
-        levels = document.get("grid_size")
-        if type(levels) is not int or not 2 <= levels <= MAX_GRID_SIZE:
-            raise TaxonomyError(f"2d mode requires an integer grid_size in [2, {MAX_GRID_SIZE}]")
+    elif levels is None or not 2 <= levels <= MAX_GRID_SIZE:
+        raise TaxonomyError(f"2d mode requires an integer grid_size in [2, {MAX_GRID_SIZE}]")
 
     axes = AXES[mode]
-    fields = {"name", *axes}
+    kinds = {"name": str, **dict.fromkeys(axes, int)}
     owners: dict[tuple[int, ...], str] = {}  # each point's label, in record order
-    for rec in records:
-        name = _record_name(rec, owners.values())
-        if not rec.keys() <= fields:
-            extra = sorted(rec.keys() - fields)
-            raise TaxonomyError(f"label {name!r}: unknown or mixed fields {extra}")
-        coordinates: list[int] = []
-        for axis in axes:
-            level = rec.get(axis)
-            if type(level) is not int:  # not isinstance: a bool is an int
-                raise TaxonomyError(f"label {name!r}: {axis} must be an integer")
+    names: set[str] = set()  # a set, as a list scan is quadratic in the label count
+    for i, record in enumerate(records):
+        record = parse_document(record, None, kinds, TaxonomyError, f"labels[{i}]: ", required=kinds)
+        name = record["name"]
+        if not name:
+            raise TaxonomyError(f"labels[{i}]: name must not be empty")
+        if "\t" in name or "\n" in name or "\r" in name:
+            # a corpus file separates its fields with tabs and its lines with \n or \r
+            raise TaxonomyError(f"label {name!r}: a name cannot hold a tab, \\n or \\r")
+        if name in names:
+            raise TaxonomyError(f"duplicate label: {name!r}")
+        names.add(name)
+        point = tuple(record[axis] for axis in axes)
+        for axis, level in zip(axes, point):
             if not 0 <= level < levels:
                 raise TaxonomyError(f"label {name!r}: {axis}={level} outside [0, {levels - 1}]")
-            coordinates.append(level)
-        point = tuple(coordinates)
         owner = owners.setdefault(point, name)
         if owner != name:
             where = ", ".join(f"{axis}={level}" for axis, level in zip(axes, point))
             raise TaxonomyError(f"label {name!r}: {where} duplicates label {owner!r}")
     return EmotionTaxonomy(labels=tuple(owners.values()), points=tuple(owners), levels=levels)
-
-
-def _record_name(rec, labels: Collection[str]) -> str:
-    if not isinstance(rec, dict):
-        raise TaxonomyError("each label record must be an object")
-    name = rec.get("name")
-    if not isinstance(name, str) or not name:
-        raise TaxonomyError("each label record needs a non-empty string name")
-    if "\t" in name or "\n" in name or "\r" in name:
-        # a corpus file separates its fields with tabs and its lines with \n or \r
-        raise TaxonomyError(f"label {name!r}: a name cannot hold a tab, \\n or \\r")
-    if name in labels:
-        raise TaxonomyError(f"duplicate label: {name!r}")
-    return name
 
 
 def taxonomy_to_document(taxonomy: EmotionTaxonomy) -> dict:

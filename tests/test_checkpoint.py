@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 import typing
 from pathlib import Path
@@ -230,9 +231,15 @@ def drop_key(header, dotted):
     del header[last]
 
 
+#: How a message names what holds a member, by the member's parent.
+READ_AS = {"": "", "recipe": "invalid recipe (", "vocab": "invalid vocabulary ("}
+
+
 @pytest.mark.parametrize("key", [key for key in header_keys(header_of(PINNED.read_bytes())) if key != "format"])
 def test_missing_header_key_is_a_checkpoint_error(tmp_path, key):
-    with pytest.raises(CheckpointError, match=f"missing key '{key}'"):
+    parent, _, name = key.rpartition(".")
+    match = re.escape(f": {READ_AS[parent]}missing fields ['{name}']")
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(rewrite_header(tmp_path, lambda header: drop_key(header, key)))
 
 
@@ -441,17 +448,17 @@ def set_key(header, dotted, value):
 @pytest.mark.parametrize(
     "key, value, match",
     [
-        ("recipe", ["softmax"], "'recipe' must be an object"),
+        ("recipe", ["softmax"], ": recipe must be an object$"),
         ("recipe.format", "emord.train/2", r"invalid recipe \(unsupported format tag 'emord.train/2'\)"),
-        ("recipe.momentum", 0.9, "unknown key 'recipe.momentum'"),
+        ("recipe.momentum", 0.9, r"invalid recipe \(unknown fields \['momentum'\]\)"),
         ("recipe.batch_size", 2.0, r"invalid recipe \(batch_size must be an integer\)"),
         ("recipe.learning_rate", 0.0, r"invalid recipe \(learning_rate must be positive, got 0.0\)"),
         ("recipe.mode", "ordinal-3d", "invalid recipe .*unknown head mode 'ordinal-3d'"),
         ("dtype", "float16", r"invalid model \(dtype must be float32 or float64, got 'float16'\)"),
-        ("optimizer_step", "1", "'optimizer_step' must be a non-negative integer or null"),
-        ("taxonomy", ["1d"], "'taxonomy' must be an object"),
-        ("epochs_completed", "3", "'epochs_completed' must be"),
-        ("vocab.min_freq", "1", "'vocab.min_freq' must be"),
+        ("optimizer_step", "1", ": optimizer_step must be an integer$"),
+        ("taxonomy", ["1d"], ": taxonomy must be an object$"),
+        ("epochs_completed", "3", ": epochs_completed must be an integer$"),
+        ("vocab.min_freq", "1", r"invalid vocabulary \(min_freq must be an integer\)"),
         ("taxonomy.mode", "3d", "invalid taxonomy"),
     ],
 )
@@ -459,6 +466,14 @@ def test_rejects_header_value_of_wrong_type(tmp_path, key, value, match):
     bad = rewrite_header(tmp_path, lambda header: set_key(header, key, value))
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key", ["epochs_completed", "optimizer_step", "vocab.min_freq"])
+def test_rejects_a_negative_count(tmp_path, key):
+    bad = rewrite_header(tmp_path, lambda header: set_key(header, key, -1))
+    with pytest.raises(CheckpointError, match=f": {re.escape(key)} must not be negative, got -1$"):
+        load_checkpoint(bad)
+    assert_commands_reject(tmp_path, bad)
 
 
 def test_rejects_vocab_size_not_matching_the_tokens(tmp_path):
@@ -591,7 +606,7 @@ def test_recipe_dtype_and_step_of_another_type_are_rejected(tmp_path, key):
         if kind is not None and fits(kind, value):
             continue
         bad = rewrite_header(tmp_path, lambda header: set_key(header, key, value))
-        with pytest.raises(CheckpointError, match=f"'{key}' must be|invalid (recipe|model)|payload is"):
+        with pytest.raises(CheckpointError, match=f": {key} must|invalid (recipe|model)|payload is"):
             load_checkpoint(bad)
 
 

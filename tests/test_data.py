@@ -392,7 +392,7 @@ def test_corpus_paths_agree_with_the_per_text_definitions(train, extra, min_freq
     assert ids.dtype.kind == lengths.dtype.kind == "i"
     assert [raw[i] for i in ids.tolist()] == [token for split in splits for token in split]
     assert lengths.tolist() == [len(split) for split in splits]
-    assert vars(corpus).keys() == {"records", "provenance", "tokenization"}
+    assert vars(corpus).keys() == {"records", "tokenization"}
 
     probe = LabeledCorpus(tuple((text, "joy") for text in train + extra))
     for target in (corpus, probe):

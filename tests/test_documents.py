@@ -1,10 +1,10 @@
-"""Fuzzing the readers of user-written JSON documents: train configs, synth
-specs and taxonomies.
+"""The document reader, and fuzzing the readers of JSON documents: train
+configs, synth specs, taxonomies and checkpoint headers.
 
-Each example edits a valid document: it replaces values anywhere inside it,
-adds members (known, unknown or "format") and drops members.  The one
-acceptable failure is the reading module's ValueError subclass; any other
-exception propagates and fails the test.
+Each fuzz example edits a valid document: it replaces values, adds members
+(known, unknown or "format") and drops members or list entries, anywhere
+inside it.  The one acceptable failure is the reading module's ValueError
+subclass; any other exception propagates and fails the test.
 """
 
 import copy
@@ -14,18 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emord.checkpoint import CheckpointError, load_checkpoint
 from emord.cli import taxonomy_fingerprint
 from emord.data import DataError, load_synthetic_spec
+from emord.documents import parse_document
 from emord.gradcheck import tiny_taxonomy
 from emord.taxonomy import TaxonomyError, parse_taxonomy, save_taxonomy, taxonomy_to_document
 from emord.trainer import TrainerError, load_train_config_file, resolve_train_config
+from test_checkpoint import PINNED, header_of, with_header
 
 #: Strings that mean something to some reader; "tax.json" is a taxonomy
 #: file beside each document, "doc.json" the document itself.
 NAMES = (
     "softmax", "ordinal-1d", "ordinal-2d", "desk", "paper", "tsv", "csv", "1d", "2d",
-    "isear-valence", "goemotions-grid-5x5", "tax.json", "doc.json",
-    "emord.train/1", "emord.synth/1", "emord.taxonomy/1",
+    "isear-valence", "goemotions-grid-5x5", "tax.json", "doc.json", "float32", "float64",
+    "emord.train/1", "emord.synth/1", "emord.taxonomy/1", "emord.checkpoint/4",
 )
 #: One JSON value: null, bools, small ints, ints beyond the float range,
 #: floats with NaN and ±Infinity, strings, and lists and objects of these.
@@ -75,6 +78,15 @@ TAXONOMIES = (
 )
 
 
+#: A resumable checkpoint's bytes, whose header the last fuzz test edits.
+CHECKPOINT = PINNED.read_bytes()
+#: Member names an edit adds: every document's, and the header's.
+MEMBERS = sorted({
+    *TRAIN_CONFIG, *SYNTH_SPEC, "grid_size", "labels", "name", "rank", "valence", "arousal",
+    *header_of(CHECKPOINT), "tokens", "min_freq",
+})
+
+
 def json_paths(node, prefix=()):
     """Every key path into a document: object members and list items."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -90,17 +102,23 @@ def edited(data, document: dict) -> dict:
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         edit = data.draw(st.sampled_from(("replace", "add", "drop")))
         paths = list(json_paths(document))
+        objects = [()] + [path for path in paths if type(at(document, path)) is dict]
         if edit == "replace" and paths:
             *parents, last = data.draw(st.sampled_from(paths))
-            node = document
-            for key in parents:
-                node = node[key]
-            node[last] = data.draw(JSON_VALUES)
+            at(document, parents)[last] = data.draw(JSON_VALUES)
         elif edit == "add":
-            name = data.draw(st.sampled_from([*TRAIN_CONFIG, *SYNTH_SPEC, "grid_size"]) | st.text(max_size=4))
-            document[name] = data.draw(JSON_VALUES)
-        elif document:
-            del document[data.draw(st.sampled_from(sorted(document)))]
+            name = data.draw(st.sampled_from(MEMBERS) | st.text(max_size=4))
+            at(document, data.draw(st.sampled_from(objects)))[name] = data.draw(JSON_VALUES)
+        elif paths:
+            *parents, last = data.draw(st.sampled_from(paths))
+            del at(document, parents)[last]
+    return document
+
+
+def at(document, path):
+    """The value at a key path into `document`."""
+    for key in path:
+        document = document[key]
     return document
 
 
@@ -151,3 +169,63 @@ def test_fuzz_taxonomy_document(data, document):
     assert again == taxonomy
     assert hash(again) == hash(taxonomy)
     assert taxonomy_fingerprint(again) == taxonomy_fingerprint(taxonomy)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzz_checkpoint_header(fuzz_dir, data):
+    path = fuzz_dir / "case.ckpt"
+    # the checksum is recomputed, so the header checks alone must reject
+    path.write_bytes(with_header(CHECKPOINT, edited(data, header_of(CHECKPOINT))))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+# ------------------------------------------------------------------ the reader
+
+
+def test_a_dict_member_is_a_json_object_handed_back():
+    kinds = {"inner": dict}
+    assert parse_document({"inner": {"x": [1]}}, None, kinds, ValueError) == {"inner": {"x": [1]}}
+    for value in ([], "{}", 1):
+        with pytest.raises(ValueError, match="^doc: inner must be an object$"):
+            parse_document({"inner": value}, None, kinds, ValueError, "doc: ")
+
+
+def test_a_variadic_tuple_takes_any_length_and_checks_each_entry():
+    kinds = {"texts": tuple[str, ...], "ints": tuple[int, ...], "floats": tuple[float, ...]}
+    document = {"texts": ["a", "b", "c"], "ints": [], "floats": [1, 2.5]}
+    assert parse_document(document, None, kinds, ValueError) == {
+        "texts": ("a", "b", "c"), "ints": (), "floats": (1.0, 2.5)
+    }
+    for name, value, match in [
+        ("texts", ["a", True], "^texts entry must be a string$"),
+        ("texts", ["a", None], "^texts entry must not be null$"),
+        ("ints", [1, True], "^ints entry must be an integer$"),
+        ("floats", [1.5, False], "^floats entry must be a number$"),
+        ("texts", "ab", "^texts must be a list$"),
+        ("ints", {"0": 1}, "^ints must be a list$"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            parse_document({name: value}, None, kinds, ValueError)
+
+
+def test_required_names_the_missing_member():
+    kinds = {"a": int, "b": int}
+    assert parse_document({"a": 1}, None, kinds, ValueError) == {"a": 1}
+    with pytest.raises(ValueError, match=r"^doc: missing fields \['b'\]$"):
+        parse_document({"a": 1}, None, kinds, ValueError, "doc: ", required=kinds)
+    # "format" can be required too, and is still checked and left out
+    assert parse_document({"format": "x/1", "a": 1}, "x/1", kinds, ValueError, required=("format",)) == {"a": 1}
+    with pytest.raises(ValueError, match=r"^missing fields \['format'\]$"):
+        parse_document({"a": 1}, "x/1", kinds, ValueError, required=("format",))
+
+
+def test_a_document_without_a_format_takes_no_format_member():
+    kinds = {"a": int}
+    assert parse_document({"a": 1}, None, kinds, ValueError) == {"a": 1}
+    for tag in ("x/1", None):
+        with pytest.raises(ValueError, match=r"^unknown fields \['format'\]$"):
+            parse_document({"format": tag, "a": 1}, None, kinds, ValueError)
