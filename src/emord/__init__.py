@@ -59,7 +59,7 @@ from .net import (
     forward,
     init_params,
 )
-from .optim import AdamWConfig, AdamWState, OptimizerError, adamw_step
+from .optim import AdamWState, OptimizerError, adamw_step
 from .taxonomy import (
     BUILTIN_TAXONOMIES,
     EmotionTaxonomy,
@@ -84,7 +84,6 @@ from .trainer import (
 
 __all__ = [
     "__version__",
-    "AdamWConfig",
     "AdamWState",
     "BUILTIN_TAXONOMIES",
     "Checkpoint",

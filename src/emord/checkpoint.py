@@ -74,7 +74,7 @@ class Checkpoint:
     `config` is derived once, on construction, as `recipe.model_config(
     vocab.size, taxonomy, params.arena.dtype.name)`, so it is always the
     model the recipe builds.  `optimizer` holds the AdamW moments of a
-    resumable checkpoint; the AdamW hyperparameters are `recipe.adamw`.
+    resumable checkpoint, whose hyperparameters `recipe` holds.
     save_checkpoint stores `recipe.portable()`, so a loaded recipe names no
     data directory.
     """

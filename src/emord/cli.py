@@ -8,12 +8,13 @@ gradcheck.  Conventions, kept strictly:
   model too large to allocate).
 - Human-readable output goes to stderr; only `predict` writes data (JSON
   lines) to stdout, so pipelines stay clean.
-- Commands that produce artifacts take --out DIR, hold a .lock file there
-  for the duration of the run, and write manifest.json before any artifact
-  — a timestamp-free snapshot of the resolved configuration and input
-  hashes (the sha256 of each input file, and of the taxonomy document), so
-  reruns can be compared file-by-file.  eval computes its report
-  first, so a failed eval writes no manifest.
+- Commands that produce artifacts take --out DIR and hold a .lock file
+  there for the duration of the run.  Once it holds the lock, a run removes
+  any manifest.json and writes a new one after its last artifact — a
+  timestamp-free snapshot of the resolved configuration and input hashes
+  (the sha256 of each input file, and of the taxonomy document), so reruns
+  can be compared file-by-file.  A directory holds a manifest exactly when
+  the last run into it finished.
 - For train, values resolve as: command-line flags over config-file values
   over preset defaults.  Every TrainConfig field has one flag,
   --field-name, generated from its kind in `_CONFIG_KINDS`.
@@ -112,7 +113,8 @@ def _lock_holder(lock: Path) -> str:
 
 @contextlib.contextmanager
 def locked_output_dir(path: str | Path):
-    """Create DIR if needed and hold DIR/.lock exclusively for the run.
+    """Create DIR if needed, hold DIR/.lock exclusively for the run, and
+    remove DIR/manifest.json, which the run writes again when it finishes.
 
     The lock holds "pid host" of the run.  A lock that is already there is
     never broken: the error names its holder, and only a person who knows
@@ -133,6 +135,7 @@ def locked_output_dir(path: str | Path):
             os.write(fd, f"{os.getpid()} {socket.gethostname()}\n".encode("utf-8"))
         finally:
             os.close(fd)
+        (path / "manifest.json").unlink(missing_ok=True)
         yield path
     finally:
         lock.unlink(missing_ok=True)
@@ -144,7 +147,7 @@ def taxonomy_fingerprint(taxonomy: EmotionTaxonomy) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, artifacts: list[str]) -> None:
-    """Atomically write manifest.json before any artifact is produced."""
+    """Atomically write manifest.json, after every artifact it names."""
     manifest = {
         "format": MANIFEST_FORMAT,
         "tool_version": __version__,
@@ -162,6 +165,9 @@ def cmd_synth(args) -> int:
     spec_path = Path(args.spec)
     spec = load_synthetic_spec(spec_path)
     with locked_output_dir(args.out) as out_dir:
+        corpus = generate_synthetic(spec)
+        save_corpus_tsv(corpus, out_dir / "corpus.tsv")
+        save_taxonomy(spec.taxonomy, out_dir / "taxonomy.json")
         write_manifest(
             out_dir,
             "synth",
@@ -172,9 +178,6 @@ def cmd_synth(args) -> int:
             },
             artifacts=["corpus.tsv", "taxonomy.json"],
         )
-        corpus = generate_synthetic(spec)
-        save_corpus_tsv(corpus, out_dir / "corpus.tsv")
-        save_taxonomy(spec.taxonomy, out_dir / "taxonomy.json")
     logger.info("wrote %d records to %s", len(corpus), out_dir / "corpus.tsv")
     return EXIT_OK
 
@@ -190,14 +193,12 @@ def cmd_train(args) -> int:
     trainer = Trainer(config)
     inputs["taxonomy"] = taxonomy_fingerprint(trainer.taxonomy)
     artifacts = ["best.ckpt", "final.ckpt", "history.jsonl"]
-    # the manifest is written after the run, so a run that diverges leaves
-    # no manifest naming artifacts that were never written
     with locked_output_dir(args.out) as out_dir:
         result = trainer.run()
-        write_manifest(out_dir, "train", config.to_document(), inputs, artifacts)
         save_checkpoint(result.best, out_dir / "best.ckpt")
         save_checkpoint(result.final, out_dir / "final.ckpt")
         write_history(result.history, out_dir / "history.jsonl")
+        write_manifest(out_dir, "train", config.to_document(), inputs, artifacts)
     last = result.history[-1]
     logger.info(
         "done: %d epochs, best epoch %d; final val_acc=%.3f val_f1=%.3f",
@@ -224,13 +225,11 @@ def cmd_eval(args) -> int:
         "corpus_format": args.corpus_format,
         "holdout_label": args.holdout_label,
     }
-    # the report is computed before the manifest is written, so an eval that
-    # fails leaves no manifest naming artifacts that were never written
     with locked_output_dir(args.out) as out_dir:
         if args.holdout_label is not None:
             report = holdout_proximity(ck, corpus, args.holdout_label)
-            write_manifest(out_dir, "eval", config, inputs, ["holdout.json"])
             write_report_json(report, out_dir / "holdout.json")
+            write_manifest(out_dir, "eval", config, inputs, ["holdout.json"])
             logger.info(
                 "holdout %r: mean grid distance %.3f over %d examples",
                 report.label,
@@ -239,12 +238,12 @@ def cmd_eval(args) -> int:
             )
             return EXIT_OK
         result = evaluate(ck, corpus)
-        artifacts = ["report.json", "confusion.csv", "histogram.csv", "pairs.csv"]
-        write_manifest(out_dir, "eval", config, inputs, artifacts)
         write_report_json(result.report, out_dir / "report.json")
         write_confusion_csv(result.report, out_dir / "confusion.csv")
         write_histogram_csv(result.report, out_dir / "histogram.csv")
         write_pairs_csv(result, out_dir / "pairs.csv")
+        artifacts = ["report.json", "confusion.csv", "histogram.csv", "pairs.csv"]
+        write_manifest(out_dir, "eval", config, inputs, artifacts)
     rep = result.report
     logger.info(
         "n=%d accuracy=%.4f macro_f1=%.4f mean_error_distance=%.3f",

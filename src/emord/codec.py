@@ -25,20 +25,20 @@ class CodecError(ValueError):
     """Invalid encode/decode arguments."""
 
 
-def encode_thermometer(k: int, levels: int, dtype=np.float64) -> np.ndarray:
-    """Codeword for level k among `levels` levels: k ones then zeros, length levels-1."""
+def encode_thermometer(k: int, levels: int) -> np.ndarray:
+    """float64 codeword for level k among `levels` levels: k ones then zeros, length levels-1."""
     if levels < 2:
         raise CodecError(f"need at least 2 levels, got {levels}")
     if not 0 <= k < levels:
         raise CodecError(f"level {k} outside [0, {levels - 1}]")
-    out = np.zeros(levels - 1, dtype=dtype)
+    out = np.zeros(levels - 1)
     out[:k] = 1.0
     return out
 
 
-def codewords(levels: int, dtype=np.float64) -> np.ndarray:
+def codewords(levels: int) -> np.ndarray:
     """All valid codewords as a (levels, levels-1) matrix, row k = level k."""
-    return np.stack([encode_thermometer(k, levels, dtype) for k in range(levels)])
+    return np.stack([encode_thermometer(k, levels) for k in range(levels)])
 
 
 @functools.lru_cache(maxsize=64)

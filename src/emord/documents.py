@@ -31,11 +31,15 @@ def read_document(path: str | Path, fmt: str, kinds: dict, error: type[ValueErro
     is left out of the result.  Any fault raises `error` naming the file.
     """
     path = Path(path)
+    return parse_document(load_json(path, error), fmt, kinds, error, f"{path}: ")
+
+
+def load_json(path: str | Path, error: type[ValueError]):
+    """The JSON value in `path`, or `error` naming the file if it holds none."""
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # also UnicodeDecodeError
         raise error(f"{path}: not valid JSON ({exc})") from exc
-    return parse_document(document, fmt, kinds, error, f"{path}: ")
 
 
 def parse_document(

@@ -25,7 +25,8 @@ from .taxonomy import EmotionTaxonomy, parse_taxonomy
 _DATA_STREAM = 202  # seed-stream tag for the probe batch
 
 DEFAULT_TOLERANCE = 1e-4
-DEFAULT_STEP = 1e-5
+#: The finite-difference step, printed in every report.
+STEP = 1e-5
 
 #: Real-token counts of the three probe rows; the short rows exercise the
 #: padding mask and the truncated mean-pool denominator.
@@ -82,7 +83,6 @@ class LayerCheck:
 class GradCheckReport:
     mode: str
     seed: int
-    step: float
     tolerance: float
     corrupted: bool
     layers: tuple[LayerCheck, ...]
@@ -98,7 +98,7 @@ class GradCheckReport:
     def format_text(self) -> str:
         head = (
             f"gradient check: mode={self.mode} seed={self.seed}"
-            f" step={self.step:g} tolerance={self.tolerance:g}"
+            f" step={STEP:g} tolerance={self.tolerance:g}"
         )
         if self.corrupted:
             head += " (corrupted fixture)"
@@ -123,11 +123,10 @@ def check_gradients(
     seed: int = 0,
     corrupt: bool = False,
     tolerance: float = DEFAULT_TOLERANCE,
-    step: float = DEFAULT_STEP,
-    loss_weights: tuple[float, float] = (1.0, 1.0),
 ) -> GradCheckReport:
     """Compare analytic and central finite-difference gradients layer by layer.
 
+    Each entry moves by STEP, with the loss at its default weights.
     Reported per parameter array: max over entries of
     |analytic - numeric| / max(1e-6, |analytic| + |numeric|).
     """
@@ -149,15 +148,13 @@ def check_gradients(
             signs = rng.integers(0, 2, size=arr.shape) * 2 - 1
             arr += signs * rng.uniform(0.02, 0.1, size=arr.shape)
     outputs, cache = forward(params, config, token_ids)
-    analytic = backward(
-        params, config, cache, logit_gradient(outputs, targets, mode, loss_weights)
-    )
+    analytic = backward(params, config, cache, logit_gradient(outputs, targets, mode))
     if corrupt:
         analytic.conv2_w.flat[0] += 1e-2
 
     def loss_at() -> float:
         out, _ = forward(params, config, token_ids, cache=False)
-        return loss_value(out, targets, mode, loss_weights)
+        return loss_value(out, targets, mode)
 
     layers = []
     for name, arr in params.named():
@@ -167,18 +164,17 @@ def check_gradients(
         numeric_flat = numeric.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             loss_plus = loss_at()
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             loss_minus = loss_at()
             flat[i] = orig
-            numeric_flat[i] = (loss_plus - loss_minus) / (2.0 * step)
+            numeric_flat[i] = (loss_plus - loss_minus) / (2.0 * STEP)
         rel = np.abs(grad - numeric) / np.maximum(1e-6, np.abs(grad) + np.abs(numeric))
         layers.append(LayerCheck(name=name, max_rel_error=float(rel.max())))
     return GradCheckReport(
         mode=mode,
         seed=seed,
-        step=step,
         tolerance=tolerance,
         corrupted=corrupt,
         layers=tuple(layers),

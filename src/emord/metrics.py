@@ -131,7 +131,7 @@ def per_class_metrics(confusion: np.ndarray, labels: tuple[str, ...]) -> tuple[C
     return tuple(out)
 
 
-def evaluate(ck: Checkpoint, corpus: LabeledCorpus, batch_size: int = 256) -> EvalResult:
+def evaluate(ck: Checkpoint, corpus: LabeledCorpus) -> EvalResult:
     """Run the model over a corpus and measure everything in one pass."""
     if len(corpus) == 0:
         raise MetricsError("cannot evaluate on an empty corpus")
@@ -139,7 +139,7 @@ def evaluate(ck: Checkpoint, corpus: LabeledCorpus, batch_size: int = 256) -> Ev
     # an unknown gold label is a TaxonomyError that names it
     gold = np.fromiter(map(taxonomy.index, corpus.labels()), dtype=np.intp, count=len(corpus))
     token_ids = encode_corpus(corpus, ck.vocab, ck.recipe.max_seq_length)
-    decoded = predict_ids(ck, token_ids, batch_size=batch_size)
+    decoded = predict_ids(ck, token_ids)
     report = build_report(gold, decoded.indices, taxonomy, ck.config.head_mode, decoded.off_grid)
     return EvalResult(report=report, gold=gold, predicted=decoded.indices)
 

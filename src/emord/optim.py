@@ -3,45 +3,26 @@
 Decay is applied directly to the parameter (not folded into the gradient),
 so moment estimates track the loss gradient alone.  A non-finite gradient
 entry aborts the step before touching any parameter, which is how training
-divergence surfaces as a hard error instead of silent NaN spread.
+divergence surfaces as a hard error instead of silent NaN spread.  A step
+reads its hyperparameters from the TrainConfig it is given, which checked
+them on construction.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .net import ModelParams, fields_equal
 
+if TYPE_CHECKING:  # for the annotation only: optim needs nothing above net to run
+    from .recipe import TrainConfig
+
 
 class OptimizerError(RuntimeError):
     """Raised when a step cannot be applied (non-finite gradients)."""
-
-
-@dataclass(frozen=True)
-class AdamWConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
 
 
 @dataclass(eq=False)
@@ -81,7 +62,7 @@ def adamw_step(
     params: ModelParams,
     grads: ModelParams,
     state: AdamWState,
-    config: AdamWConfig,
+    config: TrainConfig,
 ) -> None:
     """Apply one update in place to `params` and `state`.
 

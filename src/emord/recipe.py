@@ -14,14 +14,12 @@ import dataclasses
 import math
 import typing
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from .codec import HEAD_MODES, MODE_SOFTMAX, target_width
 from .data import CORPUS_FORMATS
 from .documents import coerce_member, read_document
 from .net import ModelConfig
-from .optim import AdamWConfig
 from .taxonomy import EmotionTaxonomy
 
 CONFIG_FORMAT = "emord.train/1"
@@ -116,27 +114,21 @@ class TrainConfig:
                 raise TrainerError(f"{name} must be at least 1")
         if self.seed < 0:
             raise TrainerError(f"seed must be non-negative, got {self.seed}")
-        try:
-            self.adamw  # built and checked once, here
-        except ValueError as exc:
-            raise TrainerError(str(exc)) from None
+        if self.learning_rate <= 0:
+            raise TrainerError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise TrainerError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if self.eps <= 0:
+            raise TrainerError(f"eps must be positive, got {self.eps!r}")
+        if self.weight_decay < 0:
+            raise TrainerError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
         if any(r < 0 for r in self.split):
             raise TrainerError("split must be three non-negative ratios")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise TrainerError(f"split ratios must sum to 1, got {sum(self.split)}")
         if any(w <= 0 for w in self.loss_weights):
             raise TrainerError("loss_weights must be two positive numbers")
-
-    @cached_property
-    def adamw(self) -> AdamWConfig:
-        """The AdamW hyperparameters of this recipe."""
-        return AdamWConfig(
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            weight_decay=self.weight_decay,
-        )
 
     def model_config(
         self, vocab_size: int, taxonomy: EmotionTaxonomy, dtype: str = "float32"

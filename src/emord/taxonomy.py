@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .documents import parse_document
+from .documents import load_json, parse_document
 
 DOCUMENT_FORMAT = "emord.taxonomy/1"
 
@@ -208,13 +208,12 @@ def taxonomy_to_document(taxonomy: EmotionTaxonomy) -> dict:
 
 
 def load_taxonomy(path: str | Path) -> EmotionTaxonomy:
-    """Load and validate a taxonomy JSON document from disk."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except ValueError as exc:  # also UnicodeDecodeError
-            raise TaxonomyError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_taxonomy(document)
+    """Load and validate a taxonomy JSON document from disk; every error names the file."""
+    document = load_json(path, TaxonomyError)
+    try:
+        return parse_taxonomy(document)
+    except TaxonomyError as exc:
+        raise TaxonomyError(f"{path}: {exc}") from None
 
 
 def save_taxonomy(taxonomy: EmotionTaxonomy, path: str | Path) -> None:

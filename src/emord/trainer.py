@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,7 +70,7 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class EpochStats:
-    """One history line; `seconds` is wall clock and excluded from hashing claims."""
+    """One history line."""
 
     epoch: int
     train_loss: float
@@ -79,12 +78,9 @@ class EpochStats:
     val_macro_f1: float
     val_mean_distance: float
     val_mean_error_distance: float
-    seconds: float
 
     def to_dict(self) -> dict:
-        # `seconds` stays out on purpose: written artifacts must hash
-        # identically across reruns of the same configuration
-        return {name: value for name, value in vars(self).items() if name != "seconds"}
+        return dict(vars(self))
 
 
 @dataclass
@@ -196,7 +192,6 @@ class Trainer:
         """One pass over the train split followed by a validation pass."""
         config = self.config
         epoch = self.epochs_done + 1
-        started = time.perf_counter()
         n = self.train_ids.shape[0]
         order = np.random.default_rng(
             [config.seed, _SHUFFLE_STREAM, epoch]
@@ -222,7 +217,7 @@ class Trainer:
                 logit_gradient(outputs, targets, config.mode, config.loss_weights),
             )
             try:
-                adamw_step(self.params, grads, self.opt_state, config.adamw)
+                adamw_step(self.params, grads, self.opt_state, config)
             except OptimizerError as exc:
                 raise TrainingDivergedError(epoch, batch_index, str(exc)) from exc
             total_loss += batch_loss * len(picked)
@@ -237,7 +232,6 @@ class Trainer:
             val_macro_f1=val.macro_f1,
             val_mean_distance=val.mean_distance,
             val_mean_error_distance=val.mean_error_distance,
-            seconds=time.perf_counter() - started,
         )
         self.history.append(stats)
         self._consider_best(val, snapshot)

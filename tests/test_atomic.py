@@ -53,7 +53,7 @@ def _write_pairs_past_the_labels(path):
 
 
 def _stats(epoch, cls=EpochStats):
-    return cls(epoch, 0.5, 0.5, 0.5, 1.0, 1.0, 0.0)
+    return cls(epoch, 0.5, 0.5, 0.5, 1.0, 1.0)
 
 
 def _fail_after_the_header(*args, **kwargs):

@@ -57,7 +57,7 @@ def make_checkpoint(with_optimizer=False, dtype="float32") -> Checkpoint:
     optimizer = None
     if with_optimizer:
         optimizer = AdamWState.initial(params)
-        adamw_step(params, params.copy(), optimizer, RECIPE.adamw)
+        adamw_step(params, params.copy(), optimizer, RECIPE)
     return Checkpoint(params, taxonomy, vocab, RECIPE, epochs_completed=3, optimizer=optimizer)
 
 
@@ -104,7 +104,7 @@ def test_roundtrip_optimizer_state(tmp_path):
     save_checkpoint(ck, path)
     loaded = load_checkpoint(path)
     assert loaded.optimizer is not None
-    assert loaded.recipe.adamw == ck.recipe.adamw
+    assert loaded.recipe == ck.recipe
     assert loaded.optimizer.step == 1
     assert_params_equal(loaded.optimizer.m, ck.optimizer.m)
     assert_params_equal(loaded.optimizer.v, ck.optimizer.v)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import emord.cli as cli
 from emord.checkpoint import Checkpoint, save_checkpoint
 from emord.cli import (
     _TRAIN_FLAGS,
@@ -180,6 +181,23 @@ def test_lock_contention_exits_2(tmp_path, spec_file):
     assert code == EXIT_RUNTIME
     # the pre-existing lock is left alone
     assert (out / ".lock").exists()
+
+
+def test_a_manifest_survives_lock_contention(tmp_path, spec_file):
+    # the manifest of a finished run is removed only by a run that holds the lock
+    out = tmp_path / "busy"
+    out.mkdir()
+    (out / ".lock").touch()
+    (out / "manifest.json").write_text("{}\n", encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_file), "--out", str(out)]) == EXIT_RUNTIME
+    assert (out / "manifest.json").read_text(encoding="utf-8") == "{}\n"
+
+
+def test_synth_that_fails_writing_an_artifact_leaves_no_manifest(tmp_path, spec_file):
+    out = tmp_path / "o"
+    (out / "corpus.tsv").mkdir(parents=True)  # so corpus.tsv cannot be written
+    assert main(["synth", "--spec", str(spec_file), "--out", str(out)]) == EXIT_INVALID
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.tsv"]
 
 
 def test_lock_names_its_holder_and_is_never_broken(tmp_path, spec_file, caplog):
@@ -538,3 +556,47 @@ def test_predict_rejects_a_text_argument_that_is_not_utf8(tmp_path, caplog):
     checkpoint = grid_checkpoint(tmp_path / "model.ckpt")
     assert main(["predict", "--checkpoint", str(checkpoint), "--text", "alpha \udcff"]) == EXIT_INVALID
     assert "--text: not valid UTF-8" in caplog.text
+
+
+def test_eval_that_fails_between_artifacts_removes_the_old_manifest(tmp_path, monkeypatch):
+    # a directory holding a finished eval, then an eval into it that fails
+    # after its first artifacts: the old manifest would name a mix of new and
+    # stale files
+    checkpoint = grid_checkpoint(tmp_path / "model.ckpt")
+    corpus = tmp_path / "corpus.tsv"
+    save_corpus_tsv(LabeledCorpus((("alpha beta", "joy"),)), corpus)
+    out = tmp_path / "scores"
+    argv = ["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert (out / "manifest.json").exists()
+
+    def disk_full(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_pairs_csv", disk_full)
+    assert main(argv) == EXIT_RUNTIME
+    assert not (out / "manifest.json").exists()
+    assert (out / "report.json").exists()
+
+
+def bad_taxonomy_file(path):
+    """A 1d taxonomy whose second label has a string rank."""
+    labels = [{"name": "low", "rank": 0}, {"name": "high", "rank": "1"}]
+    path.write_text(json.dumps({"mode": "1d", "labels": labels}), encoding="utf-8")
+    return path
+
+
+def test_taxonomy_flag_errors_name_the_file(tmp_path, train_config, caplog):
+    taxonomy = bad_taxonomy_file(tmp_path / "mine.json")
+    argv = ["train", "--config", str(train_config), "--taxonomy", str(taxonomy)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert f"{taxonomy}: labels[1]: rank must be an integer" in caplog.text
+
+
+def test_spec_taxonomy_errors_name_the_file(tmp_path, spec_file, caplog):
+    # the spec names the file relative to its own directory
+    taxonomy = bad_taxonomy_file(spec_file.parent / "mine.json")
+    document = json.loads(spec_file.read_text(encoding="utf-8"))
+    spec_file.write_text(json.dumps({**document, "taxonomy": "mine.json"}), encoding="utf-8")
+    assert main(["synth", "--spec", str(spec_file), "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert f"{taxonomy}: labels[1]: rank must be an integer" in caplog.text

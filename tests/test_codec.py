@@ -178,7 +178,6 @@ def test_codewords_matrix():
 
 
 def test_dtype_control():
-    assert encode_thermometer(1, 3, dtype=np.float32).dtype == np.float32
     assert target_for(
         builtin_taxonomy("isear-valence"), "joy", MODE_ORDINAL_1D, dtype=np.float32
     ).dtype == np.float32
@@ -189,12 +188,12 @@ def reference_target(tax, label, mode, dtype):
     if mode == MODE_SOFTMAX:
         return np.eye(tax.num_labels, dtype=dtype)[tax.labels.index(label)]
     if mode == MODE_ORDINAL_1D:
-        return encode_thermometer(tax.ranks[label], tax.num_labels, dtype)
+        return encode_thermometer(tax.ranks[label], tax.num_labels).astype(dtype)
     valence, arousal = tax.cells[label]
     g = tax.grid_size
     return np.concatenate(
-        [encode_thermometer(valence, g, dtype), encode_thermometer(arousal, g, dtype)]
-    )
+        [encode_thermometer(valence, g), encode_thermometer(arousal, g)]
+    ).astype(dtype)
 
 
 def cached_tables(tax, mode):

@@ -7,7 +7,8 @@ import pytest
 
 from emord import optim
 from emord.net import ModelConfig, init_params
-from emord.optim import AdamWConfig, AdamWState, OptimizerError, adamw_step
+from emord.optim import AdamWState, OptimizerError, adamw_step
+from emord.recipe import TrainConfig
 
 
 def small_setup(dtype="float64"):
@@ -34,24 +35,24 @@ def grads_like(params, fill=0.5):
 
 def test_config_validation():
     with pytest.raises(ValueError, match="^learning_rate must be positive, got 0.0$"):
-        AdamWConfig(learning_rate=0.0)
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match=r"^beta1 must be in \[0, 1\), got 1.0$"):
-        AdamWConfig(beta1=1.0)
+        TrainConfig(beta1=1.0)
     with pytest.raises(ValueError, match=r"^beta2 must be in \[0, 1\), got -0.5$"):
-        AdamWConfig(beta2=-0.5)
-    with pytest.raises(ValueError, match="^eps must be positive, got 0$"):
-        AdamWConfig(eps=0)
+        TrainConfig(beta2=-0.5)
+    with pytest.raises(ValueError, match=r"^eps must be positive, got 0\.0$"):
+        TrainConfig(eps=0)
     with pytest.raises(ValueError, match="^weight_decay must be non-negative, got -0.1$"):
-        AdamWConfig(weight_decay=-0.1)
+        TrainConfig(weight_decay=-0.1)
     with pytest.raises(ValueError, match="^learning_rate must be finite, got nan$"):
-        AdamWConfig(learning_rate=float("nan"), eps=float("inf"))
+        TrainConfig(learning_rate=float("nan"), eps=float("inf"))
     with pytest.raises(ValueError, match="^eps must be finite, got inf$"):
-        AdamWConfig(eps=float("inf"))
+        TrainConfig(eps=float("inf"))
 
 
 def test_first_step_matches_hand_computation():
     _, params = small_setup()
-    opt = AdamWConfig(learning_rate=0.01, weight_decay=0.0)
+    opt = TrainConfig(learning_rate=0.01, weight_decay=0.0)
     state = AdamWState.initial(params)
     grads = grads_like(params, fill=0.5)
     before = {name: arr.copy() for name, arr in params.named()}
@@ -66,7 +67,7 @@ def test_first_step_matches_hand_computation():
 
 def test_weight_decay_is_decoupled():
     _, params = small_setup()
-    opt = AdamWConfig(learning_rate=0.1, weight_decay=0.5)
+    opt = TrainConfig(learning_rate=0.1, weight_decay=0.5)
     state = AdamWState.initial(params)
     grads = grads_like(params, fill=0.0)
     grads.fc1_w[...] = 0.0
@@ -78,7 +79,7 @@ def test_weight_decay_is_decoupled():
 
 def test_nonfinite_gradient_aborts_without_mutation():
     _, params = small_setup()
-    opt = AdamWConfig()
+    opt = TrainConfig()
     state = AdamWState.initial(params)
     grads = grads_like(params, fill=0.1)
     grads.fc2_w[0, 0] = np.nan
@@ -95,7 +96,7 @@ def test_nonfinite_gradient_aborts_without_mutation():
 
 def test_two_steps_track_moments():
     _, params = small_setup()
-    opt = AdamWConfig(learning_rate=0.01, weight_decay=0.0)
+    opt = TrainConfig(learning_rate=0.01, weight_decay=0.0)
     state = AdamWState.initial(params)
 
     # replicate the published update rule directly on one scalar entry
@@ -160,7 +161,7 @@ def reference_adamw(params, grads, m, v, t, opt):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_steps_equal_the_rule_term_for_term(dtype):
     _, params = small_setup(dtype)
-    opt = AdamWConfig(learning_rate=0.02, weight_decay=0.1)
+    opt = TrainConfig(learning_rate=0.02, weight_decay=0.1)
     state = AdamWState.initial(params)
     ref = {name: arr.copy() for name, arr in params.named()}
     ref_m = {name: np.zeros_like(arr) for name, arr in params.named()}
@@ -184,7 +185,7 @@ def test_blocked_pass_equals_the_rule(monkeypatch, dtype):
     # blocks of 7 elements split arrays mid-way and leave a short last block
     monkeypatch.setattr(optim, "_BLOCK", 7)
     _, params = small_setup(dtype)
-    opt = AdamWConfig(learning_rate=0.02, weight_decay=0.1)
+    opt = TrainConfig(learning_rate=0.02, weight_decay=0.1)
     state = AdamWState.initial(params)
     ref = {name: arr.copy() for name, arr in params.named()}
     ref_m = {name: np.zeros_like(arr) for name, arr in params.named()}

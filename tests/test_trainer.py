@@ -73,12 +73,12 @@ def test_config_validation():
         tiny_config(split=(0.5, 0.4, 0.2))
     with pytest.raises(TrainerError, match="learning_rate"):
         tiny_config(learning_rate=0.0)
-    # the AdamW hyperparameters are AdamWConfig's to check, reported as ours
+    # the AdamW hyperparameters are checked by TrainConfig itself
     with pytest.raises(TrainerError, match=r"^beta1 must be in \[0, 1\), got 1.5$"):
         tiny_config(beta1=1.5)
     with pytest.raises(TrainerError, match=r"^eps must be positive, got 0\.0$"):
         tiny_config(eps=0)
-    assert tiny_config().adamw.learning_rate == 1e-2
+    assert tiny_config().learning_rate == 1e-2
 
 
 # float, float | None and tuple[float, ...] fields alike
