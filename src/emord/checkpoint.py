@@ -20,6 +20,8 @@ The header states each fact once: the resolved TrainConfig as its config
 document (`recipe`, without the directories the data was read from, so the
 bytes do not depend on them), the parameter dtype, the taxonomy document, the
 vocabulary, the epochs completed and the AdamW step (null without moments).
+Format 4's vocabulary repeats the recipe's `min_freq`: it is written from the
+recipe, and a header whose two values differ is rejected.
 The model's widths, the arrays' shapes and byte ranges and the payload size
 all follow from the recipe, the vocabulary size and the taxonomy through
 TrainConfig.model_config, which the trainer builds its model with and a
@@ -130,7 +132,7 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
         "recipe": ck.recipe.portable().to_document(),
         "dtype": cfg.dtype,
         "taxonomy": taxonomy_to_document(ck.taxonomy),
-        "vocab": {"tokens": list(ck.vocab.tokens), "min_freq": ck.vocab.min_freq},
+        "vocab": {"tokens": list(ck.vocab.tokens), "min_freq": ck.recipe.min_freq},
         "epochs_completed": ck.epochs_completed,
         "optimizer_step": None if ck.optimizer is None else ck.optimizer.step,
     }
@@ -212,8 +214,13 @@ def _from_header(path: Path, header: dict, fh, payload_size: int, checksum) -> C
         required=("format", *_CONFIG_KINDS),
     )
     recipe = _parse(path, "recipe", TrainConfig, **values)
+    if vocab_fields["min_freq"] != recipe.min_freq:
+        raise CheckpointError(
+            f"{path}: vocab.min_freq {vocab_fields['min_freq']} differs from "
+            f"recipe.min_freq {recipe.min_freq}"
+        )
     taxonomy = _parse(path, "taxonomy", parse_taxonomy, members["taxonomy"])
-    vocab = _parse(path, "vocabulary", Vocabulary, **vocab_fields)
+    vocab = _parse(path, "vocabulary", Vocabulary, vocab_fields["tokens"])
     config = _parse(path, "model", recipe.model_config, vocab.size, taxonomy, members["dtype"])
     arena_count = 1 if step is None else 3
     expected = arena_count * config.param_count * np.dtype(config.np_dtype).itemsize

@@ -8,13 +8,15 @@ gradcheck.  Conventions, kept strictly:
   model too large to allocate).
 - Human-readable output goes to stderr; only `predict` writes data (JSON
   lines) to stdout, so pipelines stay clean.
-- Commands that produce artifacts take --out DIR and hold a .lock file
-  there for the duration of the run.  Once it holds the lock, a run removes
-  any manifest.json and writes a new one after its last artifact — a
-  timestamp-free snapshot of the resolved configuration and input hashes
-  (the sha256 of each input file, and of the taxonomy document), so reruns
-  can be compared file-by-file.  A directory holds a manifest exactly when
-  the last run into it finished.
+- Commands that produce artifacts take --out DIR and write it through one
+  context, `run_record`: it holds a .lock file there for the duration of
+  the run, removes any manifest.json once it holds the lock, names each
+  artifact as the command writes it, and writes a new manifest.json after
+  the last one — a timestamp-free snapshot of the resolved configuration,
+  the input hashes (the sha256 of each input file, and of the taxonomy
+  document) and the artifacts in write order, so reruns can be compared
+  file-by-file.  A directory holds a manifest exactly when the last run
+  into it finished.  --out naming a file is invalid input.
 - For train, values resolve as: command-line flags over config-file values
   over preset defaults.  Every TrainConfig field has one flag,
   --field-name, generated from its kind in `_CONFIG_KINDS`.
@@ -111,17 +113,32 @@ def _lock_holder(lock: Path) -> str:
     return f"names pid {pid} on host {host}"
 
 
+def taxonomy_fingerprint(taxonomy: EmotionTaxonomy) -> str:
+    """The sha256 of the taxonomy's canonical document, as manifests record it."""
+    return hashlib.sha256(canonical_json(taxonomy_to_document(taxonomy)).encode("utf-8")).hexdigest()
+
+
 @contextlib.contextmanager
-def locked_output_dir(path: str | Path):
-    """Create DIR if needed, hold DIR/.lock exclusively for the run, and
-    remove DIR/manifest.json, which the run writes again when it finishes.
+def run_record(out: str | Path, command: str, config: dict, inputs: dict, taxonomy: EmotionTaxonomy):
+    """Hold DIR for one command's run, and write DIR/manifest.json if it finishes.
+
+    Each `inputs` file (None: not given, left out) is hashed, and the
+    taxonomy too, before DIR is touched; then DIR is created, DIR/.lock held
+    and any DIR/manifest.json removed.  The block names each artifact with
+    `artifact(name)`, which returns DIR/name; the manifest, written only if
+    the block raises nothing, lists the names in that order.
 
     The lock holds "pid host" of the run.  A lock that is already there is
     never broken: the error names its holder, and only a person who knows
     that run is gone should remove the file.
     """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    digests = {name: sha256_file(path) for name, path in inputs.items() if path is not None}
+    digests["taxonomy"] = taxonomy_fingerprint(taxonomy)
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:  # a file, not a directory
+        raise NotADirectoryError(f"--out {path} is not a directory") from None
     lock = path / ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -130,75 +147,57 @@ def locked_output_dir(path: str | Path):
             f"{path} is locked: {lock} {_lock_holder(lock)}; another run may be writing "
             f"there (remove the file only if that run is gone)"
         ) from None
+    artifacts: list[str] = []
+
+    def artifact(name: str) -> Path:
+        artifacts.append(name)
+        return path / name
+
     try:
         try:
             os.write(fd, f"{os.getpid()} {socket.gethostname()}\n".encode("utf-8"))
         finally:
             os.close(fd)
         (path / "manifest.json").unlink(missing_ok=True)
-        yield path
+        yield artifact
+        manifest = {
+            "format": MANIFEST_FORMAT,
+            "tool_version": __version__,
+            "command": command,
+            "config": config,
+            "inputs": digests,
+            "artifacts": artifacts,
+        }
+        with atomic_write(path / "manifest.json", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     finally:
         lock.unlink(missing_ok=True)
-
-
-def taxonomy_fingerprint(taxonomy: EmotionTaxonomy) -> str:
-    """The sha256 of the taxonomy's canonical document, as manifests record it."""
-    return hashlib.sha256(canonical_json(taxonomy_to_document(taxonomy)).encode("utf-8")).hexdigest()
-
-
-def write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, artifacts: list[str]) -> None:
-    """Atomically write manifest.json, after every artifact it names."""
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "tool_version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": inputs,
-        "artifacts": artifacts,
-    }
-    with atomic_write(out_dir / "manifest.json", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    logger.info("artifacts in %s: %s", path, ", ".join(artifacts))
 
 
 def cmd_synth(args) -> int:
     spec_path = Path(args.spec)
     spec = load_synthetic_spec(spec_path)
-    with locked_output_dir(args.out) as out_dir:
+    config = json.loads(spec_path.read_text(encoding="utf-8"))
+    with run_record(args.out, "synth", config, {"spec_file": spec_path}, spec.taxonomy) as artifact:
         corpus = generate_synthetic(spec)
-        save_corpus_tsv(corpus, out_dir / "corpus.tsv")
-        save_taxonomy(spec.taxonomy, out_dir / "taxonomy.json")
-        write_manifest(
-            out_dir,
-            "synth",
-            config=json.loads(spec_path.read_text(encoding="utf-8")),
-            inputs={
-                "spec_file": sha256_file(spec_path),
-                "taxonomy": taxonomy_fingerprint(spec.taxonomy),
-            },
-            artifacts=["corpus.tsv", "taxonomy.json"],
-        )
-    logger.info("wrote %d records to %s", len(corpus), out_dir / "corpus.tsv")
+        save_corpus_tsv(corpus, artifact("corpus.tsv"))
+        save_taxonomy(spec.taxonomy, artifact("taxonomy.json"))
+    logger.info("wrote %d records to %s", len(corpus), Path(args.out, "corpus.tsv"))
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     file_values = load_train_config_file(args.config) if args.config else {}
     config = resolve_train_config(file_values, {name: getattr(args, name) for name in _CONFIG_KINDS})
-    inputs: dict = {}
-    if config.corpus is not None:
-        inputs["corpus"] = sha256_file(config.corpus)
-    if config.synthetic is not None:
-        inputs["synthetic_spec"] = sha256_file(config.synthetic)
     trainer = Trainer(config)
-    inputs["taxonomy"] = taxonomy_fingerprint(trainer.taxonomy)
-    artifacts = ["best.ckpt", "final.ckpt", "history.jsonl"]
-    with locked_output_dir(args.out) as out_dir:
+    inputs = {"corpus": config.corpus, "synthetic_spec": config.synthetic}
+    with run_record(args.out, "train", config.to_document(), inputs, trainer.taxonomy) as artifact:
         result = trainer.run()
-        save_checkpoint(result.best, out_dir / "best.ckpt")
-        save_checkpoint(result.final, out_dir / "final.ckpt")
-        write_history(result.history, out_dir / "history.jsonl")
-        write_manifest(out_dir, "train", config.to_document(), inputs, artifacts)
+        save_checkpoint(result.best, artifact("best.ckpt"))
+        save_checkpoint(result.final, artifact("final.ckpt"))
+        write_history(result.history, artifact("history.jsonl"))
     last = result.history[-1]
     logger.info(
         "done: %d epochs, best epoch %d; final val_acc=%.3f val_f1=%.3f",
@@ -207,29 +206,23 @@ def cmd_train(args) -> int:
         last.val_accuracy,
         last.val_macro_f1,
     )
-    logger.info("artifacts in %s: %s", out_dir, ", ".join(artifacts))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.corpus, args.corpus_format, ck.taxonomy)
-    inputs = {
-        "checkpoint": sha256_file(args.checkpoint),
-        "corpus": sha256_file(args.corpus),
-        "taxonomy": taxonomy_fingerprint(ck.taxonomy),
-    }
     config = {
         "checkpoint": str(args.checkpoint),
         "corpus": str(args.corpus),
         "corpus_format": args.corpus_format,
         "holdout_label": args.holdout_label,
     }
-    with locked_output_dir(args.out) as out_dir:
+    inputs = {"checkpoint": args.checkpoint, "corpus": args.corpus}
+    with run_record(args.out, "eval", config, inputs, ck.taxonomy) as artifact:
         if args.holdout_label is not None:
             report = holdout_proximity(ck, corpus, args.holdout_label)
-            write_report_json(report, out_dir / "holdout.json")
-            write_manifest(out_dir, "eval", config, inputs, ["holdout.json"])
+            write_report_json(report, artifact("holdout.json"))
             logger.info(
                 "holdout %r: mean grid distance %.3f over %d examples",
                 report.label,
@@ -238,12 +231,10 @@ def cmd_eval(args) -> int:
             )
             return EXIT_OK
         result = evaluate(ck, corpus)
-        write_report_json(result.report, out_dir / "report.json")
-        write_confusion_csv(result.report, out_dir / "confusion.csv")
-        write_histogram_csv(result.report, out_dir / "histogram.csv")
-        write_pairs_csv(result, out_dir / "pairs.csv")
-        artifacts = ["report.json", "confusion.csv", "histogram.csv", "pairs.csv"]
-        write_manifest(out_dir, "eval", config, inputs, artifacts)
+        write_report_json(result.report, artifact("report.json"))
+        write_confusion_csv(result.report, artifact("confusion.csv"))
+        write_histogram_csv(result.report, artifact("histogram.csv"))
+        write_pairs_csv(result, artifact("pairs.csv"))
     rep = result.report
     logger.info(
         "n=%d accuracy=%.4f macro_f1=%.4f mean_error_distance=%.3f",

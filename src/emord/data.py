@@ -246,7 +246,6 @@ class Vocabulary:
     """
 
     tokens: tuple[str, ...]
-    min_freq: int = 1
     _index: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -289,7 +288,7 @@ def build_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
     )
     if not kept:
         raise DataError(f"no token reaches min_freq={min_freq}")
-    return Vocabulary(tokens=tuple(kept), min_freq=min_freq)
+    return Vocabulary(tokens=tuple(kept))
 
 
 def _raw_token_id(raw: str, index: dict[str, int]) -> int:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import MODE_ORDINAL_2D, MODE_SOFTMAX, target_for, target_width
+from .codec import MODE_ORDINAL_2D, MODE_SOFTMAX, target_for
 from .losses import logit_gradient, loss_value
 from .net import ModelConfig, ModelParams, backward, forward, init_params
+from .recipe import TrainConfig
 from .taxonomy import EmotionTaxonomy, parse_taxonomy
 
 _DATA_STREAM = 202  # seed-stream tag for the probe batch
@@ -60,17 +61,8 @@ def tiny_taxonomy(head_mode: str) -> EmotionTaxonomy:
 
 def tiny_config(head_mode: str, taxonomy: EmotionTaxonomy | None = None) -> ModelConfig:
     """float64 probe model: production kernel sizes, toy widths."""
-    taxonomy = taxonomy or tiny_taxonomy(head_mode)
-    return ModelConfig(
-        vocab_size=13,
-        output_width=target_width(head_mode, taxonomy),
-        head_mode=head_mode,
-        embed_dim=5,
-        conv_channels=(6, 7),
-        kernel_sizes=(6, 4),
-        ffnn_hidden=(8, 6),
-        dtype="float64",
-    )
+    recipe = TrainConfig(mode=head_mode, embed_dim=5, conv_channels=(6, 7), ffnn_hidden=(8, 6))
+    return recipe.model_config(13, taxonomy or tiny_taxonomy(head_mode), "float64")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 
 from emord.atomic import atomic_write
 from emord.checkpoint import save_checkpoint
-from emord.cli import write_manifest
+from emord.cli import run_record
 from emord.data import DataError, LabeledCorpus, save_corpus_tsv
 from emord.metrics import EvalResult, build_report, write_pairs_csv, write_report_json
 from emord.taxonomy import builtin_taxonomy
@@ -71,10 +71,6 @@ WRITERS = {
         lambda path: save_corpus_tsv(LabeledCorpus((("fine", "joy"), ("a\ttab", "joy"))), path),
         DataError,
     ),
-    "manifest.json": (
-        lambda path: write_manifest(path.parent, "eval", {"x": _Unserializable()}, {}, []),
-        TypeError,
-    ),
     "model.ckpt": (lambda path: save_checkpoint(make_checkpoint(), path), OSError),
 }
 
@@ -94,6 +90,18 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, name, existe
     assert [p.name for p in tmp_path.iterdir()] == ([name] if existed else [])
     if existed:
         assert path.read_bytes() == b"earlier complete contents\n"
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "stale"])
+def test_a_manifest_that_cannot_be_written_leaves_none(tmp_path, existed):
+    # the run record removes a stale manifest once it holds the lock, and
+    # the new one fails on a config value json cannot encode
+    if existed:
+        (tmp_path / "manifest.json").write_bytes(b"earlier complete contents\n")
+    with pytest.raises(TypeError):
+        with run_record(tmp_path, "eval", {"x": _Unserializable()}, {}, builtin_taxonomy("isear-valence")):
+            pass
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_writers_replace_earlier_files(tmp_path):

@@ -91,8 +91,7 @@ def test_roundtrip_inference_checkpoint(tmp_path):
     assert loaded.config == ck.config
     assert loaded.taxonomy == ck.taxonomy
     assert loaded.vocab.tokens == ck.vocab.tokens
-    assert loaded.vocab.min_freq == ck.vocab.min_freq
-    assert loaded.recipe == RECIPE
+    assert loaded.recipe == ck.recipe == RECIPE
     assert loaded.epochs_completed == 3
     assert loaded.optimizer is None
     assert_params_equal(loaded.params, ck.params)
@@ -472,6 +471,15 @@ def test_rejects_header_value_of_wrong_type(tmp_path, key, value, match):
 def test_rejects_a_negative_count(tmp_path, key):
     bad = rewrite_header(tmp_path, lambda header: set_key(header, key, -1))
     with pytest.raises(CheckpointError, match=f": {re.escape(key)} must not be negative, got -1$"):
+        load_checkpoint(bad)
+    assert_commands_reject(tmp_path, bad)
+
+
+@pytest.mark.parametrize("min_freq", [0, 3])
+def test_rejects_a_vocab_min_freq_other_than_the_recipes(tmp_path, min_freq):
+    # the header states min_freq twice; the two must agree
+    bad = rewrite_header(tmp_path, lambda header: set_key(header, "vocab.min_freq", min_freq))
+    with pytest.raises(CheckpointError, match=f": vocab.min_freq {min_freq} differs from recipe.min_freq 1$"):
         load_checkpoint(bad)
     assert_commands_reject(tmp_path, bad)
 

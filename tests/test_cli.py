@@ -22,8 +22,8 @@ from emord.cli import (
     EXIT_RUNTIME,
     LockError,
     build_parser,
-    locked_output_dir,
     main,
+    run_record,
 )
 from emord.data import (
     LabeledCorpus,
@@ -200,13 +200,89 @@ def test_synth_that_fails_writing_an_artifact_leaves_no_manifest(tmp_path, spec_
     assert sorted(p.name for p in out.iterdir()) == ["corpus.tsv"]
 
 
+def command_argvs(tmp_path, spec_file, train_config):
+    """Each artifact-writing command as argv without --out, the inputs made."""
+    assert main(["synth", "--spec", str(spec_file), "--out", str(tmp_path / "synth")]) == EXIT_OK
+    assert main(["train", "--config", str(train_config), "--out", str(tmp_path / "train")]) == EXIT_OK
+    grid = grid_checkpoint(tmp_path / "grid.ckpt")
+    joy = tmp_path / "joy.tsv"
+    save_corpus_tsv(LabeledCorpus((("alpha beta", "joy"),)), joy)
+    trained, corpus = tmp_path / "train" / "best.ckpt", tmp_path / "synth" / "corpus.tsv"
+    return {
+        "synth": ["synth", "--spec", str(spec_file)],
+        "train": ["train", "--config", str(train_config)],
+        "eval": ["eval", "--checkpoint", str(trained), "--corpus", str(corpus)],
+        "holdout": ["eval", "--checkpoint", str(grid), "--corpus", str(joy), "--holdout-label", "joy"],
+    }
+
+
+def test_a_manifest_lists_the_files_its_command_created_in_order(tmp_path, spec_file, train_config, monkeypatch):
+    argvs = command_argvs(tmp_path, spec_file, train_config)
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    expected = {
+        "synth": ["corpus.tsv", "taxonomy.json"],
+        "train": ["best.ckpt", "final.ckpt", "history.jsonl"],
+        "eval": ["report.json", "confusion.csv", "histogram.csv", "pairs.csv"],
+        "holdout": ["holdout.json"],
+    }
+    for name, argv in argvs.items():
+        out = tmp_path / "fresh" / name
+        replaced.clear()
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        artifacts = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+        assert artifacts == expected[name]
+        assert [path.relative_to(out).as_posix() for path in replaced] == [*artifacts, "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*artifacts, "manifest.json"])
+
+
+def test_out_naming_a_file_exits_1_before_the_run(tmp_path, spec_file, train_config, monkeypatch, caplog):
+    argvs = command_argvs(tmp_path, spec_file, train_config)
+    monkeypatch.setattr(cli.Trainer, "run", lambda self: pytest.fail("trained into a file"))
+    monkeypatch.setattr(cli, "generate_synthetic", lambda spec: pytest.fail("generated into a file"))
+    monkeypatch.setattr(cli, "evaluate", lambda ck, corpus: pytest.fail("evaluated into a file"))
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    for name in ("synth", "train", "eval"):
+        caplog.clear()
+        assert main([*argvs[name], "--out", str(out)]) == EXIT_INVALID, name
+        assert f"--out {out} is not a directory" in caplog.text
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_train_that_fails_between_checkpoints_leaves_no_manifest_and_no_lock(tmp_path, train_config, monkeypatch):
+    saved = []
+
+    def fail_the_second(ck, path):
+        if saved:
+            raise OSError("disk full")
+        saved.append(path)
+        save_checkpoint(ck, path)
+
+    monkeypatch.setattr(cli, "save_checkpoint", fail_the_second)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(train_config), "--out", str(out)]) == EXIT_RUNTIME
+    assert sorted(p.name for p in out.iterdir()) == ["best.ckpt"]
+
+
+def record(out):
+    """A run record of no inputs for a block that writes nothing."""
+    return run_record(out, "synth", {}, {}, builtin_taxonomy("isear-valence"))
+
+
 def test_lock_names_its_holder_and_is_never_broken(tmp_path, spec_file, caplog):
     out = tmp_path / "busy"
     pid, host = os.getpid(), socket.gethostname()
-    with locked_output_dir(out):
+    with record(out):
         assert (out / ".lock").read_text(encoding="utf-8") == f"{pid} {host}\n"
         with pytest.raises(LockError, match=re.escape(f"names pid {pid} on host {host};")):
-            with locked_output_dir(out):
+            with record(out):
                 pass
         assert main(["synth", "--spec", str(spec_file), "--out", str(out)]) == EXIT_RUNTIME
         assert f"names pid {pid} on host {host};" in caplog.text
@@ -215,12 +291,12 @@ def test_lock_names_its_holder_and_is_never_broken(tmp_path, spec_file, caplog):
     # a lock that names no holder, or cannot be read, is left alone too
     (out / ".lock").write_text("", encoding="utf-8")
     with pytest.raises(LockError, match="names no holder"):
-        with locked_output_dir(out):
+        with record(out):
             pass
     (out / ".lock").unlink()
     (out / ".lock").mkdir()
     with pytest.raises(LockError, match="could not be read"):
-        with locked_output_dir(out):
+        with record(out):
             pass
     assert (out / ".lock").is_dir()
 
