@@ -19,21 +19,20 @@ reproducibility.  Layout:
 The header states each fact once: the resolved TrainConfig as its config
 document (`recipe`, without the directories the data was read from, so the
 bytes do not depend on them), the parameter dtype, the taxonomy document, the
-vocabulary, the epochs completed and the AdamW step (null without moments).
-Format 4's vocabulary repeats the recipe's `min_freq`: it is written from the
-recipe, and a header whose two values differ is rejected.
+vocabulary's token list, the epochs completed and the AdamW step (null without
+moments).
 The model's widths, the arrays' shapes and byte ranges and the payload size
 all follow from the recipe, the vocabulary size and the taxonomy through
 TrainConfig.model_config, which the trainer builds its model with and a
-Checkpoint derives its `config` with.  load_checkpoint reads the header, its
-vocabulary and its recipe with documents.parse_document, the reader config
-files go through, so every member is required and of its JSON kind; the
-taxonomy document goes through parse_taxonomy, and the rest is derived.  A
-crafted file can carry a valid checksum, so the header is checked as outside
-input.  The trailer is compared last, so any changed byte that still
-gives a valid header ends in a checksum mismatch.
+Checkpoint derives its `config` with.  load_checkpoint reads the header and
+its recipe with documents.parse_document, the reader config files go through,
+so every member is required and of its JSON kind; the taxonomy document goes
+through parse_taxonomy, the tokens through Vocabulary, and the rest is
+derived.  A crafted file can carry a valid checksum, so the header is checked
+as outside input.  The trailer is compared last, so any changed byte that
+still gives a valid header ends in a checksum mismatch.
 
-Saves and loads are format 4 (HEADER_FORMAT) only; a file of an earlier
+Saves and loads are format 5 (HEADER_FORMAT) only; a file of an earlier
 format is rejected by name.
 """
 
@@ -59,7 +58,7 @@ from .taxonomy import EmotionTaxonomy, parse_taxonomy, taxonomy_to_document
 
 MAGIC = b"EMOC"
 CONTAINER_VERSION = 1
-HEADER_FORMAT = "emord.checkpoint/4"
+HEADER_FORMAT = "emord.checkpoint/5"
 
 _DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
 _CHECKSUM_SIZE = 32  # the sha256 trailer
@@ -99,21 +98,20 @@ class Checkpoint:
 
 
 #: The kind of every header member but "format", which load_checkpoint reads
-#: first, and of the vocabulary's; every member is required.  The recipe is the
-#: config reader's to read and the taxonomy document parse_taxonomy's.
+#: first; every member is required.  The recipe is the config reader's to read
+#: and the taxonomy document parse_taxonomy's.
 _HEADER = {
     "recipe": dict,
     "dtype": str,
     "taxonomy": dict,
-    "vocab": dict,
+    "vocab": tuple[str, ...],
     "epochs_completed": int,
     "optimizer_step": int | None,
 }
-_VOCAB = {"tokens": tuple[str, ...], "min_freq": int}
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
-    """Write atomically in format 4; identical Checkpoint contents give identical bytes."""
+    """Write atomically in format 5; identical Checkpoint contents give identical bytes."""
     path = Path(path)
     cfg = ck.config
     arenas = [ck.params]
@@ -132,7 +130,7 @@ def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
         "recipe": ck.recipe.portable().to_document(),
         "dtype": cfg.dtype,
         "taxonomy": taxonomy_to_document(ck.taxonomy),
-        "vocab": {"tokens": list(ck.vocab.tokens), "min_freq": ck.recipe.min_freq},
+        "vocab": ck.vocab.tokens,
         "epochs_completed": ck.epochs_completed,
         "optimizer_step": None if ck.optimizer is None else ck.optimizer.step,
     }
@@ -195,12 +193,9 @@ def _from_header(path: Path, header: dict, fh, payload_size: int, checksum) -> C
     members = parse_document(
         header, HEADER_FORMAT, _HEADER, CheckpointError, f"{path}: ", required=_HEADER
     )
-    vocab_fields = _parse(
-        path, "vocabulary", parse_document, members["vocab"], None, _VOCAB, ValueError, required=_VOCAB
-    )
     step = members["optimizer_step"]
-    counts = (members["epochs_completed"], step or 0, vocab_fields["min_freq"])
-    for name, count in zip(("epochs_completed", "optimizer_step", "vocab.min_freq"), counts):
+    for name in ("epochs_completed", "optimizer_step"):
+        count = members[name] or 0  # a null step is no count
         if count < 0:
             raise CheckpointError(f"{path}: {name} must not be negative, got {count}")
     values = _parse(
@@ -214,13 +209,8 @@ def _from_header(path: Path, header: dict, fh, payload_size: int, checksum) -> C
         required=("format", *_CONFIG_KINDS),
     )
     recipe = _parse(path, "recipe", TrainConfig, **values)
-    if vocab_fields["min_freq"] != recipe.min_freq:
-        raise CheckpointError(
-            f"{path}: vocab.min_freq {vocab_fields['min_freq']} differs from "
-            f"recipe.min_freq {recipe.min_freq}"
-        )
     taxonomy = _parse(path, "taxonomy", parse_taxonomy, members["taxonomy"])
-    vocab = _parse(path, "vocabulary", Vocabulary, vocab_fields["tokens"])
+    vocab = _parse(path, "vocabulary", Vocabulary, members["vocab"])
     config = _parse(path, "model", recipe.model_config, vocab.size, taxonomy, members["dtype"])
     arena_count = 1 if step is None else 3
     expected = arena_count * config.param_count * np.dtype(config.np_dtype).itemsize

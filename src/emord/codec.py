@@ -27,18 +27,17 @@ class CodecError(ValueError):
 
 def encode_thermometer(k: int, levels: int) -> np.ndarray:
     """float64 codeword for level k among `levels` levels: k ones then zeros, length levels-1."""
-    if levels < 2:
-        raise CodecError(f"need at least 2 levels, got {levels}")
+    codes = codewords(levels)
     if not 0 <= k < levels:
         raise CodecError(f"level {k} outside [0, {levels - 1}]")
-    out = np.zeros(levels - 1)
-    out[:k] = 1.0
-    return out
+    return codes[k].copy()
 
 
 def codewords(levels: int) -> np.ndarray:
-    """All valid codewords as a (levels, levels-1) matrix, row k = level k."""
-    return np.stack([encode_thermometer(k, levels) for k in range(levels)])
+    """All valid codewords as a float64 (levels, levels-1) matrix, row k = level k."""
+    if levels < 2:
+        raise CodecError(f"need at least 2 levels, got {levels}")
+    return np.tri(levels, levels - 1, k=-1)  # ones where column < row
 
 
 @functools.lru_cache(maxsize=64)
@@ -56,7 +55,10 @@ def decode_thermometer(values: np.ndarray) -> int:
     exact ties resolve to the smaller level.  Defined for any finite vector,
     so non-monotone model outputs decode deterministically.
     """
-    return int(decode_thermometer_batch(np.asarray(values)[None, :])[0])
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise CodecError(f"expected a vector, got shape {values.shape}")
+    return int(decode_thermometer_batch(values[None, :])[0])
 
 
 def decode_thermometer_batch(values: np.ndarray) -> np.ndarray:

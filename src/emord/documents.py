@@ -1,12 +1,12 @@
 """Strict reading of JSON documents: train configs, synthetic-corpus specs,
 taxonomy documents and their label records, and checkpoint headers with their
-vocabulary and recipe.  Every member kind of these five documents is checked
-here, so each rule below holds in all of them.
+recipe.  Every member kind of these five documents is checked here, so each
+rule below holds in all of them.
 
 A document is one JSON object: a "format" tag, optional or required (a label
-record or a vocabulary has none), then members named after the fields it
-holds; unknown members are rejected, and so are missing required ones.  Each
-member's kind is a type hint: int, float,
+record has none), then members named after the fields it holds; unknown
+members are rejected, and so are missing required ones.  Each member's kind
+is a type hint: int, float,
 str, dict (a JSON object, for its own reader to read), a tuple of fixed
 length (tuple[int, int], tuple[float, float, float], ...), a tuple of any
 length (tuple[str, ...]) and `X | None` for a member that may be null.  A

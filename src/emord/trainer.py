@@ -6,6 +6,9 @@ fixes every random draw.  Initialization, splitting, and per-epoch shuffles
 each use their own seed stream, and the shuffle stream is keyed by epoch
 number, so resuming from a mid-run checkpoint replays the exact batches a
 straight run would have seen.
+
+A run copies its params once per epoch, into the read-only snapshot that
+epoch validates; the best checkpoint is one of them, the final the last.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    final: Checkpoint  # last epoch, with optimizer state (resumable)
+    final: Checkpoint  # last epoch's snapshot, with optimizer state (resumable)
     best: Checkpoint  # selected epoch, inference-only
     best_epoch: int
     history: list[EpochStats]
@@ -138,6 +141,7 @@ class Trainer:
         self.epochs_done = 0
         self.history: list[EpochStats] = []
         self._best: tuple[float, int, Checkpoint] | None = None
+        self._last: Checkpoint | None = None  # the last epoch's snapshot
 
     @classmethod
     def resume(
@@ -168,19 +172,15 @@ class Trainer:
         trainer.epochs_done = ck.epochs_completed
         return trainer
 
-    def checkpoint(self, with_optimizer: bool = False) -> Checkpoint:
-        """Deep snapshot of the current model (and optionally optimizer) state.
-
-        Its params are a read-only copy (ModelParams.frozen_copy); its moments
-        are writable.
-        """
+    def checkpoint(self) -> Checkpoint:
+        """Inference snapshot of the current model: a read-only copy of its
+        params (ModelParams.frozen_copy), without optimizer state."""
         return Checkpoint(
             params=self.params.frozen_copy(),
             taxonomy=self.taxonomy,
             vocab=self.vocab,
             recipe=self.config,
             epochs_completed=self.epochs_done,
-            optimizer=self.opt_state.copy() if with_optimizer else None,
         )
 
     # A diverging step overflows before the NetError, loss and OptimizerError
@@ -235,6 +235,7 @@ class Trainer:
         )
         self.history.append(stats)
         self._consider_best(val, snapshot)
+        self._last = snapshot
         return stats
 
     def _consider_best(self, val: MetricsReport, snapshot: Checkpoint) -> None:
@@ -267,7 +268,8 @@ class Trainer:
             )
         assert self._best is not None
         return TrainResult(
-            final=self.checkpoint(with_optimizer=True),
+            # no step ran after the last snapshot, so its params are the live ones
+            final=dataclasses.replace(self._last, optimizer=self.opt_state.copy()),
             best=self._best[2],
             best_epoch=self._best[1],
             history=list(self.history),

@@ -30,10 +30,11 @@ from emord.recipe import _CONFIG_KINDS, TrainConfig, TrainerError
 from emord.taxonomy import builtin_taxonomy, taxonomy_to_document
 
 #: make_checkpoint(with_optimizer=True) as save_checkpoint writes it (format
-#: 4); reader and writer change together, so this file pins the bytes on disk.
-PINNED = Path(__file__).parent / "data" / "checkpoint_v4_fixture.ckpt"
-#: The same checkpoint as format 3 wrote it, which is no longer read.
+#: 5); reader and writer change together, so this file pins the bytes on disk.
+PINNED = Path(__file__).parent / "data" / "checkpoint_v5_fixture.ckpt"
+#: The same checkpoint as formats 3 and 4 wrote it, which are no longer read.
 FORMAT_3 = Path(__file__).parent / "data" / "checkpoint_v3_fixture.ckpt"
+FORMAT_4 = Path(__file__).parent / "data" / "checkpoint_v4_fixture.ckpt"
 
 RECIPE = TrainConfig(
     mode="softmax",
@@ -231,7 +232,7 @@ def drop_key(header, dotted):
 
 
 #: How a message names what holds a member, by the member's parent.
-READ_AS = {"": "", "recipe": "invalid recipe (", "vocab": "invalid vocabulary ("}
+READ_AS = {"": "", "recipe": "invalid recipe ("}
 
 
 @pytest.mark.parametrize("key", [key for key in header_keys(header_of(PINNED.read_bytes())) if key != "format"])
@@ -343,11 +344,12 @@ def assert_is_the_fixture_checkpoint(loaded):
 
 def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
     header = header_of(PINNED.read_bytes())
-    assert header["format"] == HEADER_FORMAT == "emord.checkpoint/4"
+    assert header["format"] == HEADER_FORMAT == "emord.checkpoint/5"
     assert set(header) == {
         "format", "recipe", "dtype", "taxonomy", "vocab", "epochs_completed", "optimizer_step"
     }
     assert header["recipe"] == RECIPE.to_document()
+    assert header["vocab"] == ["blue", "cue0", "cue1", "green", "red"]
     loaded = load_checkpoint(PINNED)
     fresh = assert_is_the_fixture_checkpoint(loaded)
     for ck in (loaded, fresh):
@@ -365,7 +367,7 @@ def assert_commands_reject(tmp_path, path):
 @pytest.mark.parametrize("fmt", ["emord.checkpoint/1", "emord.checkpoint/2"])
 def test_rejects_an_earlier_format_by_name(tmp_path, fmt):
     bad = rewrite_header(tmp_path, lambda header: set_key(header, "format", fmt))
-    match = f"unsupported header format '{fmt}'; this version reads 'emord.checkpoint/4'"
+    match = f"unsupported header format '{fmt}'; this version reads 'emord.checkpoint/5'"
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(bad)
     assert_commands_reject(tmp_path, bad)
@@ -374,10 +376,19 @@ def test_rejects_an_earlier_format_by_name(tmp_path, fmt):
 def test_format_3_file_is_rejected_by_name(tmp_path):
     # a real format-3 file: three fingerprints in its header, no trailer
     assert set(header_of(FORMAT_3.read_bytes())["hashes"]) == {"taxonomy", "vocab", "payload"}
-    match = "unsupported header format 'emord.checkpoint/3'; this version reads 'emord.checkpoint/4'"
+    match = "unsupported header format 'emord.checkpoint/3'; this version reads 'emord.checkpoint/5'"
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(FORMAT_3)
     assert_commands_reject(tmp_path, FORMAT_3)
+
+
+def test_format_4_file_is_rejected_by_name(tmp_path):
+    # a real format-4 file: its vocabulary an object that repeats min_freq
+    assert header_of(FORMAT_4.read_bytes())["vocab"]["min_freq"] == RECIPE.min_freq
+    match = "unsupported header format 'emord.checkpoint/4'; this version reads 'emord.checkpoint/5'"
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(FORMAT_4)
+    assert_commands_reject(tmp_path, FORMAT_4)
 
 
 def test_checksum_covers_header_arenas_and_trailer(tmp_path):
@@ -457,7 +468,8 @@ def set_key(header, dotted, value):
         ("optimizer_step", "1", ": optimizer_step must be an integer$"),
         ("taxonomy", ["1d"], ": taxonomy must be an object$"),
         ("epochs_completed", "3", ": epochs_completed must be an integer$"),
-        ("vocab.min_freq", "1", r"invalid vocabulary \(min_freq must be an integer\)"),
+        # format 4's vocabulary object
+        ("vocab", {"tokens": ["blue", "cue0", "cue1", "green", "red"], "min_freq": 1}, ": vocab must be a list$"),
         ("taxonomy.mode", "3d", "invalid taxonomy"),
     ],
 )
@@ -467,7 +479,7 @@ def test_rejects_header_value_of_wrong_type(tmp_path, key, value, match):
         load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("key", ["epochs_completed", "optimizer_step", "vocab.min_freq"])
+@pytest.mark.parametrize("key", ["epochs_completed", "optimizer_step"])
 def test_rejects_a_negative_count(tmp_path, key):
     bad = rewrite_header(tmp_path, lambda header: set_key(header, key, -1))
     with pytest.raises(CheckpointError, match=f": {re.escape(key)} must not be negative, got -1$"):
@@ -475,20 +487,10 @@ def test_rejects_a_negative_count(tmp_path, key):
     assert_commands_reject(tmp_path, bad)
 
 
-@pytest.mark.parametrize("min_freq", [0, 3])
-def test_rejects_a_vocab_min_freq_other_than_the_recipes(tmp_path, min_freq):
-    # the header states min_freq twice; the two must agree
-    bad = rewrite_header(tmp_path, lambda header: set_key(header, "vocab.min_freq", min_freq))
-    with pytest.raises(CheckpointError, match=f": vocab.min_freq {min_freq} differs from recipe.min_freq 1$"):
-        load_checkpoint(bad)
-    assert_commands_reject(tmp_path, bad)
-
-
 def test_rejects_vocab_size_not_matching_the_tokens(tmp_path):
     # one token fewer gives a smaller embedding than the payload holds
     def drop_last_token(header):
-        vocab = header["vocab"]
-        vocab["tokens"] = vocab["tokens"][:-1]
+        header["vocab"] = header["vocab"][:-1]
 
     with pytest.raises(CheckpointError, match="payload is 2652 bytes, header expects 2604"):
         load_checkpoint(rewrite_header(tmp_path, drop_last_token))
@@ -502,9 +504,8 @@ def test_rejects_vocab_size_not_matching_the_tokens(tmp_path):
 def test_rejects_vocab_tokens_that_tokenization_cannot_yield(tmp_path, token, match):
     # the checksum is recomputed, so only the vocabulary rule can catch it
     def replace_last_token(header):
-        vocab = header["vocab"]
-        assert vocab["tokens"][0] == "blue"
-        vocab["tokens"][-1] = token
+        assert header["vocab"][0] == "blue"
+        header["vocab"][-1] = token
 
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(rewrite_header(tmp_path, replace_last_token))

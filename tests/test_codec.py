@@ -102,6 +102,18 @@ def test_decode_rejects_bad_input():
         decode_thermometer_batch(np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("value", [np.float64(0.3), 0.3, np.zeros((1, 2))], ids=["0-d", "float", "2-d"])
+def test_decode_rejects_what_is_not_a_vector(value):
+    with pytest.raises(CodecError, match=r"expected a vector, got shape \("):
+        decode_thermometer(value)
+
+
+@pytest.mark.parametrize("levels", [1, 0, -3])
+def test_codewords_need_two_levels(levels):
+    with pytest.raises(CodecError, match=f"need at least 2 levels, got {levels}$"):
+        codewords(levels)
+
+
 def test_mode_compatibility():
     t1 = builtin_taxonomy("isear-valence")
     t2 = builtin_taxonomy("goemotions-grid-5x5")

@@ -28,7 +28,7 @@ from test_checkpoint import PINNED, header_of, with_header
 NAMES = (
     "softmax", "ordinal-1d", "ordinal-2d", "desk", "paper", "tsv", "csv", "1d", "2d",
     "isear-valence", "goemotions-grid-5x5", "tax.json", "doc.json", "float32", "float64",
-    "emord.train/1", "emord.synth/1", "emord.taxonomy/1", "emord.checkpoint/4",
+    "emord.train/1", "emord.synth/1", "emord.taxonomy/1", "emord.checkpoint/5",
 )
 #: One JSON value: null, bools, small ints, ints beyond the float range,
 #: floats with NaN and ±Infinity, strings, and lists and objects of these.
@@ -83,7 +83,7 @@ CHECKPOINT = PINNED.read_bytes()
 #: Member names an edit adds: every document's, and the header's.
 MEMBERS = sorted({
     *TRAIN_CONFIG, *SYNTH_SPEC, "grid_size", "labels", "name", "rank", "valence", "arousal",
-    *header_of(CHECKPOINT), "tokens", "min_freq",
+    *header_of(CHECKPOINT),
 })
 
 

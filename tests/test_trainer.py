@@ -13,6 +13,7 @@ from emord.checkpoint import load_checkpoint, save_checkpoint
 from emord.data import LabeledCorpus, SyntheticSpec, generate_synthetic, save_corpus_tsv
 from emord.documents import parse_document
 from emord.hashing import canonical_json
+from emord.net import ModelParams
 from emord.taxonomy import EmotionTaxonomy, builtin_taxonomy, save_taxonomy
 from emord.trainer import (
     _CONFIG_KINDS,
@@ -339,17 +340,51 @@ def test_resume_from_disk_is_byte_identical(tmp_path):
     ]
 
 
-def test_snapshots_have_frozen_params_and_writable_moments():
+def test_snapshots_have_frozen_params_and_writable_moments(monkeypatch):
     trainer = Trainer(tiny_config(), tiny_corpus())
-    snapshot = trainer.checkpoint(with_optimizer=True)
+    snapshot = trainer.checkpoint()
+    assert snapshot.optimizer is None
     assert not snapshot.params.arena.flags.writeable and trainer.params.arena.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         snapshot.params.fc1_w[0, 0] = 1.0
-    state = snapshot.optimizer
-    assert state.m.arena.flags.writeable and state.v.arena.flags.writeable
     kept = snapshot.params.arena.copy()
     trainer.run_epoch()
     assert np.array_equal(snapshot.params.arena, kept)
+
+    # the final checkpoint is the last epoch's snapshot plus a copy of the moments
+    snapshots = []
+    take = Trainer.checkpoint
+
+    def recorded(self):
+        snapshots.append(take(self))
+        return snapshots[-1]
+
+    monkeypatch.setattr(Trainer, "checkpoint", recorded)
+    final = trainer.run().final
+    assert final.params.arena is snapshots[-1].params.arena
+    assert not final.params.arena.flags.writeable
+    assert final.epochs_completed == snapshots[-1].epochs_completed == 2
+    state = final.optimizer
+    assert state.m.arena.flags.writeable and state.v.arena.flags.writeable
+    step, m, v, params = state.step, state.m.arena.copy(), state.v.arena.copy(), final.params.arena.copy()
+    trainer.run_epoch()  # steps past the run change the trainer's moments, not the final's
+    assert trainer.opt_state.step > step and not np.array_equal(trainer.opt_state.m.arena, m)
+    assert state.step == step
+    for arena, before in ((state.m.arena, m), (state.v.arena, v), (final.params.arena, params)):
+        assert np.array_equal(arena, before)
+
+
+def test_a_run_copies_its_params_once_per_epoch(monkeypatch):
+    copies = []
+    frozen_copy = ModelParams.frozen_copy
+
+    def counted(self):
+        copies.append(self)
+        return frozen_copy(self)
+
+    monkeypatch.setattr(ModelParams, "frozen_copy", counted)
+    Trainer(tiny_config(epochs=3), tiny_corpus()).run()
+    assert len(copies) == 3
 
 
 def test_resume_requires_optimizer_state():
