@@ -6,7 +6,7 @@ Run:  python3 demos/01_taxonomies_and_codes.py
 import numpy as np
 
 from emord import builtin_taxonomy
-from emord.codec import codewords, decode_thermometer, encode_thermometer, target_for
+from emord.codec import codewords, decode_thermometer_batch, target_for
 from emord.taxonomy import label_distance
 
 # ---------------------------------------------------------------------------
@@ -43,10 +43,12 @@ for i, j in [(0, 1), (0, 3), (2, 6)]:
     print(f"  ||code_{i} - code_{j}||^2 = {squared:.0f}   |{i} - {j}| = {abs(i - j)}")
 
 # Decoding picks the nearest codeword, so even a sloppy, non-monotone output
-# vector maps to a definite level.
+# vector maps to a definite level.  The decoder takes a batch of rows, so one
+# vector goes in as a one-row batch.
 noisy = np.array([0.93, 0.81, 0.64, 0.18, 0.40, 0.07])
+level = decode_thermometer_batch(noisy[None])[0]
 print()
-print(f"noisy output {noisy.tolist()} decodes to level {decode_thermometer(noisy)}")
+print(f"noisy output {noisy.tolist()} decodes to level {level}")
 
 # ---------------------------------------------------------------------------
 # 3. A 5x5 valence/arousal grid with 23 emotion labels.  Distance between

@@ -19,9 +19,7 @@ from .codec import (
     MODE_SOFTMAX,
     CodecError,
     codewords,
-    decode_thermometer,
     decode_thermometer_batch,
-    encode_thermometer,
     target_for,
     target_width,
 )
@@ -123,11 +121,9 @@ __all__ = [
     "builtin_taxonomy",
     "check_gradients",
     "codewords",
-    "decode_thermometer",
     "decode_thermometer_batch",
     "encode_corpus",
     "encode_text",
-    "encode_thermometer",
     "evaluate",
     "forward",
     "generate_synthetic",

@@ -63,7 +63,6 @@ from .trainer import (
     _CONFIG_KINDS,
     PRESETS,
     Trainer,
-    TrainingDivergedError,
     load_train_config_file,
     resolve_train_config,
     write_history,
@@ -412,16 +411,12 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except TrainingDivergedError as exc:
-        logger.error("%s", exc)
-        return EXIT_RUNTIME
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        logger.error("%s", exc)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (
+        ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError
+    ) as exc:
         logger.error("%s", exc)
         return EXIT_INVALID
-    except (RuntimeError, OSError, MemoryError) as exc:
+    except (RuntimeError, OSError, MemoryError) as exc:  # TrainingDivergedError among them
         logger.error("%s", exc)
         return EXIT_RUNTIME
 

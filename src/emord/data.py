@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .documents import read_document
+from .documents import coerce_member, read_document
 from .taxonomy import (
     BUILTIN_TAXONOMIES,
     EmotionTaxonomy,
@@ -434,6 +434,13 @@ class SyntheticSpec:
     filler_tokens: int = 16
 
     def __post_init__(self):
+        if not isinstance(self.taxonomy, EmotionTaxonomy):
+            got = type(self.taxonomy).__name__
+            raise DataError(f"taxonomy must be an EmotionTaxonomy, got {got}")
+        for name, kind in _SPEC_KINDS.items():
+            if name != "taxonomy":  # a document names it; a spec holds the taxonomy
+                value = coerce_member(getattr(self, name), kind, name, DataError)
+                object.__setattr__(self, name, value)
         if self.examples_per_class < 1:
             raise DataError("examples_per_class must be positive")
         if not 0.0 < self.p_signal <= 1.0:

@@ -5,10 +5,10 @@ records are read by documents.parse_document, and is immutable afterwards,
 so instances can be shared freely between threads.  It is one list of labels
 and one integer point per label, on one axis (its valence rank, "1d") or two
 (its valence-arousal grid cell, "2d"): the points are distinct and lie in
-[0, levels) on every axis.  The mode, the per-label ranks or cells, distances,
-the label at each coordinate and the level count are all derived from the
-points the same way in both modes; each table is built on first use and
-cached on the instance.
+[0, levels) on every axis.  The mode, the per-label ranks or cells, the
+thermometer code of each label, distances, the label at each coordinate and
+the level count are all derived from the points the same way in both modes;
+each table is built on first use, cached on the instance and read-only.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
+from .codec import codewords
 from .documents import load_json, parse_document
 
 DOCUMENT_FORMAT = "emord.taxonomy/1"
@@ -94,6 +95,17 @@ class EmotionTaxonomy:
     def coords(self) -> np.ndarray:
         """(K, D) `points` as an array, by label index."""
         return _read_only(np.array(self.points))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """(K, D*(levels-1)) float64 thermometer code of each label, by label index.
+
+        Row i is `codewords(levels)` at each of label i's coordinates,
+        concatenated: its rank's in 1d, its valence's then its arousal's in
+        2d.  It is the target an ordinal head is trained against, and the
+        squared distance between two rows is their `distance_table` entry.
+        """
+        return _read_only(codewords(self.levels)[self.coords].reshape(self.num_labels, -1))
 
     @cached_property
     def distance_table(self) -> np.ndarray:

@@ -10,14 +10,9 @@ from emord.codec import (
     MODE_ORDINAL_2D,
     MODE_SOFTMAX,
     CodecError,
-    _codeword_table,
-    _onehot_table,
-    _ordinal_code,
     check_mode_compatible,
     codewords,
-    decode_thermometer,
     decode_thermometer_batch,
-    encode_thermometer,
     target_for,
     target_width,
 )
@@ -38,26 +33,22 @@ def brute_force_decode(values):
     return best_level
 
 
+def decode_one(values):
+    """One vector's level, decoded as a one-row batch."""
+    return int(decode_thermometer_batch(np.asarray(values)[None])[0])
+
+
 def test_encode_examples():
-    assert encode_thermometer(0, 5).tolist() == [0, 0, 0, 0]
-    assert encode_thermometer(3, 5).tolist() == [1, 1, 1, 0]
-    assert encode_thermometer(4, 5).tolist() == [1, 1, 1, 1]
-
-
-def test_encode_bounds():
-    with pytest.raises(CodecError):
-        encode_thermometer(5, 5)
-    with pytest.raises(CodecError):
-        encode_thermometer(-1, 5)
-    with pytest.raises(CodecError):
-        encode_thermometer(0, 1)
+    codes = codewords(5)
+    assert codes[0].tolist() == [0, 0, 0, 0]
+    assert codes[3].tolist() == [1, 1, 1, 0]
+    assert codes[4].tolist() == [1, 1, 1, 1]
 
 
 def test_decode_encode_identity_exhaustive():
     # criterion: decode(encode(k)) == k for every level of every K <= 32
     for levels in range(2, 33):
-        for k in range(levels):
-            assert decode_thermometer(encode_thermometer(k, levels)) == k
+        assert decode_thermometer_batch(codewords(levels)).tolist() == list(range(levels))
 
 
 def test_codeword_distance_law_exhaustive():
@@ -80,32 +71,35 @@ def test_decode_matches_brute_force_oracle():
 
 
 def test_decode_examples_and_tie_break():
-    assert decode_thermometer(np.array([0.9, 0.8, 0.1, 0.0, 0.0, 0.0])) == 2
+    assert decode_one([0.9, 0.8, 0.1, 0.0, 0.0, 0.0]) == 2
     # exactly between levels 0 and 2: both at distance 0.5; lowest level wins
-    assert decode_thermometer(np.array([0.5, 0.5])) == 0
-    assert decode_thermometer(np.array([1.0, 1.0])) == 2
-    assert decode_thermometer(np.array([0.0])) == 0
-    assert decode_thermometer(np.array([1.0])) == 1
-    assert decode_thermometer(np.array([0.5])) == 0  # tie toward the lower level
+    assert decode_one([0.5, 0.5]) == 0
+    assert decode_one([1.0, 1.0]) == 2
+    assert decode_one([0.0]) == 0
+    assert decode_one([1.0]) == 1
+    assert decode_one([0.5]) == 0  # tie toward the lower level
 
 
 def test_decode_handles_non_monotone_vectors():
     # a non-monotone vector is still decoded to its nearest codeword
     vals = np.array([0.1, 0.9, 0.2, 0.8])
-    assert decode_thermometer(vals) == brute_force_decode(vals)
+    assert decode_one(vals) == brute_force_decode(vals)
 
 
 def test_decode_rejects_bad_input():
-    with pytest.raises(CodecError):
-        decode_thermometer(np.array([0.5, np.nan]))
+    with pytest.raises(CodecError, match="^non-finite entries in code vector$"):
+        decode_one([0.5, np.nan])
     with pytest.raises(CodecError):
         decode_thermometer_batch(np.zeros((2, 2, 2)))
+    with pytest.raises(CodecError, match=r"got shape \(2, 0\)$"):
+        decode_thermometer_batch(np.zeros((2, 0)))
 
 
 @pytest.mark.parametrize("value", [np.float64(0.3), 0.3, np.zeros((1, 2))], ids=["0-d", "float", "2-d"])
 def test_decode_rejects_what_is_not_a_vector(value):
-    with pytest.raises(CodecError, match=r"expected a vector, got shape \("):
-        decode_thermometer(value)
+    # as a one-row batch, anything but a vector has the wrong number of axes
+    with pytest.raises(CodecError, match=r"expected \(N, L>=1\) array, got shape \("):
+        decode_one(value)
 
 
 @pytest.mark.parametrize("levels", [1, 0, -3])
@@ -176,17 +170,25 @@ def test_target_2d_squared_distance_equals_l1():
 
 def test_codewords_matrix():
     codes = codewords(4)
-    assert codes.shape == (4, 3)
+    assert codes.shape == (4, 3) and codes.dtype == np.float64
     assert codes.tolist() == [
         [0, 0, 0],
         [1, 0, 0],
         [1, 1, 0],
         [1, 1, 1],
     ]
-    # each call hands out a fresh array; writing to it cannot reach decode
-    codes[:] = 0.0
+    # one shared table per level count, so it refuses writes and decode
+    # reads it unchanged
+    assert codewords(4) is codes
+    with pytest.raises(ValueError, match="read-only"):
+        codes[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        codes[3, 0] = 0.0
+    assert codes.tolist()[3] == [1, 1, 1]
+    assert decode_one([1.0, 1.0, 1.0]) == 3
+    mutable = codes.copy()
+    mutable[:] = 0.0
     assert codewords(4).tolist()[3] == [1, 1, 1]
-    assert decode_thermometer(np.array([1.0, 1.0, 1.0])) == 3
 
 
 def test_dtype_control():
@@ -196,24 +198,18 @@ def test_dtype_control():
 
 
 def reference_target(tax, label, mode, dtype):
-    """The target built from the per-label encoders, as target_for once built it."""
+    """The target built without the cached tables: an identity row, or a
+    lower-triangular row per coordinate of the label's rank or cell."""
     if mode == MODE_SOFTMAX:
         return np.eye(tax.num_labels, dtype=dtype)[tax.labels.index(label)]
-    if mode == MODE_ORDINAL_1D:
-        return encode_thermometer(tax.ranks[label], tax.num_labels).astype(dtype)
-    valence, arousal = tax.cells[label]
-    g = tax.grid_size
-    return np.concatenate(
-        [encode_thermometer(valence, g), encode_thermometer(arousal, g)]
-    ).astype(dtype)
+    point = (tax.ranks[label],) if mode == MODE_ORDINAL_1D else tax.cells[label]
+    rows = np.tri(tax.levels, tax.levels - 1, k=-1)
+    return np.concatenate([rows[level] for level in point]).astype(dtype)
 
 
-def cached_tables(tax, mode):
-    """The read-only tables target_for copies its rows from."""
-    if mode == MODE_SOFTMAX:
-        return [_onehot_table(tax.num_labels)]
-    points = [tuple(c) for c in tax.coords.tolist()]
-    return [_codeword_table(tax.levels)] + [_ordinal_code(tax.levels, p) for p in points]
+def cached_tables(tax):
+    """The shared read-only tables: the codeword table and the taxonomy's codes."""
+    return [codewords(tax.levels), tax.codes]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -228,8 +224,11 @@ def cached_tables(tax, mode):
 )
 def test_target_for_is_a_fresh_copy_of_the_encoded_target(name, mode, dtype):
     tax = builtin_taxonomy(name)
-    tables = cached_tables(tax, mode)
+    tables = cached_tables(tax)
     assert not any(table.flags.writeable for table in tables)
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 7.0
     before = [table.copy() for table in tables]
     for label in tax.labels:
         expected = reference_target(tax, label, mode, dtype)
@@ -241,7 +240,7 @@ def test_target_for_is_a_fresh_copy_of_the_encoded_target(name, mode, dtype):
         got[...] = 7.0
         assert target_for(tax, label, mode, dtype=dtype).tobytes() == expected.tobytes()
     assert [table.tobytes() for table in tables] == [table.tobytes() for table in before]
-    assert all(a is b for a, b in zip(cached_tables(tax, mode), tables))
+    assert all(a is b for a, b in zip(cached_tables(tax), tables))
 
 
 def test_target_for_errors():

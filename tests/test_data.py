@@ -571,6 +571,25 @@ def test_spec_validation():
         SyntheticSpec(taxonomy=ISEAR, examples_per_class=0)
 
 
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [("p_signal", True, "p_signal must be a number"),
+     ("seed", 1.5, "seed must be an integer"),
+     ("examples_per_class", "3", "examples_per_class must be an integer"),
+     ("taxonomy", "isear-valence", "taxonomy must be an EmotionTaxonomy, got str")],
+    ids=["bool-p_signal", "float-seed", "str-examples_per_class", "str-taxonomy"],
+)
+def test_spec_fields_are_checked_for_kind(name, value, match):
+    # built from Python, a spec checks each field as its document reader does
+    with pytest.raises(DataError, match=f"^{match}$"):
+        SyntheticSpec(**{"taxonomy": ISEAR, name: value})
+
+
+def test_spec_takes_an_integer_probability_as_a_float():
+    spec = SyntheticSpec(taxonomy=ISEAR, p_signal=1)
+    assert type(spec.p_signal) is float and spec.p_signal == 1.0
+
 def test_spec_document_roundtrip(tmp_path):
     spec = SyntheticSpec(
         taxonomy=ISEAR, examples_per_class=7, p_signal=0.5, p_confuse=0.1,

@@ -10,6 +10,7 @@ subclass; any other exception propagates and fails the test.
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,7 +164,10 @@ def test_fuzz_taxonomy_document(data, document):
     except TaxonomyError:
         return
     taxonomy.label_at
-    taxonomy.distance_table
+    # squared distance between two labels' codes is their L1 distance
+    codes = taxonomy.codes
+    squared = ((codes[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(squared, taxonomy.distance_table)
     # every accepted document round-trips, to an equal taxonomy and hash
     again = parse_taxonomy(taxonomy_to_document(taxonomy))
     assert again == taxonomy

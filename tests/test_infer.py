@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emord.checkpoint import Checkpoint
-from emord.codec import CodecError, decode_thermometer_batch, encode_thermometer, target_for
+from emord.codec import CodecError, codewords, decode_thermometer_batch, target_for
 from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
 from emord.infer import decode_outputs, predict_ids, predict_text
 from emord.net import NetError, forward, init_params
@@ -43,7 +43,7 @@ def test_softmax_decode_fills_cell_on_grid():
 
 def test_ordinal_1d_decode_nearest_codeword():
     # exact codeword for rank 4 -> surprise
-    row = encode_thermometer(4, 7)[None, :].astype(np.float64)
+    row = codewords(7)[4][None, :].astype(np.float64)
     (pred,) = decode_outputs(ISEAR, "ordinal-1d", row)
     assert pred.label == "surprise"
     assert pred.rank == 4
@@ -55,7 +55,7 @@ def test_ordinal_1d_decode_nearest_codeword():
 
 
 def test_ordinal_2d_decode_labeled_cell():
-    target = np.concatenate([encode_thermometer(3, 5), encode_thermometer(2, 5)])
+    target = np.concatenate([codewords(5)[3], codewords(5)[2]])
     (pred,) = decode_outputs(GRID, "ordinal-2d", target[None, :].astype(float))
     assert pred.label == "pride"
     assert pred.cell == (3, 2)
@@ -65,7 +65,7 @@ def test_ordinal_2d_decode_labeled_cell():
 def test_ordinal_2d_decode_off_grid_resolution():
     # (2, 0) has no label; nearest labeled cells at distance 1 are
     # remorse (1,0), relief (3,0) -> lower valence wins the tie
-    raw = np.concatenate([encode_thermometer(2, 5), encode_thermometer(0, 5)])
+    raw = np.concatenate([codewords(5)[2], codewords(5)[0]])
     (pred,) = decode_outputs(GRID, "ordinal-2d", raw[None, :].astype(float))
     assert pred.off_grid
     assert pred.cell == (2, 0)  # the raw decoded cell is preserved
@@ -87,7 +87,7 @@ def decode_points(taxonomy, points):
     """decode_outputs on the exact ordinal codewords of `points`: ranks
     (1-tuples) on a 1d taxonomy, (valence, arousal) cells on a 2d one."""
     levels = axis_levels(taxonomy)
-    rows = np.array([np.concatenate([encode_thermometer(x, levels) for x in p]) for p in points])
+    rows = np.array([np.concatenate([codewords(levels)[x] for x in p]) for p in points])
     return decode_outputs(taxonomy, f"ordinal-{taxonomy.mode}", rows)
 
 
@@ -254,9 +254,9 @@ def test_ordinal_2d_decode_equals_decoding_each_half_alone():
     g = GRID.grid_size
     rows = [
         np.full(2 * (g - 1), 0.5),  # exact ties in both heads
-        np.r_[np.full(g - 1, 0.5), encode_thermometer(3, g)],  # a tie in one head only
-        np.r_[encode_thermometer(2, g), encode_thermometer(0, g)],  # (2, 0): off grid
-        np.r_[encode_thermometer(4, g), encode_thermometer(4, g)],
+        np.r_[np.full(g - 1, 0.5), codewords(g)[3]],  # a tie in one head only
+        np.r_[codewords(g)[2], codewords(g)[0]],  # (2, 0): off grid
+        np.r_[codewords(g)[4], codewords(g)[4]],
     ]
     outputs = np.concatenate([np.array(rows), rng.random((300, 2 * (g - 1)))])
     outputs[-100:] = np.round(outputs[-100:] * 2) / 2  # many more exact ties

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from emord.codec import encode_thermometer
+from emord.codec import codewords
 from emord.losses import LossError, logit_gradient, loss_value
 
 
@@ -51,19 +51,19 @@ def test_thermometer_mse_counts_rank_gap():
     k = 6
     for i in range(k):
         for j in range(k):
-            out = encode_thermometer(j, k)[None, :]
-            tgt = encode_thermometer(i, k)[None, :]
+            out = codewords(k)[j][None, :]
+            tgt = codewords(k)[i][None, :]
             expected = abs(i - j) / (k - 1)
             assert loss_value(out, tgt, "ordinal-1d") == pytest.approx(expected, rel=1e-12)
 
 
 def test_ordinal_2d_loss_weights():
     g = 5
-    val_out = encode_thermometer(0, g)
-    aro_out = encode_thermometer(0, g)
+    val_out = codewords(g)[0]
+    aro_out = codewords(g)[0]
     out = np.concatenate([val_out, aro_out])[None, :]
-    val_tgt = encode_thermometer(2, g)  # distance 2 on valence half
-    aro_tgt = encode_thermometer(1, g)  # distance 1 on arousal half
+    val_tgt = codewords(g)[2]  # distance 2 on valence half
+    aro_tgt = codewords(g)[1]  # distance 1 on arousal half
     tgt = np.concatenate([val_tgt, aro_tgt])[None, :]
     base = loss_value(out, tgt, "ordinal-2d", loss_weights=(1.0, 1.0))
     assert base == pytest.approx(2.0 / 4 + 1.0 / 4, rel=1e-12)
@@ -90,15 +90,15 @@ def test_logit_gradient_matches_finite_differences(mode):
     if mode == "softmax":
         targets = np.eye(width)[np.arange(batch) % width]
     elif mode == "ordinal-1d":
-        targets = np.stack([encode_thermometer(i % (width + 1), width + 1) for i in range(batch)])
+        targets = np.stack([codewords(width + 1)[i % (width + 1)] for i in range(batch)])
     else:
         half = width // 2
         targets = np.stack(
             [
                 np.concatenate(
                     [
-                        encode_thermometer(i % (half + 1), half + 1),
-                        encode_thermometer((i + 1) % (half + 1), half + 1),
+                        codewords(half + 1)[i % (half + 1)],
+                        codewords(half + 1)[(i + 1) % (half + 1)],
                     ]
                 )
                 for i in range(batch)

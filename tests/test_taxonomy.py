@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from emord.codec import encode_thermometer
+from emord.codec import codewords
 from emord.infer import decode_outputs
 from emord.taxonomy import (
     BUILTIN_TAXONOMIES,
@@ -227,11 +227,30 @@ def test_grid_taxonomy_shape_and_distances():
     assert len(near_joy) >= 2
 
 
+
+@pytest.mark.parametrize("name", BUILTIN_TAXONOMIES)
+def test_codes_of_the_builtin_taxonomies(name):
+    tax = builtin_taxonomy(name)
+    codes = tax.codes
+    assert codes.shape == (tax.num_labels, max_distance(tax)) and codes.dtype == np.float64
+    assert tax.codes is codes and not codes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        codes[0, 0] = 1.0
+    pinned = {
+        "isear-valence": {"sadness": [0] * 6, "anger": [1, 1, 0, 0, 0, 0], "joy": [1] * 6},
+        "goemotions-grid-5x5": {"grief": [0] * 8, "pride": [1, 1, 1, 0, 1, 1, 0, 0]},
+    }[name]
+    for label, row in pinned.items():
+        assert codes[tax.index(label)].tolist() == row
+    # squared distance between two labels' codes is their L1 distance
+    for i, j in itertools.product(range(tax.num_labels), repeat=2):
+        assert ((codes[i] - codes[j]) ** 2).sum() == tax.distance_table[i, j]
+
 def test_label_at_cell():
     tax = builtin_taxonomy("goemotions-grid-5x5")
 
     def decode(cell):
-        row = np.concatenate([encode_thermometer(cell[0], 5), encode_thermometer(cell[1], 5)])
+        row = np.concatenate([codewords(5)[cell[0]], codewords(5)[cell[1]]])
         return decode_outputs(tax, "ordinal-2d", row[None, :])[0]
 
     joy = decode(tax.cells["joy"])
