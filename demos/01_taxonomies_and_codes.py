@@ -21,7 +21,7 @@ for label in isear.labels:
 print()
 print("rank distances:")
 for a, b in [("sadness", "shame"), ("sadness", "anger"), ("sadness", "joy"), ("fear", "joy")]:
-    print(f"  d({a}, {b}) = {label_distance(isear, a, b)}")
+    print(f"  d({a}, {b}) = {label_distance(isear, isear.index(a), isear.index(b))}")
 
 # ---------------------------------------------------------------------------
 # 2. The thermometer (cumulative) code.  Level k of K becomes K-1 bits with
@@ -68,7 +68,7 @@ for v in range(4, -1, -1):
 
 print()
 for a, b in [("grief", "sadness"), ("grief", "excitement"), ("pride", "fear")]:
-    print(f"  grid d({a}, {b}) = {label_distance(grid, a, b)}")
+    print(f"  grid d({a}, {b}) = {label_distance(grid, grid.index(a), grid.index(b))}")
 
 print()
 target = target_for(grid, "pride", "ordinal-2d")
@@ -81,4 +81,5 @@ for a, b in [("grief", "sadness"), ("grief", "excitement")]:
     ta = target_for(grid, a, "ordinal-2d")
     tb = target_for(grid, b, "ordinal-2d")
     squared = float(np.sum((ta - tb) ** 2))
-    print(f"  ||target({a}) - target({b})||^2 = {squared:.0f} == grid distance {label_distance(grid, a, b)}")
+    d = label_distance(grid, grid.index(a), grid.index(b))
+    print(f"  ||target({a}) - target({b})||^2 = {squared:.0f} == grid distance {d}")

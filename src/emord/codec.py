@@ -25,6 +25,9 @@ MODE_ORDINAL_1D = "ordinal-1d"
 MODE_ORDINAL_2D = "ordinal-2d"
 HEAD_MODES = (MODE_SOFTMAX, MODE_ORDINAL_1D, MODE_ORDINAL_2D)
 
+#: Largest (rows, L+1, L) float64 difference array one decode chunk holds, in bytes.
+DECODE_CHUNK_BYTES = 4 * 2**20
+
 
 class CodecError(ValueError):
     """Invalid encode/decode arguments."""
@@ -50,7 +53,8 @@ def decode_thermometer_batch(values: np.ndarray) -> np.ndarray:
     Picks the level whose codeword minimizes squared distance to the row;
     exact ties resolve to the smaller level.  Defined for any finite rows,
     so non-monotone model outputs decode deterministically.  Decode one
-    vector as `decode_thermometer_batch(values[None])[0]`.
+    vector as `decode_thermometer_batch(values[None])[0]`.  Rows decode in
+    chunks of at most DECODE_CHUNK_BYTES of differences, each as it would alone.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] < 1:
@@ -58,6 +62,10 @@ def decode_thermometer_batch(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise CodecError("non-finite entries in code vector")
     codes = codewords(values.shape[1] + 1)
+    rows = max(1, DECODE_CHUNK_BYTES // codes.nbytes)  # codes.nbytes: one row's differences
+    if len(values) > rows:
+        starts = range(0, len(values), rows)
+        return np.concatenate([decode_thermometer_batch(values[i : i + rows]) for i in starts])
     dists = np.square(values[:, None, :] - codes).sum(axis=2)
     return dists.argmin(axis=1)  # first minimum wins: low-level tie-break
 

@@ -38,6 +38,7 @@ from .taxonomy import (
     BUILTIN_TAXONOMIES,
     EmotionTaxonomy,
     builtin_taxonomy,
+    label_distance,
     load_taxonomy,
 )
 
@@ -466,7 +467,7 @@ def marker_token(taxonomy: EmotionTaxonomy, label: str) -> str:
 
 def nearest_neighbor_labels(taxonomy: EmotionTaxonomy, label: str) -> list[str]:
     """Labels at minimal positive scale distance from `label`, in label order."""
-    row = taxonomy.distance_table[taxonomy.index(label)]
+    row = label_distance(taxonomy, taxonomy.index(label), np.arange(taxonomy.num_labels))
     best = row[row > 0].min()  # distinct labels sit at distinct points
     return [other for other, d in zip(taxonomy.labels, row.tolist()) if d == best]
 

@@ -12,9 +12,9 @@ predicted label.  Raw decoded grid cells (possibly unlabeled) matter only to
 Scoring works on label indices from decode to report: `evaluate` maps the
 corpus's gold names to indices once and takes the predicted indices as
 decoded, the confusion matrix, histograms and means are counts and gathers
-over the taxonomy's distance tables, and the off-grid rate and holdout
-distances come from the decoded record's arrays.  Label names appear again
-only where a file is written.
+over the label coordinates (one `label_distance` call per report), and the
+off-grid rate and holdout distances come from the decoded record's arrays.
+Label names appear again only where a file is written.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .checkpoint import Checkpoint
 from .data import LabeledCorpus, encode_corpus
 from .infer import predict_ids
 from .net import fields_equal
-from .taxonomy import EmotionTaxonomy, max_distance
+from .taxonomy import EmotionTaxonomy, label_distance, max_distance
 
 REPORT_FORMAT = "emord.report/1"
 
@@ -179,14 +179,14 @@ def build_report(
     included = [cm.f1 for cm in per_class if cm.support > 0 or cm.predicted > 0]
     accuracy = float(np.trace(confusion)) / n
 
-    distances = taxonomy.distance_table[gold, pred]
+    distances = label_distance(taxonomy, gold, pred)
     error_distances = distances[wrong]
 
     chebyshev_hist = None
     mean_cheb = None
     off_grid_rate = None
     if taxonomy.mode == "2d":
-        cheb_errors = taxonomy.chebyshev_table[gold, pred][wrong]
+        cheb_errors = np.abs(taxonomy.coords[gold[wrong]] - taxonomy.coords[pred[wrong]]).max(axis=1)
         chebyshev_hist = _histogram(cheb_errors, taxonomy.grid_size - 1)
         mean_cheb = _mean(cheb_errors)
         if off_grid is not None:

@@ -22,10 +22,11 @@ as (k2, C1, C2), so each tap is one contiguous matrix of the arena and
 forward() multiplies by it in place: no copy is made or kept.  A strided
 tap view is not a BLAS operand, so numpy would multiply it by its own loop
 below some product size, and that loop sums a row differently from the
-BLAS kernel; with contiguous taps every row of a tap product is
-bit-identical whatever the number of rows.  That lets forward() cut every
-batch (training, validation, evaluation and one-text prediction alike)
-after the last column a pooled output reads.  The FFNN products still
+BLAS kernel.  With contiguous taps, each tap product row was measured
+bit-identical at any row count on OpenBLAS's SkylakeX kernel (not on its
+Haswell kernel: 36 tier-1 failures, ROADMAP item 15).  That lets forward()
+cut every batch (training, validation, evaluation and one-text prediction
+alike) after the last column a pooled output reads.  The FFNN products still
 depend on the batch size, and not only for one row: at desk widths, with
 initial weights x4 and T=32, softmax and ordinal-1d outputs differ in the
 last bits from the same rows in a 256-row batch at about 25-32 of the batch
@@ -51,7 +52,7 @@ smaller than the conv weights it reads: 16-18 rows at desk widths, a whole
 16-row batch at paper widths and T=200.  The outputs are bit-identical to
 the cached forward's, which runs the same code as one block of all B rows:
 each step up to the pool works row by row, each conv row is the same at
-any row count, and the FFNN sees the same pooled matrix.
+any row count (on SkylakeX), and the FFNN sees the same pooled matrix.
 
 At desk widths a batched forward is bound by the conv GEMMs, but a one-row
 forward (one text served by predict_text) is bound by numpy's per-call

@@ -6,9 +6,10 @@ so instances can be shared freely between threads.  It is one list of labels
 and one integer point per label, on one axis (its valence rank, "1d") or two
 (its valence-arousal grid cell, "2d"): the points are distinct and lie in
 [0, levels) on every axis.  The mode, the per-label ranks or cells, the
-thermometer code of each label, distances, the label at each coordinate and
-the level count are all derived from the points the same way in both modes;
-each table is built on first use, cached on the instance and read-only.
+thermometer code of each label, the label at each coordinate and the level
+count are all derived from the points the same way in both modes; each table
+is built on first use, cached on the instance and read-only.  Distances are
+gathered per pair of labels by `label_distance`, never tabled.
 """
 
 from __future__ import annotations
@@ -103,23 +104,9 @@ class EmotionTaxonomy:
         Row i is `codewords(levels)` at each of label i's coordinates,
         concatenated: its rank's in 1d, its valence's then its arousal's in
         2d.  It is the target an ordinal head is trained against, and the
-        squared distance between two rows is their `distance_table` entry.
+        squared distance between two rows is their `label_distance`.
         """
         return _read_only(codewords(self.levels)[self.coords].reshape(self.num_labels, -1))
-
-    @cached_property
-    def distance_table(self) -> np.ndarray:
-        """(K, K) `label_distance` between every two labels, by label index."""
-        labels = self.labels
-        return _read_only(np.array([[label_distance(self, a, b) for b in labels] for a in labels]))
-
-    @cached_property
-    def chebyshev_table(self) -> np.ndarray:
-        """(K, K) Chebyshev (largest per-axis) gap between every two labels (2d only)."""
-        if self.mode != "2d":
-            raise TaxonomyError("Chebyshev distances are only defined for 2d taxonomies")
-        gaps = np.abs(self.coords[:, None, :] - self.coords[None, :, :])
-        return _read_only(gaps.max(axis=2))
 
     @cached_property
     def label_at(self) -> np.ndarray:
@@ -247,15 +234,17 @@ def builtin_taxonomy(name: str) -> EmotionTaxonomy:
     return parse_taxonomy(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def label_distance(taxonomy: EmotionTaxonomy, a: str, b: str) -> int:
-    """L1 gap between two labels' coordinates: the rank gap in 1d, the sum of
-    the valence and arousal gaps in 2d, as the two-head objective adds the
-    per-axis errors."""
-    points = taxonomy.points
-    gap = 0
-    for x, y in zip(points[taxonomy.index(a)], points[taxonomy.index(b)]):
-        gap += abs(x - y)
-    return gap
+def label_distance(taxonomy: EmotionTaxonomy, a, b) -> np.ndarray:
+    """L1 gap between the coordinates of labels `a` and `b`, given as label
+    indices (ints or integer arrays, broadcast together): the rank gap in 1d,
+    the sum of the valence and arousal gaps in 2d, as the two-head objective
+    adds the per-axis errors.  Pass `taxonomy.index(name)` for a name."""
+    a, b = np.asarray(a), np.asarray(b)
+    k = taxonomy.num_labels
+    # a negative index would wrap to the end of `coords` silently
+    if any(i.dtype.kind not in "iu" or (i.size and (i.min() < 0 or i.max() >= k)) for i in (a, b)):
+        raise TaxonomyError(f"label indices must be integers in [0, {k})")
+    return np.abs(taxonomy.coords[a] - taxonomy.coords[b]).sum(axis=-1)
 
 
 def max_distance(taxonomy: EmotionTaxonomy) -> int:

@@ -1,6 +1,7 @@
 """Thermometer/one-hot codecs: laws checked exhaustively against oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,24 @@ def test_decode_handles_non_monotone_vectors():
     assert decode_one(vals) == brute_force_decode(vals)
 
 
+def test_a_wide_batch_decodes_in_bounded_memory():
+    # one (N, L+1, L) float64 difference array would hold 64 * 256 * 255 * 8
+    # bytes, 33 MB; rows are decoded in chunks, each exactly as it is alone
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-0.5, 1.5, size=(64, 255))
+    values[::9] = codewords(256)[rng.integers(0, 256, size=8)]
+    tracemalloc.start()
+    try:
+        levels = decode_thermometer_batch(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert levels.tolist() == [decode_one(row) for row in values]
+    # a row wider than the budget goes one row at a time
+    assert decode_thermometer_batch(np.ones((2, 1023))).tolist() == [1023, 1023]
+
+
 def test_decode_rejects_bad_input():
     with pytest.raises(CodecError, match="^non-finite entries in code vector$"):
         decode_one([0.5, np.nan])
@@ -165,7 +184,7 @@ def test_target_2d_squared_distance_equals_l1():
     for a, b in itertools.combinations(tax.labels, 2):
         va = target_for(tax, a, MODE_ORDINAL_2D)
         vb = target_for(tax, b, MODE_ORDINAL_2D)
-        assert float(((va - vb) ** 2).sum()) == label_distance(tax, a, b)
+        assert float(((va - vb) ** 2).sum()) == label_distance(tax, tax.index(a), tax.index(b))
 
 
 def test_codewords_matrix():

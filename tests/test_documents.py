@@ -20,7 +20,13 @@ from emord.cli import taxonomy_fingerprint
 from emord.data import DataError, load_synthetic_spec
 from emord.documents import parse_document
 from emord.gradcheck import tiny_taxonomy
-from emord.taxonomy import TaxonomyError, parse_taxonomy, save_taxonomy, taxonomy_to_document
+from emord.taxonomy import (
+    TaxonomyError,
+    label_distance,
+    parse_taxonomy,
+    save_taxonomy,
+    taxonomy_to_document,
+)
 from emord.trainer import TrainerError, load_train_config_file, resolve_train_config
 from test_checkpoint import PINNED, header_of, with_header
 
@@ -167,7 +173,8 @@ def test_fuzz_taxonomy_document(data, document):
     # squared distance between two labels' codes is their L1 distance
     codes = taxonomy.codes
     squared = ((codes[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
-    assert np.array_equal(squared, taxonomy.distance_table)
+    every = np.arange(taxonomy.num_labels)
+    assert np.array_equal(squared, label_distance(taxonomy, every[:, None], every))
     # every accepted document round-trips, to an equal taxonomy and hash
     again = parse_taxonomy(taxonomy_to_document(taxonomy))
     assert again == taxonomy

@@ -15,9 +15,9 @@ from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
 from emord.infer import decode_outputs, predict_ids, predict_text
 from emord.net import NetError, forward, init_params
 from emord.recipe import TrainConfig
-from emord.taxonomy import TaxonomyError, builtin_taxonomy, parse_taxonomy
+from emord.taxonomy import builtin_taxonomy, label_distance, parse_taxonomy
 from test_net import reference_forward
-from test_taxonomy import plain_chebyshev, plain_l1
+from test_taxonomy import assert_chebyshev_errors_match_plain_loops, plain_l1
 
 ISEAR = builtin_taxonomy("isear-valence")
 GRID = builtin_taxonomy("goemotions-grid-5x5")
@@ -172,14 +172,14 @@ def test_every_coordinate_of_a_drawn_taxonomy_decodes_like_the_oracle(taxonomy):
     decoded = decode_outputs(taxonomy, mode, targets)
     assert [p.label for p in decoded] == list(taxonomy.labels)
     assert not decoded.off_grid.any()
-    # the tables against plain loops over ranks or cells
+    # the distances against plain loops over ranks or cells, pair by pair
+    # and as the one broadcast call over every pair
+    every = np.arange(taxonomy.num_labels)
+    table = label_distance(taxonomy, every[:, None], every)
     for (i, a), (j, b) in itertools.product(enumerate(taxonomy.labels), repeat=2):
-        assert taxonomy.distance_table[i, j] == plain_l1(taxonomy, a, b)
-        if taxonomy.mode == "2d":
-            assert taxonomy.chebyshev_table[i, j] == plain_chebyshev(taxonomy, a, b)
-    if taxonomy.mode == "1d":
-        with pytest.raises(TaxonomyError):
-            taxonomy.chebyshev_table
+        assert label_distance(taxonomy, i, j) == table[i, j] == plain_l1(taxonomy, a, b)
+    if taxonomy.mode == "2d":
+        assert_chebyshev_errors_match_plain_loops(taxonomy)
 
 
 def test_a_wide_grid_builds_no_per_cell_target_table():

@@ -4,12 +4,14 @@ import itertools
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from emord.codec import codewords
 from emord.infer import decode_outputs
+from emord.metrics import build_report
 from emord.taxonomy import (
     BUILTIN_TAXONOMIES,
     MAX_GRID_SIZE,
@@ -198,8 +200,9 @@ def test_isear_taxonomy_shape_and_distances():
     assert tax.num_labels == 7
     assert sorted(tax.ranks.values()) == list(range(7))
     # pinned ordering facts for the shipped valence scale
-    assert label_distance(tax, "sadness", "anger") == 2
-    assert label_distance(tax, "sadness", "fear") == 5
+    sadness = tax.index("sadness")
+    assert label_distance(tax, sadness, tax.index("anger")) == 2
+    assert label_distance(tax, sadness, tax.index("fear")) == 5
     assert tax.ranks["sadness"] == 0
     assert tax.ranks["joy"] == 6
     assert max_distance(tax) == 6
@@ -216,15 +219,14 @@ def test_grid_taxonomy_shape_and_distances():
     assert all(0 <= v < 5 and 0 <= a < 5 for v, a in cells)
     assert tax.cells["grief"] == (0, 0)
     assert tax.cells["pride"] == (3, 2)
-    assert label_distance(tax, "grief", "pride") == 5
-    assert tax.chebyshev_table[tax.index("grief"), tax.index("pride")] == 3
+    grief, pride = tax.index("grief"), tax.index("pride")
+    assert label_distance(tax, grief, pride) == 5
+    assert build_report(np.array([grief]), np.array([pride]), tax, "softmax").mean_error_chebyshev == 3
     assert max_distance(tax) == 8
     assert tax.levels == 5 and tax.coords.shape == (23, 2)
     # joy must sit among close neighbors for the holdout experiments
-    near_joy = [
-        lab for lab in tax.labels if lab != "joy" and label_distance(tax, "joy", lab) == 1
-    ]
-    assert len(near_joy) >= 2
+    near_joy = label_distance(tax, tax.index("joy"), np.arange(tax.num_labels)) == 1
+    assert near_joy.sum() >= 2
 
 
 
@@ -244,7 +246,7 @@ def test_codes_of_the_builtin_taxonomies(name):
         assert codes[tax.index(label)].tolist() == row
     # squared distance between two labels' codes is their L1 distance
     for i, j in itertools.product(range(tax.num_labels), repeat=2):
-        assert ((codes[i] - codes[j]) ** 2).sum() == tax.distance_table[i, j]
+        assert ((codes[i] - codes[j]) ** 2).sum() == label_distance(tax, i, j)
 
 def test_label_at_cell():
     tax = builtin_taxonomy("goemotions-grid-5x5")
@@ -279,19 +281,25 @@ def plain_chebyshev(tax, a, b):
     return max(abs(va - vb), abs(aa - ab))
 
 
+def assert_chebyshev_errors_match_plain_loops(tax):
+    """build_report's Chebyshev error for every pair of distinct labels of a
+    2d taxonomy, one single-example report per pair, against the plain loop."""
+    for (i, a), (j, b) in itertools.permutations(enumerate(tax.labels), 2):
+        report = build_report(np.array([i]), np.array([j]), tax, "softmax")
+        d = plain_chebyshev(tax, a, b)
+        assert report.mean_error_chebyshev == d
+        assert report.chebyshev_histogram == {e: int(e == d) for e in range(1, tax.levels)}
+
+
 def test_tables_match_plain_loops():
     isear = builtin_taxonomy("isear-valence")
     grid = builtin_taxonomy("goemotions-grid-5x5")
     # built on first use, never by the parser
-    assert not {"coords", "distance_table", "label_at", "occupied"} & set(vars(grid))
-    for tax, table, distance in (
-        (isear, isear.distance_table, plain_l1),
-        (grid, grid.distance_table, plain_l1),
-        (grid, grid.chebyshev_table, plain_chebyshev),
-    ):
-        assert not table.flags.writeable
+    assert not {"coords", "label_at", "occupied"} & set(vars(grid))
+    for tax in (isear, grid):
         for (i, a), (j, b) in itertools.product(enumerate(tax.labels), repeat=2):
-            assert table[i, j] == distance(tax, a, b)
+            assert label_distance(tax, i, j) == plain_l1(tax, a, b)
+    assert_chebyshev_errors_match_plain_loops(grid)
     assert [isear.ranks[isear.labels[i]] for i in isear.label_at] == list(range(7))
     assert isear.occupied.all()
     assert [tuple(c) for c in grid.coords.tolist()] == [grid.cells[lab] for lab in grid.labels]
@@ -304,12 +312,10 @@ def test_tables_match_plain_loops():
     for tax in (isear, grid):
         for table in (tax.coords, tax.label_at, tax.occupied):
             assert not table.flags.writeable
-    with pytest.raises(TaxonomyError):
-        isear.chebyshev_table
 
 
 def metric_axioms(tax, dist):
-    labels = tax.labels
+    labels = range(tax.num_labels)
     for a in labels:
         assert dist(tax, a, a) == 0
     for a, b in itertools.combinations(labels, 2):
@@ -318,8 +324,9 @@ def metric_axioms(tax, dist):
         assert dist(tax, a, c) <= dist(tax, a, b) + dist(tax, b, c)
 
 
-def chebyshev(tax, a, b):
-    return tax.chebyshev_table[tax.index(a), tax.index(b)]
+def chebyshev(tax, i, j):
+    # the largest per-axis gap, as build_report takes it from the coordinates
+    return np.abs(tax.coords[i] - tax.coords[j]).max()
 
 
 def test_metric_axioms_by_enumeration():
@@ -333,11 +340,51 @@ def test_label_distance_is_the_l1_gap_in_plain_ints():
     t1 = builtin_taxonomy("isear-valence")
     t2 = builtin_taxonomy("goemotions-grid-5x5")
     for tax in (t1, t2):
-        for a, b in itertools.product(tax.labels, repeat=2):
-            d = label_distance(tax, a, b)
-            assert type(d) is int and d == plain_l1(tax, a, b)
-    with pytest.raises(TaxonomyError, match="unknown label"):
-        label_distance(t1, "sadness", "zeal")
+        every = np.arange(tax.num_labels)
+        # one broadcast call gives every pair, each equal to its own call
+        table = label_distance(tax, every[:, None], every)
+        assert table.shape == (tax.num_labels, tax.num_labels) and table.dtype.kind == "i"
+        for (i, a), (j, b) in itertools.product(enumerate(tax.labels), repeat=2):
+            d = label_distance(tax, i, j)
+            assert isinstance(d, np.integer) and d == table[i, j] == plain_l1(tax, a, b)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        pytest.param(-1, id="negative"),
+        pytest.param(7, id="K"),
+        pytest.param(np.array([0, 7]), id="K-in-array"),
+        pytest.param(np.array([-1, 0]), id="negative-in-array"),
+        pytest.param(np.array([0.0, 1.0]), id="float-array"),
+        pytest.param(np.array([True, False]), id="bool-array"),
+        pytest.param(1.0, id="float"),
+        pytest.param("sadness", id="name"),
+    ],
+)
+def test_label_distance_rejects_what_is_not_a_label_index(index):
+    isear = builtin_taxonomy("isear-valence")
+    for a, b in ((index, 0), (0, index)):
+        with pytest.raises(TaxonomyError, match=r"label indices must be integers in \[0, 7\)"):
+            label_distance(isear, a, b)
+
+
+def test_a_full_32x32_grid_report_stays_small():
+    # reading (K, K) tables of label pairs, this report peaked at 48 MB
+    g = 32
+    records = [{"name": f"c{v}_{a}", "valence": v, "arousal": a} for v in range(g) for a in range(g)]
+    taxonomy = parse_taxonomy({"mode": "2d", "grid_size": g, "labels": records})
+    rng = np.random.default_rng(0)
+    gold, pred = rng.integers(0, g * g, size=(2, 5000))
+    tracemalloc.start()
+    try:
+        report = build_report(gold, pred, taxonomy, "ordinal-2d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    distances = np.abs(taxonomy.coords[gold] - taxonomy.coords[pred]).sum(axis=1)
+    assert report.mean_distance == int(distances.sum()) / 5000
 
 
 @pytest.mark.parametrize("label", ["zeal", "", 3, None, ["joy"], {"joy": 1}])
