@@ -38,7 +38,7 @@ from .data import (
     split_corpus,
     text_tokens,
 )
-from .gradcheck import GradCheckReport, check_gradients
+from .gradcheck import GradCheckError, GradCheckReport, check_gradients
 from .infer import Decoded, Prediction, predict_ids, predict_text
 from .losses import LossError, logit_gradient, loss_value
 from .metrics import (
@@ -92,6 +92,7 @@ __all__ = [
     "EmotionTaxonomy",
     "EpochStats",
     "EvalResult",
+    "GradCheckError",
     "GradCheckReport",
     "HEAD_MODES",
     "HoldoutReport",

@@ -104,4 +104,5 @@ def target_width(mode: str, taxonomy: EmotionTaxonomy) -> int:
     check_mode_compatible(mode, taxonomy)
     if mode == MODE_SOFTMAX:
         return taxonomy.num_labels
-    return taxonomy.codes.shape[1]
+    # D*(levels-1), the width of `taxonomy.codes`, which only training builds
+    return taxonomy.coords.shape[1] * (taxonomy.levels - 1)

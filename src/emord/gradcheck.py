@@ -8,7 +8,9 @@ embedding row) compare cleanly.
 
 `corrupt=True` deliberately damages one analytic gradient entry before the
 comparison; it must make the check fail, which guards the checker itself
-against ever passing vacuously.
+against ever passing vacuously.  For the same reason a tolerance outside
+(0, 1) is a `GradCheckError`: the relative error is at most 1, so at a
+tolerance of 1 or more no gradient can fail.  So is a negative seed.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ def tiny_config(head_mode: str, taxonomy: EmotionTaxonomy | None = None) -> Mode
     """float64 probe model: production kernel sizes, toy widths."""
     recipe = TrainConfig(mode=head_mode, embed_dim=5, conv_channels=(6, 7), ffnn_hidden=(8, 6))
     return recipe.model_config(13, taxonomy or tiny_taxonomy(head_mode), "float64")
+
+
+class GradCheckError(ValueError):
+    """A gradient check that could not fail, or could not run."""
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,10 @@ def check_gradients(
     Reported per parameter array: max over entries of
     |analytic - numeric| / max(1e-6, |analytic| + |numeric|).
     """
+    if not 0 < tolerance < 1:  # nan and inf included
+        raise GradCheckError(f"tolerance must be in (0, 1), got {tolerance!r}")
+    if seed < 0:
+        raise GradCheckError(f"seed must be non-negative, got {seed!r}")
     taxonomy = tiny_taxonomy(mode)
     config = tiny_config(mode, taxonomy)
     rng = np.random.default_rng([seed, _DATA_STREAM])

@@ -3,12 +3,14 @@
 Softmax decodes by argmax.  An ordinal head decodes by nearest codeword,
 one per axis, to a coordinate: a rank (1d) or a (valence, arousal) cell
 (2d).  A decoded cell that no label occupies is resolved to the nearest
-labeled cell (L1, ties toward lower valence then lower arousal) and
-flagged `off_grid`; the raw decoded cell is kept, since its distance to
-the gold cell is exactly what the proximity metrics measure.  A block of
-outputs decodes into one `Decoded` record of arrays by lookups in the
-taxonomy's tables, and `decoded[i]` is row i as a `Prediction`.  The
-record holds label indices: `evaluate` scores them as they are, and a
+labeled cell (L1, ties toward lower valence then lower arousal); the raw
+decoded cell is kept, since its distance to the gold cell is exactly what
+the proximity metrics measure.  A block of outputs decodes into one
+`Decoded` record of arrays by one lookup in the taxonomy's `label_at`
+table, and `decoded[i]` is row i as a `Prediction`.  A row is `off_grid`
+exactly when its raw point differs from its label's point, since an
+occupied cell resolves to its occupant; the flag is derived, not stored.
+The record holds label indices: `evaluate` scores them as they are, and a
 name is looked up only for a `Prediction`.
 
 `predict_ids` runs the model on chunks of rows; validation and `evaluate`
@@ -71,7 +73,6 @@ class Decoded(Sequence):
     taxonomy: EmotionTaxonomy
     mode: str
     indices: np.ndarray  # (N,) into taxonomy.labels
-    off_grid: np.ndarray  # (N,) bool
     outputs: np.ndarray  # (N, width)
     coords: np.ndarray | None = None  # (N, D)
 
@@ -79,6 +80,13 @@ class Decoded(Sequence):
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    @property
+    def off_grid(self) -> np.ndarray:
+        """(N,) bool: whether a row's raw decoded point is not its label's point."""
+        if self.coords is None:
+            return np.zeros(len(self.indices), dtype=bool)
+        return (self.coords != self.taxonomy.coords[self.indices]).any(axis=1)
 
     def _columns(self) -> dict[str, np.ndarray]:
         """The per-row arrays by field name; `coords` is left out when None."""
@@ -97,8 +105,8 @@ class Decoded(Sequence):
         else:  # the raw decoded point, which in 2d may be an unlabeled cell
             point = tuple(self.coords[i].tolist())
         rank, cell = (point[0], None) if len(point) == 1 else (None, point)
-        label = self.taxonomy.labels[index]
-        return Prediction(label, self.mode, rank, cell, bool(self.off_grid[i]), self.outputs[i])
+        label, off_grid = self.taxonomy.labels[index], point != self.taxonomy.points[index]
+        return Prediction(label, self.mode, rank, cell, off_grid, self.outputs[i])
 
 
 def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) -> Decoded:
@@ -114,15 +122,15 @@ def decode_outputs(taxonomy: EmotionTaxonomy, mode: str, outputs: np.ndarray) ->
         raise CodecError(f"{mode} outputs must be (N, {width}), got shape {outputs.shape}")
     if mode == MODE_SOFTMAX:
         indices = np.argmax(outputs, axis=1)
-        return Decoded(taxonomy, mode, indices, np.zeros(len(indices), dtype=bool), outputs)
+        return Decoded(taxonomy, mode, indices, outputs)
     d, levels = taxonomy.coords.shape[1], taxonomy.levels
     coords = decode_thermometer_batch(outputs.reshape(-1, levels - 1)).reshape(-1, d)
-    # each row's row-major position in the flat tables (Horner's rule), which
-    # is cheaper than indexing them with a tuple of D arrays
+    # each row's row-major position in the flat table (Horner's rule), which
+    # is cheaper than indexing it with a tuple of D arrays
     flat = coords[:, 0]
     for axis in range(1, d):
         flat = flat * levels + coords[:, axis]
-    return Decoded(taxonomy, mode, taxonomy.label_at[flat], ~taxonomy.occupied[flat], outputs, coords)
+    return Decoded(taxonomy, mode, taxonomy.label_at[flat], outputs, coords)
 
 
 def predict_ids(ck: Checkpoint, token_ids: np.ndarray, batch_size: int = 256) -> Decoded:

@@ -8,8 +8,11 @@ and one integer point per label, on one axis (its valence rank, "1d") or two
 [0, levels) on every axis.  The mode, the per-label ranks or cells, the
 thermometer code of each label, the label at each coordinate and the level
 count are all derived from the points the same way in both modes; each table
-is built on first use, cached on the instance and read-only.  Distances are
-gathered per pair of labels by `label_distance`, never tabled.
+is built on first use, cached on the instance and read-only.  `label_at` is
+the one table decoding reads, and `codes` is built only for training
+targets.  Whether a decoded point is off the grid follows from comparing it
+with its label's point, and distances are gathered per pair of labels by
+`label_distance`; neither is tabled.
 """
 
 from __future__ import annotations
@@ -115,22 +118,21 @@ class EmotionTaxonomy:
         Entry r is rank r in 1d and entry v*G + a is cell (v, a) in 2d.  A
         coordinate no label occupies holds the label at the L1-nearest
         occupied one, ties broken toward lower levels, axis by axis (lower
-        valence, then lower arousal).  In 1d every rank is occupied.
+        valence, then lower arousal).  In 1d every rank is occupied.  One
+        sweep over the labels keeps each coordinate's nearest so far, so the
+        build holds O(G^D) memory whatever K is.
         """
         coords = self.coords
         d = coords.shape[1]
-        # labels in coordinate order, so argmin's first minimum breaks ties
-        order = np.lexsort(coords.T[::-1])
-        grid = np.indices((self.levels,) * d).reshape(d, -1, 1)
-        l1 = np.abs(grid - coords[order].T[:, None, :]).sum(axis=0)
-        return _read_only(order[l1.argmin(axis=1)])
-
-    @cached_property
-    def occupied(self) -> np.ndarray:
-        """Mask of the coordinates some label occupies, indexed like `label_at`."""
-        table = np.zeros((self.levels,) * self.coords.shape[1], dtype=bool)
-        table[tuple(self.coords.T)] = True
-        return _read_only(table.reshape(-1))
+        grid = np.indices((self.levels,) * d).reshape(d, -1)
+        table = np.zeros(grid.shape[1], dtype=np.intp)
+        gap = np.full(grid.shape[1], d * self.levels)  # beyond any L1 gap
+        # labels in coordinate order, so the strict < keeps the first of equal gaps
+        for i in np.lexsort(coords.T[::-1]):
+            l1 = np.abs(grid - coords[i, :, None]).sum(axis=0)
+            table = np.where(l1 < gap, i, table)
+            gap = np.minimum(gap, l1)
+        return _read_only(table)
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

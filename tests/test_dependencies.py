@@ -1,11 +1,13 @@
 """numpy is the one runtime dependency outside the standard library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PROBE = """
 import sys
@@ -27,3 +29,13 @@ def test_import_adds_only_numpy_outside_the_stdlib():
     packages = {name.partition(".")[0] for name in added}
     assert "emord" in packages
     assert packages - set(sys.stdlib_module_names) - {"emord"} <= {"numpy"}
+
+
+def test_the_blas_kernel_probe_prints_one_name_and_exits_0():
+    probe = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "blas_core.py")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert re.fullmatch(r"OpenBLAS core: \S+\n", probe.stdout), probe.stdout

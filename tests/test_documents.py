@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from emord.checkpoint import CheckpointError, load_checkpoint
 from emord.cli import taxonomy_fingerprint
+from emord.codec import target_width
 from emord.data import DataError, load_synthetic_spec
 from emord.documents import parse_document
 from emord.gradcheck import tiny_taxonomy
@@ -172,6 +173,7 @@ def test_fuzz_taxonomy_document(data, document):
     taxonomy.label_at
     # squared distance between two labels' codes is their L1 distance
     codes = taxonomy.codes
+    assert target_width(f"ordinal-{taxonomy.mode}", taxonomy) == codes.shape[1]
     squared = ((codes[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
     every = np.arange(taxonomy.num_labels)
     assert np.array_equal(squared, label_distance(taxonomy, every[:, None], every))

@@ -3,7 +3,7 @@
 import pytest
 
 import emord.gradcheck as gradcheck
-from emord.gradcheck import check_gradients
+from emord.gradcheck import GradCheckError, check_gradients
 from emord.net import PARAM_FIELDS
 
 
@@ -65,3 +65,21 @@ def test_tolerance_is_respected():
     assert not strict.passed  # float64 FD noise exceeds an absurd tolerance
     loose = check_gradients("softmax", seed=0, tolerance=1e-2)
     assert loose.passed
+
+
+@pytest.mark.parametrize(
+    "kwargs, argument",
+    [
+        ({"tolerance": float("inf")}, "tolerance"),
+        ({"tolerance": float("nan")}, "tolerance"),
+        ({"tolerance": 1.0}, "tolerance"),
+        ({"tolerance": 0.0}, "tolerance"),
+        ({"tolerance": -1e-4}, "tolerance"),
+        ({"seed": -1}, "seed"),
+    ],
+    ids=["inf", "nan", "one", "zero", "negative-tolerance", "negative-seed"],
+)
+def test_a_check_that_cannot_fail_is_refused(kwargs, argument):
+    # at a tolerance of 1 or more even a corrupted gradient passes
+    with pytest.raises(GradCheckError, match=f"^{argument} "):
+        check_gradients("softmax", corrupt=True, **kwargs)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emord.checkpoint import Checkpoint
+from emord.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from emord.codec import CodecError, codewords, decode_thermometer_batch, target_for
 from emord.data import DataError, LabeledCorpus, build_vocab, encode_text
 from emord.infer import decode_outputs, predict_ids, predict_text
@@ -182,6 +182,38 @@ def test_every_coordinate_of_a_drawn_taxonomy_decodes_like_the_oracle(taxonomy):
         assert_chebyshev_errors_match_plain_loops(taxonomy)
 
 
+def broadcast_label_at(taxonomy):
+    """`label_at` from one (D, G^D, K) broadcast of every coordinate's gap to
+    every label, the first minimum over the labels in coordinate order."""
+    coords = taxonomy.coords
+    d = coords.shape[1]
+    order = np.lexsort(coords.T[::-1])
+    grid = np.indices((taxonomy.levels,) * d).reshape(d, -1, 1)
+    l1 = np.abs(grid - coords[order].T[:, None, :]).sum(axis=0)
+    return order[l1.argmin(axis=1)]
+
+
+@pytest.mark.parametrize("taxonomy", [ISEAR, GRID, TIE_GRID], ids=["isear", "goemotions", "ties"])
+def test_label_at_equals_the_broadcast_form(taxonomy):
+    assert np.array_equal(taxonomy.label_at, broadcast_label_at(taxonomy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(taxonomies())
+def test_label_at_of_a_drawn_taxonomy_equals_the_broadcast_form(taxonomy):
+    assert np.array_equal(taxonomy.label_at, broadcast_label_at(taxonomy))
+
+
+@pytest.mark.parametrize("mode", ["ordinal-1d", "ordinal-2d"])
+def test_a_loaded_checkpoint_predicts_without_building_the_code_table(tmp_path, mode):
+    # `codes` is the training targets' table; the head width is D*(levels-1)
+    save_checkpoint(make_checkpoint(mode), tmp_path / "model.ckpt")
+    ck = load_checkpoint(tmp_path / "model.ckpt")
+    pred = predict_text(ck, "alpha beta gamma")
+    assert pred.label in ck.taxonomy.labels
+    assert "codes" not in vars(ck.taxonomy)
+
+
 def test_a_wide_grid_builds_no_per_cell_target_table():
     # one float64 table of every cell's target would hold G * G * 2(G-1)
     # entries, 127 MB at G = 200
@@ -264,7 +296,8 @@ def test_ordinal_2d_decode_equals_decoding_each_half_alone():
     v, a = decode_2d_halves(outputs)
     assert np.array_equal(decoded.coords, np.stack([v, a], axis=1))
     assert np.array_equal(decoded.indices, GRID.label_at[v * g + a])
-    assert np.array_equal(decoded.off_grid, ~GRID.occupied[v * g + a])
+    cells = zip(v.tolist(), a.tolist())
+    assert decoded.off_grid.tolist() == [cell not in GRID.points for cell in cells]
     assert decoded[0].cell == (0, 0)  # ties go to the lower level
     assert decoded[2].off_grid and decoded[2].cell == (2, 0)
     assert 0 < decoded.off_grid.sum() < len(decoded)

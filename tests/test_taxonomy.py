@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from emord.codec import codewords
+from emord.codec import codewords, target_width
 from emord.infer import decode_outputs
 from emord.metrics import build_report
 from emord.taxonomy import (
@@ -244,6 +244,7 @@ def test_codes_of_the_builtin_taxonomies(name):
     }[name]
     for label, row in pinned.items():
         assert codes[tax.index(label)].tolist() == row
+    assert target_width(f"ordinal-{tax.mode}", tax) == codes.shape[1]
     # squared distance between two labels' codes is their L1 distance
     for i, j in itertools.product(range(tax.num_labels), repeat=2):
         assert ((codes[i] - codes[j]) ** 2).sum() == label_distance(tax, i, j)
@@ -295,22 +296,20 @@ def test_tables_match_plain_loops():
     isear = builtin_taxonomy("isear-valence")
     grid = builtin_taxonomy("goemotions-grid-5x5")
     # built on first use, never by the parser
-    assert not {"coords", "label_at", "occupied"} & set(vars(grid))
+    assert not {"coords", "label_at"} & set(vars(grid))
     for tax in (isear, grid):
         for (i, a), (j, b) in itertools.product(enumerate(tax.labels), repeat=2):
             assert label_distance(tax, i, j) == plain_l1(tax, a, b)
     assert_chebyshev_errors_match_plain_loops(grid)
     assert [isear.ranks[isear.labels[i]] for i in isear.label_at] == list(range(7))
-    assert isear.occupied.all()
     assert [tuple(c) for c in grid.coords.tolist()] == [grid.cells[lab] for lab in grid.labels]
-    # flat row-major tables: cell (v, a) is entry v * G + a
+    # a flat row-major table: cell (v, a) is entry v * G + a
     for i, label in enumerate(grid.labels):
         v, a = grid.cells[label]
-        assert grid.label_at[v * 5 + a] == i and grid.occupied[v * 5 + a]
-    assert grid.label_at.shape == grid.occupied.shape == (25,)
-    assert grid.occupied.sum() == 23
+        assert grid.label_at[v * 5 + a] == i
+    assert grid.label_at.shape == (25,)
     for tax in (isear, grid):
-        for table in (tax.coords, tax.label_at, tax.occupied):
+        for table in (tax.coords, tax.label_at):
             assert not table.flags.writeable
 
 
@@ -385,6 +384,26 @@ def test_a_full_32x32_grid_report_stays_small():
     assert peak < 16 * 2**20
     distances = np.abs(taxonomy.coords[gold] - taxonomy.coords[pred]).sum(axis=1)
     assert report.mean_distance == int(distances.sum()) / 5000
+
+
+def test_label_at_of_a_full_48x48_grid_stays_small():
+    # one (D, G^D, K) broadcast of every cell's gap to every label peaked at
+    # 162 MB here, and grows as G**4
+    g = 48
+    cells = [(v, a) for v in range(g) for a in range(g)]
+    order = np.random.default_rng(0).permutation(len(cells))
+    records = [{"name": f"c{i}", "valence": cells[i][0], "arousal": cells[i][1]} for i in order]
+    taxonomy = parse_taxonomy({"mode": "2d", "grid_size": g, "labels": records})
+    taxonomy.coords
+    tracemalloc.start()
+    try:
+        table = taxonomy.label_at
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # every cell is occupied, so each resolves to its own label
+    assert taxonomy.coords[table].tolist() == [list(cell) for cell in cells]
 
 
 @pytest.mark.parametrize("label", ["zeal", "", 3, None, ["joy"], {"joy": 1}])
