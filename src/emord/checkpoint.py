@@ -32,7 +32,7 @@ derived.  A crafted file can carry a valid checksum, so the header is checked
 as outside input.  The trailer is compared last, so any changed byte that
 still gives a valid header ends in a checksum mismatch.
 
-Saves and loads are format 5 (HEADER_FORMAT) only; a file of an earlier
+Saves and loads are format 6 (HEADER_FORMAT) only; a file of an earlier
 format is rejected by name.
 """
 
@@ -58,7 +58,7 @@ from .taxonomy import EmotionTaxonomy, parse_taxonomy, taxonomy_to_document
 
 MAGIC = b"EMOC"
 CONTAINER_VERSION = 1
-HEADER_FORMAT = "emord.checkpoint/5"
+HEADER_FORMAT = "emord.checkpoint/6"
 
 _DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
 _CHECKSUM_SIZE = 32  # the sha256 trailer
@@ -75,7 +75,7 @@ class Checkpoint:
     `config` is derived once, on construction, as `recipe.model_config(
     vocab.size, taxonomy, params.arena.dtype.name)`, so it is always the
     model the recipe builds.  `optimizer` holds the AdamW moments of a
-    resumable checkpoint, whose hyperparameters `recipe` holds.
+    resumable checkpoint; `recipe` holds its learning rate and weight decay.
     save_checkpoint stores `recipe.portable()`, so a loaded recipe names no
     data directory.
     """
@@ -111,7 +111,7 @@ _HEADER = {
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
-    """Write atomically in format 5; identical Checkpoint contents give identical bytes."""
+    """Write atomically in format 6; identical Checkpoint contents give identical bytes."""
     path = Path(path)
     cfg = ck.config
     arenas = [ck.params]

@@ -270,10 +270,9 @@ class Vocabulary:
         return self._index.get(token, UNK_ID)
 
 
-def build_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
-    """Frequency-ordered vocabulary over the corpus (normally the train split)."""
-    if min_freq < 1:
-        raise DataError("min_freq must be at least 1")
+def build_vocab(corpus: LabeledCorpus) -> Vocabulary:
+    """Frequency-ordered vocabulary of every token in the corpus (normally the
+    train split) that survives cleaning."""
     if len(corpus) == 0:
         raise DataError("cannot build a vocabulary from an empty corpus")
     raw, ids, _ = corpus.tokenization
@@ -283,13 +282,9 @@ def build_vocab(corpus: LabeledCorpus, min_freq: int = 1) -> Vocabulary:
         token = _clean(raw_token)
         if token:
             counts[token] += n
-    kept = sorted(
-        (tok for tok, n in counts.items() if n >= min_freq),
-        key=lambda tok: (-counts[tok], tok),
-    )
-    if not kept:
-        raise DataError(f"no token reaches min_freq={min_freq}")
-    return Vocabulary(tokens=tuple(kept))
+    if not counts:
+        raise DataError("no token survives cleaning: the corpus holds only whitespace and punctuation")
+    return Vocabulary(tokens=tuple(sorted(counts, key=lambda tok: (-counts[tok], tok))))
 
 
 def _raw_token_id(raw: str, index: dict[str, int]) -> int:

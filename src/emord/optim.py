@@ -4,8 +4,9 @@ Decay is applied directly to the parameter (not folded into the gradient),
 so moment estimates track the loss gradient alone.  A non-finite gradient
 entry aborts the step before touching any parameter, which is how training
 divergence surfaces as a hard error instead of silent NaN spread.  A step
-reads its hyperparameters from the TrainConfig it is given, which checked
-them on construction.
+reads the learning rate and weight decay from the TrainConfig it is given,
+which checked them on construction; the moment constants BETA1, BETA2 and
+EPS are fixed, the same for every run.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from .net import ModelParams, fields_equal
 
 if TYPE_CHECKING:  # for the annotation only: optim needs nothing above net to run
     from .recipe import TrainConfig
+
+
+#: AdamW's moment decay rates and the denominator's guard, the same for every run.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class OptimizerError(RuntimeError):
@@ -66,7 +73,7 @@ def adamw_step(
 ) -> None:
     """Apply one update in place to `params` and `state`.
 
-    update = lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * param)
+    update = lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * param)
     """
     blocks = [slice(start, start + _BLOCK) for start in range(0, params.arena.size, _BLOCK)]
     if not all(np.isfinite(grads.arena[block]).all() for block in blocks):
@@ -74,8 +81,8 @@ def adamw_step(
         raise OptimizerError(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     scratch1 = np.empty(min(_BLOCK, params.arena.size), dtype=params.arena.dtype)
     scratch2 = np.empty_like(scratch1)
     for block in blocks:
@@ -87,12 +94,12 @@ def adamw_step(
         s2 = scratch2[: param.size]
         # the rule above, one ufunc at a time over the block into the two
         # scratch buffers; each element rounds exactly as the expression would
-        m *= config.beta1
-        m += np.multiply(grad, 1.0 - config.beta1, out=s1)
-        v *= config.beta2
-        v += np.multiply(np.square(grad, out=s1), 1.0 - config.beta2, out=s1)
+        m *= BETA1
+        m += np.multiply(grad, 1.0 - BETA1, out=s1)
+        v *= BETA2
+        v += np.multiply(np.square(grad, out=s1), 1.0 - BETA2, out=s1)
         denom = np.sqrt(np.divide(v, bc2, out=s1), out=s1)  # sqrt(v_hat)
-        denom += config.eps
+        denom += EPS
         update = np.divide(np.divide(m, bc1, out=s2), denom, out=s2)  # m_hat / denom
         update += np.multiply(param, config.weight_decay, out=s1)
         param -= np.multiply(update, config.learning_rate, out=update)

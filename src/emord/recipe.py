@@ -1,11 +1,13 @@
-"""The training recipe: one TrainConfig names every choice a run makes.
+"""The training recipe: one TrainConfig names every choice a run can vary.
 
 A recipe is the head mode, the taxonomy, the data source, the preset and its
-widths, the optimiser and the sequence length.  It is read from a config
-file (`emord train --config`), from flags, or from a checkpoint, which
-stores the resolved recipe whole; `TrainConfig.model_config` builds the
-network a recipe trains, so the trainer and the checkpoint loader build it
-the same way.
+widths, the learning rate and weight decay and the sequence length.  What no
+run varies is a constant, not a field: AdamW's moment constants are
+`optim.BETA1`, `BETA2` and `EPS`, and the vocabulary keeps every token of
+the train split.  A recipe is read from a config file (`emord train
+--config`), from flags, or from a checkpoint, which stores the resolved
+recipe whole; `TrainConfig.model_config` builds the network a recipe trains,
+so the trainer and the checkpoint loader build it the same way.
 """
 
 from __future__ import annotations
@@ -79,11 +81,7 @@ class TrainConfig:
     max_seq_length: int | None = None
     seed: int = 0
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    min_freq: int = 1
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     loss_weights: tuple[float, float] = (1.0, 1.0)
     embed_dim: int | None = None
     conv_channels: tuple[int, int] | None = None
@@ -109,18 +107,13 @@ class TrainConfig:
             raise TrainerError(f"unknown corpus format {self.corpus_format!r}")
         if self.corpus is not None and self.synthetic is not None:
             raise TrainerError("set corpus or synthetic, not both")
-        for name in ("epochs", "batch_size", "max_seq_length", "min_freq"):
+        for name in ("epochs", "batch_size", "max_seq_length"):
             if getattr(self, name) < 1:
                 raise TrainerError(f"{name} must be at least 1")
         if self.seed < 0:
             raise TrainerError(f"seed must be non-negative, got {self.seed}")
         if self.learning_rate <= 0:
             raise TrainerError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise TrainerError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        if self.eps <= 0:
-            raise TrainerError(f"eps must be positive, got {self.eps!r}")
         if self.weight_decay < 0:
             raise TrainerError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
         if any(r < 0 for r in self.split):

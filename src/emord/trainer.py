@@ -5,7 +5,9 @@ Determinism contract: a fully resolved TrainConfig (plus the corpus it names)
 fixes every random draw.  Initialization, splitting, and per-epoch shuffles
 each use their own seed stream, and the shuffle stream is keyed by epoch
 number, so resuming from a mid-run checkpoint replays the exact batches a
-straight run would have seen.
+straight run would have seen.  The vocabulary is every token of the train
+split, and AdamW steps at the recipe's learning rate and weight decay with
+optim's fixed moment constants.
 
 A run copies its params once per epoch, into the read-only snapshot that
 epoch validates; the best checkpoint is one of them, the final the last.
@@ -126,7 +128,7 @@ class Trainer:
         if len(self.val_split) == 0:
             logger.warning("validation split is empty; validating on the train split")
             self.val_split = self.train_split
-        self.vocab = build_vocab(self.train_split, config.min_freq)
+        self.vocab = build_vocab(self.train_split)
         self.model_config = config.model_config(self.vocab.size, self.taxonomy)
         self.train_ids = encode_corpus(self.train_split, self.vocab, config.max_seq_length)
         dt = self.model_config.np_dtype

@@ -30,11 +30,12 @@ from emord.recipe import _CONFIG_KINDS, TrainConfig, TrainerError
 from emord.taxonomy import builtin_taxonomy, taxonomy_to_document
 
 #: make_checkpoint(with_optimizer=True) as save_checkpoint writes it (format
-#: 5); reader and writer change together, so this file pins the bytes on disk.
-PINNED = Path(__file__).parent / "data" / "checkpoint_v5_fixture.ckpt"
-#: The same checkpoint as formats 3 and 4 wrote it, which are no longer read.
+#: 6); reader and writer change together, so this file pins the bytes on disk.
+PINNED = Path(__file__).parent / "data" / "checkpoint_v6_fixture.ckpt"
+#: The same checkpoint as formats 3, 4 and 5 wrote it, which are no longer read.
 FORMAT_3 = Path(__file__).parent / "data" / "checkpoint_v3_fixture.ckpt"
 FORMAT_4 = Path(__file__).parent / "data" / "checkpoint_v4_fixture.ckpt"
+FORMAT_5 = Path(__file__).parent / "data" / "checkpoint_v5_fixture.ckpt"
 
 RECIPE = TrainConfig(
     mode="softmax",
@@ -344,7 +345,7 @@ def assert_is_the_fixture_checkpoint(loaded):
 
 def test_pinned_file_loads_and_resaves_byte_for_byte(tmp_path):
     header = header_of(PINNED.read_bytes())
-    assert header["format"] == HEADER_FORMAT == "emord.checkpoint/5"
+    assert header["format"] == HEADER_FORMAT == "emord.checkpoint/6"
     assert set(header) == {
         "format", "recipe", "dtype", "taxonomy", "vocab", "epochs_completed", "optimizer_step"
     }
@@ -367,7 +368,7 @@ def assert_commands_reject(tmp_path, path):
 @pytest.mark.parametrize("fmt", ["emord.checkpoint/1", "emord.checkpoint/2"])
 def test_rejects_an_earlier_format_by_name(tmp_path, fmt):
     bad = rewrite_header(tmp_path, lambda header: set_key(header, "format", fmt))
-    match = f"unsupported header format '{fmt}'; this version reads 'emord.checkpoint/5'"
+    match = f"unsupported header format '{fmt}'; this version reads 'emord.checkpoint/6'"
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(bad)
     assert_commands_reject(tmp_path, bad)
@@ -376,7 +377,7 @@ def test_rejects_an_earlier_format_by_name(tmp_path, fmt):
 def test_format_3_file_is_rejected_by_name(tmp_path):
     # a real format-3 file: three fingerprints in its header, no trailer
     assert set(header_of(FORMAT_3.read_bytes())["hashes"]) == {"taxonomy", "vocab", "payload"}
-    match = "unsupported header format 'emord.checkpoint/3'; this version reads 'emord.checkpoint/5'"
+    match = "unsupported header format 'emord.checkpoint/3'; this version reads 'emord.checkpoint/6'"
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(FORMAT_3)
     assert_commands_reject(tmp_path, FORMAT_3)
@@ -384,11 +385,21 @@ def test_format_3_file_is_rejected_by_name(tmp_path):
 
 def test_format_4_file_is_rejected_by_name(tmp_path):
     # a real format-4 file: its vocabulary an object that repeats min_freq
-    assert header_of(FORMAT_4.read_bytes())["vocab"]["min_freq"] == RECIPE.min_freq
-    match = "unsupported header format 'emord.checkpoint/4'; this version reads 'emord.checkpoint/5'"
+    assert header_of(FORMAT_4.read_bytes())["vocab"]["min_freq"] == 1
+    match = "unsupported header format 'emord.checkpoint/4'; this version reads 'emord.checkpoint/6'"
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(FORMAT_4)
     assert_commands_reject(tmp_path, FORMAT_4)
+
+
+def test_format_5_file_is_rejected_by_name(tmp_path):
+    # a real format-5 file: its recipe holds AdamW's moment constants and min_freq
+    recipe = header_of(FORMAT_5.read_bytes())["recipe"]
+    assert (recipe["beta1"], recipe["beta2"], recipe["eps"], recipe["min_freq"]) == (0.9, 0.999, 1e-8, 1)
+    match = "unsupported header format 'emord.checkpoint/5'; this version reads 'emord.checkpoint/6'"
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(FORMAT_5)
+    assert_commands_reject(tmp_path, FORMAT_5)
 
 
 def test_checksum_covers_header_arenas_and_trailer(tmp_path):
@@ -458,19 +469,29 @@ def set_key(header, dotted, value):
 @pytest.mark.parametrize(
     "key, value, match",
     [
-        ("recipe", ["softmax"], ": recipe must be an object$"),
-        ("recipe.format", "emord.train/2", r"invalid recipe \(unsupported format tag 'emord.train/2'\)"),
-        ("recipe.momentum", 0.9, r"invalid recipe \(unknown fields \['momentum'\]\)"),
-        ("recipe.batch_size", 2.0, r"invalid recipe \(batch_size must be an integer\)"),
-        ("recipe.learning_rate", 0.0, r"invalid recipe \(learning_rate must be positive, got 0.0\)"),
-        ("recipe.mode", "ordinal-3d", "invalid recipe .*unknown head mode 'ordinal-3d'"),
-        ("dtype", "float16", r"invalid model \(dtype must be float32 or float64, got 'float16'\)"),
-        ("optimizer_step", "1", ": optimizer_step must be an integer$"),
-        ("taxonomy", ["1d"], ": taxonomy must be an object$"),
-        ("epochs_completed", "3", ": epochs_completed must be an integer$"),
+        pytest.param("recipe", ["softmax"], ": recipe must be an object$", id="recipe-list"),
+        pytest.param("recipe.format", "emord.train/2",
+                     r"invalid recipe \(unsupported format tag 'emord.train/2'\)", id="recipe.format"),
+        pytest.param("recipe.momentum", 0.9, r"invalid recipe \(unknown fields \['momentum'\]\)",
+                     id="recipe.momentum"),
+        # a format-5 recipe's field
+        pytest.param("recipe.beta1", 0.9, r"invalid recipe \(unknown fields \['beta1'\]\)", id="recipe.beta1"),
+        pytest.param("recipe.batch_size", 2.0, r"invalid recipe \(batch_size must be an integer\)",
+                     id="recipe.batch_size-float"),
+        pytest.param("recipe.learning_rate", 0.0,
+                     r"invalid recipe \(learning_rate must be positive, got 0.0\)", id="recipe.learning_rate-zero"),
+        pytest.param("recipe.mode", "ordinal-3d", "invalid recipe .*unknown head mode 'ordinal-3d'",
+                     id="recipe.mode-unknown"),
+        pytest.param("dtype", "float16", r"invalid model \(dtype must be float32 or float64, got 'float16'\)",
+                     id="dtype-float16"),
+        pytest.param("optimizer_step", "1", ": optimizer_step must be an integer$", id="optimizer_step-string"),
+        pytest.param("taxonomy", ["1d"], ": taxonomy must be an object$", id="taxonomy-list"),
+        pytest.param("epochs_completed", "3", ": epochs_completed must be an integer$",
+                     id="epochs_completed-string"),
         # format 4's vocabulary object
-        ("vocab", {"tokens": ["blue", "cue0", "cue1", "green", "red"], "min_freq": 1}, ": vocab must be a list$"),
-        ("taxonomy.mode", "3d", "invalid taxonomy"),
+        pytest.param("vocab", {"tokens": ["blue", "cue0", "cue1", "green", "red"], "min_freq": 1},
+                     ": vocab must be a list$", id="vocab-object"),
+        pytest.param("taxonomy.mode", "3d", "invalid taxonomy", id="taxonomy.mode-unknown"),
     ],
 )
 def test_rejects_header_value_of_wrong_type(tmp_path, key, value, match):
@@ -498,8 +519,11 @@ def test_rejects_vocab_size_not_matching_the_tokens(tmp_path):
 
 @pytest.mark.parametrize(
     "token, match",
-    [("blue", r"invalid vocabulary \(vocabulary tokens must be distinct; repeated: \['blue'\]\)"),
-     ("Hello!", r"invalid vocabulary \(vocabulary tokens must be their own tokenization; not: \['Hello!'\]\)")],
+    [pytest.param("blue", r"invalid vocabulary \(vocabulary tokens must be distinct; repeated: \['blue'\]\)",
+                  id="repeated"),
+     pytest.param("Hello!",
+                  r"invalid vocabulary \(vocabulary tokens must be their own tokenization; not: \['Hello!'\]\)",
+                  id="untokenizable")],
 )
 def test_rejects_vocab_tokens_that_tokenization_cannot_yield(tmp_path, token, match):
     # the checksum is recomputed, so only the vocabulary rule can catch it
@@ -513,8 +537,8 @@ def test_rejects_vocab_tokens_that_tokenization_cannot_yield(tmp_path, token, ma
 
 @pytest.mark.parametrize(
     "head_mode, match",
-    [("softmax", "payload is 2652 bytes, header expects 3612"),
-     ("ordinal-1d", "ordinal-1d head requires a 1d taxonomy")],
+    [pytest.param("softmax", "payload is 2652 bytes, header expects 3612", id="softmax"),
+     pytest.param("ordinal-1d", "ordinal-1d head requires a 1d taxonomy", id="ordinal-1d")],
 )
 def test_rejects_output_width_not_matching_the_taxonomy(tmp_path, head_mode, match):
     grid = builtin_taxonomy("goemotions-grid-5x5")

@@ -330,11 +330,7 @@ NON_DEFAULT = {
     "max_seq_length": 16,
     "seed": 3,
     "split": [0.6, 0.2, 0.2],
-    "min_freq": 2,
     "weight_decay": 0.05,
-    "beta1": 0.8,
-    "beta2": 0.99,
-    "eps": 1e-6,
     "loss_weights": [0.5, 2.0],
     "embed_dim": 6,
     "conv_channels": [5, 6],
@@ -497,6 +493,24 @@ def test_non_finite_config_exits_1_without_checkpoints(tmp_path, train_config):
     assert not (out / "best.ckpt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--beta1", "--beta2", "--eps", "--min-freq"])
+def test_a_flag_of_a_removed_recipe_value_exits_1(tmp_path, train_config, flag, capsys, caplog):
+    # AdamW's moment constants live in optim, and the vocabulary has no cut-off
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(train_config), flag, "0.8", "--out", str(out)]) == EXIT_INVALID
+    assert flag in capsys.readouterr().err + caplog.text
+    assert not (out / "final.ckpt").exists()
+
+
+def test_a_config_file_holding_min_freq_exits_1_naming_it(tmp_path, train_config, caplog):
+    document = json.loads(train_config.read_text(encoding="utf-8"))
+    train_config.write_text(json.dumps({**document, "min_freq": 2}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(train_config), "--out", str(out)]) == EXIT_INVALID
+    assert f"{train_config}: unknown fields ['min_freq']" in caplog.text
+    assert not (out / "final.ckpt").exists()
+
+
 def test_numbers_too_large_for_a_float_exit_1_naming_file_and_field(
     tmp_path, spec_file, train_config, caplog
 ):
@@ -532,12 +546,13 @@ def test_negative_seeds_exit_1_naming_the_seed(tmp_path, spec_file, train_config
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--num-seeds", "0"], "--num-seeds must be at least 1, got 0"),
-     (["--num-seeds", "-1"], "--num-seeds must be at least 1, got -1"),
+    [pytest.param(["--num-seeds", "0"], "--num-seeds must be at least 1, got 0", id="num-seeds-zero"),
+     pytest.param(["--num-seeds", "-1"], "--num-seeds must be at least 1, got -1", id="num-seeds-negative"),
      # the relative error is at most 1, so even --corrupt would pass
-     (["--corrupt", "--tolerance", "inf"], "--tolerance must be in (0, 1), got inf"),
-     (["--tolerance", "1"], "--tolerance must be in (0, 1), got 1.0"),
-     (["--tolerance", "nan"], "--tolerance must be in (0, 1), got nan")],
+     pytest.param(["--corrupt", "--tolerance", "inf"], "--tolerance must be in (0, 1), got inf",
+                  id="tolerance-inf"),
+     pytest.param(["--tolerance", "1"], "--tolerance must be in (0, 1), got 1.0", id="tolerance-one"),
+     pytest.param(["--tolerance", "nan"], "--tolerance must be in (0, 1), got nan", id="tolerance-nan")],
 )
 def test_gradcheck_that_would_check_nothing_exits_1(flags, message, capsys, caplog):
     assert main(["gradcheck", "--mode", "softmax", *flags]) == EXIT_INVALID

@@ -138,13 +138,13 @@ def test_save_tsv_writes_only_what_load_corpus_reads_back(tmp_path, brk):
 @pytest.mark.parametrize(
     "record, error",
     [
-        (("fine", "jo\ty"), "tsv cannot hold"),
-        (("fine", "joy\n"), "tsv cannot hold"),
-        (("fine", "\rjoy"), "tsv cannot hold"),
-        (("", "joy"), "empty text"),
-        ((" \x0b\u2028", "joy"), "empty text"),
-        (("fine\udcff", "joy"), "not valid UTF-8"),
-        (("fine", "jo\ud800y"), "not valid UTF-8"),
+        pytest.param(("fine", "jo\ty"), "tsv cannot hold", id="tab-in-label"),
+        pytest.param(("fine", "joy\n"), "tsv cannot hold", id="newline-in-label"),
+        pytest.param(("fine", "\rjoy"), "tsv cannot hold", id="carriage-return-in-label"),
+        pytest.param(("", "joy"), "empty text", id="empty-text"),
+        pytest.param((" \x0b\u2028", "joy"), "empty text", id="whitespace-text"),
+        pytest.param(("fine\udcff", "joy"), "not valid UTF-8", id="surrogate-in-text"),
+        pytest.param(("fine", "jo\ud800y"), "not valid UTF-8", id="surrogate-in-label"),
     ],
 )
 def test_save_tsv_rejects_a_record_load_corpus_would_reject(tmp_path, record, error):
@@ -239,14 +239,10 @@ def test_vocab_ordering_and_reserved_ids():
     assert [vocab.lookup(token) for token in vocab.tokens] == list(range(2, vocab.size))
 
 
-def test_vocab_min_freq():
-    corpus = LabeledCorpus((("a a b", "joy"),))
-    vocab = build_vocab(corpus, min_freq=2)
-    assert vocab.tokens == ("a",)
-    with pytest.raises(DataError, match="min_freq"):
-        build_vocab(corpus, min_freq=5)
-    with pytest.raises(DataError):
-        build_vocab(corpus, min_freq=0)
+def test_build_vocab_of_an_all_punctuation_corpus_raises():
+    corpus = LabeledCorpus((("... !!", "joy"), ("«» ?", "sadness")))
+    with pytest.raises(DataError, match="^no token survives cleaning"):
+        build_vocab(corpus)
 
 
 def test_encode_text_truncation_and_padding():
@@ -293,17 +289,16 @@ def test_encode_text_equals_looking_up_text_tokens(corpus_texts, text, max_len):
 
 
 @settings(max_examples=300, deadline=None)
-@given(corpus_texts=st.lists(texts, min_size=1, max_size=8), min_freq=st.integers(1, 3))
-def test_build_vocab_equals_counting_text_tokens(corpus_texts, min_freq):
+@given(corpus_texts=st.lists(texts, min_size=1, max_size=8))
+def test_build_vocab_equals_counting_text_tokens(corpus_texts):
     counts = Counter(token for text in corpus_texts for token in text_tokens(text))
-    expected = sorted((tok for tok, n in counts.items() if n >= min_freq),
-                      key=lambda tok: (-counts[tok], tok))
+    expected = sorted(counts, key=lambda tok: (-counts[tok], tok))
     corpus = LabeledCorpus(tuple((text, "joy") for text in corpus_texts))
     if not expected:
-        with pytest.raises(DataError, match="min_freq"):
-            build_vocab(corpus, min_freq)
+        with pytest.raises(DataError, match="no token survives cleaning"):
+            build_vocab(corpus)
         return
-    vocab = build_vocab(corpus, min_freq)
+    vocab = build_vocab(corpus)
     assert vocab.tokens == tuple(expected)
 
 
@@ -367,22 +362,21 @@ WORD_TEXTS = st.lists(st.tuples(WORDS, SPACES), max_size=14).map(
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(train=st.lists(WORD_TEXTS, min_size=1, max_size=8), extra=st.lists(WORD_TEXTS, max_size=4),
-       min_freq=st.sampled_from([1, 2, 3]), max_len=st.integers(1, 8))
+       max_len=st.integers(1, 8))
 # dropped tokens before the cut and misses, then a record that vanishes too
 @example(train=["ΟΔΟΣ σας İstanbul x x", "x σας"],
-         extra=["... !! ΟΔΟΣ\x1cunseen\u2028x «» σας x x x"], min_freq=2, max_len=3)
+         extra=["... !! ΟΔΟΣ\x1cunseen\u2028x «» σας x x x"], max_len=3)
 @example(train=["ΟΔΟΣ σας İstanbul x x", "x σας"],
-         extra=["... !! ΟΔΟΣ\x1cunseen\u2028x «» σας x x x", "!! ..."], min_freq=2, max_len=3)
-def test_corpus_paths_agree_with_the_per_text_definitions(train, extra, min_freq, max_len):
+         extra=["... !! ΟΔΟΣ\x1cunseen\u2028x «» σας x x x", "!! ..."], max_len=3)
+def test_corpus_paths_agree_with_the_per_text_definitions(train, extra, max_len):
     corpus = LabeledCorpus(tuple((text, "joy") for text in train))
     counts = Counter(token for text in train for token in text_tokens(text))
-    expected = sorted((tok for tok, n in counts.items() if n >= min_freq),
-                      key=lambda tok: (-counts[tok], tok))
+    expected = sorted(counts, key=lambda tok: (-counts[tok], tok))
     if not expected:
-        with pytest.raises(DataError, match="min_freq"):
-            build_vocab(corpus, min_freq)
+        with pytest.raises(DataError, match="no token survives cleaning"):
+            build_vocab(corpus)
         return
-    vocab = build_vocab(corpus, min_freq)
+    vocab = build_vocab(corpus)
     assert vocab.tokens == tuple(expected)
 
     # the cache: the distinct raw tokens once each, and integers

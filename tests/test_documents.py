@@ -36,7 +36,7 @@ from test_checkpoint import PINNED, header_of, with_header
 NAMES = (
     "softmax", "ordinal-1d", "ordinal-2d", "desk", "paper", "tsv", "csv", "1d", "2d",
     "isear-valence", "goemotions-grid-5x5", "tax.json", "doc.json", "float32", "float64",
-    "emord.train/1", "emord.synth/1", "emord.taxonomy/1", "emord.checkpoint/5",
+    "emord.train/1", "emord.synth/1", "emord.taxonomy/1", "emord.checkpoint/6",
 )
 #: One JSON value: null, bools, small ints, ints beyond the float range,
 #: floats with NaN and ±Infinity, strings, and lists and objects of these.
@@ -59,8 +59,7 @@ TRAIN_CONFIG = {
     "format": "emord.train/1", "mode": "ordinal-1d", "taxonomy": "isear-valence",
     "corpus": "train.tsv", "corpus_format": "tsv", "preset": "desk", "epochs": 2,
     "batch_size": 8, "learning_rate": 0.01, "max_seq_length": 12, "seed": 3,
-    "split": [0.8, 0.1, 0.1], "min_freq": 1, "weight_decay": 0, "beta1": 0.9,
-    "beta2": 0.999, "eps": 1e-8, "loss_weights": [1, 2.5], "embed_dim": 8,
+    "split": [0.8, 0.1, 0.1], "weight_decay": 0, "loss_weights": [1, 2.5], "embed_dim": 8,
     "conv_channels": [8, 8], "kernel_sizes": [6, 4], "ffnn_hidden": [12, 8],
 }
 SYNTH_SPEC = {

@@ -36,18 +36,12 @@ def grads_like(params, fill=0.5):
 def test_config_validation():
     with pytest.raises(ValueError, match="^learning_rate must be positive, got 0.0$"):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError, match=r"^beta1 must be in \[0, 1\), got 1.0$"):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ValueError, match=r"^beta2 must be in \[0, 1\), got -0.5$"):
-        TrainConfig(beta2=-0.5)
-    with pytest.raises(ValueError, match=r"^eps must be positive, got 0\.0$"):
-        TrainConfig(eps=0)
     with pytest.raises(ValueError, match="^weight_decay must be non-negative, got -0.1$"):
         TrainConfig(weight_decay=-0.1)
     with pytest.raises(ValueError, match="^learning_rate must be finite, got nan$"):
-        TrainConfig(learning_rate=float("nan"), eps=float("inf"))
-    with pytest.raises(ValueError, match="^eps must be finite, got inf$"):
-        TrainConfig(eps=float("inf"))
+        TrainConfig(learning_rate=float("nan"), weight_decay=float("inf"))
+    with pytest.raises(ValueError, match="^weight_decay must be finite, got inf$"):
+        TrainConfig(weight_decay=float("inf"))
 
 
 def test_first_step_matches_hand_computation():
@@ -104,11 +98,11 @@ def test_two_steps_track_moments():
     m = v = 0.0
     x = float(params.fc3_b[1])
     for t, g in ((1, g1), (2, g2)):
-        m = opt.beta1 * m + (1 - opt.beta1) * g
-        v = opt.beta2 * v + (1 - opt.beta2) * g * g
-        m_hat = m / (1 - opt.beta1**t)
-        v_hat = v / (1 - opt.beta2**t)
-        x -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+        m = optim.BETA1 * m + (1 - optim.BETA1) * g
+        v = optim.BETA2 * v + (1 - optim.BETA2) * g * g
+        m_hat = m / (1 - optim.BETA1**t)
+        v_hat = v / (1 - optim.BETA2**t)
+        x -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + optim.EPS)
 
     for fill in (g1, g2):
         grads = grads_like(params, fill=fill)
@@ -144,16 +138,16 @@ def test_moments_are_fixed_views_into_arenas():
 
 def reference_adamw(params, grads, m, v, t, opt):
     # the update rule written as one expression per parameter
-    bc1 = 1.0 - opt.beta1**t
-    bc2 = 1.0 - opt.beta2**t
+    bc1 = 1.0 - optim.BETA1**t
+    bc2 = 1.0 - optim.BETA2**t
     for name, param in params.items():
         grad = grads[name]
-        m[name] *= opt.beta1
-        m[name] += (1.0 - opt.beta1) * grad
-        v[name] *= opt.beta2
-        v[name] += (1.0 - opt.beta2) * np.square(grad)
+        m[name] *= optim.BETA1
+        m[name] += (1.0 - optim.BETA1) * grad
+        v[name] *= optim.BETA2
+        v[name] += (1.0 - optim.BETA2) * np.square(grad)
         param -= opt.learning_rate * (
-            m[name] / bc1 / (np.sqrt(v[name] / bc2) + opt.eps)
+            m[name] / bc1 / (np.sqrt(v[name] / bc2) + optim.EPS)
             + opt.weight_decay * param
         )
 
